@@ -138,6 +138,10 @@ def cmd_patrol(args, printer) -> int:
 
 
 def cmd_simulate(args, printer) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+    if args.jobs <= 0:
+        raise ValidationError(f"--jobs must be positive, got {args.jobs}")
     net = _load_network(args.network)
     patrol = serialize.parse_patrol(net, Path(args.patrol).read_text())
     attack = serialize.parse_attack(net, Path(args.attack).read_text())

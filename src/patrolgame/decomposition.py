@@ -15,26 +15,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .network import Network, Point, Segment, SubNetwork, validate_alpha
+from .network import Network, Point, Segment, SubNetwork, tree_tour, validate_alpha
 
 
 def _side_weights(tree: Network) -> dict[str, tuple[Fraction, Fraction]]:
     """For each arc (u, v): measures of the u-side and v-side components of
-    the tree with that arc's interior removed."""
+    the tree with that arc's interior removed.
+
+    One tour from an arbitrary root: when the tour crosses an arc back toward
+    the root, everything beyond it has been summed, which gives the far side;
+    the near side is the rest of the tree.
+    """
+    mu = tree.total_length
+    beyond = dict.fromkeys(tree.nodes, Fraction(0))  # measure hanging below each node
     out = {}
-    for a in tree.arcs:
-        seen_arcs = {a.id}
-        stack = [a.u]
-        total = Fraction(0)
-        while stack:
-            n = stack.pop()
-            for b in tree.incident(n):
-                if b.id in seen_arcs:
-                    continue
-                seen_arcs.add(b.id)
-                total += b.length
-                stack.append(b.other(n))
-        out[a.id] = (total, tree.total_length - total - a.length)
+    for a, child, outward in tree_tour(tree, tree.nodes[0]):
+        if outward:
+            continue
+        far = beyond[child]
+        near = mu - far - a.length
+        beyond[a.other(child)] += far + a.length
+        out[a.id] = (far, near) if a.u == child else (near, far)
     return out
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import ValidationError
-from .network import Network, Point, SubNetwork, frac
+from .network import Network, Point, SubNetwork, frac, tree_tour
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,12 @@ def density(measure, subset: SubNetwork) -> Fraction:
 
 def _subtree_measures(net: Network, root: str) -> dict[str, Fraction]:
     """Measure hanging above each arc, seen from the given root."""
+    beyond = dict.fromkeys(net.nodes, Fraction(0))
     above: dict[str, Fraction] = {}
-
-    def visit(node: str, came: str | None) -> Fraction:
-        total = Fraction(0)
-        for a in net.incident(node):
-            if a.id == came:
-                continue
-            sub = a.length + visit(a.other(node), a.id)
-            above[a.id] = sub
-            total += sub
-        return total
-
-    visit(root, None)
+    for a, child, outward in tree_tour(net, root):
+        if not outward:
+            above[a.id] = a.length + beyond[child]
+            beyond[a.other(child)] += above[a.id]
     return above
 
 
@@ -87,18 +80,17 @@ def ebd(rooted: RootedSubtree, total_mass) -> LeafDistribution:
         raise ValidationError("degenerate subtree: root only")
     above = _subtree_measures(net, root_name)
     atoms: dict[Point, Fraction] = {}
-
-    def pour(node: str, came: str | None, m: Fraction):
+    stack = [(root_name, None, mass)]
+    while stack:
+        node, came, m = stack.pop()
         arcs = [a for a in net.incident(node) if a.id != came]
         if not arcs:
             host = mat.node_to_host[node]
             atoms[host] = atoms.get(host, Fraction(0)) + m
-            return
+            continue
         weight = sum(above[a.id] for a in arcs)
         for a in arcs:
-            pour(a.other(node), a.id, m * above[a.id] / weight)
-
-    pour(root_name, None, mass)
+            stack.append((a.other(node), a.id, m * above[a.id] / weight))
     items = tuple(sorted(atoms.items(), key=lambda kv: kv[0].sort_key()))
     dist = LeafDistribution(items, mass)
     assert sum((m for _, m in items), Fraction(0)) == mass
@@ -128,7 +120,9 @@ def branch_stats(rooted: RootedSubtree, dist: LeafDistribution) -> Iterator[tupl
     root_name = mat.host_point_name(rooted.root)
     above = _subtree_measures(net, root_name)
 
-    def collect(node: str, came: str | None):
+    stack = [(root_name, None)]
+    while stack:
+        node, came = stack.pop()
         arcs = [a for a in net.incident(node) if a.id != came]
         if len(arcs) >= 2:
             stats = []
@@ -137,10 +131,7 @@ def branch_stats(rooted: RootedSubtree, dist: LeafDistribution) -> Iterator[tupl
                 m = sum((dist.mass_at(mat.node_to_host[n]) for n in sub_nodes), Fraction(0))
                 stats.append((above[a.id], m))
             yield mat.node_to_host[node], tuple(stats)
-        for a in arcs:
-            yield from collect(a.other(node), a.id)
-
-    yield from collect(root_name, None)
+        stack.extend((a.other(node), a.id) for a in reversed(arcs))
 
 
 def _nodes_above(net: Network, node: str, first_arc) -> list[str]:

@@ -13,7 +13,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, ValidationError
 
@@ -136,6 +136,7 @@ class Network:
             if a.v != a.u:
                 incident[a.v].append(a)
         self._incident = {n: tuple(sorted(v, key=lambda a: a.id)) for n, v in incident.items()}
+        self._total_length = sum((a.length for a in self.arcs), Fraction(0))
         self._dist_cache: dict[str, dict[str, Fraction]] = {}
         if not self._connected():
             raise ValidationError("network is disconnected")
@@ -171,7 +172,7 @@ class Network:
 
     @property
     def total_length(self) -> Fraction:
-        return sum((a.length for a in self.arcs), Fraction(0))
+        return self._total_length
 
     @property
     def is_simple(self) -> bool:
@@ -759,6 +760,30 @@ def walk_through_nodes(net: Network, nodes: Sequence[str], initial: tuple | None
     return Walk(net, start, steps)
 
 
+def tree_tour(net: Network, start: str) -> Iterator[tuple[Arc, str, bool]]:
+    """Arc crossings (arc, node left, outward) of the depth-first closed tour
+    of a tree from `start`.
+
+    Each arc is crossed outward, and back once everything beyond it has been
+    toured, so the return crossings come in post-order.  Children are taken
+    in canonical arc-id order.  The walk keeps its own stack, so deep trees
+    do not reach the interpreter's recursion limit.
+    """
+    stack = [(start, None, iter(net.incident(start)))]
+    while stack:
+        node, came, arcs = stack[-1]
+        for a in arcs:
+            if a is not came:
+                yield a, node, True
+                child = a.other(node)
+                stack.append((child, a, iter(net.incident(child))))
+                break
+        else:
+            stack.pop()
+            if came is not None:
+                yield came, node, False
+
+
 def double_traversal(net: Network, start: str) -> Walk:
     """Depth-first closed tour of a tree traversing every arc exactly twice.
 
@@ -767,23 +792,8 @@ def double_traversal(net: Network, start: str) -> Walk:
     """
     if not net.is_tree():
         raise ValidationError("network is not a tree")
-    steps: list[Step] = []
-
-    def visit(node: str, came: str | None):
-        for a in net.incident(node):
-            if a.id == came:
-                continue
-            if a.u == node:
-                steps.append(Step(a.id, Fraction(0), a.length))
-            else:
-                steps.append(Step(a.id, a.length, Fraction(0)))
-            visit(a.other(node), a.id)
-            if a.u == node:
-                steps.append(Step(a.id, a.length, Fraction(0)))
-            else:
-                steps.append(Step(a.id, Fraction(0), a.length))
-
-    visit(start, None)
+    steps = [Step(a.id, Fraction(0), a.length) if a.u == node else Step(a.id, a.length, Fraction(0))
+             for a, node, _ in tree_tour(net, start)]
     return Walk(net, net.node_point(start), steps)
 
 
@@ -892,6 +902,16 @@ def validate_alpha(net: Network, alpha) -> Fraction:
 # -- text format --------------------------------------------------------------
 
 
+def parse_rational(text: str, what: str, ln: int | None = None) -> Fraction:
+    """Parse a decimal or p/q field of a text format; a malformed value
+    raises FormatError naming the field and, when known, the line."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        where = f"line {ln}: " if ln is not None else ""
+        raise FormatError(f"{where}bad {what} {text!r}") from None
+
+
 def parse_network(text: str) -> Network:
     """Parse the line-oriented network format.
 
@@ -913,10 +933,7 @@ def parse_network(text: str) -> Network:
         elif parts[0] == "arc":
             if len(parts) != 5:
                 raise FormatError(f"line {ln}: expected 'arc <name> <u> <v> <length>'")
-            try:
-                length = frac(parts[4])
-            except (ValueError, ZeroDivisionError, TypeError):
-                raise FormatError(f"line {ln}: bad length {parts[4]!r}") from None
+            length = parse_rational(parts[4], "length", ln)
             if length <= 0:
                 raise FormatError(f"line {ln}: nonpositive length {length}")
             arcs.append((parts[1], parts[2], parts[3], length))

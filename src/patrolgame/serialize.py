@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import FormatError
 from .factorization import Factorization
-from .network import Network, Point, Segment, Step, SubNetwork, Walk, frac
+from .network import Network, Point, Segment, Step, SubNetwork, Walk, frac, parse_rational
 from .strategies import AttackStrategy, PatrolStrategy, TemporalLaw, UniformPart
 
 
@@ -26,24 +26,29 @@ def fmt_point(p: Point) -> str:
     return f"arc:{p.arc}:{fmt_frac(p.offset)}"
 
 
-def parse_point(net: Network, text: str) -> Point:
+def _where(ln: int | None) -> str:
+    return f"line {ln}: " if ln is not None else ""
+
+
+def parse_point(net: Network, text: str, ln: int | None = None) -> Point:
     parts = text.split(":")
     if parts[0] == "node" and len(parts) == 2:
         return net.node_point(parts[1])
     if parts[0] == "arc" and len(parts) == 3:
-        return net.point(parts[1], frac(parts[2]))
-    raise FormatError(f"bad point {text!r}")
+        return net.point(parts[1], parse_rational(parts[2], "offset", ln))
+    raise FormatError(f"{_where(ln)}bad point {text!r}")
 
 
 def fmt_segment(s: Segment) -> str:
     return f"{s.arc}:{fmt_frac(s.lo)}:{fmt_frac(s.hi)}"
 
 
-def parse_segment(text: str) -> Segment:
+def parse_segment(text: str, ln: int | None = None) -> Segment:
     parts = text.split(":")
     if len(parts) != 3:
-        raise FormatError(f"bad segment {text!r}")
-    return Segment(parts[0], frac(parts[1]), frac(parts[2]))
+        raise FormatError(f"{_where(ln)}bad segment {text!r}")
+    lo, hi = (parse_rational(t, "offset", ln) for t in parts[1:])
+    return Segment(parts[0], lo, hi)
 
 
 def _fmt_temporal(t: TemporalLaw) -> str:
@@ -53,10 +58,10 @@ def _fmt_temporal(t: TemporalLaw) -> str:
 
 
 def _parse_temporal(parts: list[str], ln: int) -> TemporalLaw:
-    if parts[1] == "fixed" and len(parts) == 3:
-        return TemporalLaw.fixed(frac(parts[2]))
-    if parts[1] == "uniform" and len(parts) == 4 and parts[2] == "0":
-        return TemporalLaw.uniform(frac(parts[3]))
+    if len(parts) == 3 and parts[1] == "fixed":
+        return TemporalLaw.fixed(parse_rational(parts[2], "time", ln))
+    if len(parts) == 4 and parts[1] == "uniform" and parts[2] == "0":
+        return TemporalLaw.uniform(parse_rational(parts[3], "horizon", ln))
     raise FormatError(f"line {ln}: bad temporal law")
 
 
@@ -87,10 +92,10 @@ def parse_attack(net: Network, text: str) -> AttackStrategy:
         if tok[0] == "temporal":
             temporal = _parse_temporal(tok, ln)
         elif tok[0] == "atom" and len(tok) == 3:
-            atoms.append((parse_point(net, tok[1]), frac(tok[2])))
+            atoms.append((parse_point(net, tok[1], ln), parse_rational(tok[2], "mass", ln)))
         elif tok[0] == "uniform" and len(tok) >= 3:
-            mass = frac(tok[1])
-            segs = [parse_segment(t) for t in tok[2:]]
+            mass = parse_rational(tok[1], "mass", ln)
+            segs = [parse_segment(t, ln) for t in tok[2:]]
             parts.append(UniformPart(SubNetwork.from_segments(net, segs), mass))
         else:
             raise FormatError(f"line {ln}: bad attack record {tok[0]!r}")
@@ -134,13 +139,14 @@ def parse_patrol(net: Network, text: str) -> PatrolStrategy:
         tok = line.split()
         if tok[0] == "mix" and len(tok) == 2:
             flush(ln)
-            prob = frac(tok[1])
+            prob = parse_rational(tok[1], "probability", ln)
             start = None
             steps.clear()
         elif tok[0] == "walk" and len(tok) == 2:
-            start = parse_point(net, tok[1])
+            start = parse_point(net, tok[1], ln)
         elif tok[0] == "step" and len(tok) == 4:
-            steps.append(Step(tok[1], frac(tok[2]), frac(tok[3])))
+            lo, hi = (parse_rational(t, "offset", ln) for t in tok[2:])
+            steps.append(Step(tok[1], lo, hi))
         else:
             raise FormatError(f"line {ln}: bad patrol record {tok[0]!r}")
     flush(len(lines))

@@ -25,6 +25,7 @@ from .network import (
     double_traversal,
     eulerian_tour,
     frac,
+    tree_tour,
     validate_alpha,
 )
 
@@ -309,17 +310,10 @@ def e_patrolling(tree: Network, alpha) -> PatrolStrategy:
                 return Step(harc, lo, lo + arc.length)
             return Step(harc, lo + arc.length, lo)
 
-        def visit(name: str, came: str | None):
-            arrive(name)
-            for arc in cnet.incident(name):
-                if arc.id == came:
-                    continue
-                steps.append(host_step(arc, arc.u == name))
-                visit(arc.other(name), arc.id)
-                steps.append(host_step(arc, arc.u != name))
-                arrive(name)
-
-        visit(start_name, None)
+        arrive(start_name)
+        for arc, name, _ in tree_tour(cnet, start_name):
+            steps.append(host_step(arc, arc.u == name))
+            arrive(arc.other(name))
         walk = Walk(tree, mat.node_to_host[start_name], steps)
 
     expected = 2 * (tree.total_length + dec.lambda_e)

@@ -128,6 +128,36 @@ def test_simulate_incompatible_files(tree_file, k4_file, tmp_path, capsys):
                  "--attack", str(attack_file), "--alpha", "3"]) == 1
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "--seed must be nonnegative"),
+    ("--jobs", "0", "--jobs must be positive"),
+    ("--jobs", "-2", "--jobs must be positive"),
+])
+def test_simulate_rejects_bad_seed_and_jobs(tree_file, tmp_path, capsys, flag, value, message):
+    patrol_file = tmp_path / "p.txt"
+    attack_file = tmp_path / "a.txt"
+    main(["patrol", tree_file, "--alpha", "4", "--kind", "e", "-o", str(patrol_file)])
+    main(["attack", tree_file, "--alpha", "4", "-o", str(attack_file)])
+    capsys.readouterr()
+    assert main(["simulate", tree_file, "--patrol", str(patrol_file), "--attack", str(attack_file),
+                 "--alpha", "4", "--method", "mc", "--trials", "100", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert "manifest" not in captured.out
+
+
+@pytest.mark.parametrize("mass", ["1/0", "abc"])
+def test_simulate_bad_rational_in_attack_file(tree_file, tmp_path, capsys, mass):
+    patrol_file = tmp_path / "p.txt"
+    attack_file = tmp_path / "a.txt"
+    main(["patrol", tree_file, "--alpha", "4", "--kind", "e", "-o", str(patrol_file)])
+    attack_file.write_text(f"attack\ntemporal fixed 0\natom node:L3 {mass}\n")
+    capsys.readouterr()
+    assert main(["simulate", tree_file, "--patrol", str(patrol_file),
+                 "--attack", str(attack_file), "--alpha", "4"]) == 1
+    assert capsys.readouterr().err == f"error: line 3: bad mass {mass!r}\n"
+
+
 def test_simulate_usage_error(tree_file):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", tree_file, "--alpha", "4"])

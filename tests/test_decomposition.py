@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from patrolgame import (
+    Network,
     SubNetwork,
     ValidationError,
     core,
@@ -14,8 +15,9 @@ from patrolgame import (
     star_network,
     subtree_decomposition,
 )
-from conftest import random_tree
-from oracles import min_side_measure
+from patrolgame.decomposition import _side_weights
+from conftest import LENGTH_POOL, random_tree
+from oracles import min_side_measure, side_measures
 
 F = Fraction
 
@@ -204,3 +206,29 @@ def test_component_interiors_disjoint(sample_tree):
         union = SubNetwork.from_segments(
             sample_tree, [s for c in dec.components for s in c.subtree.segment_list()])
         assert union.measure == total  # no interior overlap between components
+
+
+def test_side_weights_match_oracle():
+    """Side measures from the single tour equal edge-removal component sums.
+
+    About half of the arcs are stored with their endpoints swapped, so whatever
+    node the tour starts from, both orientations of (u, v) occur."""
+    rng = random.Random(2024)
+    flipped_far = 0
+    for _ in range(40):
+        n = rng.randint(5, 60)
+        nodes = [f"n{i}" for i in range(n)]
+        arcs = []
+        for i in range(1, n):
+            ends = (nodes[rng.randrange(i)], nodes[i])
+            if rng.random() < 0.5:
+                ends = ends[::-1]
+            arcs.append((f"e{i:02d}", *ends, rng.choice(LENGTH_POOL)))
+        tree = Network(nodes, arcs)
+        weights = _side_weights(tree)
+        assert set(weights) == {a.id for a in tree.arcs}
+        dist = tree.node_distances(tree.nodes[0])
+        for a in tree.arcs:
+            assert weights[a.id] == side_measures(tree, a.id)
+            flipped_far += dist[a.u] > dist[a.v]
+    assert flipped_far > 0

@@ -76,6 +76,39 @@ def test_attack_parse_errors(sample_tree):
         ser.parse_attack(sample_tree, "attack\ntemporal fixed 0\nblob x y\n")
 
 
+@pytest.mark.parametrize("body, line", [
+    ("temporal fixed 0\natom node:L3 1/0", 3),
+    ("temporal fixed 0\natom node:L3 abc", 3),
+    ("temporal fixed 0\natom arc:bBC:x 1", 3),
+    ("temporal fixed 0\nuniform 1/0 bBC:0:2", 3),
+    ("temporal fixed 0\nuniform 1 bBC:0:2/0", 3),
+    ("temporal fixed 1/0\natom node:L3 1", 2),
+    ("temporal uniform 0 abc\natom node:L3 1", 2),
+    ("temporal\natom node:L3 1", 2),
+])
+def test_attack_parse_bad_fields(sample_tree, body, line):
+    with pytest.raises(FormatError, match=f"line {line}: bad"):
+        ser.parse_attack(sample_tree, f"attack\n{body}\n")
+
+
+@pytest.mark.parametrize("body, line", [
+    ("mix 1/0\nwalk node:A\nstep aL5 0 1", 2),
+    ("mix 1\nwalk arc:aL5:0/0\nstep aL5 0 1", 3),
+    ("mix 1\nwalk node:A\nstep aL5 0 one", 4),
+    ("mix 1\nwalk node:A\nstep aL5 1/0 1", 4),
+])
+def test_patrol_parse_bad_rationals(sample_tree, body, line):
+    with pytest.raises(FormatError, match=f"line {line}: bad"):
+        ser.parse_patrol(sample_tree, f"patrol\n{body}\n")
+
+
+def test_point_and_segment_bad_rationals(sample_tree):
+    with pytest.raises(FormatError, match="bad offset"):
+        ser.parse_point(sample_tree, "arc:bBC:1/0")
+    with pytest.raises(FormatError, match="bad offset"):
+        ser.parse_segment("bBC:0:z")
+
+
 def test_decomposition_report(sample_tree):
     dec = subtree_decomposition(sample_tree, 4)
     report = ser.write_decomposition_report(

@@ -12,6 +12,7 @@ from patrolgame import (
     ValidationError,
     complete_network,
     complete_patrolling,
+    double_traversal,
     e_patrolling,
     epsilon_horizon,
     factor_patrolling,
@@ -305,3 +306,18 @@ def test_patrol_strategy_validation(sample_tree):
     w = Walk(sample_tree, sample_tree.node_point("A"))
     with pytest.raises(ValidationError):
         PatrolStrategy(sample_tree, ((w, F(1, 2)),))
+
+
+def test_deep_path_needs_no_recursion():
+    """A 10k-arc path is far deeper than the interpreter's recursion limit;
+    the tree walks keep explicit stacks, so every construction completes."""
+    path = path_network(10000, pieces=10000)
+    end = path.node_point("p0")
+    tour = double_traversal(path, "p0")
+    assert tour.duration == 20000 and tour.is_closed
+    patrol = e_patrolling(path, 4)
+    assert patrol.components[0][0].duration == 2 * (10000 + 4)
+    attack = tree_attack_strategy(path, 4)
+    assert attack.atoms == ((end, F(1, 2501)), (path.node_point("p10000"), F(1, 2501)))
+    dist = make_ebd(RootedSubtree(SubNetwork.whole(path), end), 1)
+    assert dist.atoms == ((path.node_point("p10000"), F(1)),)
