@@ -63,7 +63,6 @@ from .network import (
 )
 from .strategies import (
     AttackStrategy,
-    GameConfig,
     PatrolStrategy,
     TemporalLaw,
     UniformPart,

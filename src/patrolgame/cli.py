@@ -26,7 +26,7 @@ from .factorization import (
     enumerate_one_factorizations,
     round_robin_one_factorization,
 )
-from .network import Network, frac, parse_network
+from .network import Network, parse_network, parse_rational
 from .strategies import (
     complete_patrolling,
     e_patrolling,
@@ -73,7 +73,7 @@ def cmd_decompose(args, printer) -> int:
     net = _load_network(args.network)
     if not net.is_tree():
         raise ValidationError("network is not a tree")
-    alpha = frac(args.alpha)
+    alpha = parse_rational(args.alpha, "--alpha")
     dec = subtree_decomposition(net, alpha)
     report = serialize.write_decomposition_report(
         net, dec, critical_alpha(net), local_root_of_tree(net), game_value_tree(net, alpha))
@@ -88,9 +88,9 @@ def cmd_attack(args, printer) -> int:
     net = _load_network(args.network)
     if not net.is_tree():
         raise ValidationError("network is not a tree")
-    alpha = frac(args.alpha)
-    eps = frac(args.epsilon) if args.epsilon else None
-    horizon = frac(args.horizon) if args.horizon else None
+    alpha = parse_rational(args.alpha, "--alpha")
+    eps = parse_rational(args.epsilon, "--epsilon") if args.epsilon else None
+    horizon = parse_rational(args.horizon, "--horizon") if args.horizon else None
     strat = tree_attack_strategy(net, alpha, horizon=horizon, epsilon=eps)
     printer(f"T={serialize.fmt_frac(strat.temporal.value)}")
     outputs = _emit(serialize.write_attack(strat), args.output, printer)
@@ -104,7 +104,7 @@ def cmd_attack(args, printer) -> int:
 
 def cmd_patrol(args, printer) -> int:
     net = _load_network(args.network)
-    alpha = frac(args.alpha)
+    alpha = parse_rational(args.alpha, "--alpha")
     inputs = [("net", _digest(args.network))]
     if args.kind == "e":
         strat = e_patrolling(net, alpha)
@@ -145,10 +145,11 @@ def cmd_simulate(args, printer) -> int:
     net = _load_network(args.network)
     patrol = serialize.parse_patrol(net, Path(args.patrol).read_text())
     attack = serialize.parse_attack(net, Path(args.attack).read_text())
-    alpha = frac(args.alpha)
+    alpha = parse_rational(args.alpha, "--alpha")
+    grid_step = parse_rational(args.grid_step, "--grid-step")
     method = {"mc": "mc", "exact": "exact", "grid": "grid"}[args.method]
     result = evaluate(patrol, attack, alpha, method=method, trials=args.trials,
-                      seed=args.seed, grid_step=frac(args.grid_step), jobs=args.jobs)
+                      seed=args.seed, grid_step=grid_step, jobs=args.jobs)
     if result.notes:
         printer(f"note: {result.notes}")
     rows = serialize.RESULT_HEADER + "\n" + serialize.result_csv_row(result) + "\n"

@@ -290,43 +290,23 @@ class BestResponse:
 
 def attacker_best_response(patrol: PatrolStrategy, alpha, *, space_step,
                            time_step=None, extra_points: Sequence[Point] = ()) -> BestResponse:
-    """Minimize the exact interception probability over a spatial grid
-    (all nodes, supplied structural points, and uniform subdivisions) and an
-    optional time grid over one period."""
+    """Minimize the exact interception probability over a spatial grid (all
+    nodes, supplied structural points, and uniform subdivisions).
+
+    Uniform phases make the probability independent of the attack's start
+    time, so every point is scored once at time 0.  `time_step` does not
+    change the result; it is echoed in `BestResponse.time_step`.
+    """
     alpha = frac(alpha)
-    net = patrol.network
-    grid = SubNetwork.whole(net).grid_points(space_step, extra=extra_points)
-    if time_step is None:
-        times = [Fraction(0)]
-    else:
-        h = frac(time_step)
-        horizon = max(w.duration for w, _ in patrol.components)
-        times = []
-        t = Fraction(0)
-        while t < horizon:
-            times.append(t)
-            t += h
-        if not times:
-            times = [Fraction(0)]
+    grid = SubNetwork.whole(patrol.network).grid_points(space_step, extra=extra_points)
     best = None
     for x in grid:
-        comps = []
-        for w, s in patrol.components:
-            if w.is_stationary:
-                comps.append((s, None, None, x == w.start))
-            else:
-                comps.append((s, periodic_visits(w, x), w.duration, None))
-        for t in times:
-            prob = Fraction(0)
-            for s, vis, period, stat_hit in comps:
-                if stat_hit is not None:
-                    prob += s if stat_hit else Fraction(0)
-                elif vis:
-                    prob += s * PhaseIntervalSet.from_visits(vis, t, alpha, period).measure / period
-            if best is None or prob < best[0]:
-                best = (prob, x, t)
-    prob, x, t = best
-    return BestResponse(x, t, prob, frac(space_step), None if time_step is None else frac(time_step))
+        prob = interception_probability(patrol, x, 0, alpha)
+        if best is None or prob < best[0]:
+            best = (prob, x)
+    prob, x = best
+    return BestResponse(x, Fraction(0), prob, frac(space_step),
+                        None if time_step is None else frac(time_step))
 
 
 # -- patrol families and search ---------------------------------------------------
@@ -396,8 +376,9 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     Walks start at a node, or at an interior grid offset heading for an
     endpoint, then take up to `max_steps` full arc steps; on finishing a walk
     the patrol waits at its final position.  Each candidate (including every
-    prefix) is scored exactly against the grid-discretized attack.  Arithmetic
-    runs on a common integer scale for speed; results are exact rationals.
+    prefix) is scored exactly against the grid-discretized attack.  Scores
+    are integers on a common scale of times and masses, updated step by step;
+    the result is one exact rational built at the end.
     """
     alpha = frac(alpha)
     offset_step = frac(offset_step)
@@ -417,121 +398,128 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
 
     alpha_i, horizon_i, tfix_i = s(alpha), s(horizon), s(t_fix)
     arc_len = {a.id: s(a.length) for a in net.arcs}
+    mass_scale = _lcm(m.denominator for _, m in disc.atoms)
+    mass = [int(m * mass_scale) for _, m in disc.atoms]
 
-    atoms = []  # (point, mass, arc or None, scaled offset or node key)
-    by_arc: dict[str, list[int]] = {}
+    by_arc: dict[str, list[tuple[int, int]]] = {}  # arc -> (atom, scaled offset)
     node_atoms: dict[str, int] = {}
-    for idx, (p, m) in enumerate(disc.atoms):
+    for idx, (p, _) in enumerate(disc.atoms):
         if p.is_node:
-            atoms.append((p, m, None, p.node))
             node_atoms[p.node] = idx
         else:
-            atoms.append((p, m, p.arc, s(p.offset)))
-            by_arc.setdefault(p.arc, []).append(idx)
+            by_arc.setdefault(p.arc, []).append((idx, s(p.offset)))
 
-    visits: list[list[int]] = [[] for _ in atoms]
-
-    def favorable(idx: int, dwell_here: bool, now: int) -> Fraction:
-        vs = visits[idx]
-        if fixed_t:
-            lo, hi = tfix_i, tfix_i + alpha_i
-            hit = any(lo <= v <= hi for v in vs) or (dwell_here and hi >= now)
-            return Fraction(1) if hit else Fraction(0)
-        raw = []
-        for v in vs:
-            lo = max(0, v - alpha_i)
-            hi = min(horizon_i, v)
-            if lo <= hi:
-                raw.append((lo, hi))
-        if dwell_here:
-            lo = max(0, now - alpha_i)
-            if lo <= horizon_i:
-                raw.append((lo, horizon_i))
-        if not raw:
-            return Fraction(0)
-        raw.sort()
-        total = 0
-        cur_lo, cur_hi = raw[0]
-        for lo, hi in raw[1:]:
-            if lo <= cur_hi:
-                cur_hi = max(cur_hi, hi)
-            else:
-                total += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-        total += cur_hi - cur_lo
-        return Fraction(total, horizon_i)
-
-    best = {"value": None, "spec": None, "count": 0}
-
-    def score(now: int, dwell_atom: int | None, spec):
-        value = Fraction(0)
-        for idx, (_, mass, _, _) in enumerate(atoms):
-            value += mass * favorable(idx, idx == dwell_atom, now)
-        if best["value"] is None or value > best["value"]:
-            best["value"] = value
-            best["spec"] = spec
-        best["count"] += 1
-        if best["count"] > max_walks:
-            raise SizeGuardError(f"patrol family exceeded {max_walks} walks")
-
-    def arc_hits(arc_id: str, entry: int, exit_: int, now: int) -> list[tuple[int, int]]:
-        out = []
+    def arc_hits(arc_id: str, entry: int, exit_: int) -> list[tuple[int, int]]:
+        """(atom, time after entry) for the arc atoms passed from entry to exit."""
         lo, hi = min(entry, exit_), max(entry, exit_)
-        for idx in by_arc.get(arc_id, ()):
-            off = atoms[idx][3]
-            if lo <= off <= hi:
-                out.append((idx, now + abs(off - entry)))
-        return out
+        return [(idx, abs(off - entry)) for idx, off in by_arc.get(arc_id, ()) if lo <= off <= hi]
 
-    def extend(node: str, now: int, depth: int, trail: tuple):
-        score(now, node_atoms.get(node), trail)
-        if depth == max_steps:
-            return
+    # One full arc step from each node: (arc, next node, length, entry, exit,
+    # atoms visited with their times after the step starts).
+    moves: dict[str, list[tuple]] = {}
+    for node in net.nodes:
+        moves[node] = []
         for a in net.incident(node):
             if a.u == a.v:
                 continue
             entry = 0 if a.u == node else arc_len[a.id]
             exit_ = arc_len[a.id] - entry
-            hits = arc_hits(a.id, entry, exit_, now)
             other = a.other(node)
+            hits = arc_hits(a.id, entry, exit_)
             if other in node_atoms:
-                hits.append((node_atoms[other], now + arc_len[a.id]))
-            for idx, v in hits:
-                visits[idx].append(v)
-            extend(other, now + arc_len[a.id], depth + 1, trail + ((a.id, entry, exit_),))
-            for idx, _ in hits:
-                visits[idx].pop()
+                hits.append((node_atoms[other], arc_len[a.id]))
+            moves[node].append((a.id, other, arc_len[a.id], entry, exit_, tuple(hits)))
+
+    # Per-atom state, restored from an undo list when a step is taken back.
+    # Fixed law: hit[i] is 1 once some visit falls in [t, t + alpha], so the
+    # atom's favourable measure is hit[i].  Uniform law: the favourable
+    # measure is the length of the union of the windows [v - alpha, v] within
+    # [0, H] over the atom's visits v.  An atom's visits arrive in
+    # nondecreasing time (the clock only moves forward and a step visits an
+    # atom at most once), so both ends of its windows are nondecreasing and a
+    # new visit adds only its window's part beyond reach[i] = min(H, latest
+    # visit).  `total` is the sum of mass[i] times the favourable measure.
+    hit = [0] * len(mass)
+    reach = [0] * len(mass)
+    fix_lo, fix_hi = tfix_i, tfix_i + alpha_i
+
+    def push(hits, base: int) -> tuple[int, list]:
+        """Record the visits at base + dt; return the total's gain and the undo list."""
+        gained = 0
+        undo = []
+        for idx, dt in hits:
+            v = base + dt
+            if fixed_t:
+                if not hit[idx] and fix_lo <= v <= fix_hi:
+                    undo.append((idx, 0))
+                    hit[idx] = 1
+                    gained += mass[idx]
+            else:
+                hi = v if v < horizon_i else horizon_i
+                lo = max(v - alpha_i, reach[idx], 0)
+                undo.append((idx, reach[idx]))
+                reach[idx] = hi
+                if hi > lo:
+                    gained += mass[idx] * (hi - lo)
+        return gained, undo
+
+    def pop(undo) -> None:
+        state = hit if fixed_t else reach
+        for idx, old in undo:
+            state[idx] = old
+
+    def dwell_gain(idx: int, now: int) -> int:
+        """Favourable measure the patrol adds by waiting at atom idx from now on."""
+        if fixed_t:
+            return 0 if hit[idx] or now > fix_hi else 1
+        gain = horizon_i - max(now - alpha_i, reach[idx], 0)
+        return gain if gain > 0 else 0
+
+    best_value = None
+    best_spec = None
+    count = 0
+
+    def extend(node: str, now: int, depth: int, trail: tuple, total: int):
+        nonlocal best_value, best_spec, count
+        d = node_atoms.get(node)
+        value = total if d is None else total + mass[d] * dwell_gain(d, now)
+        if best_value is None or value > best_value:
+            best_value = value
+            best_spec = trail
+        count += 1
+        if count > max_walks:
+            raise SizeGuardError(f"patrol family exceeded {max_walks} walks")
+        if depth == max_steps:
+            return
+        for arc_id, other, length, entry, exit_, hits in moves[node]:
+            gained, undo = push(hits, now)
+            extend(other, now + length, depth + 1, trail + ((arc_id, entry, exit_),), total + gained)
+            pop(undo)
 
     # node starts
     for name in net.nodes:
-        if name in node_atoms:
-            visits[node_atoms[name]].append(0)
-        extend(name, 0, 0, (("start-node", name),))
-        if name in node_atoms:
-            visits[node_atoms[name]].pop()
+        gained, undo = push([(node_atoms[name], 0)] if name in node_atoms else [], 0)
+        extend(name, 0, 0, (("start-node", name),), gained)
+        pop(undo)
 
     # interior starts on the offset grid, one per direction
+    step_i = s(offset_step)
     for a in net.arcs:
         if a.u == a.v:
             continue
-        step_i = s(offset_step)
         for off in range(step_i, arc_len[a.id], step_i):
             for target in (a.u, a.v):
-                entry = off
                 exit_ = 0 if target == a.u else arc_len[a.id]
-                hits = arc_hits(a.id, entry, exit_, 0)
+                hits = arc_hits(a.id, off, exit_)
                 if target in node_atoms:
-                    hits.append((node_atoms[target], abs(exit_ - entry)))
-                for idx, v in hits:
-                    visits[idx].append(v)
-                start_spec = (("start-arc", a.id, off, target),)
-                extend(target, abs(exit_ - entry), 0, start_spec)
-                for idx, _ in hits:
-                    visits[idx].pop()
+                    hits.append((node_atoms[target], abs(exit_ - off)))
+                gained, undo = push(hits, 0)
+                extend(target, abs(exit_ - off), 0, (("start-arc", a.id, off, target),), gained)
+                pop(undo)
 
-    spec = best["spec"]
-    walk = _walk_from_spec(net, spec, scale)
-    return SearchResult(walk, best["value"], best["count"])
+    walk = _walk_from_spec(net, best_spec, scale)
+    denominator = mass_scale if fixed_t else mass_scale * horizon_i
+    return SearchResult(walk, Fraction(best_value, denominator), count)
 
 
 def _walk_from_spec(net: Network, spec, scale: int) -> Walk:

@@ -124,7 +124,7 @@ def round_robin_one_factorization(net: Network, node_order=None) -> Factorizatio
     return _checked(net, factors, 1)
 
 
-def _perfect_matchings(pairs_free: int, adj: dict[int, set[int]], forced: tuple[int, int] | None = None):
+def _perfect_matchings(adj: dict[int, set[int]], forced: tuple[int, int] | None = None):
     """Yield perfect matchings (as frozensets of node-index pairs) of the
     graph given by `adj`; `forced` pins one pair into every matching."""
     nodes = sorted(adj)
@@ -169,7 +169,7 @@ def enumerate_one_factorizations(net: Network):
             return
         lowest = next(p for p in all_pairs if p not in covered)
         adj = {i: {j for j in range(n) if i != j and ((min(i, j), max(i, j)) not in covered)} for i in range(n)}
-        for matching in _perfect_matchings(n // 2, adj, forced=lowest):
+        for matching in _perfect_matchings(adj, forced=lowest):
             factors.append(matching)
             yield from rec(covered | matching, factors)
             factors.pop()

@@ -17,8 +17,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, ValidationError
 
-FractionLike = "Fraction | int | str"
-
 
 def frac(x) -> Fraction:
     """Coerce an int, Fraction, 'p/q' or decimal string to an exact Fraction.

@@ -138,20 +138,6 @@ class PatrolStrategy:
         return cls(walk.net, ((walk, Fraction(1)),))
 
 
-@dataclass(frozen=True)
-class GameConfig:
-    """Attack duration, optimality slack and the induced time horizon."""
-
-    alpha: Fraction
-    epsilon: Fraction = Fraction(1, 20)
-    horizon: Fraction | None = None
-
-    def resolved_horizon(self) -> Fraction:
-        if self.horizon is not None:
-            return self.horizon
-        return epsilon_horizon(self.alpha, self.epsilon)
-
-
 # -- values -------------------------------------------------------------------
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the production algorithms: shortest
 paths run on subdivided graphs through networkx, side measures come from
 edge-removal component sums, and factorization counts come from set-cover
-search over explicitly enumerated perfect matchings.
+search over explicitly enumerated perfect matchings, and the patrol search
+scores every walk of its family as a `Walk` object, one at a time.
 """
 
 import itertools
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from patrolgame import Network, Point
+from patrolgame import Network, Point, Step, Walk
 
 
 def to_nx(net: Network) -> nx.MultiGraph:
@@ -149,3 +150,74 @@ def girth_bruteforce(net: Network) -> Fraction | None:
         if best is None or m < best:
             best = m
     return best
+
+
+def search_family(net: Network, offset_step: Fraction, max_steps: int):
+    """Every walk `patrol_search` examines, in its order: node starts, then
+    interior grid starts toward either endpoint, each followed by every
+    sequence of up to `max_steps` full arc steps (prefixes included)."""
+
+    def grow(start: Point, steps: list, node: str, left: int):
+        yield Walk(net, start, steps)
+        if left == 0:
+            return
+        for a in net.incident(node):
+            if a.u == a.v:
+                continue
+            forward = a.u == node
+            step = Step(a.id, Fraction(0) if forward else a.length,
+                        a.length if forward else Fraction(0))
+            yield from grow(start, steps + [step], a.other(node), left - 1)
+
+    for name in net.nodes:
+        yield from grow(net.node_point(name), [], name, max_steps)
+    for a in net.arcs:
+        if a.u == a.v:
+            continue
+        off = offset_step
+        while off < a.length:
+            for target in (a.u, a.v):
+                first = Step(a.id, off, Fraction(0) if target == a.u else a.length)
+                yield from grow(net.point(a.id, off), [first], target, max_steps)
+            off += offset_step
+
+
+def dwell_walk_probability(walk: Walk, attack, alpha: Fraction) -> Fraction:
+    """Interception probability of an atomic attack by a walk after which
+    the patrol waits at its end point, from the definition: an attack at p
+    starting at t is caught when a visit falls in [t, t + alpha], or when p
+    is the end point and the window reaches the walk's end.  Under a uniform
+    law, caught(t) is constant between consecutive window ends, so the
+    favourable measure sums the pieces whose midpoint is caught."""
+    duration = walk.duration
+    total = Fraction(0)
+    for p, m in attack.atoms:
+        times = walk.visit_times(p)
+        waits = p == walk.end_point
+
+        def caught(t):
+            return any(t <= v <= t + alpha for v in times) or (waits and t + alpha >= duration)
+
+        if attack.temporal.kind == "fixed":
+            total += m if caught(attack.temporal.value) else 0
+            continue
+        horizon = attack.temporal.value
+        ends = {c for v in times for c in (v - alpha, v)} | {duration - alpha}
+        cuts = sorted({Fraction(0), horizon} | {c for c in ends if 0 < c < horizon})
+        favourable = sum((b - a for a, b in zip(cuts, cuts[1:]) if caught((a + b) / 2)), Fraction(0))
+        total += m * favourable / horizon
+    return total
+
+
+def bruteforce_search(net: Network, attack, alpha, *, max_steps: int, offset_step: Fraction,
+                      grid_step: Fraction) -> tuple[Fraction, int, Walk]:
+    """Best probability, walk count and first best walk of the search family,
+    each walk built and scored on its own."""
+    disc = attack.discretized(grid_step)
+    best, best_walk, count = None, None, 0
+    for walk in search_family(net, offset_step, max_steps):
+        count += 1
+        p = dwell_walk_probability(walk, disc, Fraction(alpha))
+        if best is None or p > best:
+            best, best_walk = p, walk
+    return best, count, best_walk

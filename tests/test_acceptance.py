@@ -208,6 +208,7 @@ def test_k4_search_tightness():
     att = k4_tightness_attack(k4, alpha=5)
     res = patrol_search(k4, att, 5, max_steps=8, offset_step=F(1, 4), grid_step=F(1, 4))
     assert res.probability < F(5, 6)
+    assert (res.probability, res.walks_examined) == (F(19, 24), 393_640)
     margin = F(5, 6) - res.probability
     print(f"  best walk intercepts {res.probability} = 5/6 - {margin} "
           f"({res.walks_examined} walks examined)")

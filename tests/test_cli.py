@@ -158,6 +158,39 @@ def test_simulate_bad_rational_in_attack_file(tree_file, tmp_path, capsys, mass)
     assert capsys.readouterr().err == f"error: line 3: bad mass {mass!r}\n"
 
 
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+@pytest.mark.parametrize("flag", ["--alpha", "--grid-step"])
+def test_simulate_bad_rational_flag(tree_file, tmp_path, capsys, flag, value):
+    patrol_file = tmp_path / "p.txt"
+    attack_file = tmp_path / "a.txt"
+    main(["patrol", tree_file, "--alpha", "4", "--kind", "e", "-o", str(patrol_file)])
+    main(["attack", tree_file, "--alpha", "4", "-o", str(attack_file)])
+    capsys.readouterr()
+    args = {"--alpha": "4", "--grid-step": "1/8", flag: value}
+    assert main(["simulate", tree_file, "--patrol", str(patrol_file), "--attack", str(attack_file),
+                 *(x for item in args.items() for x in item)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad {flag} {value!r}\n"
+    assert "manifest" not in captured.out
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--alpha", "{}"],
+    ["attack", "--alpha", "{}"],
+    ["attack", "--alpha", "4", "--epsilon", "{}"],
+    ["attack", "--alpha", "4", "--horizon", "{}"],
+    ["patrol", "--alpha", "{}", "--kind", "e"],
+])
+def test_bad_rational_flag(tree_file, capsys, argv, value):
+    flag = argv[argv.index("{}") - 1]
+    argv = [argv[0], tree_file] + [value if a == "{}" else a for a in argv[1:]]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad {flag} {value!r}\n"
+    assert "manifest" not in captured.out
+
+
 def test_simulate_usage_error(tree_file):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", tree_file, "--alpha", "4"])

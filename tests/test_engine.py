@@ -10,6 +10,7 @@ from patrolgame import (
     Network,
     Step,
     TemporalLaw,
+    UniformPart,
     ValidationError,
     Walk,
     attacker_best_response,
@@ -25,6 +26,7 @@ from patrolgame import (
     k4_tightness_attack,
     patrol_search,
     random_closed_walk,
+    subtree_decomposition,
     tree_attack_strategy,
     uniform_attack,
     walk_attack_probability,
@@ -32,6 +34,7 @@ from patrolgame import (
 )
 from patrolgame.engine import periodic_visits
 from conftest import random_tree
+from oracles import bruteforce_search
 
 F = Fraction
 
@@ -229,6 +232,67 @@ def test_patrol_search_guard(unit_k4):
     att = k4_tightness_attack(unit_k4, alpha=5)
     with pytest.raises(Exception):
         patrol_search(unit_k4, att, 5, max_steps=8, max_walks=10)
+
+
+def _search_cases():
+    """Seeded atomic-plus-uniform attacks on small networks, under both
+    temporal laws."""
+    rng = random.Random(29)
+    path3 = Network(["u", "v", "w"], [("a", "u", "v", 1), ("b", "v", "w", F(3, 2))])
+    triangle_tail = Network(
+        ["a", "b", "c", "d"],
+        [("e1", "a", "b", 1), ("e2", "b", "c", 1), ("e3", "c", "a", 1), ("e4", "c", "d", 2)])
+    for net, max_steps in ((path3, 4), (triangle_tail, 3), (complete_network(4), 3)):
+        for temporal in (TemporalLaw.fixed(F(3, 2)), TemporalLaw.fixed(F(0)),
+                         TemporalLaw.uniform(F(5, 2)), TemporalLaw.uniform(F(6))):
+            points = [net.node_point(n) for n in net.nodes]
+            points += [net.point(a.id, a.length * F(rng.randint(1, 3), 4)) for a in net.arcs]
+            chosen = rng.sample(points, 3)
+            weights = [rng.randint(1, 5) for _ in chosen]
+            atoms = tuple((p, F(w, 2 * sum(weights))) for p, w in zip(chosen, weights))
+            zone = net.ball(net.node_point(rng.choice(net.nodes)), F(1))
+            att = AttackStrategy(net, atoms, (UniformPart(zone, F(1, 2)),), temporal)
+            yield net, att, F(rng.randint(1, 6), 2), max_steps
+
+
+def test_patrol_search_matches_bruteforce():
+    for net, att, alpha, max_steps in _search_cases():
+        res = patrol_search(net, att, alpha, max_steps=max_steps, offset_step=F(1, 2),
+                            grid_step=F(1, 2))
+        best, count, walk = bruteforce_search(net, att, alpha, max_steps=max_steps,
+                                              offset_step=F(1, 2), grid_step=F(1, 2))
+        assert (res.probability, res.walks_examined) == (best, count)
+        assert (res.walk.start, res.walk.steps) == (walk.start, walk.steps)
+        if not walk.is_closed:  # a closed walk is repeated, not held, by the replay
+            assert walk_attack_probability(res.walk, att, alpha, grid_step=F(1, 2)) == best
+
+
+def test_patrol_search_k4_frozen(unit_k4):
+    for alpha, prob in ((F(9, 2), F(191, 288)), (F(5), F(17, 24)), (F(11, 2), F(3, 4)),
+                        (F(6), F(19, 24))):
+        res = patrol_search(unit_k4, k4_tightness_attack(unit_k4, alpha=alpha), alpha, max_steps=4)
+        assert (res.probability, res.walks_examined) == (prob, 4840)
+        if alpha == 5:
+            assert res.walk.start == unit_k4.point("v1-v2", F(1, 4))
+            assert [(s.arc, s.start, s.end) for s in res.walk.steps] == [
+                ("v1-v2", F(1, 4), 1), ("v2-v3", 0, 1), ("v1-v3", 1, 0), ("v1-v4", 0, 1),
+                ("v2-v4", 1, 0)]
+    res = patrol_search(unit_k4, k4_tightness_attack(unit_k4, alpha=5), 5, max_steps=5)
+    assert (res.probability, res.walks_examined) == (F(19, 24), 14560)
+
+
+def test_best_response_ignores_time_step(sample_tree, unit_k4):
+    cases = []
+    for alpha in (2, 4, 6, 8):
+        roots = [c.root for c in subtree_decomposition(sample_tree, alpha).components]
+        cases.append((e_patrolling(sample_tree, alpha), alpha, roots))
+    cases += [(complete_patrolling(unit_k4), alpha, []) for alpha in (2, 3)]
+    for pat, alpha, extra in cases:
+        plain = attacker_best_response(pat, alpha, space_step=F(1, 8), extra_points=extra)
+        timed = attacker_best_response(pat, alpha, space_step=F(1, 8), time_step=F(1, 8),
+                                       extra_points=extra)
+        assert (timed.point, timed.time, timed.probability) == (plain.point, F(0), plain.probability)
+        assert (plain.time_step, timed.time_step) == (None, F(1, 8))
 
 
 def test_uniform_zone_bound_small():
