@@ -379,6 +379,10 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     prefix) is scored exactly against the grid-discretized attack.  Scores
     are integers on a common scale of times and masses, updated step by step;
     the result is one exact rational built at the end.
+
+    A closed walk is held at its end point like an open one, not repeated;
+    `walk_attack_probability` repeats a closed walk periodically, so on a
+    closed walk the two can give different probabilities.
     """
     alpha = frac(alpha)
     offset_step = frac(offset_step)
@@ -543,7 +547,12 @@ def walk_attack_probability(walk: Walk, attack: AttackStrategy, alpha, *,
                             grid_step=Fraction(1, 4), dwell_at_end: bool = True) -> Fraction:
     """Exact interception probability of a single deterministic walk against
     a (grid-discretized) attack; the patrol waits at its final position after
-    the walk ends when `dwell_at_end` is set."""
+    an open walk ends when `dwell_at_end` is set.
+
+    A closed walk is repeated periodically instead, with or without
+    `dwell_at_end`.  `patrol_search` holds the patrol at the end point of
+    every walk, closed ones included, so on a closed walk the two can give
+    different probabilities."""
     alpha = frac(alpha)
     disc = attack if attack.is_atomic else attack.discretized(grid_step)
     total = Fraction(0)

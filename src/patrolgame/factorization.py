@@ -9,6 +9,7 @@ for the certified optimum.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,15 +45,6 @@ class Factorization:
         return frozenset(self.factors)
 
 
-def _degree_map(net: Network, arc_ids) -> dict[str, int]:
-    deg = {n: 0 for n in net.nodes}
-    for aid in arc_ids:
-        a = net.arc(aid)
-        deg[a.u] += 1
-        deg[a.v] += 2 if a.u == a.v else 1
-    return deg
-
-
 def validate_factorization(net: Network, factors, m: int) -> list[str]:
     """Return a list of violation messages; empty means valid.
 
@@ -62,19 +54,22 @@ def validate_factorization(net: Network, factors, m: int) -> list[str]:
     if not net.is_simple:
         return ["network is not simple"]
     violations = []
-    valid_ids = {arc.id for arc in net.arcs}
+    ends = {arc.id: (arc.u, arc.v) for arc in net.arcs}
     seen: dict[str, int] = {}
     factors = [frozenset(f) for f in factors]
     for i, f in enumerate(factors, start=1):
+        deg = dict.fromkeys(net.nodes, 0)
         for aid in f:
-            if aid not in valid_ids:
+            if aid not in ends:
                 violations.append(f"factor {i}: unknown arc {aid!r}")
                 continue
             if aid in seen:
                 violations.append(f"factors {seen[aid]} and {i} share arc {aid!r}")
             else:
                 seen[aid] = i
-        deg = _degree_map(net, (a for a in f if a in valid_ids))
+            u, v = ends[aid]
+            deg[u] += 1
+            deg[v] += 1
         bad = {n: d for n, d in deg.items() if d != m}
         if bad:
             violations.append(f"factor {i}: not {m}-regular spanning (degrees {bad})")
@@ -124,28 +119,23 @@ def round_robin_one_factorization(net: Network, node_order=None) -> Factorizatio
     return _checked(net, factors, 1)
 
 
-def _perfect_matchings(adj: dict[int, set[int]], forced: tuple[int, int] | None = None):
-    """Yield perfect matchings (as frozensets of node-index pairs) of the
-    graph given by `adj`; `forced` pins one pair into every matching."""
-    nodes = sorted(adj)
-
-    def rec(remaining: frozenset, acc):
-        if not remaining:
-            yield frozenset(acc)
-            return
-        u = min(remaining)
-        for v in sorted(adj[u] & remaining - {u}):
-            acc.append((u, v))
-            yield from rec(remaining - {u, v}, acc)
-            acc.pop()
-
-    remaining = frozenset(nodes)
-    acc = []
-    if forced is not None:
-        u, v = forced
-        acc.append((u, v))
-        remaining -= {u, v}
-    yield from rec(remaining, acc)
+def _matchings(free: list[int], remaining: int, acc: list, out: list):
+    """Append to `out` every perfect matching of the free-arc graph on the
+    node mask `remaining`, extending the pairs in `acc`.  The lowest
+    remaining node pairs with each free partner in increasing index."""
+    if not remaining:
+        out.append(tuple(acc))
+        return
+    low = remaining & -remaining
+    u = low.bit_length() - 1
+    rest = remaining ^ low
+    cands = free[u] & rest
+    while cands:
+        bit = cands & -cands
+        cands ^= bit
+        acc.append((u, bit.bit_length() - 1))
+        _matchings(free, rest ^ bit, acc, out)
+        acc.pop()
 
 
 def enumerate_one_factorizations(net: Network):
@@ -158,24 +148,38 @@ def enumerate_one_factorizations(net: Network):
     n = len(net.nodes)
     if n > ENUMERATION_NODE_LIMIT:
         raise SizeGuardError(f"enumeration guarded to <= {ENUMERATION_NODE_LIMIT} nodes, got {n}")
-    names = list(net.nodes)
-    index = {v: i for i, v in enumerate(names)}
     table = _arc_lookup(net)
-    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ids = [[table.get((a, b)) for b in net.nodes] for a in net.nodes]
+    full = (1 << n) - 1
+    # free[i]: mask of the nodes i still shares an uncovered arc with
+    free = [full ^ (1 << i) for i in range(n)]
+    chosen: list[tuple] = []
 
-    def rec(covered: frozenset, factors):
-        if len(covered) == len(all_pairs):
-            yield tuple(factors)
+    def toggle(pairs):
+        # xor covers a matching's arcs and, applied again, uncovers them
+        for i, j in pairs:
+            free[i] ^= 1 << j
+            free[j] ^= 1 << i
+
+    def rec():
+        # The lowest node with an uncovered arc has no uncovered arc to a
+        # lower node, so (u, lowest free partner) is the lexicographically
+        # lowest uncovered arc; every matching of this level contains it.
+        u = next((i for i in range(n) if free[i]), None)
+        if u is None:
+            yield [frozenset(ids[i][j] for i, j in pairs) for pairs in chosen]
             return
-        lowest = next(p for p in all_pairs if p not in covered)
-        adj = {i: {j for j in range(n) if i != j and ((min(i, j), max(i, j)) not in covered)} for i in range(n)}
-        for matching in _perfect_matchings(adj, forced=lowest):
-            factors.append(matching)
-            yield from rec(covered | matching, factors)
-            factors.pop()
+        v = (free[u] & -free[u]).bit_length() - 1
+        matchings: list[tuple] = []
+        _matchings(free, full ^ (1 << u) ^ (1 << v), [(u, v)], matchings)
+        for pairs in matchings:
+            toggle(pairs)
+            chosen.append(pairs)
+            yield from rec()
+            chosen.pop()
+            toggle(pairs)
 
-    for combo in rec(frozenset(), []):
-        factors = [frozenset(table[(names[i], names[j])] for i, j in f) for f in combo]
+    for factors in rec():
         yield _checked(net, factors, 1)
 
 
@@ -188,10 +192,14 @@ def best_one_factorization(net: Network, heuristic: bool = False, restarts: int 
     """
     _require_even_complete(net)
     if len(net.nodes) <= ENUMERATION_NODE_LIMIT and not heuristic:
-        best = None
+        # lengths on one integer scale; ties keep the first minimum
+        scale = math.lcm(*(a.length.denominator for a in net.arcs))
+        weight = {a.id: a.length.numerator * (scale // a.length.denominator) for a in net.arcs}
+        best, best_key = None, None
         for f in enumerate_one_factorizations(net):
-            if best is None or f.delta < best.delta:
-                best = f
+            key = max(sum(weight[a] for a in factor) for factor in f.factors)
+            if best is None or key < best_key:
+                best, best_key = f, key
         return best
     if not heuristic:
         raise SizeGuardError(

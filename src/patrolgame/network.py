@@ -12,6 +12,7 @@ import heapq
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -135,7 +136,7 @@ class Network:
                 incident[a.v].append(a)
         self._incident = {n: tuple(sorted(v, key=lambda a: a.id)) for n, v in incident.items()}
         self._total_length = sum((a.length for a in self.arcs), Fraction(0))
-        self._dist_cache: dict[str, dict[str, Fraction]] = {}
+        self._dist_cache: dict[str, tuple[dict[str, Fraction], dict[str, str]]] = {}
         if not self._connected():
             raise ValidationError("network is disconnected")
 
@@ -172,8 +173,9 @@ class Network:
     def total_length(self) -> Fraction:
         return self._total_length
 
-    @property
+    @cached_property
     def is_simple(self) -> bool:
+        """No loops and no parallel arcs; computed once, on first use."""
         pairs = set()
         for a in self.arcs:
             if a.u == a.v:
@@ -225,30 +227,13 @@ class Network:
 
     # -- metric ------------------------------------------------------------
 
-    def node_distances(self, source: str) -> dict[str, Fraction]:
-        """Exact single-source shortest path lengths (Dijkstra), cached."""
+    def _dijkstra(self, source: str) -> tuple[dict[str, Fraction], dict[str, str]]:
+        """Exact single-source shortest path lengths and parents, cached.
+
+        Ties pop in push order (the counter), and a node's distance and
+        parent change only on a strictly shorter path."""
         if source in self._dist_cache:
             return self._dist_cache[source]
-        dist = {source: Fraction(0)}
-        counter = itertools.count()
-        heap = [(Fraction(0), next(counter), source)]
-        while heap:
-            d, _, n = heapq.heappop(heap)
-            if d > dist[n]:
-                continue
-            for a in self._incident[n]:
-                m = a.other(n)
-                nd = d + a.length
-                if m not in dist or nd < dist[m]:
-                    dist[m] = nd
-                    heapq.heappush(heap, (nd, next(counter), m))
-        self._dist_cache[source] = dist
-        return dist
-
-    def node_path(self, source: str, target: str) -> list[str]:
-        """Node sequence of a shortest path between two nodes."""
-        if source == target:
-            return [source]
         dist = {source: Fraction(0)}
         parent: dict[str, str] = {}
         counter = itertools.count()
@@ -264,6 +249,18 @@ class Network:
                     dist[m] = nd
                     parent[m] = n
                     heapq.heappush(heap, (nd, next(counter), m))
+        self._dist_cache[source] = dist, parent
+        return dist, parent
+
+    def node_distances(self, source: str) -> dict[str, Fraction]:
+        """Exact single-source shortest path lengths (Dijkstra), cached."""
+        return self._dijkstra(source)[0]
+
+    def node_path(self, source: str, target: str) -> list[str]:
+        """Node sequence of a shortest path between two nodes."""
+        if source == target:
+            return [source]
+        parent = self._dijkstra(source)[1]
         path = [target]
         while path[-1] != source:
             path.append(parent[path[-1]])

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import FormatError
-from .factorization import Factorization
+from .factorization import Factorization, _checked
 from .network import Network, Point, Segment, Step, SubNetwork, Walk, frac, parse_rational
 from .strategies import AttackStrategy, PatrolStrategy, TemporalLaw, UniformPart
 
@@ -164,9 +164,6 @@ def write_factorization(f: Factorization) -> str:
 
 
 def parse_factorization(net: Network, text: str) -> Factorization:
-    from .factorization import validate_factorization
-    from .errors import FactorizationError
-
     lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
     if not lines or not lines[0].startswith("factorization m="):
         raise FormatError("line 1: expected 'factorization m=<k>' header")
@@ -184,11 +181,7 @@ def parse_factorization(net: Network, text: str) -> Factorization:
         if tok[0] != "factor" or len(tok) < 2:
             raise FormatError(f"line {ln}: expected 'factor <arc>...'")
         factors.append(frozenset(tok[1:]))
-    violations = validate_factorization(net, factors, m)
-    if violations:
-        raise FactorizationError(violations)
-    ordered = tuple(sorted(factors, key=lambda f_: sorted(f_)))
-    return Factorization(net, m, ordered, certified)
+    return _checked(net, factors, m, certified)
 
 
 # -- reports --------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the production algorithms: shortest
 paths run on subdivided graphs through networkx, side measures come from
-edge-removal component sums, and factorization counts come from set-cover
-search over explicitly enumerated perfect matchings, and the patrol search
-scores every walk of its family as a `Walk` object, one at a time.
+edge-removal component sums, factorization counts and least largest-factor
+lengths come from set-cover search over explicitly enumerated perfect
+matchings, and the patrol search scores every walk of its family as a
+`Walk` object, one at a time.
 """
 
 import itertools
@@ -134,6 +135,28 @@ def count_one_factorizations_bruteforce(n: int) -> int:
         if ok and union == all_edges:
             count += 1
     return count
+
+
+def best_delta_bruteforce(net: Network) -> tuple[Fraction, set[frozenset]]:
+    """Least largest-factor length over every 1-factorization of a complete
+    network, from set covers of explicit perfect matchings, and the set of
+    factorizations (each a frozenset of arc-id factors) that reach it."""
+    names = net.nodes
+    n = len(names)
+    arc_id = {frozenset((a.u, a.v)): a.id for a in net.arcs}
+    length = {a.id: a.length for a in net.arcs}
+    factors = [frozenset(arc_id[frozenset((names[i], names[j]))] for i, j in m)
+               for m in perfect_matchings_k(n)]
+    best, optima = None, set()
+    for combo in itertools.combinations(factors, n - 1):
+        if len(frozenset().union(*combo)) != len(net.arcs):
+            continue
+        delta = max(sum((length[a] for a in f), Fraction(0)) for f in combo)
+        if best is None or delta < best:
+            best, optima = delta, set()
+        if delta == best:
+            optima.add(frozenset(combo))
+    return best, optima
 
 
 def girth_bruteforce(net: Network) -> Fraction | None:

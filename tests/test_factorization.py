@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -15,9 +16,18 @@ from patrolgame import (
     round_robin_one_factorization,
     validate_factorization,
 )
-from oracles import count_one_factorizations_bruteforce, girth_bruteforce
+from patrolgame.serialize import write_factorization
+from oracles import best_delta_bruteforce, count_one_factorizations_bruteforce, girth_bruteforce
 
 F = Fraction
+
+
+def rational_complete(seed: int, n: int) -> Network:
+    """Complete network on n nodes with seeded rational arc lengths."""
+    rng = random.Random(seed)
+    base = complete_network(n)
+    return Network(base.nodes, [(a.id, a.u, a.v, F(rng.randint(1, 16), rng.choice([1, 2, 3, 4])))
+                                for a in base.arcs])
 
 
 def test_validate_ok(unit_k4):
@@ -145,3 +155,47 @@ def test_girth_inequality_random_lengths():
             half_n = n // 2
             for fact in enumerate_one_factorizations(net):
                 assert mu - fact.delta >= F(half_n * (half_n - 1), 2) * g
+
+
+def test_enumeration_order_frozen():
+    # SHA-256 of every factorization's file text, in enumeration order,
+    # frozen from the set-based enumerator this one replaced
+    frozen = {
+        6: "4dfd8194815e9011947c71b752e5d85cccdb195da2fe9b9f7d4c7521efa802c2",
+        8: "29b9eb693f959fe063a2cb6c5b26ab7cfc01be43863fed7d371ea94b83c58517",
+    }
+    for n, digest in frozen.items():
+        h = hashlib.sha256()
+        for fact in enumerate_one_factorizations(complete_network(n)):
+            h.update(write_factorization(fact).encode())
+        assert h.hexdigest() == digest
+
+
+def test_best_matches_bruteforce_k6():
+    for seed in range(10):
+        net = rational_complete(seed, 6)
+        delta, optima = best_delta_bruteforce(net)
+        best = best_one_factorization(net)
+        assert best.certified and best.delta == delta
+        assert best.as_key() in optima
+        # ties go to the first optimum in enumeration order
+        first = next(f for f in enumerate_one_factorizations(net) if f.as_key() in optima)
+        assert best.factors == first.factors
+
+
+def test_best_rational_k8_frozen():
+    frozen = {
+        1: (F(47, 2), "v1-v2 v3-v4 v5-v8 v6-v7 | v1-v3 v2-v5 v4-v7 v6-v8 | v1-v4 v2-v8 v3-v7 v5-v6 | "
+                      "v1-v5 v2-v4 v3-v6 v7-v8 | v1-v6 v2-v7 v3-v8 v4-v5 | v1-v7 v2-v6 v3-v5 v4-v8 | "
+                      "v1-v8 v2-v3 v4-v6 v5-v7"),
+        2: (F(31, 2), "v1-v2 v3-v4 v5-v8 v6-v7 | v1-v3 v2-v5 v4-v6 v7-v8 | v1-v4 v2-v7 v3-v5 v6-v8 | "
+                      "v1-v5 v2-v8 v3-v6 v4-v7 | v1-v6 v2-v3 v4-v8 v5-v7 | v1-v7 v2-v4 v3-v8 v5-v6 | "
+                      "v1-v8 v2-v6 v3-v7 v4-v5"),
+        3: (F(101, 4), "v1-v2 v3-v4 v5-v7 v6-v8 | v1-v3 v2-v5 v4-v8 v6-v7 | v1-v4 v2-v8 v3-v7 v5-v6 | "
+                       "v1-v5 v2-v6 v3-v8 v4-v7 | v1-v6 v2-v4 v3-v5 v7-v8 | v1-v7 v2-v3 v4-v6 v5-v8 | "
+                       "v1-v8 v2-v7 v3-v6 v4-v5"),
+    }
+    for seed, (delta, factors) in frozen.items():
+        best = best_one_factorization(rational_complete(seed, 8))
+        assert best.certified and best.delta == delta
+        assert " | ".join(" ".join(sorted(f)) for f in best.factors) == factors

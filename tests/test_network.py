@@ -1,6 +1,8 @@
+import hashlib
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from patrolgame import (
     walk_through_nodes,
 )
 from conftest import make_sample_tree, random_tree
-from oracles import removal_component_measures, subdivided_distance
+from oracles import removal_component_measures, subdivided_distance, to_nx
 
 F = Fraction
 
@@ -91,6 +93,41 @@ def test_distance_is_a_metric(i, j, k):
     assert dab == net.distance(b, a)
     assert (dab == 0) == (a == b)
     assert dab <= net.distance(a, c) + net.distance(c, b)
+
+
+def random_multigraph(rng: random.Random) -> Network:
+    """Connected multigraph with few distinct lengths, so ties abound."""
+    lengths = [F(1, 2), F(1), F(3, 2), F(2)]
+    n = rng.randint(2, 10)
+    nodes = [f"n{i}" for i in range(n)]
+    arcs = [(f"t{i}", nodes[rng.randrange(i)], nodes[i], rng.choice(lengths)) for i in range(1, n)]
+    arcs += [(f"x{k}", *rng.sample(nodes, 2), rng.choice(lengths)) for k in range(rng.randint(0, 2 * n))]
+    return Network(nodes, arcs)
+
+
+FROZEN_PATHS = "29a6a57fe4b55fa4e9bae5d448bc9b300c6285b0b6f3e1535e35cb77d78d0dc1"
+
+
+def test_node_path_is_a_shortest_path():
+    rng = random.Random(31)
+    digest = hashlib.sha256()
+    for _ in range(25):
+        net = random_multigraph(rng)
+        g = to_nx(net)
+        for s in net.nodes:
+            dist = net.node_distances(s)
+            assert dist == nx.single_source_dijkstra_path_length(g, s, weight="length")
+            for t in net.nodes:
+                path = net.node_path(s, t)
+                digest.update(" ".join(path).encode() + b"\n")
+                assert path[0] == s and path[-1] == t
+                total = F(0)
+                for x, y in zip(path, path[1:]):
+                    total += min(a.length for a in net.incident(x) if a.other(x) == y)
+                assert total == dist[t]
+    # which of several shortest paths comes back (ties go to the earliest
+    # push), frozen
+    assert digest.hexdigest() == FROZEN_PATHS
 
 
 def test_point_normalization(sample_tree):

@@ -1,11 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patrolgame import (
+    Factorization,
     FormatError,
     FactorizationError,
     TemporalLaw,
+    ValidationError,
+    complete_network,
     complete_patrolling,
     e_patrolling,
     k4_tightness_attack,
@@ -61,12 +66,59 @@ def test_factorization_round_trip(unit_k6):
     again = ser.parse_factorization(unit_k6, text)
     assert again.factors == fact.factors
     assert again.regularity == 1 and again.certified
+    loose = ser.write_factorization(Factorization(unit_k6, 1, fact.factors, certified=False))
+    assert loose.startswith("factorization m=1 uncertified\n")
+    assert not ser.parse_factorization(unit_k6, loose).certified
 
 
 def test_factorization_parse_validates(unit_k4):
     bad = "factorization m=1\nfactor v1-v2 v3-v4\nfactor v1-v2 v2-v4\nfactor v1-v4 v2-v3\n"
     with pytest.raises(FactorizationError):
         ser.parse_factorization(unit_k4, bad)
+
+
+def test_factorization_parse_messages(unit_k4):
+    bad = "factorization m=1\nfactor v1-v2 zz\nfactor v1-v3 v2-v4\nfactor v1-v4 v2-v3\n"
+    with pytest.raises(FactorizationError) as err:
+        ser.parse_factorization(unit_k4, bad)
+    assert err.value.violations == [
+        "factor 1: unknown arc 'zz'",
+        "factor 1: not 1-regular spanning (degrees {'v3': 0, 'v4': 0})",
+        "arcs not covered by any factor: ['v3-v4']",
+    ]
+
+
+K4 = complete_network(4)
+K4_FACTORS = ["factor v1-v2 v3-v4", "factor v1-v3 v2-v4", "factor v1-v4 v2-v3"]
+_tokens = st.one_of(st.sampled_from([a.id for a in K4.arcs]), st.text(max_size=6))
+_lines = st.lists(st.one_of(st.sampled_from(K4_FACTORS),
+                            st.lists(_tokens, min_size=1, max_size=4).map(lambda t: "factor " + " ".join(t)),
+                            st.text(max_size=12)), max_size=5)
+_headers = st.one_of(st.sampled_from(["factorization m=1", "factorization m=1 uncertified",
+                                      "factorization m=2", "factorization m=x", "factorization"]),
+                     st.text(max_size=20))
+_ends = st.sampled_from(["", "\n", "\n\n", "  # note\n"])
+_join = lambda head, lines, end: "\n".join([head, *lines]) + end
+factorization_texts = st.one_of(
+    st.text(),
+    st.builds(_join, _headers, _lines, _ends),
+    # near-valid: the K4 factors in any order, some blank or comment lines
+    st.builds(_join, st.sampled_from(["factorization m=1", "factorization m=1 uncertified"]),
+              st.permutations(["factor v1-v2 v3-v4", "factor v2-v4 v1-v3", "factor v2-v3 v1-v4  # c",
+                              "", "# comment"]), _ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factorization_texts)
+def test_parse_factorization_fuzz(text):
+    # any text parses to a factorization whose file text is a fixed point,
+    # or fails with a ValidationError (FormatError or FactorizationError)
+    try:
+        fact = ser.parse_factorization(K4, text)
+    except ValidationError:
+        return
+    out = ser.write_factorization(fact)
+    assert ser.write_factorization(ser.parse_factorization(K4, out)) == out
 
 
 def test_attack_parse_errors(sample_tree):
