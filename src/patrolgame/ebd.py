@@ -39,8 +39,11 @@ class LeafDistribution:
     def mass_on(self, sub: SubNetwork) -> Fraction:
         return sum((m for p, m in self.atoms if sub.contains(p)), Fraction(0))
 
-    def mass_at(self, p: Point) -> Fraction:
-        return sum((m for q, m in self.atoms if q == p), Fraction(0))
+    def _by_point(self) -> dict[Point, Fraction]:
+        out: dict[Point, Fraction] = {}
+        for p, m in self.atoms:
+            out[p] = out.get(p, Fraction(0)) + m
+        return out
 
 
 def density(measure, subset: SubNetwork) -> Fraction:
@@ -55,15 +58,28 @@ def density(measure, subset: SubNetwork) -> Fraction:
     return measure.mass_on(subset) / lam
 
 
-def _subtree_measures(net: Network, root: str) -> dict[str, Fraction]:
-    """Measure hanging above each arc, seen from the given root."""
-    beyond = dict.fromkeys(net.nodes, Fraction(0))
-    above: dict[str, Fraction] = {}
-    for a, child, outward in tree_tour(net, root):
-        if not outward:
-            above[a.id] = a.length + beyond[child]
-            beyond[a.other(child)] += above[a.id]
-    return above
+def _branches(rooted: RootedSubtree):
+    """One tour of a rooted subtree, in place on the host.
+
+    Returns its points in pre-order (root first); for each point, the pieces
+    hanging beyond it as (next point, piece measure, branch measure) in host
+    arc-id order; and the measure hanging beyond each point.  Return
+    crossings come in post-order, so a point's measure is complete when the
+    tour crosses back from it.
+    """
+    order = [rooted.root]
+    children: dict[Point, list[tuple[Point, Fraction, Fraction]]] = {}
+    beyond: dict[Point, Fraction] = {}
+    for piece, p, outward in tree_tour(rooted.subtree._graph, rooted.root):
+        if outward:
+            order.append(piece.other(p))
+            continue
+        parent = piece.other(p)
+        length = piece.measure
+        branch = length + beyond[p] if p in beyond else length
+        children.setdefault(parent, []).append((p, length, branch))
+        beyond[parent] = beyond[parent] + branch if parent in beyond else branch
+    return order, children, beyond
 
 
 def ebd(rooted: RootedSubtree, total_mass) -> LeafDistribution:
@@ -73,24 +89,20 @@ def ebd(rooted: RootedSubtree, total_mass) -> LeafDistribution:
     wherever the subtree branches; degree-2 points pass it through unchanged.
     """
     mass = frac(total_mass)
-    mat = rooted.subtree.materialize()
-    net = mat.net
-    root_name = mat.host_point_name(rooted.root)
-    if not net.incident(root_name):
-        raise ValidationError("degenerate subtree: root only")
-    above = _subtree_measures(net, root_name)
+    order, children, beyond = _branches(rooted)
+    if rooted.root not in beyond:
+        raise ValidationError("degenerate subtree: no segment ends at the root")
+    if beyond[rooted.root] != rooted.subtree.measure:
+        raise ValidationError("subtree is disconnected")
+    inflow = {rooted.root: mass}
     atoms: dict[Point, Fraction] = {}
-    stack = [(root_name, None, mass)]
-    while stack:
-        node, came, m = stack.pop()
-        arcs = [a for a in net.incident(node) if a.id != came]
-        if not arcs:
-            host = mat.node_to_host[node]
-            atoms[host] = atoms.get(host, Fraction(0)) + m
+    for p in order:
+        m = inflow.pop(p)
+        if p not in children:
+            atoms[p] = m
             continue
-        weight = sum(above[a.id] for a in arcs)
-        for a in arcs:
-            stack.append((a.other(node), a.id, m * above[a.id] / weight))
+        for q, _, branch in children[p]:
+            inflow[q] = m * branch / beyond[p]
     items = tuple(sorted(atoms.items(), key=lambda kv: kv[0].sort_key()))
     dist = LeafDistribution(items, mass)
     assert sum((m for _, m in items), Fraction(0)) == mass
@@ -114,43 +126,16 @@ def subtree_above(tree: Network, root: Point, x: Point) -> RootedSubtree:
 
 def branch_stats(rooted: RootedSubtree, dist: LeafDistribution) -> Iterator[tuple[Point, tuple[tuple[Fraction, Fraction], ...]]]:
     """Yield (branch node, ((branch measure, branch mass), ...)) for every
-    point of the subtree with at least two hanging branches."""
-    mat = rooted.subtree.materialize()
-    net = mat.net
-    root_name = mat.host_point_name(rooted.root)
-    above = _subtree_measures(net, root_name)
-
-    stack = [(root_name, None)]
-    while stack:
-        node, came = stack.pop()
-        arcs = [a for a in net.incident(node) if a.id != came]
-        if len(arcs) >= 2:
-            stats = []
-            for a in arcs:
-                sub_nodes = _nodes_above(net, node, a)
-                m = sum((dist.mass_at(mat.node_to_host[n]) for n in sub_nodes), Fraction(0))
-                stats.append((above[a.id], m))
-            yield mat.node_to_host[node], tuple(stats)
-        stack.extend((a.other(node), a.id) for a in reversed(arcs))
-
-
-def _nodes_above(net: Network, node: str, first_arc) -> list[str]:
-    seen = {node}
-    out = []
-    stack = [(first_arc.other(node), first_arc.id)]
-    seen.add(first_arc.other(node))
-    out.append(first_arc.other(node))
-    while stack:
-        n, came = stack.pop()
-        for a in net.incident(n):
-            if a.id == came:
-                continue
-            m = a.other(n)
-            if m not in seen:
-                seen.add(m)
-                out.append(m)
-                stack.append((m, a.id))
-    return out
+    point of the subtree with at least two hanging branches, in pre-order."""
+    order, children, _ = _branches(rooted)
+    held = dist._by_point()
+    below = {}  # mass at and beyond each point
+    for p in reversed(order):
+        below[p] = held.get(p, Fraction(0)) + sum((below[q] for q, _, _ in children.get(p, ())), Fraction(0))
+    for p in order:
+        kids = children.get(p, ())
+        if len(kids) >= 2:
+            yield p, tuple((branch, below[q]) for q, _, branch in kids)
 
 
 def iter_cut_subtree_stats(rooted: RootedSubtree, dist: LeafDistribution, cut_grid: tuple) -> Iterator[tuple[Fraction, Fraction]]:
@@ -165,30 +150,22 @@ def iter_cut_subtree_stats(rooted: RootedSubtree, dist: LeafDistribution, cut_gr
     fractions = tuple(frac(g) for g in cut_grid)
     if any(not (0 < g < 1) for g in fractions):
         raise ValidationError("cut grid fractions must lie strictly between 0 and 1")
-    mat = rooted.subtree.materialize()
-    net = mat.net
-    root_name = mat.host_point_name(rooted.root)
-
-    def arc_options(node: str, a) -> list[tuple[Fraction, Fraction]]:
-        # choices for the branch entered via arc a from node: drop it, cut it
-        # partway, or take it whole plus any combination above.
-        opts = [(Fraction(0), Fraction(0))]
-        opts += [(g * a.length, Fraction(0)) for g in fractions]
-        child = a.other(node)
-        for lam, m in node_options(child, a.id):
-            opts.append((a.length + lam, m))
-        return opts
-
-    def node_options(node: str, came: str | None) -> list[tuple[Fraction, Fraction]]:
-        arcs = [a for a in net.incident(node) if a.id != came]
-        if not arcs:
-            return [(Fraction(0), dist.mass_at(mat.node_to_host[node]))]
+    order, children, _ = _branches(rooted)
+    held = dist._by_point()
+    options = {}  # point -> (length, mass) choices for everything beyond it
+    for p in reversed(order):
+        if p not in children:
+            options[p] = [(Fraction(0), held.get(p, Fraction(0)))]
+            continue
         combos = [(Fraction(0), Fraction(0))]
-        for a in arcs:
-            branch = arc_options(node, a)
+        for q, length, _ in children[p]:
+            # the branch entered via this piece: drop it, cut it partway, or
+            # take it whole plus any combination beyond
+            branch = [(Fraction(0), Fraction(0))]
+            branch += [(g * length, Fraction(0)) for g in fractions]
+            branch += [(length + lam, m) for lam, m in options.pop(q)]
             combos = [(l1 + l2, m1 + m2) for l1, m1 in combos for l2, m2 in branch]
-        return combos
-
-    for lam, m in node_options(root_name, None):
+        options[p] = combos
+    for lam, m in options[rooted.root]:
         if lam > 0:
             yield lam, m

@@ -325,27 +325,68 @@ def _merge_intervals(intervals: Iterable[tuple[Fraction, Fraction]]):
     return tuple((lo, hi) for lo, hi in merged)
 
 
-@dataclass(frozen=True)
-class Materialized:
-    """Standalone Network view of a subnetwork plus maps back to the host."""
+class _Piece:
+    """One segment of a subnetwork as an edge of its segment graph, between
+    its two end points."""
 
-    net: Network
-    node_to_host: dict
-    arc_to_host: dict  # materialized arc id -> (host arc id, lo offset)
+    __slots__ = ("arc", "lo", "hi", "u", "v")
 
-    def host_point_name(self, p: Point) -> str:
-        for name, hp in self.node_to_host.items():
-            if hp == p:
-                return name
-        raise ValidationError(f"{p!r} is not a node of the materialized subnetwork")
+    def __init__(self, arc: Arc, lo: Fraction, hi: Fraction):
+        self.arc, self.lo, self.hi = arc.id, lo, hi
+        self.u = Point(node=arc.u) if lo == 0 else Point(arc=arc.id, offset=lo)
+        self.v = Point(node=arc.v) if hi == arc.length else Point(arc=arc.id, offset=hi)
 
-    def translate_walk(self, walk: "Walk", host: Network) -> "Walk":
-        steps = []
-        for s in walk.steps:
-            host_arc, lo = self.arc_to_host[s.arc]
-            steps.append(Step(host_arc, lo + s.start, lo + s.end))
-        start = self.node_to_host[walk.start.node]
-        return Walk(host, start, steps)
+    @property
+    def measure(self) -> Fraction:
+        return self.hi - self.lo
+
+    def other(self, p: Point) -> Point:
+        return self.v if p == self.u else self.u
+
+    def step_from(self, p: Point) -> "Step":
+        """The traversal of the whole piece leaving from end point p."""
+        return Step(self.arc, self.lo, self.hi) if p == self.u else Step(self.arc, self.hi, self.lo)
+
+
+class _SegmentGraph:
+    """Segments as edges between their end points, node points and interior
+    cut points alike; `incident` lists a point's pieces in host arc-id order,
+    so `tree_tour` walks a subtree in place."""
+
+    def __init__(self, host: Network, segs: Iterable[Segment]):
+        self.host = host
+        self.pieces = [_Piece(host.arc(s.arc), s.lo, s.hi) for s in segs]
+        self._touch: dict[Point, list[_Piece]] = {}
+        for piece in self.pieces:
+            self._touch.setdefault(piece.u, []).append(piece)
+            self._touch.setdefault(piece.v, []).append(piece)
+
+    def incident(self, p: Point) -> Sequence[_Piece]:
+        return self._touch.get(p, ())
+
+    def parts(self, seeds: Iterable[_Piece], blocked: Point | None) -> list["SubNetwork"]:
+        """Flood from each seed not yet reached, never passing through
+        `blocked`; one subnetwork per flood, in seed order."""
+        reached: set[_Piece] = set()
+        out = []
+        for seed in seeds:
+            if seed in reached:
+                continue
+            reached.add(seed)
+            comp = [seed]
+            frontier = [seed]
+            while frontier:
+                piece = frontier.pop()
+                for end in (piece.u, piece.v):
+                    if end == blocked:
+                        continue
+                    for q in self.incident(end):
+                        if q not in reached:
+                            reached.add(q)
+                            comp.append(q)
+                            frontier.append(q)
+            out.append(SubNetwork.from_segments(self.host, [Segment(q.arc, q.lo, q.hi) for q in comp]))
+        return out
 
 
 class SubNetwork:
@@ -418,10 +459,6 @@ class SubNetwork:
                     found.add(a.v)
         return tuple(sorted(found))
 
-    def host_leaf_nodes_inside(self) -> tuple[str, ...]:
-        leaves = set(self.host.leaf_nodes())
-        return tuple(n for n in self.covered_nodes() if n in leaves)
-
     def contains_sub(self, other: "SubNetwork") -> bool:
         for aid, ivs in other.segments.items():
             mine = self.segments.get(aid, ())
@@ -471,40 +508,12 @@ class SubNetwork:
 
     # -- connectivity ------------------------------------------------------
 
-    def _flood(self, seeds: list[int], blocked_node: str | None) -> set[int]:
-        """Flood fill over segment indices; adjacency through shared host
-        nodes only (segments on a common arc are pre-merged)."""
-        segs = self.segment_list()
-        touch: dict[str, list[int]] = {}
-        for i, s in enumerate(segs):
-            a = self.host.arc(s.arc)
-            for node, hit in ((a.u, s.lo == 0), (a.v, s.hi == a.length)):
-                if hit and node != blocked_node:
-                    touch.setdefault(node, []).append(i)
-        reached = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            i = frontier.pop()
-            s = segs[i]
-            a = self.host.arc(s.arc)
-            for node, hit in ((a.u, s.lo == 0), (a.v, s.hi == a.length)):
-                if not hit or node == blocked_node:
-                    continue
-                for j in touch.get(node, ()):
-                    if j not in reached:
-                        reached.add(j)
-                        frontier.append(j)
-        return reached
+    @cached_property
+    def _graph(self) -> _SegmentGraph:
+        return _SegmentGraph(self.host, self.segment_list())
 
     def components(self) -> list["SubNetwork"]:
-        segs = self.segment_list()
-        remaining = set(range(len(segs)))
-        out = []
-        while remaining:
-            seed = min(remaining)
-            comp = self._flood([seed], None) & remaining
-            remaining -= comp
-            out.append(SubNetwork.from_segments(self.host, [segs[i] for i in sorted(comp)]))
+        out = self._graph.parts(self._graph.pieces, None)
         for p in sorted(self.points, key=Point.sort_key):
             out.append(SubNetwork.single_point(self.host, p))
         out.sort(key=lambda s: min((seg.arc, seg.lo) for seg in s.segment_list()) if s.segments else ("~", Fraction(0)))
@@ -513,87 +522,22 @@ class SubNetwork:
     def split_at(self, p: Point) -> list["SubNetwork"]:
         """Closed components of the subnetwork minus `p`, each re-closed to
         include `p` on its boundary.  The host must be a tree for the result
-        to be a genuine split."""
+        to be a genuine split.  An interior point first cuts its segment in
+        two; then the flood is the same as at a node."""
         if not self.contains(p):
             raise ValidationError(f"{p!r} not in subnetwork")
         if p.is_node:
-            parts = SubNetwork(self.host, self.segments, self.points - {p})
-            segs = parts.segment_list()
-            seed_groups: list[list[int]] = []
-            used: set[int] = set()
-            for i, s in enumerate(segs):
-                a = self.host.arc(s.arc)
-                if (a.u == p.node and s.lo == 0) or (a.v == p.node and s.hi == a.length):
-                    seed_groups.append([i])
-            out = []
-            for group in seed_groups:
-                if group[0] in used:
-                    continue
-                comp = parts._flood(group, p.node)
-                used |= comp
-                out.append(SubNetwork.from_segments(self.host, [segs[i] for i in sorted(comp)]))
-            return out
-        segs = []
-        for seg in self.segment_list():
-            if seg.arc == p.arc and seg.lo < p.offset < seg.hi:
-                segs.append(Segment(seg.arc, seg.lo, p.offset))
-                segs.append(Segment(seg.arc, p.offset, seg.hi))
-            else:
-                segs.append(seg)
-        halves = SubNetwork._unmerged(self.host, segs)
-        idx = halves.segment_list()
-        out = []
-        used: set[int] = set()
-        for i, s in enumerate(idx):
-            if i in used:
-                continue
-            if s.arc == p.arc and (s.hi == p.offset or s.lo == p.offset):
-                comp = halves._flood([i], None)
-                used |= comp
-                out.append(SubNetwork.from_segments(self.host, [idx[j] for j in sorted(comp)]))
-        return out
-
-    @classmethod
-    def _unmerged(cls, host, segs):
-        """Like from_segments but keeps abutting segments separate; the two
-        halves around an interior cut share no node, so a node flood cannot
-        cross the cut."""
-        by_arc: dict[str, list] = {}
-        for s in segs:
-            by_arc.setdefault(s.arc, []).append((s.lo, s.hi))
-        return cls(host, {aid: tuple(sorted(ivs)) for aid, ivs in sorted(by_arc.items())}, frozenset())
-
-    # -- materialization ----------------------------------------------------
-
-    def materialize(self) -> Materialized:
-        """Standalone Network with cut endpoints promoted to fresh nodes."""
-        if self._measure == 0:
-            raise ValidationError("cannot materialize a zero-measure subnetwork")
-        host_nodes = set(self.host.nodes)
-        node_to_host: dict[str, Point] = {}
-
-        def name_for(arc: Arc, off: Fraction) -> str:
-            end = arc.endpoint_at(off)
-            if end is not None:
-                node_to_host[end] = Point(node=end)
-                return end
-            nm = f"{arc.id}@{off}"
-            while nm in host_nodes:
-                nm = "~" + nm
-            node_to_host[nm] = Point(arc=arc.id, offset=off)
-            return nm
-
-        arcs = []
-        arc_to_host: dict[str, tuple[str, Fraction]] = {}
-        for seg in self.segment_list():
-            a = self.host.arc(seg.arc)
-            nu = name_for(a, seg.lo)
-            nv = name_for(a, seg.hi)
-            aid = f"{seg.arc}[{seg.lo}:{seg.hi}]"
-            arcs.append((aid, nu, nv, seg.hi - seg.lo))
-            arc_to_host[aid] = (seg.arc, seg.lo)
-        net = Network(node_to_host.keys(), arcs)
-        return Materialized(net, node_to_host, arc_to_host)
+            graph = self._graph
+        else:
+            segs = []
+            for seg in self.segment_list():
+                if seg.arc == p.arc and seg.lo < p.offset < seg.hi:
+                    segs.append(Segment(seg.arc, seg.lo, p.offset))
+                    segs.append(Segment(seg.arc, p.offset, seg.hi))
+                else:
+                    segs.append(seg)
+            graph = _SegmentGraph(self.host, segs)
+        return graph.parts(graph.incident(p), p)
 
 
 def components_after_removal(net: Network, x: Point) -> list[SubNetwork]:
@@ -755,9 +699,13 @@ def walk_through_nodes(net: Network, nodes: Sequence[str], initial: tuple | None
     return Walk(net, start, steps)
 
 
-def tree_tour(net: Network, start: str) -> Iterator[tuple[Arc, str, bool]]:
+def tree_tour(net, start) -> Iterator[tuple]:
     """Arc crossings (arc, node left, outward) of the depth-first closed tour
     of a tree from `start`.
+
+    `net` is a tree `Network`, or the segment graph of a subtree, whose
+    vertices are host `Point`s and whose arcs are its segments: anything
+    whose `incident(v)` lists arcs with `other(v)`.
 
     Each arc is crossed outward, and back once everything beyond it has been
     toured, so the return crossings come in post-order.  Children are taken

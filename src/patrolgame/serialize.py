@@ -7,9 +7,10 @@ bit for bit.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 from .factorization import Factorization, _checked
 from .network import Network, Point, Segment, Step, SubNetwork, Walk, frac, parse_rational
 from .strategies import AttackStrategy, PatrolStrategy, TemporalLaw, UniformPart
@@ -28,6 +29,18 @@ def fmt_point(p: Point) -> str:
 
 def _where(ln: int | None) -> str:
     return f"line {ln}: " if ln is not None else ""
+
+
+@contextmanager
+def _at_line(ln: int):
+    """Re-raise a ValidationError from the record on line `ln` as a
+    FormatError naming that line."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except ValidationError as e:
+        raise FormatError(f"line {ln}: {e}") from None
 
 
 def parse_point(net: Network, text: str, ln: int | None = None) -> Point:
@@ -89,16 +102,17 @@ def parse_attack(net: Network, text: str) -> AttackStrategy:
         if not line:
             continue
         tok = line.split()
-        if tok[0] == "temporal":
-            temporal = _parse_temporal(tok, ln)
-        elif tok[0] == "atom" and len(tok) == 3:
-            atoms.append((parse_point(net, tok[1], ln), parse_rational(tok[2], "mass", ln)))
-        elif tok[0] == "uniform" and len(tok) >= 3:
-            mass = parse_rational(tok[1], "mass", ln)
-            segs = [parse_segment(t, ln) for t in tok[2:]]
-            parts.append(UniformPart(SubNetwork.from_segments(net, segs), mass))
-        else:
-            raise FormatError(f"line {ln}: bad attack record {tok[0]!r}")
+        with _at_line(ln):
+            if tok[0] == "temporal":
+                temporal = _parse_temporal(tok, ln)
+            elif tok[0] == "atom" and len(tok) == 3:
+                atoms.append((parse_point(net, tok[1], ln), parse_rational(tok[2], "mass", ln)))
+            elif tok[0] == "uniform" and len(tok) >= 3:
+                mass = parse_rational(tok[1], "mass", ln)
+                segs = [parse_segment(t, ln) for t in tok[2:]]
+                parts.append(UniformPart(SubNetwork.from_segments(net, segs), mass))
+            else:
+                raise FormatError(f"line {ln}: bad attack record {tok[0]!r}")
     if temporal is None:
         raise FormatError("missing temporal law")
     return AttackStrategy(net, tuple(atoms), tuple(parts), temporal)
@@ -124,6 +138,7 @@ def parse_patrol(net: Network, text: str) -> PatrolStrategy:
     comps = []
     prob = None
     start = None
+    walk_ln = 0
     steps: list[Step] = []
 
     def flush(ln):
@@ -131,7 +146,8 @@ def parse_patrol(net: Network, text: str) -> PatrolStrategy:
             return
         if start is None:
             raise FormatError(f"line {ln}: mix record without a walk")
-        comps.append((Walk(net, start, steps.copy()), prob))
+        with _at_line(walk_ln):
+            comps.append((Walk(net, start, steps.copy()), prob))
 
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
@@ -143,7 +159,9 @@ def parse_patrol(net: Network, text: str) -> PatrolStrategy:
             start = None
             steps.clear()
         elif tok[0] == "walk" and len(tok) == 2:
-            start = parse_point(net, tok[1], ln)
+            with _at_line(ln):
+                start = parse_point(net, tok[1], ln)
+            walk_ln = ln
         elif tok[0] == "step" and len(tok) == 4:
             lo, hi = (parse_rational(t, "offset", ln) for t in tok[2:])
             steps.append(Step(tok[1], lo, hi))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomposition import TreeComponent, extremity_set, subtree_decomposition
+from .decomposition import extremity_set, subtree_decomposition
 from .ebd import RootedSubtree, ebd
 from .errors import FactorizationError, ValidationError
 from .factorization import Factorization, round_robin_one_factorization, validate_factorization
@@ -22,7 +22,6 @@ from .network import (
     Step,
     SubNetwork,
     Walk,
-    double_traversal,
     eulerian_tour,
     frac,
     tree_tour,
@@ -233,14 +232,6 @@ def k4_tightness_attack(net: Network | None = None, alpha=5) -> AttackStrategy:
 # -- patroller strategies -------------------------------------------------------
 
 
-def _component_tour_steps(tree: Network, comp: TreeComponent) -> list[Step]:
-    """One closed double traversal of a component from its root, as host steps."""
-    mat = comp.subtree.materialize()
-    root_name = mat.host_point_name(comp.root)
-    tour = double_traversal(mat.net, root_name)
-    return list(mat.translate_walk(tour, tree).steps)
-
-
 def e_patrolling(tree: Network, alpha) -> PatrolStrategy:
     """Periodic patrol doubling coverage of the extremity components.
 
@@ -258,49 +249,38 @@ def e_patrolling(tree: Network, alpha) -> PatrolStrategy:
     """
     a = validate_alpha(tree, alpha)
     dec = subtree_decomposition(tree, a)
-    by_root: dict[Point, list[TreeComponent]] = {}
+    blocks: dict[Point, list[Step]] = {}
     for c in dec.components:
-        by_root.setdefault(c.root, []).append(c)
-    blocks = {root: [s for c in comps for s in _component_tour_steps(tree, c)]
-              for root, comps in by_root.items()}
+        blocks.setdefault(c.root, []).extend(
+            piece.step_from(p) for piece, p, _ in tree_tour(c.subtree._graph, c.root))
 
     if dec.core.measure == 0:
         x_star = next(iter(dec.core.points))
-        steps = blocks[x_star] * 2
-        walk = Walk(tree, x_star, steps)
+        walk = Walk(tree, x_star, blocks[x_star] * 2)
     else:
-        mat = dec.core.materialize()
-        cnet = mat.net
-        root_names = {mat.host_point_name(root): root for root in blocks}
-        host_named = [n for n in cnet.nodes if mat.node_to_host[n].is_node]
-        start_name = min(host_named) if host_named else min(cnet.nodes)
+        graph = dec.core._graph
+        nodes = dec.core.covered_nodes()
+        start = Point(node=nodes[0]) if nodes else graph.pieces[0].u
         steps: list[Step] = []
-        arrivals: dict[str, int] = {}
+        arrivals: dict[Point, int] = {}
 
-        def arrive(name: str):
-            root = root_names.get(name)
-            if root is None:
+        def arrive(p: Point):
+            block = blocks.get(p)
+            if block is None:
                 return
-            arrivals[name] = arrivals.get(name, 0) + 1
-            k = arrivals[name]
-            if len(cnet.incident(name)) >= 2:
+            k = arrivals[p] = arrivals.get(p, 0) + 1
+            if len(graph.incident(p)) >= 2:
                 if k <= 2:
-                    steps.extend(blocks[root])
+                    steps.extend(block)
             elif k == 1:
-                steps.extend(blocks[root])
-                steps.extend(blocks[root])
+                steps.extend(block)
+                steps.extend(block)
 
-        def host_step(arc, forward: bool) -> Step:
-            harc, lo = mat.arc_to_host[arc.id]
-            if forward:
-                return Step(harc, lo, lo + arc.length)
-            return Step(harc, lo + arc.length, lo)
-
-        arrive(start_name)
-        for arc, name, _ in tree_tour(cnet, start_name):
-            steps.append(host_step(arc, arc.u == name))
-            arrive(arc.other(name))
-        walk = Walk(tree, mat.node_to_host[start_name], steps)
+        arrive(start)
+        for piece, p, _ in tree_tour(graph, start):
+            steps.append(piece.step_from(p))
+            arrive(piece.other(p))
+        walk = Walk(tree, start, steps)
 
     expected = 2 * (tree.total_length + dec.lambda_e)
     assert walk.duration == expected and walk.is_closed

@@ -5,12 +5,15 @@ import pytest
 
 from patrolgame import (
     LeafDistribution,
+    Point,
     RootedSubtree,
     SubNetwork,
     ValidationError,
+    critical_alpha,
     density,
     ebd,
     path_network,
+    star_network,
     subtree_above,
     subtree_decomposition,
     tree_attack_strategy,
@@ -137,3 +140,42 @@ def test_cut_subtree_density_bound_small():
         lam_qx = qx.subtree.measure
         for lam, m in iter_cut_subtree_stats(qx, dist, CUT_GRID):
             assert m * lam_qx <= mass_qx * lam
+
+
+def test_branch_stats_match_split_at():
+    # at every branch point q the (measure, mass) pairs are those of the
+    # parts of the subtree split at q that lie away from the root
+    rng = random.Random(37)
+    cases = []
+    for _ in range(20):
+        tree = random_tree(rng, max_nodes=30, min_nodes=3)
+        cases.append(rooted_whole(tree, rng.choice(tree.nodes)))
+        alpha = critical_alpha(tree) * F(rng.randint(30, 90), 100)
+        cases += [RootedSubtree(c.subtree, c.root) for c in subtree_decomposition(tree, alpha).components]
+    for rooted in cases:
+        dist = ebd(rooted, 1)
+        points = []
+        for q, stats in branch_stats(rooted, dist):
+            parts = rooted.subtree.split_at(q)
+            away = parts if q == rooted.root else [c for c in parts if not c.contains(rooted.root)]
+            assert sorted(stats) == sorted((c.measure, dist.mass_on(c)) for c in away)
+            points.append(q)
+        candidates = {rooted.root, *(Point(node=n) for n in rooted.subtree.covered_nodes())}
+        branching = [q for q in candidates if len(rooted.subtree.split_at(q)) - (q != rooted.root) >= 2]
+        assert sorted(points, key=Point.sort_key) == sorted(branching, key=Point.sort_key)
+
+
+def test_cut_subtree_stats_star():
+    # branches in arc order, each dropped, cut at half or kept whole
+    star = star_network([1, 2])
+    rooted = rooted_whole(star, "s0")
+    pairs = list(iter_cut_subtree_stats(rooted, ebd(rooted, 1), (F(1, 2),)))
+    assert pairs == [(1, 0), (2, F(2, 3)), (F(1, 2), 0), (F(3, 2), 0), (F(5, 2), F(2, 3)),
+                     (1, F(1, 3)), (2, F(1, 3)), (3, 1)]
+
+
+def test_cut_subtree_stats_deep_path():
+    path = path_network(520, pieces=520)
+    rooted = rooted_whole(path, "p0")
+    pairs = list(iter_cut_subtree_stats(rooted, ebd(rooted, 1), ()))
+    assert pairs == [(k, 0) for k in range(1, 520)] + [(520, 1)]

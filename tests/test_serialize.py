@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,11 @@ from patrolgame import (
     critical_alpha,
     local_root_of_tree,
     game_value_tree,
+    format_network,
+    parse_network,
 )
 from patrolgame import serialize as ser
+from conftest import make_sample_tree
 
 F = Fraction
 
@@ -119,6 +123,104 @@ def test_parse_factorization_fuzz(text):
         return
     out = ser.write_factorization(fact)
     assert ser.write_factorization(ser.parse_factorization(K4, out)) == out
+
+
+TREE = make_sample_tree()
+
+
+def _edit(text, i, cut, record):
+    """Put `record` at line i of `text`, replacing that line when `cut`;
+    a None record only deletes."""
+    lines = text.splitlines()
+    i %= len(lines) + 1
+    lines[i:i + cut] = [] if record is None else [record]
+    return "\n".join(lines) + "\n"
+
+
+def _texts(valid, records):
+    # arbitrary text; valid files with one line replaced, inserted or
+    # deleted; and a valid header over records drawn from a pool of valid
+    # and broken ones
+    record = st.one_of(st.sampled_from(records), st.text(max_size=12))
+    return st.one_of(
+        st.text(),
+        st.builds(_edit, st.sampled_from(valid), st.integers(0, 60), st.integers(0, 1),
+                  st.one_of(st.none(), record)),
+        st.builds(_join, st.just(valid[0].splitlines()[0]), st.lists(record, max_size=6), _ends))
+
+
+NETWORK_VALID = [format_network(TREE), "node a\nnode b\narc e a b 3/2\n"]
+NETWORK_RECORDS = ["node a", "node b", "node c", "arc e a b 1", "arc f b c 3/2", "arc g a c 2.5",
+                   "arc e a b 2", "arc h a a 1", "arc x a z 1", "arc y a b -1", "arc y a b 0",
+                   "arc y a b 1/0", "node", "arc e a b", "edge e a b 1", "# comment", ""]
+ATTACK_VALID = [ser.write_attack(tree_attack_strategy(TREE, 4)),
+                ser.write_attack(tree_attack_strategy(TREE, 8)),
+                "attack\ntemporal fixed 0\natom node:L3 1/2\nuniform 1/2 bBC:0:2\n"]
+ATTACK_RECORDS = ["temporal fixed 0", "temporal fixed 1/2", "temporal uniform 0 5",
+                  "temporal uniform 0 0", "temporal uniform 0 -1", "temporal uniform 1 5",
+                  "temporal", "atom node:L3 1", "atom node:L3 1/2", "atom node:L4 1/2",
+                  "atom arc:bBC:1 1/2", "atom arc:bBC:0 1/2", "atom arc:bBC:3 1/2", "atom node:Q 1",
+                  "atom arc:zz:1 1", "atom node:L3 -1/2", "atom node:L3", "uniform 1/2 bBC:0:2",
+                  "uniform 1/2 bBC:1:2 aAB:0:1", "uniform 1 bBC:0:3", "uniform 1 zz:0:1",
+                  "uniform 1/2 bBC:1:1", "# comment", ""]
+PATROL_VALID = [ser.write_patrol(e_patrolling(TREE, 4)),
+                "patrol\nmix 1\nwalk arc:aL5:1/2\nstep aL5 1/2 1\nstep aL5 1 0\nstep aL5 0 1/2\n"]
+PATROL_RECORDS = ["mix 1", "mix 1/2", "mix -1", "walk node:A", "walk node:L5", "walk arc:aL5:1/2",
+                  "walk node:Q", "walk arc:aL5:7", "step aL5 0 1", "step aL5 1 0", "step aL5 0 1/2",
+                  "step aL5 1/2 0", "step aL5 1/2 1", "step aL5 1 1/2", "step aL5 1 1",
+                  "step aL5 0 2", "step zz 0 1", "step aAB 0 1", "step aL5 0", "# comment", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts(NETWORK_VALID, NETWORK_RECORDS))
+def test_parse_network_fuzz(text):
+    # any text parses to a network whose file text is a fixed point, or
+    # fails with a ValidationError
+    try:
+        net = parse_network(text)
+    except ValidationError:
+        return
+    out = format_network(net)
+    assert format_network(parse_network(out)) == out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts(ATTACK_VALID, ATTACK_RECORDS))
+def test_parse_attack_fuzz(text):
+    try:
+        attack = ser.parse_attack(TREE, text)
+    except ValidationError:
+        return
+    out = ser.write_attack(attack)
+    assert ser.write_attack(ser.parse_attack(TREE, out)) == out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts(PATROL_VALID, PATROL_RECORDS))
+def test_parse_patrol_fuzz(text):
+    try:
+        patrol = ser.parse_patrol(TREE, text)
+    except ValidationError:
+        return
+    out = ser.write_patrol(patrol)
+    assert ser.write_patrol(ser.parse_patrol(TREE, out)) == out
+
+
+@pytest.mark.parametrize("header, body, line, message", [
+    ("attack", "temporal fixed 0\natom node:Q 1", 3, "unknown node 'Q'"),
+    ("attack", "temporal fixed 0\natom arc:zz:1 1", 3, "unknown arc 'zz'"),
+    ("attack", "temporal fixed 0\n\nuniform 1 bBC:0:3", 4, "segment seg:bBC:0:3 outside arc"),
+    ("attack", "temporal uniform 0 -1\natom node:L3 1", 2, "horizon must be nonnegative"),
+    ("patrol", "mix 1\nwalk node:Q", 3, "unknown node 'Q'"),
+    ("patrol", "mix 1\nwalk node:A\nstep aL5 1 0\nstep aL5 0 1", 3,
+     "step on 'aL5' starts at node:L5, walk is at node:A"),
+    ("patrol", "mix 1/2\nwalk node:A\nstep aL5 0 1\nstep aL5 1 0\nmix 1/2\n\nwalk node:A\nstep zz 0 1",
+     8, "unknown arc 'zz'"),
+])
+def test_parse_errors_name_their_line(sample_tree, header, body, line, message):
+    parse = ser.parse_attack if header == "attack" else ser.parse_patrol
+    with pytest.raises(FormatError, match=f"^line {line}: {re.escape(message)}"):
+        parse(sample_tree, f"{header}\n{body}\n")
 
 
 def test_attack_parse_errors(sample_tree):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,18 +7,21 @@ import pytest
 from patrolgame import (
     FactorizationError,
     Factorization,
+    Network,
     RootedSubtree,
     SubNetwork,
     TemporalLaw,
     ValidationError,
     complete_network,
     complete_patrolling,
+    critical_alpha,
     double_traversal,
     e_patrolling,
     epsilon_horizon,
     factor_patrolling,
     game_value_tree,
     k4_tightness_attack,
+    local_root_of_tree,
     path_network,
     round_robin_one_factorization,
     subtree_decomposition,
@@ -27,7 +31,8 @@ from patrolgame import (
 )
 from patrolgame.ebd import iter_cut_subtree_stats
 from patrolgame.ebd import ebd as make_ebd
-from conftest import random_alpha, random_tree
+from patrolgame import serialize as ser
+from conftest import make_sample_tree, random_alpha, random_tree
 
 F = Fraction
 
@@ -321,3 +326,84 @@ def test_deep_path_needs_no_recursion():
     assert attack.atoms == ((end, F(1, 2501)), (path.node_point("p10000"), F(1, 2501)))
     dist = make_ebd(RootedSubtree(SubNetwork.whole(path), end), 1)
     assert dist.atoms == ((path.node_point("p10000"), F(1)),)
+
+
+def _solution_digest(tree, alpha):
+    dec = subtree_decomposition(tree, alpha)
+    text = (ser.write_decomposition_report(tree, dec, critical_alpha(tree), local_root_of_tree(tree),
+                                           game_value_tree(tree, alpha))
+            + ser.write_attack(tree_attack_strategy(tree, alpha))
+            + ser.write_patrol(e_patrolling(tree, alpha)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the decomposition report, attack and patrol files, frozen from
+# the implementation that toured a standalone copy of every component
+DEMO_ALPHAS = (1, 2, 3, 4, 5, 6, 8, 10, 12)
+DEMO_DIGESTS = [
+    "003c99465c9b530150811dc87fd1a296081b2d34d273803a4c55f4e6a2d7b2c1",
+    "9be4c4d496fce25e56cad6aef7c0f8767360e5ad547e728cd2230c6340edcf4c",
+    "f8187a868e1532bfc513324f01f9190283328075d98f02145b1202dcb0fc8bf4",
+    "3fe267ef5a6e300086a65f92b7d573efd3d5b7d41f546c624770953dd1f78f14",
+    "f7a77092a6dae80ff1df7d1d8e1542a059fd9ba141e590b110df84c79a8886df",
+    "6ef4dd9e31c5f453cc6214e9c86c0eae42791a44942988ee8a826398e6d4670a",
+    "57f9e6c3cf01c2318803b155ca505199f7325570718e2f96f4f6a725dc42cd96",
+    "bcf58683a99b1c0fa1f970d935c5e4b837f45ea6cff483ab8dd2006a359a08d9",
+    "c82b53090b9ccf4df9b4e96c983bb353ab40aeac2d43e9470fb0f0fa120649f3",
+]
+SEEDED_DIGESTS = [
+    "abb33bc01de4f9e2c31134db2437cdd84688396cab81199f1c11fb282f5e3269",
+    "124d7100065b553909ab129798ada1589c2f97d5c222681ebab218235957acba",
+    "fa129b5f85bf3f6d68221f3b008bfbd44e08c502d0d54b9cf6ea3a08666b2d4b",
+    "d3b82ee0126ad8723a1661fe40716345bd1e698290dd933977d582988476651f",
+    "b5b55faf88c8ab98f6a3abd6ea47c6f46dc93a87b05c3494951a232678b1fb04",
+    "63875f133e4e73e35b46299b38bc39e3d4cfd8fee41ef9cd0eb870397f10f4b1",
+    "1b1cb87a1e5c562912077216920291e22aad5d8d424cba0dc07699fc04093f8f",
+    "9a3bfedc996c645b613a794f0be48dd1ce8bdcfdf88a361f2ff6cd5042ceb90a",
+    "c474bdaa3dc3dd9b61ebf773aa02f81275d840cb0bd190921b6b53145e89c803",
+    "da4980c32fede207254d29bcdcb2a2ed8e02e1673691f72eed93c47b1a524b48",
+    "855d1b399fce84c543c85080d984878cb70feaa9180399e1a691495a71ed03ea",
+    "9dedbc6209f745bcc0e3b78378717cca236ca09bdc7483b26c161801a4a2ceed",
+    "caf3548c11f087bf1eda07d0144dde6d1b49b09e3979324ec044acc4c41bf63b",
+    "a8bd4a6095ec16acb6d4b7ff921c2663b8837bf7ba1ce04d651b2f013ff5805d",
+    "12ce2ddf719e32c604e17c583d6c621db22e448b4090ba61df10f0ef47988bc5",
+    "61592f35f76734aff255214ef79ffbe189efc895a1607ae42ea94af3fd4f9ad3",
+    "38829265e50fa72ac3c446eb7fa6e40870bbfbee2db794452e8fac3968b6d5e3",
+    "61e9bc3be8a8b8751f09b45e97d09a9c2ac4fcfea613bd1111b41c285c242986",
+    "52897ffe5ab45c786681955e986e3ceae88033d98422cc2c77d1bf293360f1d1",
+    "ad82229164a09c197b762d82cf549aca8acd2cde22bfa80e34244009e3f3d64e",
+]
+
+
+def test_tree_solution_bytes_frozen():
+    tree = make_sample_tree()
+    assert [_solution_digest(tree, a) for a in DEMO_ALPHAS] == DEMO_DIGESTS
+    rng = random.Random(61)
+    got = []
+    for _ in SEEDED_DIGESTS:
+        tree = random_tree(rng, max_nodes=40, min_nodes=5)  # fixed-width arc ids
+        share = rng.randint(20, 120)  # percent of the critical duration
+        alpha = max(F(1, 4), F(int(critical_alpha(tree) * share / 25), 4))
+        got.append(_solution_digest(tree, alpha))
+    assert got == SEEDED_DIGESTS
+
+
+def test_e_patrolling_children_in_host_arc_order():
+    # arc 'e' is a prefix of 'e1': the component hanging at f's cut point
+    # tours e before e1, as in host arc-id order
+    net = Network(["r", "c", "x", "y", "w"],
+                  [("f", "r", "c", 5), ("e", "c", "x", 1), ("e1", "c", "y", 1), ("g", "r", "w", 5)])
+    walk = e_patrolling(net, 6).components[0][0]
+    assert walk.start == net.node_point("r")
+    block = ["f", "e", "e", "e1", "e1", "f"]
+    assert [s.arc for s in walk.steps] == ["f", *block, *block, "f", *["g"] * 6]
+
+
+def test_e_patrolling_core_without_nodes_starts_at_lo_end():
+    path = path_network(F(3, 2))
+    walk = e_patrolling(path, 1).components[0][0]
+    assert walk.start == path.point("pa0", F(1, 2))
+    half, one, end = F(1, 2), F(1), F(3, 2)
+    assert [(s.start, s.end) for s in walk.steps] == [
+        (half, 0), (0, half), (half, 0), (0, half), (half, one),
+        (one, end), (end, one), (one, end), (end, one), (one, half)]
