@@ -6,11 +6,16 @@ quadrature or Monte Carlo; an exact coverage integral for piecewise-uniform
 attacks is deliberately not provided.  Monte Carlo is the only place floating
 point appears: trial i consumes a fixed block of a counter-based stream keyed
 by the seed, so results are reproducible under any sharding of the trials.
+Trials are drawn and scored in fixed-size chunks, each sorted once by (walk,
+spatial entry), so memory does not grow with the trial count; worker threads
+take whole chunks, and there are never more of them than chunks or cores.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -173,30 +178,34 @@ def evaluate(patrol: PatrolStrategy, attack: AttackStrategy, alpha, *,
 
 # Uses on trial i: component, phase, spatial pick, offset, start time (5 draws),
 # padded to two full Philox counter blocks so trial i always occupies raw words
-# [8i, 8i+8) regardless of how trials are sharded across workers.
+# [8i, 8i+8) of the stream keyed by the seed.  Trials are drawn and scored
+# _CHUNK_TRIALS at a time, so memory does not grow with the trial count, and
+# neither the chunking nor the thread that scores a chunk shows in the result.
 _DRAWS_PER_TRIAL = 8
+_CHUNK_TRIALS = 2 ** 16
 
 
-def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    bg = np.random.Philox(key=seed)
-    bg.advance(start * _DRAWS_PER_TRIAL // 4)
-    raw = bg.random_raw(count * _DRAWS_PER_TRIAL)
-    return ((raw >> np.uint64(11)) * 2.0 ** -53).reshape(count, _DRAWS_PER_TRIAL)
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
-    if trials <= 0:
-        raise ValidationError("trials must be positive")
+    if not _is_int(trials) or trials <= 0:
+        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
+    if not _is_int(jobs) or jobs <= 0:
+        raise ValidationError(f"jobs must be a positive integer, got {jobs!r}")
+    if not _is_int(seed) or not 0 <= seed < 2 ** 128:
+        raise ValidationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    trials, seed = int(trials), int(seed)
     a_f = float(alpha)
     walks = [w for w, _ in patrol.components]
     cum_s = np.cumsum([float(s) for _, s in patrol.components])
-    periods = [float(w.duration) for w in walks]
 
     # flatten the spatial measure: atoms, then per-segment slices of each part
-    entries = []  # ("atom", point, None) | ("seg", arc, lo, hi)
+    entries = []  # ("atom", point) | ("seg", arc, lo, hi)
     masses = []
     for point, mass in attack.atoms:
-        entries.append(("atom", point, None, None))
+        entries.append(("atom", point))
         masses.append(float(mass))
     for part in attack.uniform_parts:
         d = part.density
@@ -205,72 +214,86 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
             masses.append(float(d * seg.measure))
     cum_m = np.cumsum(masses)
     cum_m[-1] = 1.0
+    n_entries = len(entries)
+    key_type = np.int16 if len(walks) * n_entries <= 2 ** 15 else np.int64
 
     fixed_t = attack.temporal.kind == "fixed"
     t_value = float(attack.temporal.value)
 
-    atom_visits = {}
+    # One task per (walk, entry) pair that can intercept, keyed by
+    # walk * n_entries + entry: True when a stationary walk sits on the atom,
+    # ("atom", period, visits), or ("seg", period, lo, hi - lo, steps) with a
+    # (start time, low offset, high offset, entry offset) tuple per step on the arc.
+    tasks = {}
     for i, w in enumerate(walks):
-        for j, e in enumerate(entries):
-            if e[0] == "atom":
-                atom_visits[(i, j)] = np.array([float(v) for v in periodic_visits(w, e[1])])
-    arc_steps = {}
-    for i, w in enumerate(walks):
-        per_arc = {}
+        period = float(w.duration)
+        arc_steps = {}
         cum = Fraction(0)
         for s in w.steps:
-            per_arc.setdefault(s.arc, []).append((float(cum), float(s.start), float(s.end)))
+            o1, o2 = float(s.start), float(s.end)
+            arc_steps.setdefault(s.arc, []).append((float(cum), min(o1, o2), max(o1, o2), o1))
             cum += s.length
-        arc_steps[i] = per_arc
+        for j, e in enumerate(entries):
+            if e[0] == "atom" and period == 0.0:
+                task = True if e[1] == w.start else None
+            elif e[0] == "atom":
+                vis = [float(v) for v in periodic_visits(w, e[1])]
+                task = ("atom", period, vis) if vis else None
+            else:  # a moving point mass never matches a stationary patrol
+                steps = arc_steps.get(e[1]) if period != 0.0 else None
+                task = ("seg", period, e[2], e[3] - e[2], steps) if steps else None
+            if task is not None:
+                tasks[i * n_entries + j] = task
 
-    def run_shard(span):
-        start, count = span
-        u = _trial_uniforms(seed, start, count)
-        comp = np.minimum(np.searchsorted(cum_s, u[:, 0], side="right"), len(walks) - 1)
-        spot = np.minimum(np.searchsorted(cum_m, u[:, 2], side="right"), len(entries) - 1)
-        t = np.full(count, t_value) if fixed_t else u[:, 4] * t_value
-        hit = np.zeros(count, dtype=bool)
-        for i, w in enumerate(walks):
-            sel_i = comp == i
-            if not sel_i.any():
+    def run_chunk(start: int) -> int:
+        count = min(_CHUNK_TRIALS, trials - start)
+        bg = np.random.Philox(key=seed)
+        bg.advance(start * _DRAWS_PER_TRIAL // 4)
+        raw = bg.random_raw(count * _DRAWS_PER_TRIAL).reshape(count, _DRAWS_PER_TRIAL)
+
+        def column(k):
+            return (raw[:, k] >> np.uint64(11)) * 2.0 ** -53
+
+        comp = np.minimum(np.searchsorted(cum_s, column(0), side="right"), len(walks) - 1)
+        spot = np.minimum(np.searchsorted(cum_m, column(2), side="right"), n_entries - 1)
+        key = (comp * n_entries + spot).astype(key_type)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+        u1 = column(1)[order]
+        u3 = column(3)[order] if attack.uniform_parts else None
+        t = t_value if fixed_t else column(4)[order] * t_value
+        hits = 0
+        for lo_i, hi_i in zip([0] + cuts, cuts + [count]):
+            task = tasks.get(int(key[lo_i]))
+            if task is None:
                 continue
-            period = periods[i]
-            phase = u[:, 1] * (period if period > 0 else 0.0)
-            for j, e in enumerate(entries):
-                sel = sel_i & (spot == j)
-                if not sel.any():
-                    continue
-                shift = phase[sel] + t[sel]
-                if e[0] == "atom":
-                    if period == 0.0:
-                        hit[sel] |= e[1] == w.start
-                        continue
-                    vis = atom_visits[(i, j)]
-                    if vis.size == 0:
-                        continue
-                    rel = np.mod(vis[None, :] - shift[:, None], period)
-                    hit[sel] |= (rel <= a_f).any(axis=1)
-                else:
-                    _, arc, lo, hi = e
-                    off = lo + u[sel, 3] * (hi - lo)
-                    if period == 0.0:
-                        continue  # moving point mass never matches a stationary patrol
-                    got = np.zeros(off.shape, dtype=bool)
-                    for t0, o1, o2 in arc_steps[i].get(arc, ()):
-                        inside = (off >= min(o1, o2)) & (off <= max(o1, o2))
-                        v = t0 + np.abs(off - o1)
-                        rel = np.mod(v - shift, period)
-                        got |= inside & (rel <= a_f)
-                    hit[sel] |= got
-        return int(hit.sum())
+            if task is True:
+                hits += hi_i - lo_i
+                continue
+            period = task[1]
+            shift = u1[lo_i:hi_i] * period + (t if fixed_t else t[lo_i:hi_i])
+            got = np.zeros(hi_i - lo_i, dtype=bool)
+            if task[0] == "atom":
+                for v in task[2]:
+                    got |= np.mod(v - shift, period) <= a_f
+            else:
+                _, _, lo, width, steps = task
+                off = lo + u3[lo_i:hi_i] * width
+                for t0, o_min, o_max, o1 in steps:
+                    inside = (off >= o_min) & (off <= o_max)
+                    rel = np.mod(t0 + np.abs(off - o1) - shift, period)
+                    got |= inside & (rel <= a_f)
+            hits += int(np.count_nonzero(got))
+        return hits
 
-    shard = max(1, -(-trials // max(1, jobs)))
-    spans = [(s, min(shard, trials - s)) for s in range(0, trials, shard)]
-    if jobs > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            hits = sum(pool.map(run_shard, spans))
+    starts = range(0, trials, _CHUNK_TRIALS)
+    workers = min(jobs, len(starts), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            hits = sum(pool.map(run_chunk, starts))
     else:
-        hits = sum(run_shard(span) for span in spans)
+        hits = sum(map(run_chunk, starts))
     p_hat = hits / trials
     half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / trials)
     return EvaluationResult(p_hat, "monte-carlo", trials=trials, seed=seed, ci_halfwidth=half)

@@ -4,14 +4,17 @@ Everything here deliberately avoids the production algorithms: shortest
 paths run on subdivided graphs through networkx, side measures come from
 edge-removal component sums, factorization counts and least largest-factor
 lengths come from set-cover search over explicitly enumerated perfect
-matchings, and the patrol search scores every walk of its family as a
-`Walk` object, one at a time.
+matchings, the patrol search scores every walk of its family as a
+`Walk` object, one at a time, and Monte Carlo is replayed one trial at a time
+in plain Python.
 """
 
+import bisect
 import itertools
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 
 from patrolgame import Network, Point, Step, Walk
 
@@ -244,3 +247,58 @@ def bruteforce_search(net: Network, attack, alpha, *, max_steps: int, offset_ste
         if best is None or p > best:
             best, best_walk = p, walk
     return best, count, best_walk
+
+
+def mc_hits_reference(patrol, attack, alpha, trials: int, seed: int) -> int:
+    """Monte Carlo hit count from the definition, one trial at a time.
+
+    Trial i reads words 8i..8i+7 of the Philox stream keyed by the seed and
+    turns the first five into uniforms in [0, 1): the component, its phase,
+    the spatial entry (atoms, then the segments of each uniform part), the
+    offset along a segment, and the start time under a uniform law.  The
+    attack is caught when a visit of the periodic walk to the attacked point
+    falls in the window: (visit - phase - start) mod period <= alpha, with
+    the same float operations as the engine.  A stationary walk catches only
+    an atom at its own position."""
+    a_f = float(alpha)
+    cum_s = list(itertools.accumulate(float(s) for _, s in patrol.components))
+    entries, masses = [], []
+    for point, mass in attack.atoms:
+        entries.append((point, None))
+        masses.append(float(mass))
+    for part in attack.uniform_parts:
+        for seg in part.region.segment_list():
+            entries.append((seg.arc, (float(seg.lo), float(seg.hi))))
+            masses.append(float(part.density * seg.measure))
+    cum_m = list(itertools.accumulate(masses))
+    cum_m[-1] = 1.0
+    fixed_t = attack.temporal.kind == "fixed"
+    t_value = float(attack.temporal.value)
+
+    bg = np.random.Philox(key=seed)
+    hits = 0
+    for _ in range(trials):
+        u = [(word >> 11) * 2.0 ** -53 for word in bg.random_raw(8).tolist()]
+        walk = patrol.components[min(bisect.bisect_right(cum_s, u[0]), len(cum_s) - 1)][0]
+        where, seg = entries[min(bisect.bisect_right(cum_m, u[2]), len(cum_m) - 1)]
+        period = float(walk.duration)
+        shift = u[1] * period + (t_value if fixed_t else u[4] * t_value)
+        if walk.is_stationary:
+            hits += seg is None and where == walk.start
+            continue
+        if seg is None:
+            visits = {v % walk.duration for v in walk.visit_times(where)}
+            hits += any((float(v) - shift) % period <= a_f for v in visits)
+            continue
+        lo, hi = seg
+        off = lo + u[3] * (hi - lo)
+        elapsed = Fraction(0)
+        caught = False
+        for step in walk.steps:
+            o1, o2 = float(step.start), float(step.end)
+            if step.arc == where and min(o1, o2) <= off <= max(o1, o2):
+                v = float(elapsed) + abs(off - o1)
+                caught = caught or (v - shift) % period <= a_f
+            elapsed += step.length
+        hits += caught
+    return hits

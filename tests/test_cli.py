@@ -132,6 +132,7 @@ def test_simulate_incompatible_files(tree_file, k4_file, tmp_path, capsys):
     ("--seed", "-1", "--seed must be nonnegative"),
     ("--jobs", "0", "--jobs must be positive"),
     ("--jobs", "-2", "--jobs must be positive"),
+    ("--seed", str(2 ** 128), "seed must be an integer in [0, 2**128)"),
 ])
 def test_simulate_rejects_bad_seed_and_jobs(tree_file, tmp_path, capsys, flag, value, message):
     patrol_file = tmp_path / "p.txt"

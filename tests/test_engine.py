@@ -1,4 +1,7 @@
+import math
+import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from patrolgame import (
     PhaseIntervalSet,
     Network,
     Step,
+    SubNetwork,
     TemporalLaw,
     UniformPart,
     ValidationError,
@@ -16,6 +20,7 @@ from patrolgame import (
     attacker_best_response,
     complete_network,
     complete_patrolling,
+    critical_alpha,
     double_traversal,
     e_patrolling,
     evaluate,
@@ -32,9 +37,10 @@ from patrolgame import (
     walk_attack_probability,
     walk_through_nodes,
 )
+from patrolgame import engine
 from patrolgame.engine import periodic_visits
-from conftest import random_tree
-from oracles import bruteforce_search
+from conftest import make_sample_tree, random_tree
+from oracles import bruteforce_search, mc_hits_reference
 
 F = Fraction
 
@@ -188,6 +194,151 @@ def test_mc_within_ci_of_exact(unit_k4):
         if abs(r.probability - float(exact)) <= r.ci_halfwidth:
             hits += 1
     assert hits >= 93
+
+
+def _frozen_mc_cases():
+    """The demo tree at alpha = 4: E-patrolling against the horizon attack,
+    against the same attack at a fixed start time, and with a stationary walk
+    mixed in against an attack holding an atom at its node; and E-patrolling
+    against the horizon attack on a seeded 20-node tree."""
+    tree = make_sample_tree()
+    att = tree_attack_strategy(tree, 4)
+    pat = e_patrolling(tree, 4)
+    yield "demo", pat, att, F(4)
+    fixed = AttackStrategy(tree, att.atoms, att.uniform_parts, TemporalLaw.fixed(F(7, 3)))
+    yield "demo-fixed", pat, fixed, F(4)
+    still = Walk(tree, tree.node_point("A"))
+    mix = PatrolStrategy(tree, ((pat.components[0][0], F(2, 3)), (still, F(1, 3))))
+    halved = AttackStrategy(
+        tree, tuple((p, m / 2) for p, m in att.atoms) + ((tree.node_point("A"), F(1, 2)),),
+        tuple(UniformPart(u.region, u.mass / 2) for u in att.uniform_parts), att.temporal)
+    yield "demo-stationary", mix, halved, F(4)
+    big = random_tree(random.Random(20), max_nodes=20, min_nodes=20)
+    alpha = F(int(critical_alpha(big) * 2), 4)
+    yield "tree20", e_patrolling(big, alpha), tree_attack_strategy(big, alpha), alpha
+
+
+# Hit counts at seed 17, frozen from the implementation that drew every
+# trial of a shard at once; 200,003 trials span several draw chunks.
+FROZEN_MC_HITS = {
+    "demo": {1: 0, 1_000: 244, 200_003: 46853},
+    "demo-fixed": {1: 1, 1_000: 219, 200_003: 46784},
+    "demo-stationary": {1: 0, 1_000: 381, 200_003: 80165},
+    "tree20": {1: 1, 1_000: 178, 200_003: 37141},
+}
+
+
+def test_mc_hits_frozen():
+    for name, pat, att, alpha in _frozen_mc_cases():
+        for trials, hits in FROZEN_MC_HITS[name].items():
+            p = hits / trials
+            for jobs in (1, 2, 7):
+                r = evaluate(pat, att, alpha, method="mc", trials=trials, seed=17, jobs=jobs)
+                assert (r.probability, r.trials, r.seed) == (p, trials, 17), (name, trials, jobs)
+                assert r.ci_halfwidth == 1.96 * math.sqrt(p * (1 - p) / trials)
+
+
+def _reference_mc_cases():
+    """Seeded mixtures of random closed walks (in every third case with a
+    stationary walk on an atom) on small trees and on K4, against atoms and
+    uniform parts under both temporal laws.  Atoms sit at random nodes and arc offsets, and the
+    uniform parts cover balls or the whole network, so atoms no walk visits
+    and segments on arcs no walk crosses are common; the test checks that
+    both occur."""
+    rng = random.Random(83)
+    for k in range(20):
+        net = complete_network(4) if k % 4 == 3 else random_tree(rng, max_nodes=7, min_nodes=3)
+        walks = [random_closed_walk(net, rng, max_steps=rng.randint(2, 5))
+                 for _ in range(rng.randint(1, 3))]
+        points = [net.node_point(n) for n in net.nodes]
+        points += [net.point(a.id, a.length * F(rng.randint(1, 7), 8)) for a in net.arcs]
+        chosen = rng.sample(points, rng.randint(1, 3))
+        if k % 3 == 0:
+            walks.append(Walk(net, chosen[-1]))
+        weights = [rng.randint(1, 4) for _ in walks]
+        pat = PatrolStrategy(net, tuple((w, F(x, sum(weights))) for w, x in zip(walks, weights)))
+        region = (SubNetwork.whole(net) if k % 2 else
+                  net.ball(net.node_point(rng.choice(net.nodes)), F(rng.randint(1, 6), 2)))
+        atoms = tuple((p, F(1, 2 * len(chosen))) for p in chosen)
+        temporal = TemporalLaw.fixed(F(rng.randint(0, 12), 4)) if k % 2 else \
+            TemporalLaw.uniform(F(rng.randint(1, 40), 2))
+        att = AttackStrategy(net, atoms, (UniformPart(region, F(1, 2)),), temporal)
+        yield pat, att, F(rng.randint(1, 12), 4), 500 + k
+
+
+def test_mc_matches_per_trial_reference():
+    unvisited_atoms = uncrossed_segments = 0
+    for pat, att, alpha, seed in _reference_mc_cases():
+        walks = [w for w, _ in pat.components]
+        crossed = {s.arc for w in walks for s in w.steps}
+        unvisited_atoms += any(all(not w.visit_times(p) for w in walks) for p, _ in att.atoms)
+        uncrossed_segments += any(seg.arc not in crossed
+                                  for seg in att.uniform_parts[0].region.segment_list())
+        r = evaluate(pat, att, alpha, method="mc", trials=2_000, seed=seed, jobs=2)
+        assert r.probability == mc_hits_reference(pat, att, alpha, 2_000, seed) / 2_000
+    assert unvisited_atoms >= 3 and uncrossed_segments >= 3
+
+
+def test_mc_memory_bounded(sample_tree):
+    # trials are drawn and scored in fixed-size chunks: two million trials
+    # (16 bytes of raw stream per trial) stay far below their 32 MiB of draws
+    att = tree_attack_strategy(sample_tree, 4)
+    pat = e_patrolling(sample_tree, 4)
+    tracemalloc.start()
+    try:
+        evaluate(pat, att, 4, method="mc", trials=2_000_000, seed=1, jobs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"trials": 0}, {"trials": -5}, {"trials": 1.5}, {"trials": True}, {"trials": "10"},
+    {"jobs": 0}, {"jobs": -3}, {"jobs": 1.5}, {"jobs": True},
+    {"seed": -1}, {"seed": 1.5}, {"seed": 2 ** 128}, {"seed": False}, {"seed": "1"},
+])
+def test_mc_rejects_bad_arguments(sample_tree, kwargs):
+    att = tree_attack_strategy(sample_tree, 4)
+    pat = e_patrolling(sample_tree, 4)
+    args = {"trials": 10, "seed": 0, "jobs": 1, **kwargs}
+    with pytest.raises(ValidationError):
+        evaluate(pat, att, 4, method="mc", **args)
+
+
+def test_mc_seed_range_ends(sample_tree):
+    att = tree_attack_strategy(sample_tree, 4)
+    pat = e_patrolling(sample_tree, 4)
+    for seed in (0, 2 ** 128 - 1):
+        assert evaluate(pat, att, 4, method="mc", trials=10, seed=seed).seed == seed
+
+
+def test_mc_thread_count_capped(sample_tree, monkeypatch):
+    # a pool that records its size and maps serially: no thread is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    att = tree_attack_strategy(sample_tree, 4)
+    pat = e_patrolling(sample_tree, 4)
+    serial = evaluate(pat, att, 4, method="mc", trials=200_003, seed=3, jobs=1)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
+    for cores in (os.cpu_count() or 1, 64):  # 200,003 trials make 4 chunks
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cores)
+        sizes.clear()
+        assert evaluate(pat, att, 4, method="mc", trials=200_003, seed=3, jobs=10_000) == serial
+        assert sizes == ([min(4, cores)] if min(4, cores) > 1 else [])
 
 
 def test_attacker_best_response_stationary(sample_tree):
