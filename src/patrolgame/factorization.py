@@ -2,14 +2,23 @@
 
 A 1-factorization partitions the arcs of a complete (or regular) network
 into perfect matchings.  The round-robin construction handles any even
-complete network; exhaustive enumeration is guarded to at most 8 nodes,
-beyond which a randomized heuristic with cycle-rebalancing swaps stands in
-for the certified optimum.
+complete network; exhaustive enumeration is guarded to at most 8 nodes.
+
+Enumeration and the certified least-heaviest-factor search walk one search
+tree: each level covers the lowest uncovered arc with one perfect matching,
+tried in increasing node index.  The certified search is a branch and
+bound over that tree on integer arc lengths (the lcm scale of their
+denominators).  It prunes a child when max(heaviest factor so far,
+ceil(remaining length / factors left)) is at least the best found, so of
+equally heavy optima it returns the first in enumeration order.  It shares
+the 8-node guard; beyond it a randomized heuristic with cycle-rebalancing
+swaps stands in for the certified optimum.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,18 +147,16 @@ def _matchings(free: list[int], remaining: int, acc: list, out: list):
         acc.pop()
 
 
-def enumerate_one_factorizations(net: Network):
-    """Yield every 1-factorization of a small complete network exactly once.
+def _factorization_search(n: int, admit=None):
+    """Depth-first search over the 1-factorizations of the complete network
+    on node indices 0..n-1, each visited exactly once.
 
-    Factorizations are distinct as unordered sets of factors; the generator
-    branches on the lowest uncovered arc so no set is produced twice.
+    Yields the list of chosen matchings (tuples of index pairs) at every
+    complete factorization; the list is the search's own and changes as it
+    moves on.  `admit(depth, pairs)`, when given, is asked before the
+    search descends into a child: `pairs` would become factor `depth`, and
+    a false answer prunes the child's whole subtree.
     """
-    _require_even_complete(net)
-    n = len(net.nodes)
-    if n > ENUMERATION_NODE_LIMIT:
-        raise SizeGuardError(f"enumeration guarded to <= {ENUMERATION_NODE_LIMIT} nodes, got {n}")
-    table = _arc_lookup(net)
-    ids = [[table.get((a, b)) for b in net.nodes] for a in net.nodes]
     full = (1 << n) - 1
     # free[i]: mask of the nodes i still shares an uncovered arc with
     free = [full ^ (1 << i) for i in range(n)]
@@ -167,80 +174,137 @@ def enumerate_one_factorizations(net: Network):
         # lowest uncovered arc; every matching of this level contains it.
         u = next((i for i in range(n) if free[i]), None)
         if u is None:
-            yield [frozenset(ids[i][j] for i, j in pairs) for pairs in chosen]
+            yield chosen
             return
         v = (free[u] & -free[u]).bit_length() - 1
         matchings: list[tuple] = []
         _matchings(free, full ^ (1 << u) ^ (1 << v), [(u, v)], matchings)
         for pairs in matchings:
+            if admit is not None and not admit(len(chosen), pairs):
+                continue
             toggle(pairs)
             chosen.append(pairs)
             yield from rec()
             chosen.pop()
             toggle(pairs)
 
-    for factors in rec():
-        yield _checked(net, factors, 1)
+    return rec()
+
+
+def _arc_ids(net: Network) -> list[list]:
+    """ids[i][j]: id of the arc between the i-th and j-th nodes (None on the diagonal)."""
+    table = _arc_lookup(net)
+    return [[table.get((a, b)) for b in net.nodes] for a in net.nodes]
+
+
+def _integer_lengths(net: Network) -> dict[str, int]:
+    """Arc lengths as integers on the lcm scale of their denominators, so
+    sums compare exactly as the `Fraction` sums they stand for."""
+    scale = math.lcm(*(a.length.denominator for a in net.arcs))
+    return {a.id: a.length.numerator * (scale // a.length.denominator) for a in net.arcs}
+
+
+def enumerate_one_factorizations(net: Network):
+    """Yield every 1-factorization of a small complete network exactly once.
+
+    Factorizations are distinct as unordered sets of factors; the generator
+    branches on the lowest uncovered arc so no set is produced twice.
+    """
+    _require_even_complete(net)
+    n = len(net.nodes)
+    if n > ENUMERATION_NODE_LIMIT:
+        raise SizeGuardError(f"enumeration guarded to <= {ENUMERATION_NODE_LIMIT} nodes, got {n}")
+    ids = _arc_ids(net)
+    for chosen in _factorization_search(n):
+        yield _checked(net, [frozenset(ids[i][j] for i, j in pairs) for pairs in chosen], 1)
 
 
 def best_one_factorization(net: Network, heuristic: bool = False, restarts: int = 32, seed: int = 0) -> Factorization:
     """1-factorization minimizing the largest factor length.
 
-    Exhaustive (certified) up to the enumeration guard; with `heuristic` the
-    guard is lifted and a seeded round-robin restart search with pairwise
+    Certified up to the enumeration guard: a depth-first branch and bound
+    over the enumeration's own search tree, on integer arc lengths.  A
+    child is pruned when max(heaviest factor so far, ceil(remaining length
+    / factors left)) is at least the incumbent's heaviest factor; pruning
+    on ties means the first minimum in enumeration order is the one
+    returned, as an exhaustive scan keeping the first minimum would.
+
+    With `heuristic` the guard is lifted and a seeded round-robin restart
+    search (`restarts` of them, a positive int) with pairwise
     cycle-rebalancing swaps returns an uncertified result.
     """
     _require_even_complete(net)
     if len(net.nodes) <= ENUMERATION_NODE_LIMIT and not heuristic:
-        # lengths on one integer scale; ties keep the first minimum
-        scale = math.lcm(*(a.length.denominator for a in net.arcs))
-        weight = {a.id: a.length.numerator * (scale // a.length.denominator) for a in net.arcs}
-        best, best_key = None, None
-        for f in enumerate_one_factorizations(net):
-            key = max(sum(weight[a] for a in factor) for factor in f.factors)
-            if best is None or key < best_key:
-                best, best_key = f, key
-        return best
+        return _checked(net, _branch_and_bound(net), 1)
     if not heuristic:
         raise SizeGuardError(
             f"exhaustive search guarded to <= {ENUMERATION_NODE_LIMIT} nodes; pass heuristic=True")
+    if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts <= 0:
+        raise ValidationError(f"restarts must be a positive integer, got {restarts!r}")
+    weight = _integer_lengths(net)
     rng = random.Random(seed)
     nodes = list(net.nodes)
-    best = None
+    best, best_key = None, None
     for _ in range(restarts):
         rng.shuffle(nodes)
-        cand = round_robin_one_factorization(net, node_order=nodes)
-        cand = _rebalance(cand)
-        if best is None or cand.delta < best.delta:
-            best = cand
-    return Factorization(best.network, best.regularity, best.factors, certified=False)
+        factors = [set(f) for f in round_robin_one_factorization(net, node_order=nodes).factors]
+        key = _rebalance(net, factors, weight)
+        if best is None or key < best_key:
+            best, best_key = factors, key
+    return _checked(net, best, 1, certified=False)
 
 
-def _rebalance(f: Factorization) -> Factorization:
-    """Local improvement: the union of two perfect matchings is a disjoint
-    set of even cycles, each of which can be re-split two ways; pick the
-    split minimizing the larger factor length."""
-    net = f.network
-    factors = [set(x) for x in f.factors]
-    improved = True
-    while improved:
-        improved = False
-        lengths = [sum((net.arc(a).length for a in x), Fraction(0)) for x in factors]
+def _branch_and_bound(net: Network) -> list[frozenset]:
+    """Factors of the first 1-factorization, in enumeration order, whose
+    heaviest factor is least."""
+    n = len(net.nodes)
+    ids = _arc_ids(net)
+    length = _integer_lengths(net)
+    w = [[length.get(a, 0) for a in row] for row in ids]
+    # heaviest[d], remaining[d]: heaviest factor and uncovered length once
+    # d factors are chosen
+    heaviest = [0] * n
+    remaining = [sum(length.values())] + [0] * (n - 1)
+    best, incumbent = None, None
+
+    def admit(depth, pairs):
+        weight = sum(w[i][j] for i, j in pairs)
+        top = max(heaviest[depth], weight)
+        rest = remaining[depth] - weight
+        left = n - 2 - depth
+        bound = max(top, -(-rest // left)) if left else top
+        if incumbent is not None and bound >= incumbent:
+            return False
+        heaviest[depth + 1], remaining[depth + 1] = top, rest
+        return True
+
+    for chosen in _factorization_search(n, admit):
+        # admitted leaves strictly beat the incumbent
+        best = [frozenset(ids[i][j] for i, j in pairs) for pairs in chosen]
+        incumbent = heaviest[n - 1]
+    return best
+
+
+def _rebalance(net: Network, factors: list[set], weight: dict[str, int]) -> int:
+    """Local improvement in place: the union of two perfect matchings is a
+    disjoint set of even cycles, each of which can be re-split two ways;
+    pick the split minimizing the larger factor weight.  Returns the
+    heaviest factor's integer weight."""
+    while True:
+        lengths = [sum(weight[a] for a in x) for x in factors]
         worst = max(range(len(factors)), key=lambda i: lengths[i])
         for j in range(len(factors)):
             if j == worst:
                 continue
-            new_a, new_b = _best_cycle_split(net, factors[worst], factors[j])
-            new_max = max(sum((net.arc(a).length for a in new_a), Fraction(0)),
-                          sum((net.arc(a).length for a in new_b), Fraction(0)))
+            new_max, new_a, new_b = _best_cycle_split(net, factors[worst], factors[j], weight)
             if new_max < max(lengths[worst], lengths[j]):
                 factors[worst], factors[j] = set(new_a), set(new_b)
-                improved = True
                 break
-    return _checked(net, factors, 1, certified=False)
+        else:
+            return lengths[worst]
 
 
-def _best_cycle_split(net: Network, fa: set, fb: set):
+def _best_cycle_split(net: Network, fa: set, fb: set, weight: dict[str, int]):
     # Two disjoint perfect matchings form a 2-regular union: disjoint even
     # cycles alternating between the matchings.
     owner = {aid: 0 for aid in fa}
@@ -266,24 +330,29 @@ def _best_cycle_split(net: Network, fa: set, fb: set):
             side = 1 - side
             cur = arc_at[(node, side)]
         cycles.append(cycle)
-    best = None
+    halves = [(sum(weight[a] for a in cyc[0::2]), sum(weight[a] for a in cyc[1::2]))
+              for cyc in cycles]
+    best_key, best_mask = None, 0
     for mask in range(1 << len(cycles)):
-        side_a, side_b = [], []
-        for k, cyc in enumerate(cycles):
-            evens = cyc[0::2]
-            odds = cyc[1::2]
+        la = lb = 0
+        for k, (evens, odds) in enumerate(halves):
             if mask >> k & 1:
-                side_a += odds
-                side_b += evens
+                la += odds
+                lb += evens
             else:
-                side_a += evens
-                side_b += odds
-        la = sum((net.arc(a).length for a in side_a), Fraction(0))
-        lb = sum((net.arc(a).length for a in side_b), Fraction(0))
+                la += evens
+                lb += odds
         key = max(la, lb)
-        if best is None or key < best[0]:
-            best = (key, side_a, side_b)
-    return best[1], best[2]
+        if best_key is None or key < best_key:
+            best_key, best_mask = key, mask
+    side_a, side_b = [], []
+    for k, cyc in enumerate(cycles):
+        evens, odds = cyc[0::2], cyc[1::2]
+        if best_mask >> k & 1:
+            evens, odds = odds, evens
+        side_a += evens
+        side_b += odds
+    return best_key, side_a, side_b
 
 
 def girth(net: Network) -> Fraction:

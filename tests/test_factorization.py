@@ -109,6 +109,12 @@ def test_best_heuristic_mode():
     assert fact.delta == 5  # unit lengths: every perfect matching weighs n
 
 
+@pytest.mark.parametrize("restarts", [0, -1, True, 2.0, "4"])
+def test_best_heuristic_rejects_bad_restarts(restarts):
+    with pytest.raises(ValidationError):
+        best_one_factorization(complete_network(10), heuristic=True, restarts=restarts)
+
+
 def test_complement_regular_eulerian(unit_k6):
     fact = round_robin_one_factorization(unit_k6)
     for i in range(len(fact.factors)):
@@ -199,3 +205,22 @@ def test_best_rational_k8_frozen():
         best = best_one_factorization(rational_complete(seed, 8))
         assert best.certified and best.delta == delta
         assert " | ".join(" ".join(sorted(f)) for f in best.factors) == factors
+
+
+def test_best_matches_enumeration():
+    # the branch and bound returns the first minimum of the exhaustive scan,
+    # ties included
+    rng = random.Random(59)
+    ties = [Network(base.nodes, [(a.id, a.u, a.v, rng.choice([1, 2])) for a in base.arcs])
+            for base in map(complete_network, (6, 6, 6, 8))]
+    for net in [rational_complete(seed, 8) for seed in (11, 12, 13)] + ties:
+        # integer lengths (denominators divide 12) keep the scan fast
+        weight = {a.id: int(a.length * 12) for a in net.arcs}
+        first_min = min(enumerate_one_factorizations(net),
+                        key=lambda f: max(sum(weight[a] for a in x) for x in f.factors))
+        best = best_one_factorization(net)
+        assert best.certified and best.factors == first_min.factors
+    for n in (4, 6, 8):
+        # every factorization of a unit network ties at n/2
+        net = complete_network(n)
+        assert best_one_factorization(net).factors == next(enumerate_one_factorizations(net)).factors
