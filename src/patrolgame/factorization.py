@@ -5,14 +5,18 @@ into perfect matchings.  The round-robin construction handles any even
 complete network; exhaustive enumeration is guarded to at most 8 nodes.
 
 Enumeration and the certified least-heaviest-factor search walk one search
-tree: each level covers the lowest uncovered arc with one perfect matching,
-tried in increasing node index.  The certified search is a branch and
-bound over that tree on integer arc lengths (the lcm scale of their
-denominators).  It prunes a child when max(heaviest factor so far,
-ceil(remaining length / factors left)) is at least the best found, so of
-equally heavy optima it returns the first in enumeration order.  It shares
-the 8-node guard; beyond it a randomized heuristic with cycle-rebalancing
-swaps stands in for the certified optimum.
+tree, an exact cover of the arcs by perfect matchings: each level covers
+the lowest uncovered arc with one perfect matching, tried in increasing
+node index.  Arcs are bits of one mask, ranked in lexicographic order, and
+the perfect matchings are built once and listed under each of their arcs,
+so a level only filters its arc's list by the covered mask.  The certified
+search is a branch and bound over that tree on integer arc lengths (the
+lcm scale of their denominators).  It prunes a child when max(heaviest
+factor so far, ceil(remaining length / factors left)) is at least the best
+found, so of equally heavy optima it returns the first in enumeration
+order.  It shares the 8-node guard; beyond it a randomized heuristic with
+cycle-rebalancing swaps stands in for the certified optimum.  Every
+factorization either search returns is validated against the network.
 """
 
 from __future__ import annotations
@@ -113,9 +117,14 @@ def _arc_lookup(net: Network) -> dict[tuple[str, str], str]:
 
 
 def round_robin_one_factorization(net: Network, node_order=None) -> Factorization:
-    """Circle-method 1-factorization of a complete network on 2n nodes."""
+    """Circle-method 1-factorization of a complete network on 2n nodes.
+
+    `node_order`, a permutation of the nodes, puts its first node at the
+    circle's centre and the others around it in order."""
     _require_even_complete(net)
     nodes = list(node_order) if node_order is not None else list(net.nodes)
+    if len(nodes) != len(net.nodes) or set(nodes) != set(net.nodes):
+        raise ValidationError(f"node_order must be a permutation of the network's nodes, got {nodes!r}")
     table = _arc_lookup(net)
     pivot, others = nodes[0], nodes[1:]
     m = len(others)
@@ -128,28 +137,41 @@ def round_robin_one_factorization(net: Network, node_order=None) -> Factorizatio
     return _checked(net, factors, 1)
 
 
-def _matchings(free: list[int], remaining: int, acc: list, out: list):
-    """Append to `out` every perfect matching of the free-arc graph on the
+def _matchings(remaining: int, acc: list, out: list):
+    """Append to `out` every perfect matching of the complete graph on the
     node mask `remaining`, extending the pairs in `acc`.  The lowest
-    remaining node pairs with each free partner in increasing index."""
+    remaining node pairs with each partner in increasing index."""
     if not remaining:
         out.append(tuple(acc))
         return
     low = remaining & -remaining
     u = low.bit_length() - 1
     rest = remaining ^ low
-    cands = free[u] & rest
+    cands = rest
     while cands:
         bit = cands & -cands
         cands ^= bit
         acc.append((u, bit.bit_length() - 1))
-        _matchings(free, rest ^ bit, acc, out)
+        _matchings(rest ^ bit, acc, out)
         acc.pop()
 
 
 def _factorization_search(n: int, admit=None):
     """Depth-first search over the 1-factorizations of the complete network
-    on node indices 0..n-1, each visited exactly once.
+    on node indices 0..n-1, each visited exactly once: an exact cover of the
+    arcs by perfect matchings.
+
+    Arc (i, j), i < j, is bit k of an arc mask, k its rank in lexicographic
+    order, so the lowest zero bit of the `covered` mask is the lowest
+    uncovered arc.  Every perfect matching is built once, as (arc mask,
+    pairs), and listed under each of its arcs in the order `_matchings`
+    yields them, which is lexicographic.  A level tries the lowest
+    uncovered arc's matchings that miss `covered`.  Filtering a
+    lexicographic list keeps it lexicographic, so a level meets the
+    matchings of the uncovered arcs in the order a recursion over those
+    arcs alone would build them, and the enumeration order, the pruning
+    and the first-minimum tie rule of `admit` do not depend on how the
+    candidates are found.
 
     Yields the list of chosen matchings (tuples of index pairs) at every
     complete factorization; the list is the search's own and changes as it
@@ -157,38 +179,36 @@ def _factorization_search(n: int, admit=None):
     search descends into a child: `pairs` would become factor `depth`, and
     a false answer prunes the child's whole subtree.
     """
-    full = (1 << n) - 1
-    # free[i]: mask of the nodes i still shares an uncovered arc with
-    free = [full ^ (1 << i) for i in range(n)]
+    bit = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            bit[i, j] = 1 << len(bit)
+    full = (1 << len(bit)) - 1
+    matchings: list[tuple] = []
+    _matchings((1 << n) - 1, [], matchings)
+    # through[k]: (mask, pairs) of every perfect matching containing arc k
+    through: list[list] = [[] for _ in bit]
+    for pairs in matchings:
+        mask = sum(bit[p] for p in pairs)
+        for p in pairs:
+            through[bit[p].bit_length() - 1].append((mask, pairs))
     chosen: list[tuple] = []
 
-    def toggle(pairs):
-        # xor covers a matching's arcs and, applied again, uncovers them
-        for i, j in pairs:
-            free[i] ^= 1 << j
-            free[j] ^= 1 << i
-
-    def rec():
-        # The lowest node with an uncovered arc has no uncovered arc to a
-        # lower node, so (u, lowest free partner) is the lexicographically
-        # lowest uncovered arc; every matching of this level contains it.
-        u = next((i for i in range(n) if free[i]), None)
-        if u is None:
+    def rec(covered):
+        if covered == full:
             yield chosen
             return
-        v = (free[u] & -free[u]).bit_length() - 1
-        matchings: list[tuple] = []
-        _matchings(free, full ^ (1 << u) ^ (1 << v), [(u, v)], matchings)
-        for pairs in matchings:
+        low = ~covered & (covered + 1)
+        for mask, pairs in through[low.bit_length() - 1]:
+            if mask & covered:
+                continue
             if admit is not None and not admit(len(chosen), pairs):
                 continue
-            toggle(pairs)
             chosen.append(pairs)
-            yield from rec()
+            yield from rec(covered | mask)
             chosen.pop()
-            toggle(pairs)
 
-    return rec()
+    return rec(0)
 
 
 def _arc_ids(net: Network) -> list[list]:
@@ -208,15 +228,46 @@ def enumerate_one_factorizations(net: Network):
     """Yield every 1-factorization of a small complete network exactly once.
 
     Factorizations are distinct as unordered sets of factors; the generator
-    branches on the lowest uncovered arc so no set is produced twice.
+    branches on the lowest uncovered arc so no set is produced twice.  The
+    arc set, sort key and arc mask of each distinct matching are built
+    once, and every factorization is checked before it is yielded: perfect
+    matchings, pairwise arc-disjoint, covering every arc.  A violation
+    raises `FactorizationError` with `validate_factorization`'s messages.
     """
     _require_even_complete(net)
     n = len(net.nodes)
     if n > ENUMERATION_NODE_LIMIT:
         raise SizeGuardError(f"enumeration guarded to <= {ENUMERATION_NODE_LIMIT} nodes, got {n}")
     ids = _arc_ids(net)
+    bit = {a.id: 1 << k for k, a in enumerate(net.arcs)}
+    full = (1 << len(net.arcs)) - 1
+    nodes = list(range(n))
+    # pairs -> (sort key, arc ids, arc mask); the mask is None unless the
+    # pairs are a perfect matching
+    parts: dict[tuple, tuple] = {}
+
+    def part(pairs):
+        arcs = frozenset(ids[i][j] for i, j in pairs)
+        if sorted(x for pair in pairs for x in pair) != nodes:
+            return None, arcs, None
+        return sorted(arcs), arcs, sum(bit[a] for a in arcs)
+
     for chosen in _factorization_search(n):
-        yield _checked(net, [frozenset(ids[i][j] for i, j in pairs) for pairs in chosen], 1)
+        factors = []
+        covered, valid = 0, True
+        for pairs in chosen:
+            f = parts.get(pairs)
+            if f is None:
+                f = parts[pairs] = part(pairs)
+            factors.append(f)
+            # the predicate of `validate_factorization`: perfect matchings,
+            # pairwise arc-disjoint, covering every arc
+            valid = valid and f[2] is not None and not f[2] & covered
+            covered |= f[2] or 0
+        if not valid or covered != full:
+            raise FactorizationError(validate_factorization(net, [f[1] for f in factors], 1))
+        factors.sort()  # by sort key: the keys of disjoint factors differ
+        yield Factorization(net, 1, tuple(f[1] for f in factors))
 
 
 def best_one_factorization(net: Network, heuristic: bool = False, restarts: int = 32, seed: int = 0) -> Factorization:

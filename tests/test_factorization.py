@@ -6,6 +6,7 @@ import pytest
 
 from patrolgame import (
     Factorization,
+    FactorizationError,
     Network,
     SizeGuardError,
     ValidationError,
@@ -16,6 +17,7 @@ from patrolgame import (
     round_robin_one_factorization,
     validate_factorization,
 )
+from patrolgame import factorization
 from patrolgame.serialize import write_factorization
 from oracles import best_delta_bruteforce, count_one_factorizations_bruteforce, girth_bruteforce
 
@@ -59,6 +61,39 @@ def test_round_robin(n, count, size):
     assert len(fact.factors) == count
     assert all(len(f) == size for f in fact.factors)
     assert validate_factorization(net, fact.factors, 1) == []
+
+
+@pytest.mark.parametrize("order", [["v1", "v1", "v2", "v3"], ["v1", "v2", "v3", "v9"], ["v1", "v2"]])
+def test_round_robin_rejects_bad_node_order(unit_k4, order):
+    with pytest.raises(ValidationError, match="permutation") as info:
+        round_robin_one_factorization(unit_k4, node_order=order)
+    assert not isinstance(info.value, FactorizationError)
+
+
+@pytest.mark.parametrize("chosen", [
+    # one matching twice: the factors share arcs and leave others uncovered
+    [((0, 1), (2, 3)), ((0, 1), (2, 3)), ((0, 2), (1, 3))],
+    # node 0 twice, node 3 never: not a perfect matching
+    [((0, 1), (0, 2)), ((0, 3), (1, 2)), ((1, 3), (2, 3))],
+    # disjoint perfect matchings that leave arcs uncovered
+    [((0, 1), (2, 3)), ((0, 2), (1, 3))],
+])
+def test_enumeration_validates_every_factorization(unit_k4, monkeypatch, chosen):
+    monkeypatch.setattr(factorization, "_factorization_search", lambda n, admit=None: iter([chosen]))
+    ids = factorization._arc_ids(unit_k4)
+    factors = [frozenset(ids[i][j] for i, j in pairs) for pairs in chosen]
+    expected = validate_factorization(unit_k4, factors, 1)
+    assert expected
+    with pytest.raises(FactorizationError) as info:
+        next(enumerate_one_factorizations(unit_k4))
+    assert info.value.violations == expected
+
+
+def test_enumeration_k2():
+    net = complete_network(2)
+    facts = list(enumerate_one_factorizations(net))
+    assert [f.factors for f in facts] == [(frozenset({"v1-v2"}),)]
+    assert best_one_factorization(net).factors == facts[0].factors
 
 
 def test_enumeration_counts_small(unit_k4, unit_k6):
