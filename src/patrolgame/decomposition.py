@@ -20,12 +20,15 @@ from .network import Network, Point, Segment, SubNetwork, tree_tour, validate_al
 
 def _side_weights(tree: Network) -> dict[str, tuple[Fraction, Fraction]]:
     """For each arc (u, v): measures of the u-side and v-side components of
-    the tree with that arc's interior removed.
+    the tree with that arc's interior removed; computed once per tree and
+    kept on it.
 
     One tour from an arbitrary root: when the tour crosses an arc back toward
     the root, everything beyond it has been summed, which gives the far side;
     the near side is the rest of the tree.
     """
+    if tree._side_weights_memo is not None:
+        return tree._side_weights_memo
     mu = tree.total_length
     beyond = dict.fromkeys(tree.nodes, Fraction(0))  # measure hanging below each node
     out = {}
@@ -36,6 +39,7 @@ def _side_weights(tree: Network) -> dict[str, tuple[Fraction, Fraction]]:
         near = mu - far - a.length
         beyond[a.other(child)] += far + a.length
         out[a.id] = (far, near) if a.u == child else (near, far)
+    tree._side_weights_memo = out
     return out
 
 
@@ -186,9 +190,20 @@ def _component_boundary(tree: Network, ext_sub: SubNetwork, comp: SubNetwork) ->
 
 def subtree_decomposition(tree: Network, alpha) -> SubtreeDecomposition:
     """Split a tree into its core plus closed subtrees of measure at most
-    alpha/2, each hanging at a single local root."""
+    alpha/2, each hanging at a single local root.
+
+    The tree keeps the last decomposition built, so callers that ask again
+    at the same duration get the same object, which they must not modify;
+    the tree and the duration are checked on every call."""
     _require_tree(tree)
     a = validate_alpha(tree, alpha)
+    dec = tree._decomposition_memo
+    if dec is None or dec.alpha != a:
+        dec = tree._decomposition_memo = _decompose(tree, a)
+    return dec
+
+
+def _decompose(tree: Network, a: Fraction) -> SubtreeDecomposition:
     if a >= critical_alpha(tree):
         x_star = local_root_of_tree(tree)
         comps = []

@@ -3,7 +3,9 @@
 All lengths, offsets and probabilities are exact `fractions.Fraction`
 values; floating point never enters this module.  Networks are immutable
 after construction and every operation here is pure, so concurrent reads
-need no synchronization.
+need no synchronization: a network memoizes what it derives (shortest
+paths here, side weights and the last subtree decomposition in the tree
+layer), and two threads that fill a memo at once store equal values.
 """
 
 from __future__ import annotations
@@ -137,6 +139,9 @@ class Network:
         self._incident = {n: tuple(sorted(v, key=lambda a: a.id)) for n, v in incident.items()}
         self._total_length = sum((a.length for a in self.arcs), Fraction(0))
         self._dist_cache: dict[str, tuple[dict[str, Fraction], dict[str, str]]] = {}
+        # filled by the tree layer (decomposition.py) on first use
+        self._side_weights_memo: dict[str, tuple[Fraction, Fraction]] | None = None
+        self._decomposition_memo = None  # the last SubtreeDecomposition built
         if not self._connected():
             raise ValidationError("network is disconnected")
 
@@ -406,7 +411,7 @@ class SubNetwork:
         return cls(host, {a.id: ((Fraction(0), a.length),) for a in host.arcs}, frozenset())
 
     @classmethod
-    def from_segments(cls, host: Network, segs: Iterable[Segment], points: Iterable[Point] = ()) -> "SubNetwork":
+    def from_segments(cls, host: Network, segs: Iterable[Segment]) -> "SubNetwork":
         by_arc: dict[str, list] = {}
         for s in segs:
             a = host.arc(s.arc)
@@ -415,9 +420,7 @@ class SubNetwork:
                 raise ValidationError(f"segment {s!r} outside arc of length {a.length}")
             by_arc.setdefault(s.arc, []).append((lo, hi))
         merged = {aid: _merge_intervals(ivs) for aid, ivs in sorted(by_arc.items())}
-        sub = cls(host, merged, frozenset())
-        extra = frozenset(p for p in points if not sub.contains(p))
-        return cls(host, merged, extra)
+        return cls(host, merged, frozenset())
 
     @classmethod
     def single_point(cls, host: Network, p: Point) -> "SubNetwork":
@@ -580,7 +583,8 @@ class Walk:
         self.net = net
         self.start = start
         self.steps = tuple(steps)
-        cum = [Fraction(0)]
+        total = Fraction(0)
+        cum = [total]
         where = start
         for s in self.steps:
             a = net.arc(s.arc)
@@ -589,11 +593,19 @@ class Walk:
             for off in (s.start, s.end):
                 if off < 0 or off > a.length:
                     raise ValidationError(f"step offset {off} outside arc {s.arc!r}")
-            entry = net.point(s.arc, s.start)
-            if entry != where:
+            # the step leaves from `where`: the node at the arc end it starts
+            # from, or the same interior offset of the same arc
+            lo = frac(s.start)
+            node = a.endpoint_at(lo)
+            joined = where.node == node if node is not None else where.arc == a.id and where.offset == lo
+            if not joined:
+                entry = net.point(s.arc, lo)
                 raise ValidationError(f"step on {s.arc!r} starts at {entry!r}, walk is at {where!r}")
-            where = net.point(s.arc, s.end)
-            cum.append(cum[-1] + s.length)
+            hi = frac(s.end)
+            node = a.endpoint_at(hi)
+            where = Point(node=node) if node is not None else Point(arc=a.id, offset=hi)
+            total += abs(hi - lo)
+            cum.append(total)
         self._cum = tuple(cum)
         self.end_point = where
 

@@ -302,3 +302,18 @@ def mc_hits_reference(patrol, attack, alpha, trials: int, seed: int) -> int:
             elapsed += step.length
         hits += caught
     return hits
+
+
+def walk_trace_reference(walk: Walk) -> tuple[Point, Fraction, list[tuple[Fraction, Point]]]:
+    """End point, duration and (time, point) at every step boundary of a
+    walk, each point built with `Network.point` from the step's offsets."""
+    net = walk.net
+    if not walk.steps:
+        return walk.start, Fraction(0), [(Fraction(0), walk.start)]
+    t = Fraction(0)
+    first = walk.steps[0]
+    trace = [(t, net.point(first.arc, first.start))]
+    for s in walk.steps:
+        t += abs(s.end - s.start)
+        trace.append((t, net.point(s.arc, s.end)))
+    return trace[-1][1], t, trace

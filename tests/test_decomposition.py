@@ -9,14 +9,20 @@ from patrolgame import (
     ValidationError,
     core,
     critical_alpha,
+    e_patrolling,
     extremity_set,
+    format_network,
+    game_value_tree,
     local_root_of_tree,
+    parse_network,
     path_network,
     star_network,
     subtree_decomposition,
+    tree_attack_strategy,
 )
 from patrolgame.decomposition import _side_weights
-from conftest import LENGTH_POOL, random_tree
+from patrolgame.serialize import write_attack, write_decomposition_report, write_patrol
+from conftest import LENGTH_POOL, make_sample_tree, random_alpha, random_tree
 from oracles import min_side_measure, side_measures
 
 F = Fraction
@@ -232,3 +238,65 @@ def test_side_weights_match_oracle():
             assert weights[a.id] == side_measures(tree, a.id)
             flipped_far += dist[a.u] > dist[a.v]
     assert flipped_far > 0
+
+
+def _tree_outputs(net, alpha):
+    """Decomposition report, attack and patrol bytes, as the CLI writes them."""
+    dec = subtree_decomposition(net, alpha)
+    report = write_decomposition_report(net, dec, critical_alpha(net), local_root_of_tree(net),
+                                        game_value_tree(net, alpha))
+    return (report, write_attack(tree_attack_strategy(net, alpha, epsilon=F(1, 20))),
+            write_patrol(e_patrolling(net, alpha)))
+
+
+def test_decomposition_memo_same_object(sample_tree):
+    dec = subtree_decomposition(sample_tree, 4)
+    assert subtree_decomposition(sample_tree, F(4)) is dec
+    assert subtree_decomposition(sample_tree, "4") is dec
+    assert subtree_decomposition(sample_tree, 2) is not dec
+
+
+def test_decomposition_memo_alpha_sweep_matches_fresh_networks():
+    rng = random.Random(5)
+    cases = [(format_network(make_sample_tree()), (F(2), F(4), F(9)))]
+    for _ in range(4):
+        tree = random_tree(rng, max_nodes=14, min_nodes=4)
+        a_star = critical_alpha(tree)
+        cases.append((format_network(tree), (a_star / 3, a_star * 2 / 3, a_star)))
+    for text, alphas in cases:
+        net = parse_network(text)
+        for a1, a2 in zip(alphas, alphas[1:]):
+            for alpha in (a1, a2, a1):
+                assert _tree_outputs(net, alpha) == _tree_outputs(parse_network(text), alpha)
+
+
+def test_memoized_queries_match_fresh_network():
+    rng = random.Random(8)
+    for _ in range(10):
+        tree = random_tree(rng, max_nodes=12, min_nodes=3)
+        alpha, other = random_alpha(rng, tree), random_alpha(rng, tree)
+        subtree_decomposition(tree, alpha)
+        fresh = parse_network(format_network(tree))
+        assert critical_alpha(tree) == critical_alpha(fresh)
+        assert local_root_of_tree(tree) == local_root_of_tree(fresh)
+        for a in (alpha, other):
+            assert extremity_set(tree, a) == extremity_set(fresh, a)
+            assert seg_set(core(tree, a)) == seg_set(core(fresh, a))
+
+
+def test_checks_run_on_every_call(sample_tree, unit_k4):
+    for _ in range(2):
+        for call in (lambda: subtree_decomposition(unit_k4, 1), lambda: critical_alpha(unit_k4),
+                     lambda: extremity_set(unit_k4, 1), lambda: local_root_of_tree(unit_k4)):
+            with pytest.raises(ValidationError, match="not a tree"):
+                call()
+    dec = subtree_decomposition(sample_tree, 4)
+    for _ in range(2):
+        for bad in (0, -1, 21):
+            with pytest.raises(ValidationError):
+                subtree_decomposition(sample_tree, bad)
+            with pytest.raises(ValidationError):
+                extremity_set(sample_tree, bad)
+        with pytest.raises(TypeError):
+            subtree_decomposition(sample_tree, 4.0)
+        assert subtree_decomposition(sample_tree, 4) is dec

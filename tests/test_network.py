@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from patrolgame import (
     FormatError,
     Network,
+    Point,
     Step,
     SubNetwork,
     ValidationError,
@@ -17,15 +18,18 @@ from patrolgame import (
     complete_network,
     components_after_removal,
     double_traversal,
+    e_patrolling,
     eulerian_tour,
     format_network,
     parse_network,
     path_network,
+    random_closed_walk,
     star_network,
     walk_through_nodes,
 )
 from conftest import make_sample_tree, random_tree
-from oracles import removal_component_measures, subdivided_distance, to_nx
+from oracles import (removal_component_measures, search_family, subdivided_distance, to_nx,
+                     walk_trace_reference)
 
 F = Fraction
 
@@ -233,6 +237,91 @@ def test_walk_incidence_validation():
     seg = Network(["u", "v", "w"], [("a", "u", "v", 1), ("b", "v", "w", 1)])
     with pytest.raises(ValidationError):
         Walk(seg, seg.node_point("u"), [Step("a", F(0), F(1)), Step("b", F(1), F(0))])
+
+
+def _walk_error(net, start, steps) -> str:
+    with pytest.raises(ValidationError) as err:
+        Walk(net, start, steps)
+    return str(err.value)
+
+
+def test_walk_step_validation_messages():
+    net = Network(["u", "v", "w"], [("a", "u", "v", 2), ("b", "v", "w", 1)])
+    u = net.node_point("u")
+    assert _walk_error(net, u, [Step("a", F(1), F(1))]) == "zero-length step on arc 'a'"
+    assert _walk_error(net, u, [Step("a", F(-1), F(1))]) == "step offset -1 outside arc 'a'"
+    assert _walk_error(net, u, [Step("a", F(0), F(5, 2))]) == "step offset 5/2 outside arc 'a'"
+    assert _walk_error(net, u, [Step("c", F(0), F(1))]) == "unknown arc 'c'"
+    # after a node: the next step starts at the far end of another arc
+    assert (_walk_error(net, u, [Step("a", F(0), F(2)), Step("b", F(1), F(0))])
+            == "step on 'b' starts at node:w, walk is at node:v")
+    assert (_walk_error(net, u, [Step("b", F(0), F(1))])
+            == "step on 'b' starts at node:v, walk is at node:u")
+    # after an interior point: another offset, another arc, or a node
+    half = [Step("a", F(0), F(1, 2))]
+    assert (_walk_error(net, u, half + [Step("a", F(1, 4), F(2))])
+            == "step on 'a' starts at arc:a:1/4, walk is at arc:a:1/2")
+    assert (_walk_error(net, u, half + [Step("b", F(1, 2), F(1))])
+            == "step on 'b' starts at arc:b:1/2, walk is at arc:a:1/2")
+    assert (_walk_error(net, u, half + [Step("a", F(0), F(1))])
+            == "step on 'a' starts at node:u, walk is at arc:a:1/2")
+    # an interior start, and a start given at an arc end in interior form
+    assert (_walk_error(net, net.point("a", 1), [Step("a", F(3, 2), F(2))])
+            == "step on 'a' starts at arc:a:3/2, walk is at arc:a:1")
+    assert (_walk_error(net, Point(arc="a", offset=F(0)), [Step("a", F(0), F(1))])
+            == "step on 'a' starts at node:u, walk is at arc:a:0")
+
+
+def test_walk_loop_arc_entered_at_either_end():
+    net = Network(["x", "y"], [("b", "x", "y", 1), ("l", "x", "x", 2)])
+    y = net.node_point("y")
+    for entry in (F(0), F(2)):
+        exit_ = 2 - entry
+        assert (_walk_error(net, y, [Step("l", entry, exit_)])
+                == "step on 'l' starts at node:x, walk is at node:y")
+        w = Walk(net, y, [Step("b", F(1), F(0)), Step("l", entry, exit_), Step("b", F(0), F(1))])
+        assert w.is_closed and w.duration == 4
+        assert w.visit_times(net.node_point("x")) == (1, 3)
+        part = Walk(net, y, [Step("b", F(1), F(0)), Step("l", entry, F(1)), Step("l", F(1), entry)])
+        assert part.end_point == net.node_point("x") and part.duration == 3
+        assert part.position(2) == net.point("l", 1)
+
+
+def test_walk_rejects_float_offsets():
+    net = Network(["u", "v"], [("a", "u", "v", 2)])
+    u = net.node_point("u")
+    for step in (Step("a", 0.0, F(1)), Step("a", F(0), 1.5)):
+        with pytest.raises(TypeError, match="refusing inexact value"):
+            Walk(net, u, [step])
+
+
+def _seeded_walks():
+    rng = random.Random(23)
+    for _ in range(12):
+        tree = random_tree(rng, max_nodes=12, min_nodes=3)
+        yield random_closed_walk(tree, rng, max_steps=16)
+        alpha = F(rng.randint(1, int(8 * tree.total_length)), 4)
+        for w, _ in e_patrolling(tree, alpha).components:  # interior cut points
+            yield w
+    for n in (4, 5):
+        yield random_closed_walk(complete_network(n, F(3, 2)), rng, max_steps=20)
+    yield from search_family(complete_network(4), F(1, 4), 2)
+    loop = Network(["x", "y"], [("b", "x", "y", 1), ("l", "x", "x", 2)])
+    yield Walk(loop, loop.point("b", F(1, 3)), [
+        Step("b", F(1, 3), F(0)), Step("l", F(2), F(1, 2)), Step("l", F(1, 2), F(2)),
+        Step("l", F(0), F(2)), Step("b", F(0), F(1, 3))])
+
+
+def test_walk_trace_matches_point_reference():
+    count = 0
+    for w in _seeded_walks():
+        end, duration, trace = walk_trace_reference(w)
+        assert w.end_point == end and w.duration == duration
+        assert [w.position(t) for t, _ in trace] == [p for _, p in trace]
+        rev = w.reversed()
+        assert rev.end_point == w.start and rev.duration == duration
+        count += 1
+    assert count > 100
 
 
 def test_stationary_walk():
