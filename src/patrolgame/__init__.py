@@ -20,7 +20,6 @@ from .ebd import LeafDistribution, RootedSubtree, density, ebd, subtree_above
 from .engine import (
     BestResponse,
     EvaluationResult,
-    PhaseIntervalSet,
     SearchResult,
     attacker_best_response,
     evaluate,

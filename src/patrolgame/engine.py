@@ -1,9 +1,13 @@
 """Interception evaluation and best-response searches.
 
-Exact evaluation works through favorable-phase interval unions in rational
-arithmetic.  Continuous spatial attack parts are handled by midpoint-grid
-quadrature or Monte Carlo; an exact coverage integral for piecewise-uniform
-attacks is deliberately not provided.  Monte Carlo is the only place floating
+Exact evaluation runs on one integer kernel: the attack duration, step
+offsets and point offsets are scaled to integers by the lcm of their
+denominators, each walk's visits are indexed once per call, and a point's
+covered phase measure is the sum of min(gap, alpha) over the cyclic gaps
+between its visits; the only Fraction a point gets is its probability.
+Continuous spatial attack parts are handled by midpoint-grid quadrature or
+Monte Carlo; an exact coverage integral for piecewise-uniform attacks is
+deliberately not provided.  Monte Carlo is the only place floating
 point appears: trial i consumes a fixed block of a counter-based stream keyed
 by the seed, so results are reproducible under any sharding of the trials.
 Trials are drawn and scored in fixed-size chunks, each sorted once by (walk,
@@ -29,44 +33,12 @@ from .network import Network, Point, Step, SubNetwork, Walk, frac, walk_through_
 from .strategies import AttackStrategy, PatrolStrategy
 
 
-@dataclass(frozen=True)
-class PhaseIntervalSet:
-    """Union of disjoint phase intervals modulo a period."""
-
-    period: Fraction
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-
-    @property
-    def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
-
-    @classmethod
-    def from_visits(cls, visits: Sequence[Fraction], t, alpha, period) -> "PhaseIntervalSet":
-        """Phases for which some visit falls inside [t, t + alpha]."""
-        t, alpha, period = frac(t), frac(alpha), frac(period)
-        if period <= 0:
-            raise ValidationError("period must be positive")
-        if not visits:
-            return cls(period, ())
-        if alpha >= period:
-            return cls(period, ((Fraction(0), period),))
-        raw = []
-        for v in visits:
-            lo = (v - t - alpha) % period
-            hi = lo + alpha
-            if hi <= period:
-                raw.append((lo, hi))
-            else:
-                raw.append((lo, period))
-                raw.append((Fraction(0), hi - period))
-        raw.sort()
-        merged = [list(raw[0])]
-        for lo, hi in raw[1:]:
-            if lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return cls(period, tuple((lo, hi) for lo, hi in merged))
+def _duration(alpha) -> Fraction:
+    """The attack duration as an exact rational, rejected when negative."""
+    alpha = frac(alpha)
+    if alpha < 0:
+        raise ValidationError("attack duration must be nonnegative")
+    return alpha
 
 
 def periodic_visits(walk: Walk, x: Point) -> tuple[Fraction, ...]:
@@ -84,11 +56,9 @@ def intercept(walk: Walk, x: Point, t, alpha, dwell_at_end: bool = False) -> boo
     Closed walks repeat forever; open walks must cover the window unless
     `dwell_at_end` grants the patrol permission to wait at its final point.
     """
-    t, alpha = frac(t), frac(alpha)
+    t, alpha = frac(t), _duration(alpha)
     if t < 0:
         raise ValidationError("attack start time must be nonnegative")
-    if alpha < 0:
-        raise ValidationError("attack duration must be nonnegative")
     if walk.is_stationary:
         return x == walk.start
     if walk.is_closed:
@@ -106,24 +76,96 @@ def intercept(walk: Walk, x: Point, t, alpha, dwell_at_end: bool = False) -> boo
     return dwell_at_end and x == walk.end_point and t + alpha >= walk.duration
 
 
+def _lcm(nums):
+    out = 1
+    for n in nums:
+        out = out * n // math.gcd(out, n)
+    return out
+
+
+def _covered_measure(visits: Sequence[int], alpha: int, period: int) -> int:
+    """Measure of the phases in one period for which some visit falls in the
+    attack window: the sum of min(gap, alpha) over the cyclic gaps between
+    the sorted visit times in [0, period] (at least one), or the whole
+    period once alpha reaches it."""
+    if alpha >= period:
+        return period
+    total = 0
+    prev = visits[-1] - period
+    for v in visits:
+        total += min(v - prev, alpha)
+        prev = v
+    return total
+
+
+def _interception_probabilities(patrol: PatrolStrategy, points: Sequence[Point],
+                                alpha: Fraction) -> list[Fraction]:
+    """Exact interception probability of an attack of duration alpha at each
+    point, with uniform phases.
+
+    Alpha, step offsets and point offsets go on one integer scale, the lcm of
+    their denominators; walk clocks sum differences of step offsets, so they
+    are integers on it too.  Each walk with nonzero weight is indexed once:
+    its steps by arc as (start time, low offset, high offset, entry offset)
+    and its sorted visit times within one period by node.  A walk of weight s
+    and period P adds s * measure / P; the weights are put over one common
+    denominator, so each point's sum is an integer until its one Fraction.
+    """
+    walks = [(w, s) for w, s in patrol.components if s]
+    denoms = [alpha.denominator]
+    denoms += [o.denominator for w, _ in walks for st in w.steps for o in (st.start, st.end)]
+    denoms += [p.offset.denominator for p in points if not p.is_node]
+    scale = _lcm(denoms)
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    a = scaled(alpha)
+    offsets = [None if p.is_node else scaled(p.offset) for p in points]
+    # a stationary walk covers its start point at every phase: weight s, measure 1
+    weights = [s / scaled(w.duration) if w.steps else s for w, s in walks]
+    denominator = _lcm(wt.denominator for wt in weights)
+    totals = [0] * len(points)
+    for (walk, _), wt in zip(walks, weights):
+        coef = wt.numerator * (denominator // wt.denominator)
+        if not walk.steps:
+            for k, x in enumerate(points):
+                if x == walk.start:
+                    totals[k] += coef
+            continue
+        # Step order gives each point's visit times in nondecreasing order
+        # within [0, P]; a time listed twice (at a step boundary, or at
+        # both 0 and P) adds only a gap of 0.  A closed walk is at each step
+        # start when the step before ends, so nodes list step ends only.
+        by_arc: dict[str, list[tuple[int, int, int, int]]] = {}
+        by_node: dict[str, list[int]] = {}
+        clock = 0
+        for st in walk.steps:
+            o1, o2 = scaled(st.start), scaled(st.end)
+            by_arc.setdefault(st.arc, []).append((clock, min(o1, o2), max(o1, o2), o1))
+            clock += abs(o2 - o1)
+            node = walk.net.arc(st.arc).endpoint_at(st.end)
+            if node is not None:
+                by_node.setdefault(node, []).append(clock)
+        period = clock
+        for k, x in enumerate(points):
+            if x.is_node:
+                visits = by_node.get(x.node)
+            else:
+                off = offsets[k]
+                visits = [t0 + abs(off - o1) for t0, lo, hi, o1 in by_arc.get(x.arc, ())
+                          if lo <= off <= hi]
+            if visits:
+                totals[k] += coef * _covered_measure(visits, a, period)
+    return [Fraction(t, denominator) for t in totals]
+
+
 def interception_probability(patrol: PatrolStrategy, x: Point, t, alpha) -> Fraction:
     """Exact probability that the phase-randomized mixture intercepts an
     attack at x starting at time t.  Uniform phases make the result invariant
     in t; the argument is kept for interface fidelity."""
-    t, alpha = frac(t), frac(alpha)
-    total = Fraction(0)
-    for walk, s in patrol.components:
-        if s == 0:
-            continue
-        if walk.is_stationary:
-            total += s if x == walk.start else Fraction(0)
-            continue
-        vis = periodic_visits(walk, x)
-        if not vis:
-            continue
-        pis = PhaseIntervalSet.from_visits(vis, t, alpha, walk.duration)
-        total += s * pis.measure / walk.duration
-    return total
+    frac(t)
+    return _interception_probabilities(patrol, [x], _duration(alpha))[0]
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -140,13 +182,9 @@ class EvaluationResult:
 
 
 def _exact_atomic(patrol: PatrolStrategy, attack: AttackStrategy, alpha) -> Fraction:
-    t0 = attack.temporal.value if attack.temporal.kind == "fixed" else Fraction(0)
-    total = Fraction(0)
-    for point, mass in attack.atoms:
-        if mass == 0:
-            continue
-        total += mass * interception_probability(patrol, point, t0, alpha)
-    return total
+    atoms = [(p, m) for p, m in attack.atoms if m]
+    probs = _interception_probabilities(patrol, [p for p, _ in atoms], alpha)
+    return sum((m * q for (_, m), q in zip(atoms, probs)), Fraction(0))
 
 
 def evaluate(patrol: PatrolStrategy, attack: AttackStrategy, alpha, *,
@@ -159,7 +197,7 @@ def evaluate(patrol: PatrolStrategy, attack: AttackStrategy, alpha, *,
     by midpoint atoms at the given step and is exact from there on; ``mc``
     runs seeded Monte Carlo and reports a 95% confidence half-width.
     """
-    alpha = frac(alpha)
+    alpha = _duration(alpha)
     if method in ("mc", "monte-carlo"):
         return _mc_evaluate(patrol, attack, alpha, trials, seed, jobs)
     if method == "exact":
@@ -320,11 +358,11 @@ def attacker_best_response(patrol: PatrolStrategy, alpha, *, space_step,
     time, so every point is scored once at time 0.  `time_step` does not
     change the result; it is echoed in `BestResponse.time_step`.
     """
-    alpha = frac(alpha)
+    alpha = _duration(alpha)
     grid = SubNetwork.whole(patrol.network).grid_points(space_step, extra=extra_points)
+    probs = _interception_probabilities(patrol, grid, alpha)
     best = None
-    for x in grid:
-        prob = interception_probability(patrol, x, 0, alpha)
+    for x, prob in zip(grid, probs):
         if best is None or prob < best[0]:
             best = (prob, x)
     prob, x = best
@@ -377,13 +415,6 @@ def random_closed_walk(net: Network, rng: random.Random, max_steps: int = 20) ->
     return walk_through_nodes(net, seq)
 
 
-def _lcm(nums):
-    out = 1
-    for n in nums:
-        out = out * n // math.gcd(out, n)
-    return out
-
-
 @dataclass(frozen=True)
 class SearchResult:
     walk: Walk
@@ -407,7 +438,7 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     `walk_attack_probability` repeats a closed walk periodically, so on a
     closed walk the two can give different probabilities.
     """
-    alpha = frac(alpha)
+    alpha = _duration(alpha)
     offset_step = frac(offset_step)
     disc = attack.discretized(grid_step)
     fixed_t = disc.temporal.kind == "fixed"
@@ -576,7 +607,7 @@ def walk_attack_probability(walk: Walk, attack: AttackStrategy, alpha, *,
     `dwell_at_end`.  `patrol_search` holds the patrol at the end point of
     every walk, closed ones included, so on a closed walk the two can give
     different probabilities."""
-    alpha = frac(alpha)
+    alpha = _duration(alpha)
     disc = attack if attack.is_atomic else attack.discretized(grid_step)
     total = Fraction(0)
     if disc.temporal.kind == "fixed":

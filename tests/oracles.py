@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the production algorithms: shortest
 paths run on subdivided graphs through networkx, side measures come from
-edge-removal component sums, factorization counts and least largest-factor
+edge-removal component sums, interception probabilities come from a merge of
+rational phase intervals, one point at a time, factorization counts and least largest-factor
 lengths come from set-cover search over explicitly enumerated perfect
 matchings, the patrol search scores every walk of its family as a
 `Walk` object, one at a time, and Monte Carlo is replayed one trial at a time
@@ -302,6 +303,52 @@ def mc_hits_reference(patrol, attack, alpha, trials: int, seed: int) -> int:
             elapsed += step.length
         hits += caught
     return hits
+
+
+def interception_reference(patrol, x: Point, t, alpha) -> Fraction:
+    """Probability that the phase-randomized mixture intercepts an attack at
+    x in the window [t, t + alpha], in Fractions, one point at a time.
+
+    Each walk's visit times of x (`Walk.visit_times`), reduced mod its
+    period, give the phases p for which a visit falls in the window: p in
+    [v - t - alpha, v - t] mod the period.  The union of those intervals is
+    merged explicitly; its measure over the period is the walk's share.  A
+    stationary walk catches only an attack at its own position."""
+    t, alpha = Fraction(t), Fraction(alpha)
+    total = Fraction(0)
+    for walk, s in patrol.components:
+        if s == 0:
+            continue
+        if walk.is_stationary:
+            total += s if x == walk.start else 0
+            continue
+        period = walk.duration
+        visits = sorted({v % period for v in walk.visit_times(x)})
+        if not visits:
+            continue
+        if alpha >= period:
+            total += s
+            continue
+        raw = []
+        for v in visits:
+            lo = (v - t - alpha) % period
+            hi = lo + alpha
+            if hi <= period:
+                raw.append((lo, hi))
+            else:
+                raw += [(lo, period), (Fraction(0), hi - period)]
+        raw.sort()
+        measure = Fraction(0)
+        cur_lo, cur_hi = raw[0]
+        for lo, hi in raw[1:]:
+            if lo <= cur_hi:
+                cur_hi = max(cur_hi, hi)
+            else:
+                measure += cur_hi - cur_lo
+                cur_lo, cur_hi = lo, hi
+        measure += cur_hi - cur_lo
+        total += s * measure / period
+    return total
 
 
 def walk_trace_reference(walk: Walk) -> tuple[Point, Fraction, list[tuple[Fraction, Point]]]:

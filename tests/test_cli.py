@@ -147,6 +147,20 @@ def test_simulate_rejects_bad_seed_and_jobs(tree_file, tmp_path, capsys, flag, v
     assert "manifest" not in captured.out
 
 
+@pytest.mark.parametrize("method", ["exact", "grid", "mc"])
+def test_simulate_rejects_negative_alpha(tree_file, tmp_path, capsys, method):
+    patrol_file = tmp_path / "p.txt"
+    attack_file = tmp_path / "a.txt"
+    main(["patrol", tree_file, "--alpha", "4", "--kind", "e", "-o", str(patrol_file)])
+    main(["attack", tree_file, "--alpha", "4", "-o", str(attack_file)])
+    capsys.readouterr()
+    assert main(["simulate", tree_file, "--patrol", str(patrol_file), "--attack", str(attack_file),
+                 "--alpha", "-1", "--method", method, "--trials", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: attack duration must be nonnegative\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("mass", ["1/0", "abc"])
 def test_simulate_bad_rational_in_attack_file(tree_file, tmp_path, capsys, mass):
     patrol_file = tmp_path / "p.txt"

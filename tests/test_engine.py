@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -9,7 +10,6 @@ import pytest
 from patrolgame import (
     AttackStrategy,
     PatrolStrategy,
-    PhaseIntervalSet,
     Network,
     Step,
     SubNetwork,
@@ -31,6 +31,7 @@ from patrolgame import (
     k4_tightness_attack,
     patrol_search,
     random_closed_walk,
+    round_robin_one_factorization,
     subtree_decomposition,
     tree_attack_strategy,
     uniform_attack,
@@ -39,8 +40,8 @@ from patrolgame import (
 )
 from patrolgame import engine
 from patrolgame.engine import periodic_visits
-from conftest import make_sample_tree, random_tree
-from oracles import bruteforce_search, mc_hits_reference
+from conftest import LENGTH_POOL, make_sample_tree, random_tree
+from oracles import bruteforce_search, interception_reference, mc_hits_reference
 
 F = Fraction
 
@@ -81,14 +82,30 @@ def test_intercept_open_walk_requires_coverage():
     assert intercept(w, net.node_point("v"), 1, 5, dwell_at_end=True)
 
 
+@pytest.mark.parametrize("call", [
+    lambda pat, att, x: evaluate(pat, att, -1, method="exact"),
+    lambda pat, att, x: evaluate(pat, att, -1, method="grid"),
+    lambda pat, att, x: evaluate(pat, att, "-1/2", method="mc", trials=10),
+    lambda pat, att, x: attacker_best_response(pat, -1, space_step=F(1, 2)),
+    lambda pat, att, x: interception_probability(pat, x, 0, F(-1, 3)),
+    lambda pat, att, x: walk_attack_probability(pat.components[0][0], att, -1),
+    lambda pat, att, x: patrol_search(pat.network, att, -1, max_steps=1),
+    lambda pat, att, x: intercept(pat.components[0][0], x, 0, -1),
+], ids=["exact", "grid", "mc", "best_response", "interception", "walk", "search", "intercept"])
+def test_negative_duration_rejected(sample_tree, call):
+    pat = e_patrolling(sample_tree, 4)
+    att = tree_attack_strategy(sample_tree, 4)
+    with pytest.raises(ValidationError, match="^attack duration must be nonnegative$"):
+        call(pat, att, sample_tree.node_point("B"))
+
+
 def test_phase_interval_set():
-    s = PhaseIntervalSet.from_visits([F(1), F(3)], 0, 1, 4)
-    assert s.measure == 2
-    s2 = PhaseIntervalSet.from_visits([F(1), F(3)], 0, 3, 4)
-    assert s2.measure == 4  # saturates at the period
-    s3 = PhaseIntervalSet.from_visits([F(0)], 0, 1, 4)
-    assert s3.measure == 1
-    assert all(0 <= lo < hi <= 4 for lo, hi in s3.intervals)
+    # covered phase measure of visits mod a period of 4 (integer scale)
+    assert engine._covered_measure([1, 3], 1, 4) == 2
+    assert engine._covered_measure([1, 3], 3, 4) == 4  # saturates at the period
+    assert engine._covered_measure([0], 1, 4) == 1
+    # a repeated time, and a visit listed at both 0 and the period, count once
+    assert engine._covered_measure([0, 1, 1, 4], 1, 4) == 2
 
 
 def test_interception_probability_fixtures():
@@ -106,6 +123,66 @@ def test_interception_probability_complete_k4(unit_k4):
     assert interception_probability(pat, unit_k4.node_point("v2"), 0, 3) == F(3, 4)
     x = unit_k4.point("v1-v2", F(1, 2))
     assert interception_probability(pat, x, 0, 3) == F(1, 2)
+
+
+def _kernel_cases():
+    """(patrol, points) pairs: E-patrolling on seeded trees, complete
+    patrolling on unit and rational K4/K6, closed walks on a multigraph with
+    parallel and loop arcs (one turning inside arcs and taking the loop both
+    ways), and mixtures with a stationary walk and a zero-weight component.
+    Points are the nodes, the interior step ends, a quarter grid and offsets
+    at sevenths of each arc."""
+    rng = random.Random(83)
+    cases = []
+    for _ in range(6):
+        tree = random_tree(rng, min_nodes=3)
+        alpha = max(F(1, 4), F(int(critical_alpha(tree) * rng.randint(20, 120) / 25), 4))
+        cases.append(e_patrolling(tree, alpha))
+    for n in (4, 6):
+        rational = Network([f"v{i}" for i in range(n)],
+                           [(f"v{i}-v{j}", f"v{i}", f"v{j}", rng.choice(LENGTH_POOL))
+                            for i in range(n) for j in range(i + 1, n)])
+        cases += [complete_patrolling(complete_network(n)), complete_patrolling(rational)]
+    multi = Network(["a", "b", "c", "d"],
+                    [("e1", "a", "b", 1), ("e2", "a", "b", F(3, 2)), ("e3", "b", "c", F(1, 2)),
+                     ("e4", "c", "a", 2), ("e5", "c", "d", F(5, 4)), ("l", "c", "c", F(3, 4))])
+    turns = Walk(multi, multi.node_point("c"), [
+        Step("l", F(0), F(3, 4)), Step("e5", F(0), F(1, 2)), Step("e5", F(1, 2), F(0)),
+        Step("l", F(3, 4), F(1, 4)), Step("l", F(1, 4), F(3, 4)), Step("l", F(3, 4), F(0))])
+    walks = [turns] + [random_closed_walk(multi, random.Random(k), max_steps=9) for k in range(3)]
+    walks += [greedy_coverage_walk(multi, seed=k) for k in range(2)]
+    cases += [PatrolStrategy.single(w) for w in walks]
+    cases.append(PatrolStrategy(multi, ((walks[0], F(1, 2)), (walks[1], F(1, 3)),
+                                        (Walk(multi, multi.point("e4", F(2, 3))), F(1, 6)),
+                                        (walks[2], F(0)))))
+    cases.append(PatrolStrategy(multi, ((walks[3], F(3, 4)), (Walk(multi, multi.node_point("b")), F(1, 4)),
+                                        (walks[4], F(0)))))
+    cases.append(PatrolStrategy(multi, ((Walk(multi, multi.node_point("d")), F(1)),)))
+    for pat in cases:
+        net = pat.network
+        points = {net.node_point(n) for n in net.nodes}
+        points.update(net.point(st.arc, st.end) for w, _ in pat.components for st in w.steps)
+        points.update(SubNetwork.whole(net).grid_points(F(1, 4)))
+        points.update(net.point(a.id, a.length * F(k, 7)) for a in net.arcs for k in range(1, 7))
+        yield pat, sorted(points, key=lambda p: p.sort_key())
+
+
+def test_kernel_matches_interception_reference():
+    rng = random.Random(89)
+    interior_ends = 0
+    for pat, points in _kernel_cases():
+        interior_ends += sum(not pat.network.point(st.arc, st.end).is_node
+                             for w, _ in pat.components for st in w.steps)
+        periods = [w.duration for w, _ in pat.components if w.steps] or [F(1)]
+        alphas = [F(0), min(periods) * F(rng.randint(1, 9), 10),
+                  max(periods) * F(rng.randint(1, 9), 10), max(periods), max(periods) + F(1, 3)]
+        t = F(rng.randint(1, 40), 3)
+        for alpha in alphas:
+            want = [interception_reference(pat, x, t, alpha) for x in points]
+            assert engine._interception_probabilities(pat, points, alpha) == want
+            for x, p in list(zip(points, want))[::11]:
+                assert interception_probability(pat, x, t, alpha) == p
+    assert interior_ends > 0
 
 
 def test_subadditivity_bound():
@@ -513,3 +590,65 @@ def test_greedy_and_random_walks_close(sample_tree, unit_k4):
         assert w.is_closed
         r = random_closed_walk(net, random.Random(11), max_steps=12)
         assert r.is_closed
+
+
+def _verify_trees(seed: int):
+    """The demo tree at duration 4 and the seeded trees of one benchmark
+    `tree_verify` pass: random attachment on 8-24 nodes, duration a drawn
+    share of the critical one on a quarter grid."""
+    rng = random.Random(f"tree_verify:{seed}")
+    yield make_sample_tree(), F(4)
+    pool = (F(1, 2), F(1), F(3, 2), F(2), F(1, 4), F(3), F(5, 2))
+    for n in (8, 12, 16, 20, 24):
+        nodes = [f"n{i}" for i in range(n)]
+        arcs = [(f"e{i:04d}", nodes[rng.randrange(i)], nodes[i], rng.choice(pool))
+                for i in range(1, n)]
+        net = Network(nodes, arcs)
+        share = F(rng.randint(35, 65), 100)
+        yield net, max(F(1, 4), F(int(critical_alpha(net) * share * 4), 4))
+
+
+def _exact_digest(pat, alpha, attack, step, extra=()) -> str:
+    """SHA-256 over the best response, the grid and exact evaluations and
+    the probability at every point of the best response's grid."""
+    net = pat.network
+    br = attacker_best_response(pat, alpha, space_step=step, extra_points=extra)
+    lines = [f"br {br.point!r} {br.probability}"]
+    for method, att in (("grid", attack), ("exact", attack), ("exact", attack.discretized(F(1, 2)))):
+        r = evaluate(pat, att, alpha, method=method, grid_step=step)
+        lines.append(f"{method} {r.method} {r.probability} {r.notes}")
+    for x in SubNetwork.whole(net).grid_points(step, extra=extra):
+        lines.append(f"{x!r} {interception_probability(pat, x, 0, alpha)}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+EXACT_TREE_DIGESTS = [
+    "344c27c594557ca8b328833d769c01ff53f334306cf142c1601d1096d7ac0f53",
+    "b2060843d6d3d98a85fb799d194426bc1df73c23120a4fb14c605d9906e3d575",
+    "5220a5c3db1c193b8278837668cdddc8a237c5ec5d4deed934dd67e70195e37f",
+    "786f42646b3dbd60e2ba26a0135647ee84c7e11bd1f0e9db39125cbfb3662775",
+    "47b9c0de86b439fd3e1acea0a261382bd6a1795105d01702d35dd666cdb55de1",
+    "d5c73a75c4972323418fc0b9fa7fe834913e065dea90db1e43d41f72ad270dcb",
+]
+EXACT_COMPLETE_DIGESTS = [
+    "09bee7bb29f9e367acac3bd7ba407c3af5e30902367c2608cd991f7841a7818b",
+    "b49acccc40fbd2eae205073c33817d4bde08007892737398e06d883d5b2b51b4",
+    "4fe2c89c2638d0bca4bf15e9e9a662a89aecc7e8fe8d958a4418d53555df51c5",
+]
+
+
+def test_exact_interception_frozen():
+    got = []
+    for net, alpha in _verify_trees(1):
+        dec = subtree_decomposition(net, alpha)
+        att = tree_attack_strategy(net, alpha, epsilon=F(1, 20))
+        got.append(_exact_digest(e_patrolling(net, alpha), alpha, att, F(1, 8), dec.roots))
+    assert got == EXACT_TREE_DIGESTS
+    got = []
+    for n in (4, 6, 8):
+        net = complete_network(n)
+        pat = complete_patrolling(net)
+        att = uniform_attack(net, TemporalLaw.fixed(0))
+        alpha = net.total_length - round_robin_one_factorization(net).delta
+        got.append(_exact_digest(pat, alpha, att, F(1, 2)))
+    assert got == EXACT_COMPLETE_DIGESTS
