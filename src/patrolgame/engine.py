@@ -18,7 +18,6 @@ take whole chunks, and there are never more of them than chunks or cores.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .network import Network, Point, Step, SubNetwork, Walk, frac, walk_through_nodes
+from .network import Network, Point, Step, SubNetwork, Walk, _is_int, frac, walk_through_nodes
 from .strategies import AttackStrategy, PatrolStrategy
 
 
@@ -98,22 +97,51 @@ def _covered_measure(visits: Sequence[int], alpha: int, period: int) -> int:
     return total
 
 
+class _WalkIndex:
+    """A closed walk's clock on a common integer scale: the walk's own scale
+    times `factor`.  `by_arc` lists its steps by arc as (start time, low
+    offset, high offset, entry offset) and `by_node` its step-end times by
+    node, both in step order; `period` is its duration."""
+
+    def __init__(self, walk: Walk, factor: int):
+        self.by_arc: dict[str, list[tuple[int, int, int, int]]] = {}
+        self.by_node: dict[str, list[int]] = {}
+        ticks = [t * factor for t in walk._ticks]
+        for st, (o1, o2), t0, t1, node in zip(walk.steps, walk._offsets, ticks, ticks[1:],
+                                              walk._stops[1:]):
+            o1, o2 = o1 * factor, o2 * factor
+            self.by_arc.setdefault(st.arc, []).append((t0, min(o1, o2), max(o1, o2), o1))
+            if node is not None:
+                self.by_node.setdefault(node, []).append(t1)
+        self.period = ticks[-1]
+
+    def visits(self, x: Point, off: int | None) -> list[int]:
+        """Visit times of x (at scaled offset `off` when interior) within
+        [0, period], nondecreasing.  A time can be listed twice: at a step
+        boundary, or at both 0 and the period.  A closed walk is at each
+        step start when the step before ends, so a node lists step ends only."""
+        if x.is_node:
+            return self.by_node.get(x.node, [])
+        return [t0 + abs(off - o1) for t0, lo, hi, o1 in self.by_arc.get(x.arc, ())
+                if lo <= off <= hi]
+
+
 def _interception_probabilities(patrol: PatrolStrategy, points: Sequence[Point],
                                 alpha: Fraction) -> list[Fraction]:
     """Exact interception probability of an attack of duration alpha at each
     point, with uniform phases.
 
-    Alpha, step offsets and point offsets go on one integer scale, the lcm of
-    their denominators; walk clocks sum differences of step offsets, so they
-    are integers on it too.  Each walk with nonzero weight is indexed once:
-    its steps by arc as (start time, low offset, high offset, entry offset)
-    and its sorted visit times within one period by node.  A walk of weight s
-    and period P adds s * measure / P; the weights are put over one common
-    denominator, so each point's sum is an integer until its one Fraction.
+    Alpha, point offsets and every walk's clock go on one integer scale, the
+    lcm of alpha's and the offsets' denominators and of the walks' own
+    scales; each walk's integer offsets and times are multiplied by one
+    factor to reach it.  Each walk with nonzero weight is indexed once.  A
+    walk of weight s and period P adds s * measure / P; the weights are put
+    over one common denominator, so each point's sum is an integer until its
+    one Fraction.
     """
     walks = [(w, s) for w, s in patrol.components if s]
     denoms = [alpha.denominator]
-    denoms += [o.denominator for w, _ in walks for st in w.steps for o in (st.start, st.end)]
+    denoms += [w._scale for w, _ in walks]
     denoms += [p.offset.denominator for p in points if not p.is_node]
     scale = _lcm(denoms)
 
@@ -133,30 +161,11 @@ def _interception_probabilities(patrol: PatrolStrategy, points: Sequence[Point],
                 if x == walk.start:
                     totals[k] += coef
             continue
-        # Step order gives each point's visit times in nondecreasing order
-        # within [0, P]; a time listed twice (at a step boundary, or at
-        # both 0 and P) adds only a gap of 0.  A closed walk is at each step
-        # start when the step before ends, so nodes list step ends only.
-        by_arc: dict[str, list[tuple[int, int, int, int]]] = {}
-        by_node: dict[str, list[int]] = {}
-        clock = 0
-        for st in walk.steps:
-            o1, o2 = scaled(st.start), scaled(st.end)
-            by_arc.setdefault(st.arc, []).append((clock, min(o1, o2), max(o1, o2), o1))
-            clock += abs(o2 - o1)
-            node = walk.net.arc(st.arc).endpoint_at(st.end)
-            if node is not None:
-                by_node.setdefault(node, []).append(clock)
-        period = clock
+        index = _WalkIndex(walk, scale // walk._scale)
         for k, x in enumerate(points):
-            if x.is_node:
-                visits = by_node.get(x.node)
-            else:
-                off = offsets[k]
-                visits = [t0 + abs(off - o1) for t0, lo, hi, o1 in by_arc.get(x.arc, ())
-                          if lo <= off <= hi]
+            visits = index.visits(x, offsets[k])  # a time listed twice adds a gap of 0
             if visits:
-                totals[k] += coef * _covered_measure(visits, a, period)
+                totals[k] += coef * _covered_measure(visits, a, index.period)
     return [Fraction(t, denominator) for t in totals]
 
 
@@ -223,10 +232,6 @@ _DRAWS_PER_TRIAL = 8
 _CHUNK_TRIALS = 2 ** 16
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
     if not _is_int(trials) or trials <= 0:
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
@@ -262,23 +267,24 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
     # walk * n_entries + entry: True when a stationary walk sits on the atom,
     # ("atom", period, visits), or ("seg", period, lo, hi - lo, steps) with a
     # (start time, low offset, high offset, entry offset) tuple per step on the arc.
+    # Times and offsets come from the walks' integer clocks on one scale; an
+    # int/int division rounds as correctly as float() of the equal Fraction.
+    atoms = [e[1] for e in entries if e[0] == "atom"]
+    scale = _lcm([w._scale for w in walks] + [p.offset.denominator for p in atoms if not p.is_node])
+    atom_offsets = {p: p.offset.numerator * (scale // p.offset.denominator) for p in atoms
+                    if not p.is_node}
     tasks = {}
     for i, w in enumerate(walks):
-        period = float(w.duration)
-        arc_steps = {}
-        cum = Fraction(0)
-        for s in w.steps:
-            o1, o2 = float(s.start), float(s.end)
-            arc_steps.setdefault(s.arc, []).append((float(cum), min(o1, o2), max(o1, o2), o1))
-            cum += s.length
+        index = _WalkIndex(w, scale // w._scale)
+        period = index.period / scale
         for j, e in enumerate(entries):
-            if e[0] == "atom" and period == 0.0:
+            if e[0] == "atom" and not index.period:
                 task = True if e[1] == w.start else None
             elif e[0] == "atom":
-                vis = [float(v) for v in periodic_visits(w, e[1])]
-                task = ("atom", period, vis) if vis else None
+                visits = sorted({v % index.period for v in index.visits(e[1], atom_offsets.get(e[1]))})
+                task = ("atom", period, [v / scale for v in visits]) if visits else None
             else:  # a moving point mass never matches a stationary patrol
-                steps = arc_steps.get(e[1]) if period != 0.0 else None
+                steps = [tuple(x / scale for x in st) for st in index.by_arc.get(e[1], ())]
                 task = ("seg", period, e[2], e[3] - e[2], steps) if steps else None
             if task is not None:
                 tasks[i * n_entries + j] = task

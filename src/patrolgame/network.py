@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -556,6 +558,42 @@ def components_after_removal(net: Network, x: Point) -> list[SubNetwork]:
 # -- walks -------------------------------------------------------------------
 
 
+def _exact(x) -> bool:
+    """Whether `frac` takes x as it is: an int other than a bool, or a Fraction."""
+    if type(x) is Fraction or type(x) is int:
+        return True
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _position(node: str | None, arc: str | None, off: int | None, scale: int) -> Point:
+    """The point at a node, or at a scaled offset of an arc."""
+    return Point(node=node) if node is not None else Point(arc=arc, offset=Fraction(off, scale))
+
+
+def _reject_step(net: Network, s: Step, where: Point) -> None:
+    """Raise the error of a step that names an unknown arc or has an offset
+    that is no int or Fraction, after the same checks in the same order as
+    any other step: the arc, a zero length, the offsets' range, the start
+    offset's type, the join with `where`, and last the end offset's type."""
+    a = net.arc(s.arc)
+    if s.start == s.end:
+        raise ValidationError(f"zero-length step on arc {s.arc!r}")
+    for off in (s.start, s.end):
+        if off < 0 or off > a.length:
+            raise ValidationError(f"step offset {off} outside arc {s.arc!r}")
+    lo = frac(s.start)
+    node = a.endpoint_at(lo)
+    if (where.node != node) if node is not None else (where.arc != a.id or where.offset != lo):
+        raise ValidationError(f"step on {s.arc!r} starts at {net.point(s.arc, lo)!r}, "
+                              f"walk is at {where!r}")
+    frac(s.end)
+    raise AssertionError(f"{s!r} has an unknown arc or an inexact offset")
+
+
 @dataclass(frozen=True)
 class Step:
     """Single traversal of part of one arc, from offset `start` to `end`."""
@@ -577,41 +615,72 @@ class Walk:
     game engine.  `visit_times` enumerates the exact instants a point is
     occupied; for a stationary walk at the queried point the single time 0 is
     returned and `is_stationary` serves as the dwell marker.
+
+    Steps are checked and timed on one integer scale, `_scale`: the lcm of
+    the denominators of the step offsets and of the lengths of the arcs they
+    use.  On it, `_offsets` holds each step's (start, end) offsets, `_ticks`
+    the clock at each step boundary and `_stops` the node there (None at an
+    interior point).  `duration` and `end_point` are the only exact values
+    built up front; the `Fraction` step times that `position` and
+    `visit_times` read are built on first use.
     """
 
     def __init__(self, net: Network, start: Point, steps: Sequence[Step] = ()):
         self.net = net
         self.start = start
-        self.steps = tuple(steps)
-        total = Fraction(0)
-        cum = [total]
-        where = start
-        for s in self.steps:
-            a = net.arc(s.arc)
-            if s.start == s.end:
+        self.steps = steps = tuple(steps)
+        arcs = net._arc_by_id
+        rows = []  # (step, arc, start, end) up to the first unknown arc or inexact offset
+        denominators = {1}
+        for s in steps:
+            a, lo, hi = arcs.get(s.arc), s.start, s.end
+            if a is None or not (_exact(lo) and _exact(hi)):
+                break
+            rows.append((s, a, lo, hi))
+            denominators.update((lo.denominator, hi.denominator, a.length.denominator))
+        scale = math.lcm(*denominators)
+        per = {d: scale // d for d in denominators}
+        # the position: a node, or an arc and a scaled offset; an interior
+        # start whose offset is no int or Fraction matches no step
+        node, arc = start.node, start.arc
+        off = start.offset * scale if _exact(start.offset) else None
+        clock = 0
+        ticks, offsets, stops = [0], [], [node]
+        for i, (s, a, start_off, end_off) in enumerate(rows):
+            length = a.length.numerator * per[a.length.denominator]
+            lo = start_off.numerator * per[start_off.denominator]
+            hi = end_off.numerator * per[end_off.denominator]
+            if lo == hi:
                 raise ValidationError(f"zero-length step on arc {s.arc!r}")
-            for off in (s.start, s.end):
-                if off < 0 or off > a.length:
-                    raise ValidationError(f"step offset {off} outside arc {s.arc!r}")
-            # the step leaves from `where`: the node at the arc end it starts
-            # from, or the same interior offset of the same arc
-            lo = frac(s.start)
-            node = a.endpoint_at(lo)
-            joined = where.node == node if node is not None else where.arc == a.id and where.offset == lo
-            if not joined:
-                entry = net.point(s.arc, lo)
-                raise ValidationError(f"step on {s.arc!r} starts at {entry!r}, walk is at {where!r}")
-            hi = frac(s.end)
-            node = a.endpoint_at(hi)
-            where = Point(node=node) if node is not None else Point(arc=a.id, offset=hi)
-            total += abs(hi - lo)
-            cum.append(total)
-        self._cum = tuple(cum)
-        self.end_point = where
+            for raw, x in ((start_off, lo), (end_off, hi)):
+                if x < 0 or x > length:
+                    raise ValidationError(f"step offset {raw} outside arc {s.arc!r}")
+            # the step leaves from the walk's position: the node at the arc
+            # end it starts from, or the same interior offset of the same arc
+            at = a.u if lo == 0 else a.v if lo == length else None
+            if (node != at) if at is not None else (arc != a.id or off != lo):
+                where = start if i == 0 else _position(node, arc, off, scale)
+                raise ValidationError(f"step on {s.arc!r} starts at {net.point(s.arc, start_off)!r}, "
+                                      f"walk is at {where!r}")
+            node = a.u if hi == 0 else a.v if hi == length else None
+            arc, off = (None, None) if node is not None else (a.id, hi)
+            clock += abs(hi - lo)
+            ticks.append(clock)
+            offsets.append((lo, hi))
+            stops.append(node)
+        if len(rows) < len(steps):
+            where = start if not rows else _position(node, arc, off, scale)
+            _reject_step(net, steps[len(rows)], where)
+        self._scale = scale
+        self._ticks = tuple(ticks)
+        self._offsets = tuple(offsets)
+        self._stops = tuple(stops)
+        self.duration = Fraction(clock, scale)
+        self.end_point = _position(node, arc, off, scale) if steps else start
 
-    @property
-    def duration(self) -> Fraction:
-        return self._cum[-1]
+    @cached_property
+    def _cum(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t, self._scale) for t in self._ticks)
 
     @property
     def is_closed(self) -> bool:
@@ -627,15 +696,16 @@ class Walk:
             raise ValidationError(f"time {t} outside [0, {self.duration}]")
         if self.is_stationary:
             return self.start
+        cum = self._cum
         lo, hi = 0, len(self.steps)
         while lo < hi:
             mid = (lo + hi) // 2
-            if self._cum[mid + 1] < t:
+            if cum[mid + 1] < t:
                 lo = mid + 1
             else:
                 hi = mid
         s = self.steps[lo]
-        dt = t - self._cum[lo]
+        dt = t - cum[lo]
         off = s.start + dt if s.end > s.start else s.start - dt
         return self.net.point(s.arc, off)
 
@@ -643,23 +713,17 @@ class Walk:
         """Sorted exact times in [0, duration] at which the walk occupies x."""
         if self.is_stationary:
             return (Fraction(0),) if x == self.start else ()
+        cum = self._cum
+        if x.is_node:
+            # the clock strictly increases, so boundary times come sorted
+            return tuple(cum[i] for i, node in enumerate(self._stops) if node == x.node)
         times = set()
-        if not x.is_node:
-            for i, s in enumerate(self.steps):
-                if s.arc != x.arc:
-                    continue
-                lo, hi = min(s.start, s.end), max(s.start, s.end)
-                if lo <= x.offset <= hi:
-                    times.add(self._cum[i] + abs(x.offset - s.start))
-        else:
-            if self.start == x:
-                times.add(Fraction(0))
-            for i, s in enumerate(self.steps):
-                a = self.net.arc(s.arc)
-                if a.endpoint_at(s.start) == x.node:
-                    times.add(self._cum[i])
-                if a.endpoint_at(s.end) == x.node:
-                    times.add(self._cum[i + 1])
+        for i, s in enumerate(self.steps):
+            if s.arc != x.arc:
+                continue
+            lo, hi = min(s.start, s.end), max(s.start, s.end)
+            if lo <= x.offset <= hi:
+                times.add(cum[i] + abs(x.offset - s.start))
         return tuple(sorted(times))
 
     def reversed(self) -> "Walk":
@@ -667,6 +731,8 @@ class Walk:
         return Walk(self.net, self.end_point, steps)
 
     def repeated(self, k: int) -> "Walk":
+        if not _is_int(k) or k <= 0:
+            raise ValidationError(f"repetitions must be a positive integer, got {k!r}")
         if not self.is_closed:
             raise ValidationError("only closed walks can be repeated")
         return Walk(self.net, self.start, self.steps * k)
@@ -857,10 +923,22 @@ def validate_alpha(net: Network, alpha) -> Fraction:
 # -- text format --------------------------------------------------------------
 
 
+def _ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def parse_rational(text: str, what: str, ln: int | None = None) -> Fraction:
     """Parse a decimal or p/q field of a text format; a malformed value
-    raises FormatError naming the field and, when known, the line."""
+    raises FormatError naming the field and, when known, the line.
+
+    Plain ASCII integers and p/q ratios (an optional leading minus, no
+    spaces) are read with `int`; every other text goes to `Fraction(text)`
+    as it is, so the strings accepted and the values are the running
+    Python's."""
+    num, slash, den = text.partition("/")
     try:
+        if _ascii_digits(num[1:] if num[:1] == "-" else num) and (not slash or _ascii_digits(den)):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         where = f"line {ln}: " if ln is not None else ""

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here deliberately avoids the production algorithms: shortest
-paths run on subdivided graphs through networkx, side measures come from
+paths run on subdivided graphs through networkx, walks are checked and
+timed step by step in `Fraction`s by `FractionWalk`, side measures come from
 edge-removal component sums, interception probabilities come from a merge of
 rational phase intervals, one point at a time, factorization counts and least largest-factor
 lengths come from set-cover search over explicitly enumerated perfect
@@ -17,7 +18,8 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
-from patrolgame import Network, Point, Step, Walk
+from patrolgame import Network, Point, Step, ValidationError, Walk
+from patrolgame.network import frac
 
 
 def to_nx(net: Network) -> nx.MultiGraph:
@@ -364,3 +366,63 @@ def walk_trace_reference(walk: Walk) -> tuple[Point, Fraction, list[tuple[Fracti
         t += abs(s.end - s.start)
         trace.append((t, net.point(s.arc, s.end)))
     return trace[-1][1], t, trace
+
+
+class FractionWalk:
+    """`Walk`'s checks and clock, step by step in `Fraction`s: each step's
+    offsets are compared with the arc's ends and with the current position,
+    and the walk builds a `Point` after every step."""
+
+    def __init__(self, net: Network, start: Point, steps=()):
+        self.net = net
+        self.start = start
+        self.steps = tuple(steps)
+        total = Fraction(0)
+        cum = [total]
+        where = start
+        for s in self.steps:
+            a = net.arc(s.arc)
+            if s.start == s.end:
+                raise ValidationError(f"zero-length step on arc {s.arc!r}")
+            for off in (s.start, s.end):
+                if off < 0 or off > a.length:
+                    raise ValidationError(f"step offset {off} outside arc {s.arc!r}")
+            lo = frac(s.start)
+            node = a.endpoint_at(lo)
+            joined = where.node == node if node is not None else where.arc == a.id and where.offset == lo
+            if not joined:
+                entry = net.point(s.arc, lo)
+                raise ValidationError(f"step on {s.arc!r} starts at {entry!r}, walk is at {where!r}")
+            hi = frac(s.end)
+            node = a.endpoint_at(hi)
+            where = Point(node=node) if node is not None else Point(arc=a.id, offset=hi)
+            total += abs(hi - lo)
+            cum.append(total)
+        self._cum = tuple(cum)
+        self.end_point = where
+
+    @property
+    def duration(self) -> Fraction:
+        return self._cum[-1]
+
+    @property
+    def is_closed(self) -> bool:
+        return self.end_point == self.start
+
+    def position(self, t) -> Point:
+        t = frac(t)
+        if t < 0 or t > self.duration:
+            raise ValidationError(f"time {t} outside [0, {self.duration}]")
+        if not self.steps:
+            return self.start
+        lo, hi = 0, len(self.steps)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._cum[mid + 1] < t:
+                lo = mid + 1
+            else:
+                hi = mid
+        s = self.steps[lo]
+        dt = t - self._cum[lo]
+        off = s.start + dt if s.end > s.start else s.start - dt
+        return self.net.point(s.arc, off)

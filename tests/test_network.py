@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
@@ -27,9 +28,10 @@ from patrolgame import (
     star_network,
     walk_through_nodes,
 )
+from patrolgame.network import parse_rational
 from conftest import make_sample_tree, random_tree
-from oracles import (removal_component_measures, search_family, subdivided_distance, to_nx,
-                     walk_trace_reference)
+from oracles import (FractionWalk, removal_component_measures, search_family, subdivided_distance,
+                     to_nx, walk_trace_reference)
 
 F = Fraction
 
@@ -324,6 +326,92 @@ def test_walk_trace_matches_point_reference():
     assert count > 100
 
 
+def _outcome(make):
+    """What building a walk gives: its end point, duration, closedness and
+    positions at every step boundary, or its exception's type and message."""
+    try:
+        w = make()
+    except (ValidationError, TypeError) as e:
+        return type(e), str(e)
+    times = [F(0)]
+    for s in w.steps:
+        times.append(times[-1] + abs(s.end - s.start))
+    return w.end_point, w.duration, w.is_closed, [w.position(t) for t in times]
+
+
+def _same_as_fraction_walk(net, start, steps):
+    got = _outcome(lambda: Walk(net, start, steps))
+    assert got == _outcome(lambda: FractionWalk(net, start, steps)), (start, steps)
+    return got
+
+
+def _int_offsets(steps):
+    return [Step(s.arc, *(int(o) if o.denominator == 1 else o for o in (s.start, s.end)))
+            for s in steps]
+
+
+def _broken(net, w: Walk, i: int):
+    """Invalid variants of a walk around its step i: each (start, steps)."""
+    steps = list(w.steps)
+    s = steps[i]
+    a = net.arc(s.arc)
+    mid = (s.start + s.end) / 2
+    yield w.start, steps[:i] + [Step(s.arc, s.start, s.start)] + steps[i + 1:]
+    yield w.start, steps[:i] + [Step(s.arc, s.start, a.length + F(1, 3))] + steps[i + 1:]
+    yield w.start, steps[:i] + [Step(s.arc, F(-1, 2), s.end)] + steps[i + 1:]
+    yield w.start, steps[:i] + [Step("no-such-arc", s.start, s.end)] + steps[i + 1:]
+    # a step that leaves from its other end, after a node or an interior point
+    yield w.start, steps[:i] + [Step(s.arc, s.end, s.start)] + steps[i + 1:]
+    split = [Step(s.arc, s.start, mid), Step(s.arc, (mid + s.end) / 2, s.end)]
+    yield w.start, steps[:i] + split + steps[i + 1:]
+    yield w.start, steps[:i] + [Step(s.arc, float(s.start), s.end)] + steps[i + 1:]
+    yield w.start, steps[:i] + [Step(s.arc, s.start, float(s.end))] + steps[i + 1:]
+    # a start given in interior form at an arc end
+    first = steps[0]
+    yield Point(arc=first.arc, offset=first.start), steps
+
+
+def _failure_kind(message: str) -> str:
+    if ", walk is at " in message:
+        return "after a node" if ", walk is at node:" in message else "after an interior point"
+    return message.split(" ")[message.startswith("step offset")]
+
+
+def test_walk_matches_fraction_reference():
+    """Walks checked and timed on one integer scale give what step-by-step
+    Fraction checks give: the same walk, or the same error."""
+    rng = random.Random(5)
+    trees = [make_sample_tree()] + [random_tree(rng, max_nodes=10, min_nodes=3) for _ in range(6)]
+    walks = list(_seeded_walks()) + [double_traversal(t, n) for t in trees for n in t.nodes[:2]]
+    loop = Network(["x", "y"], [("b", "x", "y", 1), ("l", "x", "x", 2)])
+    stationary = [(loop, loop.node_point("x")), (loop, loop.point("l", F(1, 2)))]
+    stationary += [(w.net, w.start) for w in walks[:20]]
+    for net, start in stationary:
+        assert _same_as_fraction_walk(net, start, [])[1] == 0
+    failed = Counter()
+    for w in walks:
+        _same_as_fraction_walk(w.net, w.start, w.steps)
+        _same_as_fraction_walk(w.net, w.start, _int_offsets(w.steps))
+        if not w.steps:
+            continue
+        for i in {0, rng.randrange(len(w.steps)), len(w.steps) - 1}:
+            for start, steps in _broken(w.net, w, i):
+                got = _same_as_fraction_walk(w.net, start, steps)
+                if isinstance(got[0], type):
+                    failed[_failure_kind(got[1])] += 1
+    assert set(failed) == {"zero-length", "offset", "unknown", "refusing",
+                           "after a node", "after an interior point"}
+
+
+def test_walk_repeated_needs_a_positive_count():
+    seg = Network(["u", "v"], [("a", "u", "v", 2)])
+    w = Walk(seg, seg.node_point("u"), [Step("a", F(0), F(2)), Step("a", F(2), F(0))])
+    assert w.repeated(1).steps == w.steps and w.repeated(3).duration == 12
+    for k in (0, -1, True, False, 2.0, "2", F(2), None):
+        with pytest.raises(ValidationError, match="repetitions must be a positive integer"):
+            w.repeated(k)
+
+
 def test_stationary_walk():
     seg = Network(["u", "v"], [("a", "u", "v", 2)])
     w = Walk(seg, seg.point("a", 1))
@@ -387,6 +475,34 @@ def test_network_format_rationals():
     assert net.arc("e").length == F(3, 7)
     net = parse_network("node a\nnode b\narc e a b 2.5  # decimal\n")
     assert net.arc("e").length == F(5, 2)
+
+
+def _same_as_fraction_parse(text: str):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(FormatError) as err:
+            parse_rational(text, "length", 7)
+        assert str(err.value) == f"line 7: bad length {text!r}"
+        return None
+    got = parse_rational(text, "length", 7)
+    assert type(got) is Fraction and got == want
+    return got
+
+
+def test_parse_rational_matches_fraction():
+    # texts that Pythons read differently: "1_000" from 3.11 on, "3 / 4" on 3.12 and 3.13
+    fixed = ["1_000", "+3", "-0", " 3/4 ", "3 / 4", "٣", "²", "1e3", "0.5", "3/0", "-3/-4",
+             "3/+4", "", "-", "/", "-/4", "3/", "007/010", "-12/8", "1" * 30 + "/7"]
+    got = [_same_as_fraction_parse(t) for t in fixed]
+    assert got[2] == 0 and got[7] == 1000 and got[10] is None and got[-3] == F(7, 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="0123456789-+/ ._e٣²", max_size=10),
+                 st.from_regex(r"-?[0-9]{1,25}(/-?[0-9]{1,25})?", fullmatch=True)))
+def test_parse_rational_matches_fraction_fuzzed(text):
+    _same_as_fraction_parse(text)
 
 
 def test_star_and_path_builders():
