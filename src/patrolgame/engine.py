@@ -10,9 +10,13 @@ Monte Carlo; an exact coverage integral for piecewise-uniform attacks is
 deliberately not provided.  Monte Carlo is the only place floating
 point appears: trial i consumes a fixed block of a counter-based stream keyed
 by the seed, so results are reproducible under any sharding of the trials.
-Trials are drawn and scored in fixed-size chunks, each sorted once by (walk,
-spatial entry), so memory does not grow with the trial count; worker threads
-take whole chunks, and there are never more of them than chunks or cores.
+Trials are drawn and scored in fixed-size chunks, so memory does not grow
+with the trial count.  A worker thread draws a chunk a small reused block at
+a time (numpy converts the words to uniforms in C), picks each trial's walk
+and spatial entry from a table over equal buckets of [0, 1) (binary search
+only in the buckets that hold a boundary), and sorts the chunk once by (walk,
+spatial entry).  Worker w takes chunks w, w + workers, ..., and there are
+never more workers than chunks or cores.
 """
 
 from __future__ import annotations
@@ -223,13 +227,56 @@ def evaluate(patrol: PatrolStrategy, attack: AttackStrategy, alpha, *,
 
 # -- Monte Carlo ----------------------------------------------------------------
 
-# Uses on trial i: component, phase, spatial pick, offset, start time (5 draws),
-# padded to two full Philox counter blocks so trial i always occupies raw words
-# [8i, 8i+8) of the stream keyed by the seed.  Trials are drawn and scored
-# _CHUNK_TRIALS at a time, so memory does not grow with the trial count, and
-# neither the chunking nor the thread that scores a chunk shows in the result.
+# Trial i reads the raw words [8i, 8i+8) of the Philox stream keyed by the
+# seed, two full counter blocks, and uses the first five as uniforms
+# (word >> 11) * 2**-53: component, phase, spatial pick, offset, start time.
+# A worker fills a reused block of _BLOCK_TRIALS trials with Generator.random,
+# which makes that conversion in C, and copies the five used words of each
+# trial into contiguous columns; trials are scored _CHUNK_TRIALS at a time, so
+# memory does not grow with the trial count, and neither the chunking nor the
+# thread that scores a chunk shows in the result.
 _DRAWS_PER_TRIAL = 8
+_USED_DRAWS = 5
 _CHUNK_TRIALS = 2 ** 16
+_BLOCK_TRIALS = 2 ** 12
+_PICK_BUCKETS = 2 ** 12
+
+
+def _bucket_pick(cum: np.ndarray, dtype):
+    """A function of uniforms u in [0, 1) equal to
+    ``np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)``,
+    as an array of `dtype`.
+
+    [0, 1) is cut into _PICK_BUCKETS equal buckets; u * _PICK_BUCKETS is exact,
+    so its integer part is u's bucket.  A bucket with no value of `cum`
+    strictly inside it gives every u in it the same index, read from a table;
+    the draws in the other buckets (marked -1) go to `searchsorted`."""
+    last = len(cum) - 1
+    edges = np.arange(_PICK_BUCKETS + 1) / _PICK_BUCKETS
+    at_low = np.searchsorted(cum, edges[:-1], side="right")
+    below_high = np.searchsorted(cum, edges[1:], side="left")
+    table = np.where(below_high > at_low, -1, np.minimum(at_low, last)).astype(dtype)
+
+    def pick(u: np.ndarray) -> np.ndarray:
+        idx = table[(u * _PICK_BUCKETS).astype(np.intp)]
+        mixed = np.flatnonzero(idx < 0)
+        if len(mixed):
+            idx[mixed] = np.minimum(np.searchsorted(cum, u[mixed], side="right"), last)
+        return idx
+
+    return pick
+
+
+def _draw_uniforms(seed: int, start: int, cols: np.ndarray, block: np.ndarray) -> None:
+    """Fill row k of `cols` with use k of trials start, start + 1, ..., one
+    column per trial, drawing `len(block)` trials at a time into `block`."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    gen.bit_generator.advance(start * _DRAWS_PER_TRIAL // 4)  # four words per counter block
+    count, rows = cols.shape[1], len(block)
+    for lo in range(0, count, rows):
+        n = min(rows, count - lo)
+        gen.random(out=block[:n])
+        cols[:, lo:lo + n] = block[:n, :_USED_DRAWS].T
 
 
 def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
@@ -258,7 +305,8 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
     cum_m = np.cumsum(masses)
     cum_m[-1] = 1.0
     n_entries = len(entries)
-    key_type = np.int16 if len(walks) * n_entries <= 2 ** 15 else np.int64
+    # keys walk * n_entries + entry are computed in key_type, n_entries included
+    key_type = np.int16 if len(walks) * n_entries < 2 ** 15 else np.int64
 
     fixed_t = attack.temporal.kind == "fixed"
     t_value = float(attack.temporal.value)
@@ -289,24 +337,20 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
             if task is not None:
                 tasks[i * n_entries + j] = task
 
-    def run_chunk(start: int) -> int:
-        count = min(_CHUNK_TRIALS, trials - start)
-        bg = np.random.Philox(key=seed)
-        bg.advance(start * _DRAWS_PER_TRIAL // 4)
-        raw = bg.random_raw(count * _DRAWS_PER_TRIAL).reshape(count, _DRAWS_PER_TRIAL)
+    pick_walk = _bucket_pick(cum_s, key_type)
+    pick_entry = _bucket_pick(cum_m, key_type)
 
-        def column(k):
-            return (raw[:, k] >> np.uint64(11)) * 2.0 ** -53
-
-        comp = np.minimum(np.searchsorted(cum_s, column(0), side="right"), len(walks) - 1)
-        spot = np.minimum(np.searchsorted(cum_m, column(2), side="right"), n_entries - 1)
-        key = (comp * n_entries + spot).astype(key_type)
+    def score(u: np.ndarray) -> int:
+        """Hits among the trials whose uniforms are the columns of u."""
+        count = u.shape[1]
+        key = pick_walk(u[0]) * n_entries
+        key += pick_entry(u[2])
         order = np.argsort(key, kind="stable")
         key = key[order]
         cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
-        u1 = column(1)[order]
-        u3 = column(3)[order] if attack.uniform_parts else None
-        t = t_value if fixed_t else column(4)[order] * t_value
+        u1 = u[1][order]
+        u3 = u[3][order] if attack.uniform_parts else None
+        t = t_value if fixed_t else u[4][order] * t_value
         hits = 0
         for lo_i, hi_i in zip([0] + cuts, cuts + [count]):
             task = tasks.get(int(key[lo_i]))
@@ -333,11 +377,24 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
 
     starts = range(0, trials, _CHUNK_TRIALS)
     workers = min(jobs, len(starts), os.cpu_count() or 1)
+
+    def run_worker(w: int) -> int:
+        """Hits in chunks w, w + workers, ...; one block and one set of
+        columns serve all of them."""
+        block = np.empty((_BLOCK_TRIALS, _DRAWS_PER_TRIAL))
+        cols = np.empty((_USED_DRAWS, min(_CHUNK_TRIALS, trials)))
+        hits = 0
+        for start in starts[w::workers]:
+            u = cols[:, :min(_CHUNK_TRIALS, trials - start)]
+            _draw_uniforms(seed, start, u, block)
+            hits += score(u)
+        return hits
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(run_chunk, starts))
+            hits = sum(pool.map(run_worker, range(workers)))
     else:
-        hits = sum(map(run_chunk, starts))
+        hits = run_worker(0)
     p_hat = hits / trials
     half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / trials)
     return EvaluationResult(p_hat, "monte-carlo", trials=trials, seed=seed, ci_halfwidth=half)

@@ -5,7 +5,10 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patrolgame import (
     AttackStrategy,
@@ -358,7 +361,8 @@ def test_mc_matches_per_trial_reference():
 
 def test_mc_memory_bounded(sample_tree):
     # trials are drawn and scored in fixed-size chunks: two million trials
-    # (16 bytes of raw stream per trial) stay far below their 32 MiB of draws
+    # (8 words, 64 bytes, of raw stream per trial) stay far below 32 MiB,
+    # a quarter of their 128 MiB of draws
     att = tree_attack_strategy(sample_tree, 4)
     pat = e_patrolling(sample_tree, 4)
     tracemalloc.start()
@@ -416,6 +420,109 @@ def test_mc_thread_count_capped(sample_tree, monkeypatch):
         sizes.clear()
         assert evaluate(pat, att, 4, method="mc", trials=200_003, seed=3, jobs=10_000) == serial
         assert sizes == ([min(4, cores)] if min(4, cores) > 1 else [])
+
+
+class _SerialPool:
+    """A thread pool stand-in that maps serially: no thread is started."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+# Hit counts at seed 17 and 2**16 + 4,097 trials (one full chunk, then one
+# full block and one trial), frozen from the implementation that read each
+# chunk's stream with random_raw and picked with np.searchsorted.
+FROZEN_SPLIT_HITS = {"demo": 16364, "demo-fixed": 16274, "demo-stationary": 27829,
+                     "tree20": 12967}
+
+
+def test_mc_static_worker_split(monkeypatch):
+    # worker w scores chunks w, w + workers, ...: for 1-5 workers over whole
+    # and partial chunks and blocks the result is the one-worker result
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    split = 2 ** 16 + 4_097
+    for name, pat, att, alpha in _frozen_mc_cases():
+        serial = evaluate(pat, att, alpha, method="mc", trials=split, seed=17, jobs=1)
+        assert serial.probability == FROZEN_SPLIT_HITS[name] / split, name
+        if name not in ("demo", "tree20"):
+            continue
+        for trials in (1, 2 ** 16, 2 ** 16 + 1, split, 5 * 2 ** 16 - 1):
+            serial = evaluate(pat, att, alpha, method="mc", trials=trials, seed=17, jobs=1)
+            for jobs in range(2, 6):
+                r = evaluate(pat, att, alpha, method="mc", trials=trials, seed=17, jobs=jobs)
+                assert r == serial, (name, trials, jobs)
+
+
+@pytest.mark.parametrize("seed", [0, 17, 2 ** 128 - 1])
+def test_mc_stream_contract(seed):
+    # trial i scores words [8i, 8i + 5) of the Philox stream keyed by the seed
+    # as (word >> 11) * 2**-53, which Generator.random computes in C: checked
+    # on the last trials of chunk 0 and on chunk 1 of 2**16 + 4,098 trials,
+    # one full block and a partial one
+    chunk, rows = engine._CHUNK_TRIALS, engine._BLOCK_TRIALS
+    block = np.empty((rows, engine._DRAWS_PER_TRIAL))
+    first = np.empty((5, chunk))
+    engine._draw_uniforms(seed, 0, first, block)
+    second = np.empty((5, rows + 2))
+    engine._draw_uniforms(seed, chunk, second, block)
+    got = np.concatenate([first[:, -3:], second], axis=1).T
+    bg = np.random.Philox(key=seed)
+    bg.advance(2 * (chunk - 3))  # four words per counter block, two blocks per trial
+    raw = bg.random_raw(8 * len(got)).reshape(len(got), 8)[:, :5]
+    assert np.array_equal(got, (raw >> np.uint64(11)) * 2.0 ** -53)
+
+
+def _pick_probes(cum):
+    """0, the largest uniform, every 7th bucket edge, and each boundary in
+    [0, 1) with its float neighbours."""
+    probes = [0.0, 1 - 2.0 ** -53] + [k / 4096 for k in range(0, 4096, 7)]
+    for c in cum:
+        probes += [x for x in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0)) if 0 <= x < 1]
+    return np.array(probes)
+
+
+def _check_pick(cum, u):
+    want = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    for dtype in (np.int16, np.intp):
+        got = engine._bucket_pick(cum, dtype)(u)
+        assert np.array_equal(got, want) and got.dtype == dtype
+
+
+@pytest.mark.parametrize("masses", [
+    [0.25, 0.0, 0.0, 0.5, 0.0, 0.25],  # zero-mass entries repeat a boundary
+    [0.0, 0.0, 1.0],
+    [0.3] + [1e-5] * 20 + [0.7 - 2e-4],  # many boundaries in one bucket
+    [1 / 4096, 2 / 4096, 0.5 - 3 / 4096, 0.25, 0.25],  # boundaries on bucket edges
+    [0.1] * 10,  # a float sum that ends below 1
+    [1.0],
+], ids=["zero-mass", "leading-zeros", "dense-bucket", "on-edges", "sum-below-1", "one"])
+def test_bucket_pick_fixed_cases(masses):
+    cum = np.cumsum(masses)
+    _check_pick(cum, _pick_probes(cum))
+    if masses == [0.1] * 10:
+        assert cum[-1] < 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0),
+                          st.integers(0, 4096).map(lambda k: k / 4096)), min_size=1, max_size=40),
+       st.booleans(), st.lists(st.integers(0, 2 ** 53 - 1), max_size=50))
+def test_bucket_pick_matches_searchsorted(masses, normalize, words):
+    cum = np.cumsum(masses)
+    if normalize and cum[-1] > 0:
+        cum = np.cumsum(np.array(masses) / cum[-1])
+    u = np.concatenate([_pick_probes(cum), np.array(words, dtype=np.float64) * 2.0 ** -53])
+    _check_pick(cum, u)
 
 
 def test_attacker_best_response_stationary(sample_tree):
