@@ -4,12 +4,15 @@ of tree networks.
 For a regular point x of a tree, removing x leaves two components; x belongs
 to the extremity set when the smaller component measures less than half the
 attack duration.  On each arc that smaller-side measure is piecewise linear
-in the offset, so every boundary here is computed as an exact rational; no
-sampling occurs outside the test oracles.
+in the offset, so every boundary is an exact rational: it is computed on one
+integer scale, the lcm of the tree's arc-length denominators widened per call
+so that half the attack duration or a crossing point is an integer, and is
+returned as a `Fraction`; no sampling occurs outside the test oracles.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,10 +21,11 @@ from .errors import ValidationError
 from .network import Network, Point, Segment, SubNetwork, tree_tour, validate_alpha
 
 
-def _side_weights(tree: Network) -> dict[str, tuple[Fraction, Fraction]]:
-    """For each arc (u, v): measures of the u-side and v-side components of
-    the tree with that arc's interior removed; computed once per tree and
-    kept on it.
+def _side_weights(tree: Network) -> tuple[int, dict[str, tuple[int, int, int]]]:
+    """The tree on one integer scale D, the lcm of its arc-length
+    denominators: D, and for each arc (u, v) its length and the measures of
+    the u-side and v-side components of the tree with that arc's interior
+    removed, each times D; computed once per tree and kept on it.
 
     One tour from an arbitrary root: when the tour crosses an arc back toward
     the root, everything beyond it has been summed, which gives the far side;
@@ -29,18 +33,19 @@ def _side_weights(tree: Network) -> dict[str, tuple[Fraction, Fraction]]:
     """
     if tree._side_weights_memo is not None:
         return tree._side_weights_memo
-    mu = tree.total_length
-    beyond = dict.fromkeys(tree.nodes, Fraction(0))  # measure hanging below each node
+    scale = math.lcm(*(a.length.denominator for a in tree.arcs))
+    length = {a.id: a.length.numerator * (scale // a.length.denominator) for a in tree.arcs}
+    mu = sum(length.values())
+    beyond = dict.fromkeys(tree.nodes, 0)  # measure hanging below each node
     out = {}
     for a, child, outward in tree_tour(tree, tree.nodes[0]):
         if outward:
             continue
-        far = beyond[child]
-        near = mu - far - a.length
-        beyond[a.other(child)] += far + a.length
-        out[a.id] = (far, near) if a.u == child else (near, far)
-    tree._side_weights_memo = out
-    return out
+        ln, far = length[a.id], beyond[child]
+        beyond[a.other(child)] += far + ln
+        out[a.id] = (ln, far, mu - far - ln) if a.u == child else (ln, mu - far - ln, far)
+    tree._side_weights_memo = scale, out
+    return scale, out
 
 
 @dataclass(frozen=True)
@@ -90,62 +95,60 @@ def extremity_set(tree: Network, alpha) -> ExtremitySet:
     measures less than alpha/2."""
     _require_tree(tree)
     a = validate_alpha(tree, alpha)
-    half = a / 2
-    weights = _side_weights(tree)
-    segs = []
+    scale, weights = _side_weights(tree)
+    k = math.lcm(scale, 2 * a.denominator) // scale  # alpha/2 is an integer on scale * k
+    scale *= k
+    half = a.numerator * (scale // (2 * a.denominator))
+    segs, total = [], 0
     for arc in tree.arcs:
-        wu, wv = weights[arc.id]
+        ln, wu, wv = (x * k for x in weights[arc.id])
         ivs = []
         if wu < half:
-            ivs.append((Fraction(0), min(arc.length, half - wu)))
+            ivs.append((0, min(ln, half - wu)))
         if wv < half:
-            ivs.append((max(Fraction(0), arc.length - (half - wv)), arc.length))
+            ivs.append((max(0, ln - (half - wv)), ln))
         if len(ivs) == 2 and ivs[0][1] >= ivs[1][0]:
-            ivs = [(Fraction(0), arc.length)]
+            ivs = [(0, ln)]
         for lo, hi in ivs:
             if lo < hi:
-                segs.append(Segment(arc.id, lo, hi))
-    measure = sum((s.measure for s in segs), Fraction(0))
-    return ExtremitySet(a, tuple(segs), measure)
+                segs.append(Segment(arc.id, Fraction(lo, scale) if lo else Fraction(0),
+                                    arc.length if hi == ln else Fraction(hi, scale)))
+                total += hi - lo
+    return ExtremitySet(a, tuple(segs), Fraction(total, scale))
 
 
 def critical_alpha(tree: Network) -> Fraction:
     """Smallest attack duration for which the extremity closure covers the
     whole tree: twice the largest smaller-side measure over all points."""
     _require_tree(tree)
-    weights = _side_weights(tree)
-    best = Fraction(0)
-    for arc in tree.arcs:
-        wu, wv = weights[arc.id]
+    scale, weights = _side_weights(tree)
+    best = 0  # on the doubled scale 2D, where every crossing is an integer
+    for ln, wu, wv in weights.values():
         # min(wu + t, wv + L - t) is concave with slopes +-1; its max over
         # [0, L] sits at the crossing when interior, else at an endpoint.
-        cross = (wv + arc.length - wu) / 2
-        t = min(max(cross, Fraction(0)), arc.length)
-        best = max(best, min(wu + t, wv + arc.length - t))
-    return 2 * best
+        t = min(max(wv + ln - wu, 0), 2 * ln)
+        best = max(best, min(2 * wu + t, 2 * (wv + ln) - t))
+    return Fraction(best, scale)
 
 
 def local_root_of_tree(tree: Network) -> Point:
     """The limit point of the shrinking cores: the unique point minimizing the
     largest component measure after its removal."""
     _require_tree(tree)
-    mu = tree.total_length
-    weights = _side_weights(tree)
-    candidates: dict[Point, Fraction] = {}
-    for n in tree.nodes:
-        worst = Fraction(0)
-        for a in tree.incident(n):
-            wu, wv = weights[a.id]
-            side = (wv + a.length) if a.u == n else (wu + a.length)
-            worst = max(worst, side)
-        candidates[tree.node_point(n)] = worst
+    scale, weights = _side_weights(tree)
+    # largest component measure after removing each candidate, on scale 2D
+    worst = dict.fromkeys(tree.nodes, 0)
+    crossings: dict[Point, int] = {}
     for arc in tree.arcs:
-        wu, wv = weights[arc.id]
-        # interior minimum of max(wu + t, wv + L - t) is mu/2 at the crossing
-        t = (wv + arc.length - wu) / 2
-        if 0 < t < arc.length:
-            candidates[tree.point(arc.id, t)] = mu / 2
+        ln, wu, wv = weights[arc.id]
+        worst[arc.u] = max(worst[arc.u], 2 * (wv + ln))
+        worst[arc.v] = max(worst[arc.v], 2 * (wu + ln))
+        # interior minimum of max(wu + t, wv + L - t) is mu/2 at the crossing;
         # endpoints are covered by the node candidates
+        t = wv + ln - wu
+        if 0 < t < 2 * ln:
+            crossings[tree.point(arc.id, Fraction(t, 2 * scale))] = wu + ln + wv  # mu/2 on scale 2D
+    candidates = {tree.node_point(n): v for n, v in worst.items()} | crossings
     best = min(candidates.values())
     winners = sorted((p for p, v in candidates.items() if v == best), key=Point.sort_key)
     if len(winners) > 1:
@@ -164,27 +167,25 @@ def core(tree: Network, alpha) -> SubNetwork:
     return ext.as_subnetwork(tree).complement()
 
 
-def _component_boundary(tree: Network, ext_sub: SubNetwork, comp: SubNetwork) -> list[Point]:
+def _component_boundary(tree: Network, comp: SubNetwork) -> list[Point]:
     """Points of a maximal extremity component that touch the complement:
-    segment endpoints interior to an arc, plus covered nodes with some
-    incident direction not locally inside the extremity set."""
-    pts = []
-    for seg in comp.segment_list():
-        arc = tree.arc(seg.arc)
-        if seg.lo > 0:
-            pts.append(tree.point(seg.arc, seg.lo))
-        if seg.hi < arc.length:
-            pts.append(tree.point(seg.arc, seg.hi))
-    for name in comp.covered_nodes():
-        for a in tree.incident(name):
-            covered = False
-            for lo, hi in ext_sub.segments.get(a.id, ()):
-                if (a.u == name and lo == 0) or (a.v == name and hi == a.length):
-                    covered = True
-                    break
-            if not covered:
-                pts.append(tree.node_point(name))
-                break
+    segment endpoints interior to an arc, plus covered nodes that fewer of
+    the component's segments reach than the node has arcs.  An offset p/q is
+    the far end of an arc of scaled length L exactly when p * D == L * q."""
+    scale, weights = _side_weights(tree)
+    pts, reach = [], {}  # covered node -> segments of comp that reach it
+    for aid, ivs in comp.segments.items():
+        arc, ln = tree.arc(aid), weights[aid][0]
+        for lo, hi in ivs:
+            if lo.numerator > 0:
+                pts.append(Point(arc=aid, offset=lo))
+            else:
+                reach[arc.u] = reach.get(arc.u, 0) + 1
+            if hi.numerator * scale < ln * hi.denominator:
+                pts.append(Point(arc=aid, offset=hi))
+            else:
+                reach[arc.v] = reach.get(arc.v, 0) + 1
+    pts += [Point(node=n) for n, k in reach.items() if k < tree.degree(n)]
     return sorted(set(pts), key=Point.sort_key)
 
 
@@ -206,20 +207,15 @@ def subtree_decomposition(tree: Network, alpha) -> SubtreeDecomposition:
 def _decompose(tree: Network, a: Fraction) -> SubtreeDecomposition:
     if a >= critical_alpha(tree):
         x_star = local_root_of_tree(tree)
-        comps = []
-        for sub in SubNetwork.whole(tree).split_at(x_star):
-            comps.append(TreeComponent(sub, x_star, sub.measure))
-        comps.sort(key=lambda c: min((s.arc, s.lo) for s in c.subtree.segment_list()))
-        return SubtreeDecomposition(a, SubNetwork.single_point(tree, x_star), tuple(comps))
-    ext = extremity_set(tree, a)
-    ext_sub = ext.as_subnetwork(tree)
-    comps: list[TreeComponent] = []
-    for comp in ext_sub.components():
-        boundary = _component_boundary(tree, ext_sub, comp)
-        if len(boundary) != 1:
-            raise AssertionError(f"component boundary is {boundary}, expected a single local root")
-        root = boundary[0]
-        for sub in comp.split_at(root):
-            comps.append(TreeComponent(sub, root, sub.measure))
+        core_sub, rooted = SubNetwork.single_point(tree, x_star), [(SubNetwork.whole(tree), x_star)]
+    else:
+        ext_sub = extremity_set(tree, a).as_subnetwork(tree)
+        core_sub, rooted = ext_sub.complement(), []
+        for comp in ext_sub.components():
+            boundary = _component_boundary(tree, comp)
+            if len(boundary) != 1:
+                raise AssertionError(f"component boundary is {boundary}, expected a single local root")
+            rooted.append((comp, boundary[0]))
+    comps = [TreeComponent(sub, root, sub.measure) for comp, root in rooted for sub in comp.split_at(root)]
     comps.sort(key=lambda c: min((s.arc, s.lo) for s in c.subtree.segment_list()))
-    return SubtreeDecomposition(a, ext_sub.complement(), tuple(comps))
+    return SubtreeDecomposition(a, core_sub, tuple(comps))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -419,8 +420,12 @@ def attacker_best_response(patrol: PatrolStrategy, alpha, *, space_step,
 
     Uniform phases make the probability independent of the attack's start
     time, so every point is scored once at time 0.  `time_step` does not
-    change the result; it is echoed in `BestResponse.time_step`.
+    change the result and is deprecated: passing it emits a
+    `DeprecationWarning`; it is still echoed in `BestResponse.time_step`.
     """
+    if time_step is not None:
+        warnings.warn("time_step does not change the best response and is deprecated",
+                      DeprecationWarning, stacklevel=2)
     alpha = _duration(alpha)
     grid = SubNetwork.whole(patrol.network).grid_points(space_step, extra=extra_points)
     probs = _interception_probabilities(patrol, grid, alpha)

@@ -141,8 +141,10 @@ class Network:
         self._incident = {n: tuple(sorted(v, key=lambda a: a.id)) for n, v in incident.items()}
         self._total_length = sum((a.length for a in self.arcs), Fraction(0))
         self._dist_cache: dict[str, tuple[dict[str, Fraction], dict[str, str]]] = {}
-        # filled by the tree layer (decomposition.py) on first use
-        self._side_weights_memo: dict[str, tuple[Fraction, Fraction]] | None = None
+        # filled by the tree layer (decomposition.py) on first use: the
+        # integer scale D (the lcm of the arc-length denominators) and, per
+        # arc id, its length and u-side and v-side weights as multiples of 1/D
+        self._side_weights_memo: tuple[int, dict[str, tuple[int, int, int]]] | None = None
         self._decomposition_memo = None  # the last SubtreeDecomposition built
         if not self._connected():
             raise ValidationError("network is disconnected")

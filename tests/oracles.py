@@ -3,7 +3,9 @@
 Everything here deliberately avoids the production algorithms: shortest
 paths run on subdivided graphs through networkx, walks are checked and
 timed step by step in `Fraction`s by `FractionWalk`, side measures come from
-edge-removal component sums, interception probabilities come from a merge of
+edge-removal component sums, the tree layer's side weights, extremity sets,
+critical durations and local roots come from its `Fraction` implementation,
+interception probabilities come from a merge of
 rational phase intervals, one point at a time, factorization counts and least largest-factor
 lengths come from set-cover search over explicitly enumerated perfect
 matchings, the patrol search scores every walk of its family as a
@@ -13,13 +15,15 @@ in plain Python.
 
 import bisect
 import itertools
+import warnings
 from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 
-from patrolgame import Network, Point, Step, ValidationError, Walk
-from patrolgame.network import frac
+from patrolgame import Network, Point, Segment, Step, ValidationError, Walk
+from patrolgame.decomposition import ExtremitySet, _require_tree
+from patrolgame.network import frac, tree_tour, validate_alpha
 
 
 def to_nx(net: Network) -> nx.MultiGraph:
@@ -71,11 +75,93 @@ def side_measures(net: Network, arc_id: str) -> tuple[Fraction, Fraction]:
     return total_u, total - total_u
 
 
-def min_side_measure(net: Network, arc_id: str, offset: Fraction) -> Fraction:
-    """Smaller side measure for an interior point, from edge-removal sums."""
-    wu, wv = side_measures(net, arc_id)
-    arc = net.arc(arc_id)
-    return min(wu + offset, wv + arc.length - offset)
+def fraction_side_weights(tree: Network) -> dict[str, tuple[Fraction, Fraction]]:
+    """For each arc (u, v): measures of the u-side and v-side components of
+    the tree with that arc's interior removed, in `Fraction`s.
+
+    One tour from an arbitrary root: when the tour crosses an arc back toward
+    the root, everything beyond it has been summed, which gives the far side;
+    the near side is the rest of the tree.
+    """
+    mu = tree.total_length
+    beyond = dict.fromkeys(tree.nodes, Fraction(0))  # measure hanging below each node
+    out = {}
+    for a, child, outward in tree_tour(tree, tree.nodes[0]):
+        if outward:
+            continue
+        far = beyond[child]
+        near = mu - far - a.length
+        beyond[a.other(child)] += far + a.length
+        out[a.id] = (far, near) if a.u == child else (near, far)
+    return out
+
+
+def fraction_extremity_set(tree: Network, alpha) -> ExtremitySet:
+    """Closure of the set of regular points whose smaller removal side
+    measures less than alpha/2, in `Fraction`s."""
+    _require_tree(tree)
+    a = validate_alpha(tree, alpha)
+    half = a / 2
+    weights = fraction_side_weights(tree)
+    segs = []
+    for arc in tree.arcs:
+        wu, wv = weights[arc.id]
+        ivs = []
+        if wu < half:
+            ivs.append((Fraction(0), min(arc.length, half - wu)))
+        if wv < half:
+            ivs.append((max(Fraction(0), arc.length - (half - wv)), arc.length))
+        if len(ivs) == 2 and ivs[0][1] >= ivs[1][0]:
+            ivs = [(Fraction(0), arc.length)]
+        for lo, hi in ivs:
+            if lo < hi:
+                segs.append(Segment(arc.id, lo, hi))
+    measure = sum((s.measure for s in segs), Fraction(0))
+    return ExtremitySet(a, tuple(segs), measure)
+
+
+def fraction_critical_alpha(tree: Network) -> Fraction:
+    """Smallest attack duration for which the extremity closure covers the
+    whole tree: twice the largest smaller-side measure over all points."""
+    _require_tree(tree)
+    weights = fraction_side_weights(tree)
+    best = Fraction(0)
+    for arc in tree.arcs:
+        wu, wv = weights[arc.id]
+        # min(wu + t, wv + L - t) is concave with slopes +-1; its max over
+        # [0, L] sits at the crossing when interior, else at an endpoint.
+        cross = (wv + arc.length - wu) / 2
+        t = min(max(cross, Fraction(0)), arc.length)
+        best = max(best, min(wu + t, wv + arc.length - t))
+    return 2 * best
+
+
+def fraction_local_root(tree: Network) -> Point:
+    """The limit point of the shrinking cores: the unique point minimizing the
+    largest component measure after its removal, in `Fraction`s."""
+    _require_tree(tree)
+    mu = tree.total_length
+    weights = fraction_side_weights(tree)
+    candidates: dict[Point, Fraction] = {}
+    for n in tree.nodes:
+        worst = Fraction(0)
+        for a in tree.incident(n):
+            wu, wv = weights[a.id]
+            side = (wv + a.length) if a.u == n else (wu + a.length)
+            worst = max(worst, side)
+        candidates[tree.node_point(n)] = worst
+    for arc in tree.arcs:
+        wu, wv = weights[arc.id]
+        # interior minimum of max(wu + t, wv + L - t) is mu/2 at the crossing
+        t = (wv + arc.length - wu) / 2
+        if 0 < t < arc.length:
+            candidates[tree.point(arc.id, t)] = mu / 2
+        # endpoints are covered by the node candidates
+    best = min(candidates.values())
+    winners = sorted((p for p, v in candidates.items() if v == best), key=Point.sort_key)
+    if len(winners) > 1:
+        warnings.warn(f"tied local-root candidates {winners}; choosing the canonical least")
+    return winners[0]
 
 
 def removal_component_measures(net: Network, x: Point) -> list[Fraction]:

@@ -6,6 +6,8 @@ import functools
 import random
 from fractions import Fraction
 
+import pytest
+
 from patrolgame import (
     PatrolStrategy,
     Network,
@@ -195,8 +197,9 @@ def test_patrol_lower_bound():
     for alpha in (2, 4, 6, 8):
         pat = e_patrolling(tree, alpha)
         dec = subtree_decomposition(tree, alpha)
-        br = attacker_best_response(pat, alpha, space_step=F(1, 8), time_step=F(1, 8),
-                                    extra_points=[c.root for c in dec.components])
+        with pytest.warns(DeprecationWarning, match="time_step"):
+            br = attacker_best_response(pat, alpha, space_step=F(1, 8), time_step=F(1, 8),
+                                        extra_points=[c.root for c in dec.components])
         v_star = game_value_tree(tree, alpha)
         assert br.probability >= v_star - F(1, 100), \
             f"construction gap at alpha={alpha}: min {br.probability} < {v_star} - 1/100"

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,8 @@ from patrolgame import (
 from patrolgame.decomposition import _side_weights
 from patrolgame.serialize import write_attack, write_decomposition_report, write_patrol
 from conftest import LENGTH_POOL, make_sample_tree, random_alpha, random_tree
-from oracles import min_side_measure, side_measures
+from oracles import (fraction_critical_alpha, fraction_extremity_set, fraction_local_root,
+                     fraction_side_weights, side_measures)
 
 F = Fraction
 
@@ -67,9 +69,10 @@ def test_extremity_matches_sampling_oracle():
         alpha = tree.total_length / 2
         ext = extremity_set(tree, alpha).as_subnetwork(tree)
         for arc in tree.arcs:
+            wu, wv = side_measures(tree, arc.id)
             for i in range(1, 1000):
                 off = arc.length * i / 1000
-                inside = min_side_measure(tree, arc.id, off) < alpha / 2
+                inside = min(wu + off, wv + arc.length - off) < alpha / 2
                 covered = any(lo <= off <= hi for lo, hi in ext.segments.get(arc.id, ()))
                 if inside:
                     assert covered
@@ -215,7 +218,8 @@ def test_component_interiors_disjoint(sample_tree):
 
 
 def test_side_weights_match_oracle():
-    """Side measures from the single tour equal edge-removal component sums.
+    """Side measures from the single tour, read back from the tree's integer
+    scale, equal edge-removal component sums.
 
     About half of the arcs are stored with their endpoints swapped, so whatever
     node the tour starts from, both orientations of (u, v) occur."""
@@ -231,13 +235,64 @@ def test_side_weights_match_oracle():
                 ends = ends[::-1]
             arcs.append((f"e{i:02d}", *ends, rng.choice(LENGTH_POOL)))
         tree = Network(nodes, arcs)
-        weights = _side_weights(tree)
+        scale, weights = _side_weights(tree)
         assert set(weights) == {a.id for a in tree.arcs}
         dist = tree.node_distances(tree.nodes[0])
         for a in tree.arcs:
-            assert weights[a.id] == side_measures(tree, a.id)
+            ln, wu, wv = weights[a.id]
+            assert Fraction(ln, scale) == a.length
+            assert (Fraction(wu, scale), Fraction(wv, scale)) == side_measures(tree, a.id)
             flipped_far += dist[a.u] > dist[a.v]
     assert flipped_far > 0
+
+
+def test_integer_scale_matches_fraction_reference():
+    """The tree layer on its integer scale equals the `Fraction` reference
+    exactly: side weights, extremity segments and measures, critical
+    durations and local roots.  Lengths mix the quarter pool with thirds and
+    sevenths; durations have denominators 1, 3, 5, 6 and 7, and each tree is
+    also cut at its critical duration and at twice a side weight, where an
+    extremity boundary falls on a node."""
+    rng = random.Random(16)
+    pool = LENGTH_POOL + [F(1, 3), F(2, 3), F(5, 3), F(1, 7), F(4, 7), F(9, 7)]
+    # paths whose local root is interior to an arc
+    trees = [Network(["a", "b", "c", "d"],
+                     [("x", "a", "b", F(1, 3)), ("y", "b", "c", F(2, 7)), ("z", "c", "d", F(5, 3))]),
+             path_network(F(13, 7), pieces=3)]
+    for _ in range(60):
+        n = rng.randint(3, 30)  # some side weight is positive
+        trees.append(Network([f"n{i}" for i in range(n)],
+                             [(f"e{i:02d}", f"n{rng.randrange(i)}", f"n{i}", rng.choice(pool))
+                              for i in range(1, n)]))
+    interior_roots = 0
+    for tree in trees:
+        scale, weights = _side_weights(tree)
+        reference = fraction_side_weights(tree)
+        for a in tree.arcs:
+            ln, wu, wv = weights[a.id]
+            assert Fraction(ln, scale) == a.length
+            assert (Fraction(wu, scale), Fraction(wv, scale)) == reference[a.id]
+        a_star = critical_alpha(tree)
+        assert type(a_star) is Fraction and a_star == fraction_critical_alpha(tree)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            root = local_root_of_tree(tree)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            assert root == fraction_local_root(tree)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        interior_roots += not root.is_node
+        mu = tree.total_length
+        alphas = [a_star]
+        for den in (1, 3, 5, 6, 7):
+            alphas.append(F(rng.randint(1, int(2 * mu * den)), den))
+        alphas.append(2 * rng.choice([w for a in tree.arcs for w in reference[a.id] if w > 0]))
+        for alpha in alphas:
+            ext = extremity_set(tree, alpha)
+            assert ext == fraction_extremity_set(tree, alpha)
+            assert all(type(x) is Fraction for s in ext.segments for x in (s.lo, s.hi, s.measure))
+            assert type(ext.measure) is Fraction
+    assert interior_roots >= 2
 
 
 def _tree_outputs(net, alpha):

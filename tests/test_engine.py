@@ -624,8 +624,9 @@ def test_best_response_ignores_time_step(sample_tree, unit_k4):
     cases += [(complete_patrolling(unit_k4), alpha, []) for alpha in (2, 3)]
     for pat, alpha, extra in cases:
         plain = attacker_best_response(pat, alpha, space_step=F(1, 8), extra_points=extra)
-        timed = attacker_best_response(pat, alpha, space_step=F(1, 8), time_step=F(1, 8),
-                                       extra_points=extra)
+        with pytest.warns(DeprecationWarning, match="time_step"):
+            timed = attacker_best_response(pat, alpha, space_step=F(1, 8), time_step=F(1, 8),
+                                           extra_points=extra)
         assert (timed.point, timed.time, timed.probability) == (plain.point, F(0), plain.probability)
         assert (plain.time_step, timed.time_step) == (None, F(1, 8))
 

@@ -338,8 +338,10 @@ def _solution_digest(tree, alpha):
 
 
 # SHA-256 of the decomposition report, attack and patrol files, frozen from
-# the implementation that toured a standalone copy of every component
-DEMO_ALPHAS = (1, 2, 3, 4, 5, 6, 8, 10, 12)
+# the implementation that toured a standalone copy of every component; the
+# digests at 7/3 and 13/5 (durations whose denominators widen the tree's
+# integer scale) were frozen from the tree layer's `Fraction` implementation
+DEMO_ALPHAS = (1, 2, 3, 4, 5, 6, 8, 10, 12, F(7, 3), F(13, 5))
 DEMO_DIGESTS = [
     "003c99465c9b530150811dc87fd1a296081b2d34d273803a4c55f4e6a2d7b2c1",
     "9be4c4d496fce25e56cad6aef7c0f8767360e5ad547e728cd2230c6340edcf4c",
@@ -350,6 +352,8 @@ DEMO_DIGESTS = [
     "57f9e6c3cf01c2318803b155ca505199f7325570718e2f96f4f6a725dc42cd96",
     "bcf58683a99b1c0fa1f970d935c5e4b837f45ea6cff483ab8dd2006a359a08d9",
     "c82b53090b9ccf4df9b4e96c983bb353ab40aeac2d43e9470fb0f0fa120649f3",
+    "656b468b10eeebf17713e6de3be64944519a7cf7114bc81773a3d38f2b97948a",
+    "d75bf9c2eb04f37e0017329e497421f9a95f2cbca9a170fac512be0495957704",
 ]
 SEEDED_DIGESTS = [
     "abb33bc01de4f9e2c31134db2437cdd84688396cab81199f1c11fb282f5e3269",
