@@ -27,7 +27,6 @@ from .engine import (
     intercept,
     interception_probability,
     patrol_search,
-    periodic_visits,
     random_closed_walk,
     walk_attack_probability,
 )

@@ -5,6 +5,8 @@ offsets and point offsets are scaled to integers by the lcm of their
 denominators, each walk's visits are indexed once per call, and a point's
 covered phase measure is the sum of min(gap, alpha) over the cyclic gaps
 between its visits; the only Fraction a point gets is its probability.
+Deterministic walks (`walk_attack_probability`, `intercept`) are scored on
+the same integer clock, from the same walk index, by one coverage rule.
 Continuous spatial attack parts are handled by midpoint-grid quadrature or
 Monte Carlo; an exact coverage integral for piecewise-uniform attacks is
 deliberately not provided.  Monte Carlo is the only place floating
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import SizeGuardError, ValidationError
 from .network import Network, Point, Step, SubNetwork, Walk, _is_int, frac, walk_through_nodes
-from .strategies import AttackStrategy, PatrolStrategy
+from .strategies import AttackStrategy, PatrolStrategy, TemporalLaw
 
 
 def _duration(alpha) -> Fraction:
@@ -43,48 +45,6 @@ def _duration(alpha) -> Fraction:
     if alpha < 0:
         raise ValidationError("attack duration must be nonnegative")
     return alpha
-
-
-def periodic_visits(walk: Walk, x: Point) -> tuple[Fraction, ...]:
-    """Unique visit times of x within one period, in [0, period)."""
-    vis = walk.visit_times(x)
-    if walk.is_closed and walk.duration > 0:
-        return tuple(sorted({v % walk.duration for v in vis}))
-    return vis
-
-
-def intercept(walk: Walk, x: Point, t, alpha, dwell_at_end: bool = False) -> bool:
-    """Whether the walk occupies x at some instant of the closed attack
-    window [t, t + alpha].
-
-    Closed walks repeat forever; open walks must cover the window unless
-    `dwell_at_end` grants the patrol permission to wait at its final point.
-    """
-    t, alpha = frac(t), _duration(alpha)
-    if t < 0:
-        raise ValidationError("attack start time must be nonnegative")
-    if walk.is_stationary:
-        return x == walk.start
-    if walk.is_closed:
-        period = walk.duration
-        vis = periodic_visits(walk, x)
-        if not vis:
-            return False
-        if alpha >= period:
-            return True
-        return any((v - t) % period <= alpha for v in vis)
-    if t + alpha > walk.duration and not dwell_at_end:
-        raise ValidationError("attack window extends past the end of an open walk")
-    if any(t <= v <= t + alpha for v in walk.visit_times(x)):
-        return True
-    return dwell_at_end and x == walk.end_point and t + alpha >= walk.duration
-
-
-def _lcm(nums):
-    out = 1
-    for n in nums:
-        out = out * n // math.gcd(out, n)
-    return out
 
 
 def _covered_measure(visits: Sequence[int], alpha: int, period: int) -> int:
@@ -103,32 +63,100 @@ def _covered_measure(visits: Sequence[int], alpha: int, period: int) -> int:
 
 
 class _WalkIndex:
-    """A closed walk's clock on a common integer scale: the walk's own scale
-    times `factor`.  `by_arc` lists its steps by arc as (start time, low
-    offset, high offset, entry offset) and `by_node` its step-end times by
-    node, both in step order; `period` is its duration."""
+    """A walk's clock on a common integer scale: the walk's own scale times
+    `factor`.  `by_arc` lists its steps by arc as (start time, low offset,
+    high offset, entry offset) and `by_node` the times it is at each node
+    (its start, then its step ends), both in step order; `period` is its
+    duration.  The index serves closed, open and stationary walks alike: a
+    stationary walk has no steps and period 0."""
 
     def __init__(self, walk: Walk, factor: int):
         self.by_arc: dict[str, list[tuple[int, int, int, int]]] = {}
         self.by_node: dict[str, list[int]] = {}
         ticks = [t * factor for t in walk._ticks]
-        for st, (o1, o2), t0, t1, node in zip(walk.steps, walk._offsets, ticks, ticks[1:],
-                                              walk._stops[1:]):
+        for st, (o1, o2), t0 in zip(walk.steps, walk._offsets, ticks):
             o1, o2 = o1 * factor, o2 * factor
             self.by_arc.setdefault(st.arc, []).append((t0, min(o1, o2), max(o1, o2), o1))
+        for t, node in zip(ticks, walk._stops):
             if node is not None:
-                self.by_node.setdefault(node, []).append(t1)
+                self.by_node.setdefault(node, []).append(t)
         self.period = ticks[-1]
 
     def visits(self, x: Point, off: int | None) -> list[int]:
         """Visit times of x (at scaled offset `off` when interior) within
         [0, period], nondecreasing.  A time can be listed twice: at a step
-        boundary, or at both 0 and the period.  A closed walk is at each
-        step start when the step before ends, so a node lists step ends only."""
+        boundary, or at both 0 and the period of a closed walk."""
         if x.is_node:
             return self.by_node.get(x.node, [])
         return [t0 + abs(off - o1) for t0, lo, hi, o1 in self.by_arc.get(x.arc, ())
                 if lo <= off <= hi]
+
+
+def _walk_probability(walk: Walk, atoms, alpha: Fraction, law: TemporalLaw,
+                      dwell_at_end: bool) -> Fraction:
+    """Exact probability that one deterministic walk intercepts an attack on
+    the (point, mass) atoms with start-time law `law`.
+
+    An attack at x starting at t is caught when the patrol is at x at some
+    instant of [t, t + alpha].  A closed walk that moves repeats forever.  A
+    stationary walk holds its point, and so does an open walk with
+    `dwell_at_end`, from its end time D on; an open walk without it must
+    cover a fixed-law window.  Under a uniform law on [0, H] an atom's
+    caught start times are the union of the windows [v - alpha, v] within
+    [0, H] over its visits v, plus [D - alpha, H] for a hold.  Alpha, the
+    law's time, the atom offsets and the walk's clock share one integer
+    scale.
+    """
+    repeat = walk.is_closed and not walk.is_stationary
+    hold = walk.is_stationary or (dwell_at_end and not walk.is_closed)
+    atoms = [(p, m) for p, m in atoms if m]
+    scale = math.lcm(alpha.denominator, law.value.denominator, walk._scale,
+                     *(p.offset.denominator for p, _ in atoms if not p.is_node))
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    a, t = scaled(alpha), scaled(law.value)  # t: the start time, or H under a uniform law
+    index = _WalkIndex(walk, scale // walk._scale)
+    end = index.period
+    fixed = law.kind == "fixed"
+    if fixed and not (repeat or hold) and t + a > end:
+        raise ValidationError("attack window extends past the end of an open walk")
+    total = Fraction(0)
+    for p, m in atoms:
+        visits = index.visits(p, None if p.is_node else scaled(p.offset))
+        held = hold and p == walk.end_point
+        if fixed:
+            if repeat:  # modular, so a late start unrolls nothing
+                caught = any((v - t) % end <= a for v in visits)
+            else:
+                caught = any(t <= v <= t + a for v in visits) or (held and t + a >= end)
+            total += m if caught else 0
+            continue
+        if repeat:  # every visit up to H + alpha
+            visits = [v + k * end for k in range((t + a) // end + 1) for v in visits]
+        # the windows come sorted by both ends, so each adds its part past `reach`
+        covered = reach = 0
+        for v in visits:
+            lo, hi = max(v - a, reach), min(v, t)
+            if hi > lo:
+                covered += hi - lo
+                reach = hi
+        if held:
+            covered += max(t - max(end - a, reach), 0)
+        total += m * covered
+    return total if fixed else total / t
+
+
+def intercept(walk: Walk, x: Point, t, alpha, dwell_at_end: bool = False) -> bool:
+    """Whether the walk occupies x at some instant of the closed attack
+    window [t, t + alpha].
+
+    Closed walks repeat forever; open walks must cover the window unless
+    `dwell_at_end` grants the patrol permission to wait at its final point.
+    """
+    t, alpha = frac(t), _duration(alpha)
+    return _walk_probability(walk, [(x, 1)], alpha, TemporalLaw.fixed(t), dwell_at_end) == 1
 
 
 def _interception_probabilities(patrol: PatrolStrategy, points: Sequence[Point],
@@ -148,7 +176,7 @@ def _interception_probabilities(patrol: PatrolStrategy, points: Sequence[Point],
     denoms = [alpha.denominator]
     denoms += [w._scale for w, _ in walks]
     denoms += [p.offset.denominator for p in points if not p.is_node]
-    scale = _lcm(denoms)
+    scale = math.lcm(*denoms)
 
     def scaled(x: Fraction) -> int:
         return x.numerator * (scale // x.denominator)
@@ -157,7 +185,7 @@ def _interception_probabilities(patrol: PatrolStrategy, points: Sequence[Point],
     offsets = [None if p.is_node else scaled(p.offset) for p in points]
     # a stationary walk covers its start point at every phase: weight s, measure 1
     weights = [s / scaled(w.duration) if w.steps else s for w, s in walks]
-    denominator = _lcm(wt.denominator for wt in weights)
+    denominator = math.lcm(*(wt.denominator for wt in weights))
     totals = [0] * len(points)
     for (walk, _), wt in zip(walks, weights):
         coef = wt.numerator * (denominator // wt.denominator)
@@ -319,7 +347,7 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
     # Times and offsets come from the walks' integer clocks on one scale; an
     # int/int division rounds as correctly as float() of the equal Fraction.
     atoms = [e[1] for e in entries if e[0] == "atom"]
-    scale = _lcm([w._scale for w in walks] + [p.offset.denominator for p in atoms if not p.is_node])
+    scale = math.lcm(*[w._scale for w in walks], *[p.offset.denominator for p in atoms if not p.is_node])
     atom_offsets = {p: p.offset.numerator * (scale // p.offset.denominator) for p in atoms
                     if not p.is_node}
     tasks = {}
@@ -517,14 +545,14 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
               horizon.denominator, t_fix.denominator]
     denoms += [a.length.denominator for a in net.arcs]
     denoms += [p.offset.denominator for p, _ in disc.atoms if not p.is_node]
-    scale = _lcm(denoms)
+    scale = math.lcm(*denoms)
 
     def s(x: Fraction) -> int:
         return int(x * scale)
 
     alpha_i, horizon_i, tfix_i = s(alpha), s(horizon), s(t_fix)
     arc_len = {a.id: s(a.length) for a in net.arcs}
-    mass_scale = _lcm(m.denominator for _, m in disc.atoms)
+    mass_scale = math.lcm(*(m.denominator for _, m in disc.atoms))
     mass = [int(m * mass_scale) for _, m in disc.atoms]
 
     by_arc: dict[str, list[tuple[int, int]]] = {}  # arc -> (atom, scaled offset)
@@ -677,50 +705,4 @@ def walk_attack_probability(walk: Walk, attack: AttackStrategy, alpha, *,
     different probabilities."""
     alpha = _duration(alpha)
     disc = attack if attack.is_atomic else attack.discretized(grid_step)
-    total = Fraction(0)
-    if disc.temporal.kind == "fixed":
-        t0 = disc.temporal.value
-        for p, m in disc.atoms:
-            if m and intercept(walk, p, t0, alpha, dwell_at_end=dwell_at_end):
-                total += m
-        return total
-    horizon = disc.temporal.value
-    for p, m in disc.atoms:
-        if m == 0:
-            continue
-        raw = []
-        for v in walk.visit_times(p):
-            lo = max(Fraction(0), v - alpha)
-            hi = min(horizon, v)
-            if lo <= hi:
-                raw.append((lo, hi))
-        if dwell_at_end and not walk.is_closed and p == walk.end_point:
-            lo = max(Fraction(0), walk.duration - alpha)
-            if lo <= horizon:
-                raw.append((lo, horizon))
-        if walk.is_stationary and p == walk.start:
-            raw.append((Fraction(0), horizon))
-        if walk.is_closed and not walk.is_stationary:
-            period = walk.duration
-            reps = int((horizon + alpha) // period) + 1
-            for k in range(1, reps + 1):
-                for v in periodic_visits(walk, p):
-                    vv = v + k * period
-                    lo = max(Fraction(0), vv - alpha)
-                    hi = min(horizon, vv)
-                    if lo <= hi:
-                        raw.append((lo, hi))
-        if not raw:
-            continue
-        raw.sort()
-        measure = Fraction(0)
-        cur_lo, cur_hi = raw[0]
-        for lo, hi in raw[1:]:
-            if lo <= cur_hi:
-                cur_hi = max(cur_hi, hi)
-            else:
-                measure += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-        measure += cur_hi - cur_lo
-        total += m * measure / horizon
-    return total
+    return _walk_probability(walk, disc.atoms, alpha, disc.temporal, dwell_at_end)

@@ -38,7 +38,10 @@ class TemporalLaw:
 
     @classmethod
     def fixed(cls, t) -> "TemporalLaw":
-        return cls("fixed", frac(t))
+        t = frac(t)
+        if t < 0:
+            raise ValidationError("attack start time must be nonnegative")
+        return cls("fixed", t)
 
     @classmethod
     def uniform(cls, horizon) -> "TemporalLaw":

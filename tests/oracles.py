@@ -8,9 +8,10 @@ critical durations and local roots come from its `Fraction` implementation,
 interception probabilities come from a merge of
 rational phase intervals, one point at a time, factorization counts and least largest-factor
 lengths come from set-cover search over explicitly enumerated perfect
-matchings, the patrol search scores every walk of its family as a
-`Walk` object, one at a time, and Monte Carlo is replayed one trial at a time
-in plain Python.
+matchings, a single walk is scored from the definition of interception
+under each rule for after its end (repeat, hold, none), the patrol search
+scores every walk of its family that way under the hold rule, one at a
+time, and Monte Carlo is replayed one trial at a time in plain Python.
 """
 
 import bisect
@@ -297,23 +298,39 @@ def search_family(net: Network, offset_step: Fraction, max_steps: int):
             off += offset_step
 
 
-def dwell_walk_probability(walk: Walk, attack, alpha: Fraction) -> Fraction:
-    """Interception probability of an atomic attack by a walk after which
-    the patrol waits at its end point, from the definition: an attack at p
-    starting at t is caught when a visit falls in [t, t + alpha], or when p
-    is the end point and the window reaches the walk's end.  Under a uniform
-    law, caught(t) is constant between consecutive window ends, so the
-    favourable measure sums the pieces whose midpoint is caught."""
+def walk_probability_reference(walk: Walk, attack, alpha: Fraction, rule: str) -> Fraction:
+    """Interception probability of an atomic attack by one walk, from the
+    definition: an attack at p starting at t is caught when the patrol is at
+    p at some instant of [t, t + alpha].  `rule` says where the patrol is
+    after the walk's duration D:
+
+    - "repeat": the closed walk runs again and again, so p is visited at
+      every visit time plus a multiple of D (only the multiples that reach
+      the windows are listed);
+    - "hold": the patrol waits at the end point from D on;
+    - "none": it is nowhere, and a fixed-law window past D raises.
+
+    Under a uniform law, caught(t) is constant between consecutive window
+    ends, so the favourable measure sums the pieces whose midpoint is
+    caught."""
     duration = walk.duration
+    fixed = attack.temporal.kind == "fixed"
+    first = attack.temporal.value if fixed else Fraction(0)  # earliest start
+    last = attack.temporal.value + alpha  # latest instant of any window
+    if fixed and rule == "none" and last > duration:
+        raise ValidationError("attack window extends past the end of an open walk")
     total = Fraction(0)
     for p, m in attack.atoms:
         times = walk.visit_times(p)
-        waits = p == walk.end_point
+        if rule == "repeat":
+            times = {v + k * duration for v in times
+                     for k in range(max(0, (first - v) // duration), (last - v) // duration + 1)}
+        waits = rule == "hold" and p == walk.end_point
 
         def caught(t):
             return any(t <= v <= t + alpha for v in times) or (waits and t + alpha >= duration)
 
-        if attack.temporal.kind == "fixed":
+        if fixed:
             total += m if caught(attack.temporal.value) else 0
             continue
         horizon = attack.temporal.value
@@ -332,7 +349,7 @@ def bruteforce_search(net: Network, attack, alpha, *, max_steps: int, offset_ste
     best, best_walk, count = None, None, 0
     for walk in search_family(net, offset_step, max_steps):
         count += 1
-        p = dwell_walk_probability(walk, disc, Fraction(alpha))
+        p = walk_probability_reference(walk, disc, Fraction(alpha), "hold")
         if best is None or p > best:
             best, best_walk = p, walk
     return best, count, best_walk

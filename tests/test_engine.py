@@ -42,9 +42,9 @@ from patrolgame import (
     walk_through_nodes,
 )
 from patrolgame import engine
-from patrolgame.engine import periodic_visits
 from conftest import LENGTH_POOL, make_sample_tree, random_tree
-from oracles import bruteforce_search, interception_reference, mc_hits_reference
+from oracles import (bruteforce_search, interception_reference, mc_hits_reference,
+                     walk_probability_reference)
 
 F = Fraction
 
@@ -197,7 +197,7 @@ def test_subadditivity_bound():
         alpha = F(rng.randint(1, 8), 2)
         arc = rng.choice(tree.arcs)
         x = tree.point(arc.id, arc.length * F(rng.randint(1, 3), 4))
-        vis = periodic_visits(walk, x)
+        vis = sorted({v % walk.duration for v in walk.visit_times(x)})
         prob = interception_probability(patrol, x, 0, alpha)
         bound = min(F(1), len(vis) * alpha / walk.duration)
         assert prob <= bound
@@ -554,6 +554,73 @@ def test_walk_attack_probability_fixed_reachable():
     w = Walk(net, net.node_point("u"), [Step("a", F(0), F(2))])
     assert walk_attack_probability(w, atom, 2) == 1
     assert walk_attack_probability(w, atom, 1) == 0  # arrives at 2, window ends at 1
+
+
+def _walk_cases(rng):
+    """Seeded walks of each kind on random trees and K4, with the points
+    they start and end at and a few others."""
+    k4 = complete_network(4)
+    for i in range(140):
+        net = k4 if i % 4 == 0 else random_tree(rng, min_nodes=2, max_nodes=6)
+        kind = ["closed", "open", "stationary", "interior open", "interior closed"][i % 5]
+        a = rng.choice(net.arcs)
+        off = a.length * F(rng.randint(1, 4), 5)
+        target = rng.choice([a.u, a.v])
+        seq = [rng.choice(net.nodes) if "interior" not in kind else target]
+        for _ in range(rng.randint(0 if "interior" in kind else 1, 4)):
+            seq.append(rng.choice([b for b in net.incident(seq[-1]) if b.u != b.v]).other(seq[-1]))
+        if kind == "closed":
+            walk = random_closed_walk(net, rng, max_steps=5)
+        elif kind == "open":
+            walk = walk_through_nodes(net, seq)
+        elif kind == "stationary":
+            walk = Walk(net, rng.choice([net.node_point(seq[0]), net.point(a.id, off)]))
+        else:
+            walk = walk_through_nodes(net, seq, initial=(a.id, off))
+            if kind == "interior closed":
+                back = walk_through_nodes(net, net.node_path(seq[-1], target)).steps
+                home = Step(a.id, F(0) if target == a.u else a.length, off)
+                walk = Walk(net, walk.start, walk.steps + back + (home,))
+        others = [net.node_point(rng.choice(net.nodes)),
+                  net.point(a.id, a.length * F(rng.randint(1, 5), 6))]
+        yield net, walk, [walk.start, walk.end_point] + others
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValidationError as e:
+        return f"error: {e}"
+
+
+def test_walk_scoring_matches_reference():
+    rng = random.Random(83)
+    seen = set()
+    for net, walk, points in _walk_cases(rng):
+        period = walk.duration
+        for law in (TemporalLaw.fixed(F(rng.randint(0, 12), rng.choice((1, 2, 3)))),
+                    TemporalLaw.uniform(F(rng.randint(1, 12), rng.choice((1, 2, 3))))):
+            for alpha in (F(0), F(rng.randint(1, 12), rng.choice((1, 2, 5))), period + F(1, 2)):
+                chosen = rng.sample(points, 2)
+                att = AttackStrategy(net, ((chosen[0], F(1, 3)), (chosen[1], F(2, 3))), (), law)
+                for dwell in (False, True):
+                    if walk.is_closed and not walk.is_stationary:
+                        rule = "repeat"
+                    else:
+                        rule = "hold" if walk.is_stationary or dwell else "none"
+                    want = _outcome(lambda: walk_probability_reference(walk, att, alpha, rule))
+                    got = _outcome(lambda: walk_attack_probability(walk, att, alpha,
+                                                                   dwell_at_end=dwell))
+                    assert got == want
+                    seen.add((rule, law.kind, isinstance(want, str)))
+                    x = chosen[0]
+                    for t in (law.value, 10 ** 12 + 1):
+                        one = AttackStrategy(net, ((x, F(1)),), (), TemporalLaw.fixed(t))
+                        want = _outcome(lambda: walk_probability_reference(walk, one, alpha, rule) == 1)
+                        assert _outcome(lambda: intercept(walk, x, t, alpha, dwell_at_end=dwell)) == want
+    assert ("none", "fixed", True) in seen and ("none", "uniform", False) in seen
+    assert {("repeat", k, False) for k in ("fixed", "uniform")} <= seen
+    assert {("hold", k, False) for k in ("fixed", "uniform")} <= seen
 
 
 def test_patrol_search_reaches_fixed_atom():
