@@ -159,34 +159,30 @@ def local_root_of_tree(tree: Network) -> Point:
 def core(tree: Network, alpha) -> SubNetwork:
     """Closure of the complement of the extremity set; collapses to the
     single local root once the extremity set covers the tree."""
-    _require_tree(tree)
-    a = validate_alpha(tree, alpha)
-    if a >= critical_alpha(tree):
-        return SubNetwork.single_point(tree, local_root_of_tree(tree))
-    ext = extremity_set(tree, a)
-    return ext.as_subnetwork(tree).complement()
+    return subtree_decomposition(tree, alpha).core
 
 
-def _component_boundary(tree: Network, comp: SubNetwork) -> list[Point]:
-    """Points of a maximal extremity component that touch the complement:
-    segment endpoints interior to an arc, plus covered nodes that fewer of
-    the component's segments reach than the node has arcs.  An offset p/q is
-    the far end of an arc of scaled length L exactly when p * D == L * q."""
+def _local_roots(tree: Network, ext_sub: SubNetwork) -> set[Point]:
+    """Local roots of all the extremity closure's components at once: where
+    it touches its complement, at segment endpoints interior to an arc and at
+    covered nodes that fewer of its segments reach than the node has arcs.
+    An offset p/q is the far end of an arc of scaled length L exactly when
+    p * D == L * q."""
     scale, weights = _side_weights(tree)
-    pts, reach = [], {}  # covered node -> segments of comp that reach it
-    for aid, ivs in comp.segments.items():
+    roots, reach = set(), {}  # covered node -> segments of the closure that reach it
+    for aid, ivs in ext_sub.segments.items():
         arc, ln = tree.arc(aid), weights[aid][0]
         for lo, hi in ivs:
             if lo.numerator > 0:
-                pts.append(Point(arc=aid, offset=lo))
+                roots.add(Point(arc=aid, offset=lo))
             else:
                 reach[arc.u] = reach.get(arc.u, 0) + 1
             if hi.numerator * scale < ln * hi.denominator:
-                pts.append(Point(arc=aid, offset=hi))
+                roots.add(Point(arc=aid, offset=hi))
             else:
                 reach[arc.v] = reach.get(arc.v, 0) + 1
-    pts += [Point(node=n) for n, k in reach.items() if k < tree.degree(n)]
-    return sorted(set(pts), key=Point.sort_key)
+    roots.update(Point(node=n) for n, k in reach.items() if k < tree.degree(n))
+    return roots
 
 
 def subtree_decomposition(tree: Network, alpha) -> SubtreeDecomposition:
@@ -207,15 +203,17 @@ def subtree_decomposition(tree: Network, alpha) -> SubtreeDecomposition:
 def _decompose(tree: Network, a: Fraction) -> SubtreeDecomposition:
     if a >= critical_alpha(tree):
         x_star = local_root_of_tree(tree)
-        core_sub, rooted = SubNetwork.single_point(tree, x_star), [(SubNetwork.whole(tree), x_star)]
+        core_sub = SubNetwork.single_point(tree, x_star)
+        comps = [TreeComponent(sub, x_star, sub.measure) for sub in SubNetwork.whole(tree).split_at(x_star)]
     else:
+        # Each extremity component touches the complement at one local root,
+        # so one flood of the closure that stops at every root yields the
+        # branches at all roots; a part touching two is a component with two.
         ext_sub = extremity_set(tree, a).as_subnetwork(tree)
-        core_sub, rooted = ext_sub.complement(), []
-        for comp in ext_sub.components():
-            boundary = _component_boundary(tree, comp)
-            if len(boundary) != 1:
-                raise AssertionError(f"component boundary is {boundary}, expected a single local root")
-            rooted.append((comp, boundary[0]))
-    comps = [TreeComponent(sub, root, sub.measure) for comp, root in rooted for sub in comp.split_at(root)]
+        core_sub, roots, comps = ext_sub.complement(), _local_roots(tree, ext_sub), []
+        for sub, touched in ext_sub._graph.parts(ext_sub._graph.pieces, roots):
+            if len(touched) != 1:
+                raise AssertionError(f"extremity part touches roots {touched}, expected a single local root")
+            comps.append(TreeComponent(sub, touched.pop(), sub.measure))
     comps.sort(key=lambda c: min((s.arc, s.lo) for s in c.subtree.segment_list()))
     return SubtreeDecomposition(a, core_sub, tuple(comps))

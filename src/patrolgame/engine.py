@@ -133,12 +133,14 @@ def _walk_probability(walk: Walk, atoms, alpha: Fraction, law: TemporalLaw,
                 caught = any(t <= v <= t + a for v in visits) or (held and t + a >= end)
             total += m if caught else 0
             continue
-        if repeat:  # every visit up to H + alpha
-            visits = [v + k * end for k in range((t + a) // end + 1) for v in visits]
+        covered, reach, h = 0, 0, t
+        if repeat:  # periodic: whole periods at once, then the visits up to the rest + alpha
+            whole, h = divmod(t, end)
+            covered = whole * _covered_measure(visits, a, end) if visits else 0
+            visits = [v + k * end for k in range((h + a) // end + 1) for v in visits]
         # the windows come sorted by both ends, so each adds its part past `reach`
-        covered = reach = 0
         for v in visits:
-            lo, hi = max(v - a, reach), min(v, t)
+            lo, hi = max(v - a, reach), min(v, h)
             if hi > lo:
                 covered += hi - lo
                 reach = hi
@@ -205,8 +207,9 @@ def _interception_probabilities(patrol: PatrolStrategy, points: Sequence[Point],
 def interception_probability(patrol: PatrolStrategy, x: Point, t, alpha) -> Fraction:
     """Exact probability that the phase-randomized mixture intercepts an
     attack at x starting at time t.  Uniform phases make the result invariant
-    in t; the argument is kept for interface fidelity."""
-    frac(t)
+    in t; the argument is kept for interface fidelity and must be
+    nonnegative, as for any fixed start time."""
+    TemporalLaw.fixed(t)
     return _interception_probabilities(patrol, [x], _duration(alpha))[0]
 
 

@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import FormatError, ValidationError
 
@@ -373,28 +373,29 @@ class _SegmentGraph:
     def incident(self, p: Point) -> Sequence[_Piece]:
         return self._touch.get(p, ())
 
-    def parts(self, seeds: Iterable[_Piece], blocked: Point | None) -> list["SubNetwork"]:
-        """Flood from each seed not yet reached, never passing through
-        `blocked`; one subnetwork per flood, in seed order."""
+    def parts(self, seeds: Iterable[_Piece], blocked: Container[Point]) -> list[tuple[SubNetwork, set[Point]]]:
+        """Flood from each seed not yet reached, stopping at every point in
+        `blocked`; per flood, in seed order, the subnetwork it covers and the
+        blocked points it stopped at."""
         reached: set[_Piece] = set()
         out = []
         for seed in seeds:
             if seed in reached:
                 continue
             reached.add(seed)
-            comp = [seed]
-            frontier = [seed]
+            comp, frontier, stops = [seed], [seed], set()
             while frontier:
                 piece = frontier.pop()
                 for end in (piece.u, piece.v):
-                    if end == blocked:
+                    if end in blocked:
+                        stops.add(end)
                         continue
                     for q in self.incident(end):
                         if q not in reached:
                             reached.add(q)
                             comp.append(q)
                             frontier.append(q)
-            out.append(SubNetwork.from_segments(self.host, [Segment(q.arc, q.lo, q.hi) for q in comp]))
+            out.append((SubNetwork.from_segments(self.host, [Segment(q.arc, q.lo, q.hi) for q in comp]), stops))
         return out
 
 
@@ -519,13 +520,6 @@ class SubNetwork:
     def _graph(self) -> _SegmentGraph:
         return _SegmentGraph(self.host, self.segment_list())
 
-    def components(self) -> list["SubNetwork"]:
-        out = self._graph.parts(self._graph.pieces, None)
-        for p in sorted(self.points, key=Point.sort_key):
-            out.append(SubNetwork.single_point(self.host, p))
-        out.sort(key=lambda s: min((seg.arc, seg.lo) for seg in s.segment_list()) if s.segments else ("~", Fraction(0)))
-        return out
-
     def split_at(self, p: Point) -> list["SubNetwork"]:
         """Closed components of the subnetwork minus `p`, each re-closed to
         include `p` on its boundary.  The host must be a tree for the result
@@ -544,7 +538,7 @@ class SubNetwork:
                 else:
                     segs.append(seg)
             graph = _SegmentGraph(self.host, segs)
-        return graph.parts(graph.incident(p), p)
+        return [sub for sub, _ in graph.parts(graph.incident(p), (p,))]
 
 
 def components_after_removal(net: Network, x: Point) -> list[SubNetwork]:

@@ -8,6 +8,7 @@ from patrolgame import (
     Network,
     SubNetwork,
     ValidationError,
+    components_after_removal,
     core,
     critical_alpha,
     e_patrolling,
@@ -206,6 +207,25 @@ def test_decomposition_invariants_random():
             for leaf in tree.leaf_nodes():
                 assert not dec.core.contains(tree.node_point(leaf))
         checked += 1
+
+
+def test_components_are_whole_branches_at_their_roots():
+    # the extremity closure is closed outward: the components at a root are
+    # exactly the branches of the tree there that miss the core, so each
+    # component is one whole branch
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(30):
+        tree = random_tree(rng, max_nodes=16)
+        a_star = critical_alpha(tree)
+        for alpha in (a_star / 5, a_star / 2, a_star * 9 / 10, a_star, a_star * 5 / 4):
+            dec = subtree_decomposition(tree, alpha)
+            for root in set(dec.roots):
+                mine = sorted(sorted(seg_set(c.subtree)) for c in dec.components if c.root == root)
+                assert sorted(sorted(seg_set(b)) for b in components_after_removal(tree, root)
+                              if b.overlap_measure(dec.core) == 0) == mine
+                checked += len(mine)
+    assert checked > 600
 
 
 def test_component_interiors_disjoint(sample_tree):

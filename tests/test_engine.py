@@ -121,6 +121,12 @@ def test_interception_probability_fixtures():
     assert interception_probability(patrol, mid, F(17, 3), 1) == F(1, 2)
 
 
+def test_interception_probability_rejects_negative_start():
+    net, w = back_and_forth()
+    with pytest.raises(ValidationError, match="^attack start time must be nonnegative$"):
+        interception_probability(PatrolStrategy.single(w), net.node_point("u"), -5, 1)
+
+
 def test_interception_probability_complete_k4(unit_k4):
     pat = complete_patrolling(unit_k4)
     assert interception_probability(pat, unit_k4.node_point("v2"), 0, 3) == F(3, 4)
@@ -621,6 +627,33 @@ def test_walk_scoring_matches_reference():
     assert ("none", "fixed", True) in seen and ("none", "uniform", False) in seen
     assert {("repeat", k, False) for k in ("fixed", "uniform")} <= seen
     assert {("hold", k, False) for k in ("fixed", "uniform")} <= seen
+
+
+def test_walk_scoring_over_many_periods_matches_reference():
+    rng = random.Random(89)
+    repeats = 0
+    for net, walk, points in _walk_cases(rng):
+        if not walk.is_closed or walk.is_stationary:
+            continue
+        for _ in range(2):
+            horizon = walk.duration * rng.randint(2, 9) + F(rng.randint(0, 12), rng.choice((1, 2, 3, 5)))
+            alpha = F(rng.randint(0, 16), rng.choice((1, 2, 5)))
+            chosen = rng.sample(points, 2)
+            att = AttackStrategy(net, ((chosen[0], F(1, 3)), (chosen[1], F(2, 3))), (),
+                                 TemporalLaw.uniform(horizon))
+            want = walk_probability_reference(walk, att, alpha, "repeat")
+            assert walk_attack_probability(walk, att, alpha) == want
+            repeats += 1
+    assert repeats >= 50
+
+
+def test_walk_scoring_at_a_far_horizon():
+    # a unit back-and-forth walk catches an attack at u started in the last
+    # half unit of each period of 2; the horizon is counted, not unrolled
+    net, w = back_and_forth(1)
+    for horizon, want in ((10 ** 9, F(1, 4)), (10 ** 9 + 1, F(10 ** 9 // 4, 10 ** 9 + 1))):
+        att = AttackStrategy(net, ((net.node_point("u"), F(1)),), (), TemporalLaw.uniform(horizon))
+        assert walk_attack_probability(w, att, F(1, 2)) == want
 
 
 def test_patrol_search_reaches_fixed_atom():
