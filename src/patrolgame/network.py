@@ -395,7 +395,13 @@ class _SegmentGraph:
                             reached.add(q)
                             comp.append(q)
                             frontier.append(q)
-            out.append((SubNetwork.from_segments(self.host, [Segment(q.arc, q.lo, q.hi) for q in comp]), stops))
+            # the pieces come from a checked, merged subnetwork (or its cut at
+            # a blocked point), so they are grouped and merged unchecked
+            by_arc: dict[str, list] = {}
+            for q in comp:
+                by_arc.setdefault(q.arc, []).append((q.lo, q.hi))
+            segments = {aid: _merge_intervals(by_arc[aid]) for aid in sorted(by_arc)}
+            out.append((SubNetwork(self.host, segments, frozenset()), stops))
         return out
 
 
@@ -530,11 +536,11 @@ class SubNetwork:
         if p.is_node:
             graph = self._graph
         else:
-            segs = []
+            segs, off = [], frac(p.offset)
             for seg in self.segment_list():
-                if seg.arc == p.arc and seg.lo < p.offset < seg.hi:
-                    segs.append(Segment(seg.arc, seg.lo, p.offset))
-                    segs.append(Segment(seg.arc, p.offset, seg.hi))
+                if seg.arc == p.arc and seg.lo < off < seg.hi:
+                    segs.append(Segment(seg.arc, seg.lo, off))
+                    segs.append(Segment(seg.arc, off, seg.hi))
                 else:
                     segs.append(seg)
             graph = _SegmentGraph(self.host, segs)
@@ -618,7 +624,9 @@ class Walk:
     the clock at each step boundary and `_stops` the node there (None at an
     interior point).  `duration` and `end_point` are the only exact values
     built up front; the `Fraction` step times that `position` and
-    `visit_times` read are built on first use.
+    `visit_times` read are built on first use.  The reverse of a checked
+    walk is valid, so `reversed` derives its clock from this walk's instead
+    of checking its steps again.
     """
 
     def __init__(self, net: Network, start: Point, steps: Sequence[Step] = ()):
@@ -723,8 +731,17 @@ class Walk:
         return tuple(sorted(times))
 
     def reversed(self) -> "Walk":
-        steps = [Step(s.arc, s.end, s.start) for s in reversed(self.steps)]
-        return Walk(self.net, self.end_point, steps)
+        """The walk run backwards from its end point; every field equals what
+        the constructor would build from the reversed steps."""
+        w = Walk.__new__(Walk)
+        w.net, w.start, w.duration, w._scale = self.net, self.end_point, self.duration, self._scale
+        w.steps = tuple(Step(s.arc, s.end, s.start) for s in reversed(self.steps))
+        w._ticks = tuple(self._ticks[-1] - t for t in reversed(self._ticks))
+        w._offsets = tuple((hi, lo) for lo, hi in reversed(self._offsets))
+        w._stops = self._stops[::-1]
+        w.end_point = (_position(self._stops[0], self.start.arc, self._offsets[0][0], self._scale)
+                       if self.steps else self.start)
+        return w
 
     def repeated(self, k: int) -> "Walk":
         if not _is_int(k) or k <= 0:

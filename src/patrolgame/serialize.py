@@ -132,6 +132,9 @@ def write_patrol(p: PatrolStrategy) -> str:
 
 
 def parse_patrol(net: Network, text: str) -> PatrolStrategy:
+    """Records run `mix`, `walk`, then that walk's `step`s, per component.
+    Each distinct step record (a walk and its reverse repeat them all) is
+    parsed once into an immutable `Step`; `Walk` still checks every step."""
     lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
     if not lines or lines[0] != "patrol":
         raise FormatError("line 1: expected 'patrol' header")
@@ -140,6 +143,7 @@ def parse_patrol(net: Network, text: str) -> PatrolStrategy:
     start = None
     walk_ln = 0
     steps: list[Step] = []
+    parsed: dict[str, Step] = {}  # step record text -> its Step
 
     def flush(ln):
         if prob is None:
@@ -152,19 +156,28 @@ def parse_patrol(net: Network, text: str) -> PatrolStrategy:
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        tok = line.split()
-        if tok[0] == "mix" and len(tok) == 2:
+        step = parsed.get(line)
+        tok = None if step is not None else line.split()
+        if step is not None or (tok[0] == "step" and len(tok) == 4):
+            if start is None:
+                raise FormatError(f"line {ln}: step record before its walk")
+            if step is None:
+                lo, hi = (parse_rational(t, "offset", ln) for t in tok[2:])
+                step = parsed[line] = Step(tok[1], lo, hi)
+            steps.append(step)
+        elif tok[0] == "mix" and len(tok) == 2:
             flush(ln)
             prob = parse_rational(tok[1], "probability", ln)
             start = None
             steps.clear()
         elif tok[0] == "walk" and len(tok) == 2:
+            if prob is None:
+                raise FormatError(f"line {ln}: walk record before any mix")
+            if start is not None:
+                raise FormatError(f"line {ln}: second walk record in one mix")
             with _at_line(ln):
                 start = parse_point(net, tok[1], ln)
             walk_ln = ln
-        elif tok[0] == "step" and len(tok) == 4:
-            lo, hi = (parse_rational(t, "offset", ln) for t in tok[2:])
-            steps.append(Step(tok[1], lo, hi))
         else:
             raise FormatError(f"line {ln}: bad patrol record {tok[0]!r}")
     flush(len(lines))

@@ -6,8 +6,10 @@ import pytest
 
 from patrolgame import (
     Network,
+    Segment,
     SubNetwork,
     ValidationError,
+    complete_network,
     components_after_removal,
     core,
     critical_alpha,
@@ -22,7 +24,8 @@ from patrolgame import (
     subtree_decomposition,
     tree_attack_strategy,
 )
-from patrolgame.decomposition import _side_weights
+from patrolgame.decomposition import _local_roots, _side_weights
+from patrolgame.network import _SegmentGraph
 from patrolgame.serialize import write_attack, write_decomposition_report, write_patrol
 from conftest import LENGTH_POOL, make_sample_tree, random_alpha, random_tree
 from oracles import (fraction_critical_alpha, fraction_extremity_set, fraction_local_root,
@@ -375,3 +378,74 @@ def test_checks_run_on_every_call(sample_tree, unit_k4):
         with pytest.raises(TypeError):
             subtree_decomposition(sample_tree, 4.0)
         assert subtree_decomposition(sample_tree, 4) is dec
+
+
+def _flood_reference(graph, seeds, blocked):
+    """Floods of a segment graph from each seed not yet reached, stopping at
+    blocked points: each part built by `SubNetwork.from_segments` over its
+    pieces, with the blocked points it stopped at."""
+    out, seen = [], set()
+    for seed in seeds:
+        if seed in seen:
+            continue
+        seen.add(seed)
+        pieces, todo, stops = [], [seed], set()
+        while todo:
+            q = todo.pop()
+            pieces.append(Segment(q.arc, q.lo, q.hi))
+            for end in (q.u, q.v):
+                if end in blocked:
+                    stops.add(end)
+                    continue
+                fresh = [r for r in graph.incident(end) if r not in seen]
+                seen.update(fresh)
+                todo += fresh
+        out.append((SubNetwork.from_segments(graph.host, pieces), stops))
+    return out
+
+
+def _fields(sub):
+    # key order included: a dict compares equal whatever its order
+    return list(sub.segments.items()), sub.measure, sub.points
+
+
+def _cut_graph(sub, p):
+    segs = []
+    for s in sub.segment_list():
+        if not p.is_node and s.arc == p.arc and s.lo < p.offset < s.hi:
+            segs += [Segment(s.arc, s.lo, p.offset), Segment(s.arc, p.offset, s.hi)]
+        else:
+            segs.append(s)
+    return _SegmentGraph(sub.host, segs)
+
+
+def test_flood_parts_match_from_segments():
+    # split_at at nodes and interior points, and _decompose's flood of the
+    # extremity closure, build each part as from_segments would
+    rng = random.Random(41)
+    hosts = [random_tree(rng, max_nodes=14, min_nodes=3) for _ in range(14)]
+    hosts += [complete_network(4, F(3, 2)), Network(["x", "y"], [("b", "x", "y", 1), ("l", "x", "x", 2)])]
+    splits = 0
+    for host in hosts:
+        subs = [SubNetwork.whole(host), host.ball(host.node_point(host.nodes[-1]), host.total_length / 3)]
+        for sub in subs:
+            arc = rng.choice(sorted(sub.segments))
+            lo, hi = rng.choice(sub.segments[arc])
+            for p in [host.node_point(n) for n in sub.covered_nodes()] + [host.point(arc, (lo + hi) / 2)]:
+                graph = _cut_graph(sub, p)
+                want = _flood_reference(graph, graph.incident(p), {p})
+                assert [_fields(part) for part in sub.split_at(p)] == [_fields(part) for part, _ in want]
+                splits += 1
+        if not host.is_tree():
+            continue
+        a_star = critical_alpha(host)
+        for alpha in (a_star / 5, a_star / 2, a_star * 9 / 10):
+            ext_sub = extremity_set(host, alpha).as_subnetwork(host)
+            roots = _local_roots(host, ext_sub)
+            graph = ext_sub._graph
+            parts = graph.parts(graph.pieces, roots)
+            assert [(_fields(part), stops) for part, stops in parts] == \
+                [(_fields(part), stops) for part, stops in _flood_reference(graph, graph.pieces, roots)]
+            dec = subtree_decomposition(host, alpha)
+            assert sorted(_fields(c.subtree) for c in dec.components) == sorted(_fields(part) for part, _ in parts)
+    assert splits > 150

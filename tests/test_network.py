@@ -326,6 +326,33 @@ def test_walk_trace_matches_point_reference():
     assert count > 100
 
 
+def _walk_fields(w: Walk, types: bool = True):
+    """Every field of a walk, with the types of its offsets when `types`."""
+    fields = (w.net, w.start, w.steps, w.end_point, w.duration, w._scale, w._ticks, w._offsets,
+              w._stops, w._cum)
+    if not types:
+        return fields
+    offsets = [p.offset for p in (w.start, w.end_point)] + [o for s in w.steps for o in (s.start, s.end)]
+    return fields, [type(o) for o in offsets], type(w.duration)
+
+
+def test_walk_reversed_matches_constructor():
+    net = Network(["u", "v"], [("a", "u", "v", 2)])
+    walks = list(_seeded_walks()) + [
+        Walk(net, net.node_point("u")),                     # stationary at a node
+        Walk(net, net.point("a", F(1, 3))),                 # stationary inside an arc
+        # an int start offset: the constructor ends the reverse on a Fraction
+        Walk(net, Point(arc="a", offset=1), [Step("a", F(1), F(2)), Step("a", F(2), F(0))]),
+        Walk(net, Point(arc="a", offset=1), [Step("a", 1, 0), Step("a", 0, F(3, 2))]),
+    ]
+    for w in walks:
+        rev = w.reversed()
+        built = Walk(w.net, w.end_point, [Step(s.arc, s.end, s.start) for s in reversed(w.steps)])
+        assert _walk_fields(rev) == _walk_fields(built), w.steps
+        assert _walk_fields(rev.reversed(), types=False) == _walk_fields(w, types=False)
+    assert type(walks[-2].reversed().end_point.offset) is Fraction
+
+
 def _outcome(make):
     """What building a walk gives: its end point, duration, closedness and
     positions at every step boundary, or its exception's type and message."""

@@ -1,4 +1,6 @@
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,9 @@ from patrolgame import (
     FormatError,
     FactorizationError,
     TemporalLaw,
+    Step,
     ValidationError,
+    Walk,
     complete_network,
     complete_patrolling,
     e_patrolling,
@@ -25,7 +29,8 @@ from patrolgame import (
     parse_network,
 )
 from patrolgame import serialize as ser
-from conftest import make_sample_tree
+from patrolgame.network import parse_rational
+from conftest import make_sample_tree, random_alpha, random_tree
 
 F = Fraction
 
@@ -217,6 +222,16 @@ def test_parse_patrol_fuzz(text):
      "step on 'aL5' starts at node:L5, walk is at node:A"),
     ("patrol", "mix 1/2\nwalk node:A\nstep aL5 0 1\nstep aL5 1 0\nmix 1/2\n\nwalk node:A\nstep zz 0 1",
      8, "unknown arc 'zz'"),
+    # records out of order: a walk before any mix, a step before its walk
+    # (also when the step record was parsed before), a second walk in a mix
+    ("patrol", "walk node:A\nstep aL5 0 1\nmix 1\nwalk node:A", 2, "walk record before any mix"),
+    ("patrol", "walk node:A\nstep aL5 0 1", 2, "walk record before any mix"),
+    ("patrol", "step aL5 0 1\nmix 1\nwalk node:A", 2, "step record before its walk"),
+    ("patrol", "mix 1\nstep aL5 0 1\nwalk node:A\nstep aL5 1 0", 3, "step record before its walk"),
+    ("patrol", "mix 1/2\nwalk node:A\nstep aL5 0 1\nstep aL5 1 0\nmix 1/2\nstep aL5 0 1\nwalk node:A",
+     7, "step record before its walk"),
+    ("patrol", "mix 1\nwalk node:A\nstep aL5 0 1\nwalk node:L5\nstep aL5 1 0", 5,
+     "second walk record in one mix"),
 ])
 def test_parse_errors_name_their_line(sample_tree, header, body, line, message):
     parse = ser.parse_attack if header == "attack" else ser.parse_patrol
@@ -255,6 +270,102 @@ def test_attack_parse_bad_fields(sample_tree, body, line):
 def test_patrol_parse_bad_rationals(sample_tree, body, line):
     with pytest.raises(FormatError, match=f"line {line}: bad"):
         ser.parse_patrol(sample_tree, f"patrol\n{body}\n")
+
+
+def _parse_record_by_record(net, text):
+    """What parsing a well-ordered patrol text gives, each record parsed from
+    its own text: per mix its walk's fields and offset types, or the error."""
+    comps, mix = [], None
+
+    def flush():
+        if mix is not None:
+            prob, ln, start, steps = mix
+            try:
+                w = Walk(net, start, steps)
+            except ValidationError as e:
+                raise FormatError(f"line {ln}: {e}") from None
+            comps.append((prob, w.start, w.steps, w.end_point, w.duration,
+                          [(type(s.start), type(s.end)) for s in w.steps]))
+
+    try:
+        for ln, line in enumerate(text.splitlines()[1:], start=2):
+            tok = line.split("#", 1)[0].split()
+            if not tok:
+                continue
+            if tok[0] == "mix":
+                flush()
+                mix = [parse_rational(tok[1], "probability", ln), None, None, []]
+            elif tok[0] == "walk":
+                mix[1:3] = ln, ser.parse_point(net, tok[1], ln)
+            else:
+                mix[3].append(Step(tok[1], *(parse_rational(t, "offset", ln) for t in tok[2:])))
+        flush()
+    except ValidationError as e:
+        return type(e), str(e)
+    return comps
+
+
+def _parse_patrol_outcome(net, text):
+    try:
+        patrol = ser.parse_patrol(net, text)
+    except ValidationError as e:
+        return type(e), str(e)
+    return [(s, w.start, w.steps, w.end_point, w.duration, [(type(st.start), type(st.end)) for st in w.steps])
+            for w, s in patrol.components]
+
+
+def _respell(rng, line):
+    """The same step record with other spacing, a comment or equal rationals."""
+    tok = line.split()
+    if rng.random() < 0.4:
+        tok[2:] = [f"{t}/1" if "/" not in t else "/".join(str(2 * int(n)) for n in t.split("/"))
+                   for t in tok[2:]]
+    sep = rng.choice([" ", "  ", "\t"])
+    return rng.choice(["", "  "]) + sep.join(tok) + rng.choice(["", " ", "  # again", "#"])
+
+
+def test_repeated_patrol_records_parse_like_fresh_ones():
+    # an E-patrol writes every step record once in each direction in each of
+    # its two walks; copies that differ only in comments, spacing or the
+    # spelling of a rational must parse to the same steps and offset types,
+    # and a bad record that repeats must be reported at its first line
+    rng = random.Random(19)
+    bad_records = ["step {arc} 0 one", "step {arc} 1/0 0", "step {arc} 0 -1", "step zz 0 1",
+                   "step {arc} 0 0"]
+    kinds = Counter()
+    for _ in range(16):
+        tree = random_tree(rng, max_nodes=10, min_nodes=3)
+        lines = ser.write_patrol(e_patrolling(tree, random_alpha(rng, tree))).splitlines()
+        step_at = [i for i, line in enumerate(lines) if line.startswith("step ")]
+        variants = ["\n".join(lines) + "\n"]
+        copy = list(lines)
+        for i in step_at:
+            if rng.random() < 0.5:
+                copy[i] = _respell(rng, copy[i])
+        variants.append("\n".join(copy) + "\n")
+        for _ in range(3):
+            i, j = sorted(rng.sample(step_at, 2))
+            record = rng.choice(bad_records).format(arc=lines[i].split()[1])
+            copy = list(lines)
+            copy[i], copy[j] = record, _respell(rng, record)
+            variants.append("\n".join(copy) + "\n")
+        for text in variants:
+            got = _parse_patrol_outcome(tree, text)
+            assert got == _parse_record_by_record(tree, text)
+            if isinstance(got[0], type):
+                kinds[got[1].split(": ", 1)[1].split()[0]] += 1
+    assert set(kinds) == {"bad", "unknown", "zero-length", "step"}, kinds
+
+
+def test_repeated_bad_record_names_its_first_line(sample_tree):
+    text = "patrol\nmix 1\nwalk node:A\nstep aL5 0 x\nstep aL5 0 x\n"
+    with pytest.raises(FormatError, match="^line 4: bad offset 'x'$"):
+        ser.parse_patrol(sample_tree, text)
+    text = "patrol\nmix 1\nwalk node:A\nstep aL5 0 1\nstep aL5 1 0 # back\nstep aL5  0 1\nstep aL5 1/1 0\n"
+    patrol = ser.parse_patrol(sample_tree, text)
+    steps = patrol.components[0][0].steps
+    assert steps == (Step("aL5", 0, 1), Step("aL5", 1, 0)) * 2
+    assert all(type(o) is F for s in steps for o in (s.start, s.end))
 
 
 def test_point_and_segment_bad_rationals(sample_tree):
