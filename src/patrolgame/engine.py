@@ -531,7 +531,11 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     the patrol waits at its final position.  Each candidate (including every
     prefix) is scored exactly against the grid-discretized attack.  Scores
     are integers on a common scale of times and masses, updated step by step;
-    the result is one exact rational built at the end.
+    the result is one exact rational built at the end.  Walks are examined
+    depth first, each prefix before its extensions, and the first walk of the
+    best score wins.  A walk of `max_steps` steps is scored from its prefix
+    without descending into it; it is still examined in that order and
+    counted once in `walks_examined` and against `max_walks`.
 
     A closed walk is held at its end point like an open one, not repeated;
     `walk_attack_probability` repeats a closed walk periodically, so on a
@@ -556,110 +560,40 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     alpha_i, horizon_i, tfix_i = s(alpha), s(horizon), s(t_fix)
     arc_len = {a.id: s(a.length) for a in net.arcs}
     mass_scale = math.lcm(*(m.denominator for _, m in disc.atoms))
-    mass = [int(m * mass_scale) for _, m in disc.atoms]
 
-    by_arc: dict[str, list[tuple[int, int]]] = {}  # arc -> (atom, scaled offset)
-    node_atoms: dict[str, int] = {}
-    for idx, (p, _) in enumerate(disc.atoms):
+    by_arc: dict[str, list[tuple[int, int, int]]] = {}  # arc -> (atom, scaled offset, mass)
+    node_atoms: dict[str, tuple[int, int]] = {}  # node -> (atom, mass)
+    for idx, (p, m) in enumerate(disc.atoms):
         if p.is_node:
-            node_atoms[p.node] = idx
+            node_atoms[p.node] = (idx, int(m * mass_scale))
         else:
-            by_arc.setdefault(p.arc, []).append((idx, s(p.offset)))
+            by_arc.setdefault(p.arc, []).append((idx, s(p.offset), int(m * mass_scale)))
 
-    def arc_hits(arc_id: str, entry: int, exit_: int) -> list[tuple[int, int]]:
-        """(atom, time after entry) for the arc atoms passed from entry to exit."""
+    def move(record, arc_id, entry: int, exit_: int, node: str) -> tuple:
+        """A move along an arc from offset entry to exit_, ending at `node`:
+        (record, node, duration, hits, end atom).  Hits are (atom, time after
+        the move starts, mass) for the arc atoms passed, then the node's
+        atom; the end atom is the node's (atom, mass), or None."""
         lo, hi = min(entry, exit_), max(entry, exit_)
-        return [(idx, abs(off - entry)) for idx, off in by_arc.get(arc_id, ()) if lo <= off <= hi]
+        hits = [(idx, abs(off - entry), m) for idx, off, m in by_arc.get(arc_id, ())
+                if lo <= off <= hi]
+        end = node_atoms.get(node)
+        if end is not None:
+            hits.append((end[0], hi - lo, end[1]))
+        return record, node, hi - lo, tuple(hits), end
 
-    # One full arc step from each node: (arc, next node, length, entry, exit,
-    # atoms visited with their times after the step starts).
-    moves: dict[str, list[tuple]] = {}
-    for node in net.nodes:
-        moves[node] = []
-        for a in net.incident(node):
-            if a.u == a.v:
-                continue
-            entry = 0 if a.u == node else arc_len[a.id]
-            exit_ = arc_len[a.id] - entry
-            other = a.other(node)
-            hits = arc_hits(a.id, entry, exit_)
-            if other in node_atoms:
-                hits.append((node_atoms[other], arc_len[a.id]))
-            moves[node].append((a.id, other, arc_len[a.id], entry, exit_, tuple(hits)))
-
-    # Per-atom state, restored from an undo list when a step is taken back.
-    # Fixed law: hit[i] is 1 once some visit falls in [t, t + alpha], so the
-    # atom's favourable measure is hit[i].  Uniform law: the favourable
-    # measure is the length of the union of the windows [v - alpha, v] within
-    # [0, H] over the atom's visits v.  An atom's visits arrive in
-    # nondecreasing time (the clock only moves forward and a step visits an
-    # atom at most once), so both ends of its windows are nondecreasing and a
-    # new visit adds only its window's part beyond reach[i] = min(H, latest
-    # visit).  `total` is the sum of mass[i] times the favourable measure.
-    hit = [0] * len(mass)
-    reach = [0] * len(mass)
-    fix_lo, fix_hi = tfix_i, tfix_i + alpha_i
-
-    def push(hits, base: int) -> tuple[int, list]:
-        """Record the visits at base + dt; return the total's gain and the undo list."""
-        gained = 0
-        undo = []
-        for idx, dt in hits:
-            v = base + dt
-            if fixed_t:
-                if not hit[idx] and fix_lo <= v <= fix_hi:
-                    undo.append((idx, 0))
-                    hit[idx] = 1
-                    gained += mass[idx]
-            else:
-                hi = v if v < horizon_i else horizon_i
-                lo = max(v - alpha_i, reach[idx], 0)
-                undo.append((idx, reach[idx]))
-                reach[idx] = hi
-                if hi > lo:
-                    gained += mass[idx] * (hi - lo)
-        return gained, undo
-
-    def pop(undo) -> None:
-        state = hit if fixed_t else reach
-        for idx, old in undo:
-            state[idx] = old
-
-    def dwell_gain(idx: int, now: int) -> int:
-        """Favourable measure the patrol adds by waiting at atom idx from now on."""
-        if fixed_t:
-            return 0 if hit[idx] or now > fix_hi else 1
-        gain = horizon_i - max(now - alpha_i, reach[idx], 0)
-        return gain if gain > 0 else 0
-
-    best_value = None
-    best_spec = None
-    count = 0
-
-    def extend(node: str, now: int, depth: int, trail: tuple, total: int):
-        nonlocal best_value, best_spec, count
-        d = node_atoms.get(node)
-        value = total if d is None else total + mass[d] * dwell_gain(d, now)
-        if best_value is None or value > best_value:
-            best_value = value
-            best_spec = trail
-        count += 1
-        if count > max_walks:
-            raise SizeGuardError(f"patrol family exceeded {max_walks} walks")
-        if depth == max_steps:
-            return
-        for arc_id, other, length, entry, exit_, hits in moves[node]:
-            gained, undo = push(hits, now)
-            extend(other, now + length, depth + 1, trail + ((arc_id, entry, exit_),), total + gained)
-            pop(undo)
-
-    # node starts
+    # moves[node] holds the full arc steps from a node; moves[None] the
+    # walks' starts: each node, then each interior grid offset heading for
+    # either endpoint of its arc.
+    moves: dict[str | None, list[tuple]] = {None: []}
     for name in net.nodes:
-        gained, undo = push([(node_atoms[name], 0)] if name in node_atoms else [], 0)
-        extend(name, 0, 0, (("start-node", name),), gained)
-        pop(undo)
-
-    # interior starts on the offset grid, one per direction
+        moves[None].append(move(("start-node", name), None, 0, 0, name))
+        moves[name] = []
+        for a in net.incident(name):
+            if a.u != a.v:
+                entry = 0 if a.u == name else arc_len[a.id]
+                exit_ = arc_len[a.id] - entry
+                moves[name].append(move((a.id, entry, exit_), a.id, entry, exit_, a.other(name)))
     step_i = s(offset_step)
     for a in net.arcs:
         if a.u == a.v:
@@ -667,13 +601,90 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
         for off in range(step_i, arc_len[a.id], step_i):
             for target in (a.u, a.v):
                 exit_ = 0 if target == a.u else arc_len[a.id]
-                hits = arc_hits(a.id, off, exit_)
-                if target in node_atoms:
-                    hits.append((node_atoms[target], abs(exit_ - off)))
-                gained, undo = push(hits, 0)
-                extend(target, abs(exit_ - off), 0, (("start-arc", a.id, off, target),), gained)
-                pop(undo)
+                start = ("start-arc", a.id, off, target)
+                moves[None].append(move(start, a.id, off, exit_, target))
 
+    # A walk's score is the sum over atoms of mass times favourable measure,
+    # one integer `total` that each move adds its hits' gains to.  An atom's
+    # visits come in nondecreasing time (the clock only moves forward and a
+    # move visits an atom at most once).  Fixed law: hit[i] is 1 once a visit
+    # falls in [t, t + alpha], and that visit gains the atom's mass.  Uniform
+    # law: the measure is the length of the union of the windows
+    # [v - alpha, v] within [0, H] over the visits v, so a visit gains its
+    # window's part beyond reach[i] = min(H, latest visit), which starts at 0
+    # so that no window counts below 0.  A finished walk waits at its end
+    # node, whose atom its last move has just visited at `then`: the wait
+    # gains H - then if positive under the uniform law, and the mass under the
+    # fixed law if the atom is unhit and then < t.  Each law's rules are
+    # written once, in its loop below; `_walk_probability` reads the same
+    # rules for one walk.  A walk of max_steps steps is scored from its
+    # prefix's state without being entered, so it writes no state.
+    state = [0] * len(disc.atoms)  # hit or reach, by the law
+    path: list[tuple] = []  # the records of the moves into the current node
+    best_value, best_spec, count = -1, None, 0
+    fix_lo, fix_hi = tfix_i, tfix_i + alpha_i
+
+    def uniform_law(node, now: int, steps: int, total: int) -> None:
+        nonlocal best_value, best_spec, count
+        reach, h, earliest = state, horizon_i, now - alpha_i
+        for record, other, length, hits, end in moves[node]:
+            gained = 0
+            for idx, dt, m in hits:
+                lo = earliest + dt
+                if reach[idx] > lo:
+                    lo = reach[idx]
+                hi = now + dt
+                if hi > h:
+                    hi = h
+                if hi > lo:
+                    gained += m * (hi - lo)
+            then = now + length
+            value = total + gained
+            if end is not None and then < h:
+                value += end[1] * (h - then)
+            count += 1
+            if count > max_walks:
+                raise SizeGuardError(f"patrol family exceeded {max_walks} walks")
+            if value > best_value:
+                best_value, best_spec = value, (*path, record)
+            if steps < max_steps:
+                undo = [reach[idx] for idx, _, _ in hits]
+                for idx, dt, _ in hits:
+                    reach[idx] = now + dt if now + dt < h else h
+                path.append(record)
+                uniform_law(other, then, steps + 1, total + gained)
+                path.pop()
+                for (idx, _, _), old in zip(hits, undo):
+                    reach[idx] = old
+
+    def fixed_law(node, now: int, steps: int, total: int) -> None:
+        nonlocal best_value, best_spec, count
+        hit = state
+        for record, other, length, hits, end in moves[node]:
+            gained, newly = 0, []
+            for idx, dt, m in hits:
+                if not hit[idx] and fix_lo <= now + dt <= fix_hi:
+                    gained += m
+                    newly.append(idx)
+            then = now + length
+            value = total + gained
+            if end is not None and then < fix_lo and not hit[end[0]]:
+                value += end[1]
+            count += 1
+            if count > max_walks:
+                raise SizeGuardError(f"patrol family exceeded {max_walks} walks")
+            if value > best_value:
+                best_value, best_spec = value, (*path, record)
+            if steps < max_steps:
+                for idx in newly:
+                    hit[idx] = 1
+                path.append(record)
+                fixed_law(other, then, steps + 1, total + gained)
+                path.pop()
+                for idx in newly:
+                    hit[idx] = 0
+
+    (fixed_law if fixed_t else uniform_law)(None, 0, 0, 0)
     walk = _walk_from_spec(net, best_spec, scale)
     denominator = mass_scale if fixed_t else mass_scale * horizon_i
     return SearchResult(walk, Fraction(best_value, denominator), count)

@@ -104,6 +104,8 @@ def parse_attack(net: Network, text: str) -> AttackStrategy:
         tok = line.split()
         with _at_line(ln):
             if tok[0] == "temporal":
+                if temporal is not None:
+                    raise FormatError(f"line {ln}: second temporal record")
                 temporal = _parse_temporal(tok, ln)
             elif tok[0] == "atom" and len(tok) == 3:
                 atoms.append((parse_point(net, tok[1], ln), parse_rational(tok[2], "mass", ln)))

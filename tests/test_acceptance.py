@@ -212,6 +212,10 @@ def test_k4_search_tightness():
     res = patrol_search(k4, att, 5, max_steps=8, offset_step=F(1, 4), grid_step=F(1, 4))
     assert res.probability < F(5, 6)
     assert (res.probability, res.walks_examined) == (F(19, 24), 393_640)
+    assert res.walk.start == k4.node_point("v1")
+    assert [(s.arc, s.start, s.end) for s in res.walk.steps] == [
+        ("v1-v2", 0, 1), ("v2-v3", 0, 1), ("v1-v3", 1, 0), ("v1-v4", 0, 1), ("v2-v4", 1, 0),
+        ("v1-v2", 1, 0)]
     margin = F(5, 6) - res.probability
     print(f"  best walk intercepts {res.probability} = 5/6 - {margin} "
           f"({res.walks_examined} walks examined)")

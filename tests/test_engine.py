@@ -14,6 +14,7 @@ from patrolgame import (
     AttackStrategy,
     PatrolStrategy,
     Network,
+    SizeGuardError,
     Step,
     SubNetwork,
     TemporalLaw,
@@ -664,9 +665,16 @@ def test_patrol_search_reaches_fixed_atom():
 
 
 def test_patrol_search_guard(unit_k4):
+    # the guard counts every walk, the ones of max_steps steps included: a
+    # family of exactly max_walks walks returns, one walk more raises
     att = k4_tightness_attack(unit_k4, alpha=5)
-    with pytest.raises(Exception):
+    with pytest.raises(SizeGuardError, match="^patrol family exceeded 10 walks$"):
         patrol_search(unit_k4, att, 5, max_steps=8, max_walks=10)
+    for max_steps, family in ((4, 4840), (5, 14560)):
+        res = patrol_search(unit_k4, att, 5, max_steps=max_steps, max_walks=family)
+        assert res.walks_examined == family
+        with pytest.raises(SizeGuardError, match=f"^patrol family exceeded {family - 1} walks$"):
+            patrol_search(unit_k4, att, 5, max_steps=max_steps, max_walks=family - 1)
 
 
 def _search_cases():
@@ -690,16 +698,50 @@ def _search_cases():
             yield net, att, F(rng.randint(1, 6), 2), max_steps
 
 
+def _assert_search_matches_bruteforce(net, att, alpha, max_steps):
+    res = patrol_search(net, att, alpha, max_steps=max_steps, offset_step=F(1, 2),
+                        grid_step=F(1, 2))
+    best, count, walk = bruteforce_search(net, att, alpha, max_steps=max_steps,
+                                          offset_step=F(1, 2), grid_step=F(1, 2))
+    assert (res.probability, res.walks_examined) == (best, count)
+    assert (res.walk.start, res.walk.steps) == (walk.start, walk.steps)
+    if not walk.is_closed:  # a closed walk is repeated, not held, by the replay
+        assert walk_attack_probability(res.walk, att, alpha, grid_step=F(1, 2)) == best
+    return res
+
+
 def test_patrol_search_matches_bruteforce():
+    # at 0 steps only the starts are walks; at 1 each start's extensions are
+    # all walks of max_steps steps, scored without being entered
     for net, att, alpha, max_steps in _search_cases():
-        res = patrol_search(net, att, alpha, max_steps=max_steps, offset_step=F(1, 2),
-                            grid_step=F(1, 2))
-        best, count, walk = bruteforce_search(net, att, alpha, max_steps=max_steps,
-                                              offset_step=F(1, 2), grid_step=F(1, 2))
-        assert (res.probability, res.walks_examined) == (best, count)
-        assert (res.walk.start, res.walk.steps) == (walk.start, walk.steps)
-        if not walk.is_closed:  # a closed walk is repeated, not held, by the replay
-            assert walk_attack_probability(res.walk, att, alpha, grid_step=F(1, 2)) == best
+        for steps in (0, 1, 2, max_steps):
+            _assert_search_matches_bruteforce(net, att, alpha, steps)
+
+
+def test_patrol_search_holds_after_a_last_revisit():
+    """Seeded atomic attacks whose best walk has all max_steps steps and
+    whose last step returns to an atom at a node the walk visited before:
+    the wait at the end counts from that last visit."""
+    rng = random.Random(1)
+    path3 = Network(["u", "v", "w"], [("a", "u", "v", 1), ("b", "v", "w", F(3, 2))])
+    triangle_tail = Network(
+        ["a", "b", "c", "d"],
+        [("e1", "a", "b", 1), ("e2", "b", "c", 1), ("e3", "c", "a", 1), ("e4", "c", "d", 2)])
+    revisits = set()
+    for case in range(16):
+        net = (path3, triangle_tail)[case % 2]
+        law = (TemporalLaw.fixed, TemporalLaw.uniform)[case % 4 // 2](F(rng.randint(1, 8), 2))
+        points = [net.node_point(n) for n in net.nodes]
+        points += [net.point(a.id, a.length / 2) for a in net.arcs]
+        chosen = rng.sample(points, 3)
+        weights = [rng.randint(1, 5) for _ in chosen]
+        atoms = tuple((p, F(w, sum(weights))) for p, w in zip(chosen, weights))
+        res = _assert_search_matches_bruteforce(
+            net, AttackStrategy(net, atoms, (), law), F(rng.randint(1, 4), 2), 3)
+        end, full_steps = res.walk.end_point, len(res.walk.steps) - (not res.walk.start.is_node)
+        if full_steps == 3 and end in dict(atoms) and min(res.walk.visit_times(end)) < res.walk.duration:
+            revisits.add(law.kind)
+    assert revisits == {"fixed", "uniform"}
 
 
 def test_patrol_search_k4_frozen(unit_k4):

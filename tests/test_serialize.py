@@ -217,6 +217,7 @@ def test_parse_patrol_fuzz(text):
     ("attack", "temporal fixed 0\n\nuniform 1 bBC:0:3", 4, "segment seg:bBC:0:3 outside arc"),
     ("attack", "temporal uniform 0 -1\natom node:L3 1", 2, "horizon must be nonnegative"),
     ("attack", "temporal fixed -1\natom node:L3 1", 2, "attack start time must be nonnegative"),
+    ("attack", "temporal fixed 0\natom node:L3 1\ntemporal uniform 0 5", 4, "second temporal record"),
     ("patrol", "mix 1\nwalk node:Q", 3, "unknown node 'Q'"),
     ("patrol", "mix 1\nwalk node:A\nstep aL5 1 0\nstep aL5 0 1", 3,
      "step on 'aL5' starts at node:L5, walk is at node:A"),
