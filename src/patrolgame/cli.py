@@ -4,8 +4,8 @@ Every run prints a manifest line (command, input digests, parameters, seed)
 so identical invocations are reproducible byte for byte; all randomness flows
 from --seed, which defaults to 0 and never falls back to the clock.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 size-guard
-refusal.
+Exit codes: 0 success, 1 validation failure or an unreadable file, 2 usage
+error, 3 size-guard refusal.
 """
 
 from __future__ import annotations
@@ -54,11 +54,15 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _load_network(path: str) -> Network:
+def _read_text(path: str) -> str:
     try:
-        return parse_network(Path(path).read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"no such file: {path}") from None
+        return Path(path).read_text()
+    except UnicodeDecodeError:
+        raise FormatError(f"not UTF-8 text: {path}") from None
+
+
+def _load_network(path: str) -> Network:
+    return parse_network(_read_text(path))
 
 
 def _emit(text: str, out: str | None, printer) -> tuple[str, ...]:
@@ -112,7 +116,7 @@ def cmd_patrol(args, printer) -> int:
     else:
         fact: Factorization | None = None
         if args.factorization:
-            fact = serialize.parse_factorization(net, Path(args.factorization).read_text())
+            fact = serialize.parse_factorization(net, _read_text(args.factorization))
             inputs.append(("factorization", _digest(args.factorization)))
         if args.kind == "complete":
             if fact is None:
@@ -143,8 +147,8 @@ def cmd_simulate(args, printer) -> int:
     if args.jobs <= 0:
         raise ValidationError(f"--jobs must be positive, got {args.jobs}")
     net = _load_network(args.network)
-    patrol = serialize.parse_patrol(net, Path(args.patrol).read_text())
-    attack = serialize.parse_attack(net, Path(args.attack).read_text())
+    patrol = serialize.parse_patrol(net, _read_text(args.patrol))
+    attack = serialize.parse_attack(net, _read_text(args.attack))
     alpha = parse_rational(args.alpha, "--alpha")
     grid_step = parse_rational(args.grid_step, "--grid-step")
     method = {"mc": "mc", "exact": "exact", "grid": "grid"}[args.method]
@@ -259,6 +263,9 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as e:
         print(f"error: no such file: {e.filename}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"error: {(e.strerror or str(e)).lower()}: {e.filename}", file=sys.stderr)
         return 1
 
 

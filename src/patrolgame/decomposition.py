@@ -22,10 +22,10 @@ from .network import Network, Point, Segment, SubNetwork, tree_tour, validate_al
 
 
 def _side_weights(tree: Network) -> tuple[int, dict[str, tuple[int, int, int]]]:
-    """The tree on one integer scale D, the lcm of its arc-length
-    denominators: D, and for each arc (u, v) its length and the measures of
-    the u-side and v-side components of the tree with that arc's interior
-    removed, each times D; computed once per tree and kept on it.
+    """The tree on its integer scale D (`Network._units`): D, and for each
+    arc (u, v) its length and the measures of the u-side and v-side
+    components of the tree with that arc's interior removed, each times D;
+    computed once per tree and kept on it.
 
     One tour from an arbitrary root: when the tour crosses an arc back toward
     the root, everything beyond it has been summed, which gives the far side;
@@ -33,8 +33,7 @@ def _side_weights(tree: Network) -> tuple[int, dict[str, tuple[int, int, int]]]:
     """
     if tree._side_weights_memo is not None:
         return tree._side_weights_memo
-    scale = math.lcm(*(a.length.denominator for a in tree.arcs))
-    length = {a.id: a.length.numerator * (scale // a.length.denominator) for a in tree.arcs}
+    scale, length = tree._units
     mu = sum(length.values())
     beyond = dict.fromkeys(tree.nodes, 0)  # measure hanging below each node
     out = {}

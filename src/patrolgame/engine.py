@@ -535,7 +535,8 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     depth first, each prefix before its extensions, and the first walk of the
     best score wins.  A walk of `max_steps` steps is scored from its prefix
     without descending into it; it is still examined in that order and
-    counted once in `walks_examined` and against `max_walks`.
+    counted once in `walks_examined` and against `max_walks`.  A `max_steps`
+    beyond the interpreter's recursion limit raises `SizeGuardError`.
 
     A closed walk is held at its end point like an open one, not repeated;
     `walk_attack_probability` repeats a closed walk periodically, so on a
@@ -548,9 +549,8 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     horizon = disc.temporal.value if not fixed_t else Fraction(0)
     t_fix = disc.temporal.value if fixed_t else Fraction(0)
 
-    denoms = [alpha.denominator, offset_step.denominator,
+    denoms = [net._units[0], alpha.denominator, offset_step.denominator,
               horizon.denominator, t_fix.denominator]
-    denoms += [a.length.denominator for a in net.arcs]
     denoms += [p.offset.denominator for p, _ in disc.atoms if not p.is_node]
     scale = math.lcm(*denoms)
 
@@ -684,7 +684,10 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
                 for idx in newly:
                     hit[idx] = 0
 
-    (fixed_law if fixed_t else uniform_law)(None, 0, 0, 0)
+    try:
+        (fixed_law if fixed_t else uniform_law)(None, 0, 0, 0)
+    except RecursionError:
+        raise SizeGuardError(f"max_steps={max_steps} exceeds the recursion limit") from None
     walk = _walk_from_spec(net, best_spec, scale)
     denominator = mass_scale if fixed_t else mass_scale * horizon_i
     return SearchResult(walk, Fraction(best_value, denominator), count)

@@ -10,8 +10,8 @@ the lowest uncovered arc with one perfect matching, tried in increasing
 node index.  Arcs are bits of one mask, ranked in lexicographic order, and
 the perfect matchings are built once and listed under each of their arcs,
 so a level only filters its arc's list by the covered mask.  The certified
-search is a branch and bound over that tree on integer arc lengths (the
-lcm scale of their denominators).  It prunes a child when max(heaviest
+search is a branch and bound over that tree on the network's integer arc
+lengths (`Network._units`).  It prunes a child when max(heaviest
 factor so far, ceil(remaining length / factors left)) is at least the best
 found, so of equally heavy optima it returns the first in enumeration
 order.  It shares the 8-node guard; beyond it a randomized heuristic with
@@ -21,7 +21,6 @@ factorization either search returns is validated against the network.
 
 from __future__ import annotations
 
-import math
 import numbers
 import random
 from dataclasses import dataclass
@@ -217,13 +216,6 @@ def _arc_ids(net: Network) -> list[list]:
     return [[table.get((a, b)) for b in net.nodes] for a in net.nodes]
 
 
-def _integer_lengths(net: Network) -> dict[str, int]:
-    """Arc lengths as integers on the lcm scale of their denominators, so
-    sums compare exactly as the `Fraction` sums they stand for."""
-    scale = math.lcm(*(a.length.denominator for a in net.arcs))
-    return {a.id: a.length.numerator * (scale // a.length.denominator) for a in net.arcs}
-
-
 def enumerate_one_factorizations(net: Network):
     """Yield every 1-factorization of a small complete network exactly once.
 
@@ -292,7 +284,7 @@ def best_one_factorization(net: Network, heuristic: bool = False, restarts: int 
             f"exhaustive search guarded to <= {ENUMERATION_NODE_LIMIT} nodes; pass heuristic=True")
     if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts <= 0:
         raise ValidationError(f"restarts must be a positive integer, got {restarts!r}")
-    weight = _integer_lengths(net)
+    weight = net._units[1]
     rng = random.Random(seed)
     nodes = list(net.nodes)
     best, best_key = None, None
@@ -310,7 +302,7 @@ def _branch_and_bound(net: Network) -> list[frozenset]:
     heaviest factor is least."""
     n = len(net.nodes)
     ids = _arc_ids(net)
-    length = _integer_lengths(net)
+    length = net._units[1]
     w = [[length.get(a, 0) for a in row] for row in ids]
     # heaviest[d], remaining[d]: heaviest factor and uncovered length once
     # d factors are chosen
@@ -410,17 +402,11 @@ def girth(net: Network) -> Fraction:
     """Minimum total length over circuits; errors on acyclic networks."""
     best = None
     for a in net.arcs:
-        if a.u == a.v:
-            cand = a.length
-        else:
-            try:
-                reduced = net.without_arcs([a.id])
-            except ValidationError:
-                continue  # bridge: removing it disconnects, no circuit through it
-            d = reduced.distance(reduced.node_point(a.u), reduced.node_point(a.v))
-            cand = a.length + d
-        if best is None or cand < best:
-            best = cand
+        # a circuit through the arc closes it with a shortest path avoiding
+        # it: the empty path for a loop, none across a bridge
+        d = net._dijkstra(a.u, skip=a.id)[0].get(a.v)
+        if d is not None and (best is None or a.length + d < best):
+            best = a.length + d
     if best is None:
         raise ValidationError("network is acyclic")
     return best

@@ -3,9 +3,10 @@
 All lengths, offsets and probabilities are exact `fractions.Fraction`
 values; floating point never enters this module.  Networks are immutable
 after construction and every operation here is pure, so concurrent reads
-need no synchronization: a network memoizes what it derives (shortest
-paths here, side weights and the last subtree decomposition in the tree
-layer), and two threads that fill a memo at once store equal values.
+need no synchronization: a network memoizes what it derives (integer arc
+lengths and shortest paths here, side weights and the last subtree
+decomposition in the tree layer), and two threads that fill a memo at once
+store equal values.
 """
 
 from __future__ import annotations
@@ -141,9 +142,8 @@ class Network:
         self._incident = {n: tuple(sorted(v, key=lambda a: a.id)) for n, v in incident.items()}
         self._total_length = sum((a.length for a in self.arcs), Fraction(0))
         self._dist_cache: dict[str, tuple[dict[str, Fraction], dict[str, str]]] = {}
-        # filled by the tree layer (decomposition.py) on first use: the
-        # integer scale D (the lcm of the arc-length denominators) and, per
-        # arc id, its length and u-side and v-side weights as multiples of 1/D
+        # filled by the tree layer (decomposition.py) on first use: D and, per
+        # arc id, its length and side weights on the scale D of `_units`
         self._side_weights_memo: tuple[int, dict[str, tuple[int, int, int]]] | None = None
         self._decomposition_memo = None  # the last SubtreeDecomposition built
         if not self._connected():
@@ -195,6 +195,12 @@ class Network:
             pairs.add(key)
         return True
 
+    @cached_property
+    def _units(self) -> tuple[int, dict[str, int]]:
+        """D, the lcm of the arc-length denominators, and each arc's length times D."""
+        scale = math.lcm(*(a.length.denominator for a in self.arcs))
+        return scale, {a.id: a.length.numerator * (scale // a.length.denominator) for a in self.arcs}
+
     def is_tree(self) -> bool:
         return len(self.arcs) == len(self.nodes) - 1
 
@@ -236,12 +242,13 @@ class Network:
 
     # -- metric ------------------------------------------------------------
 
-    def _dijkstra(self, source: str) -> tuple[dict[str, Fraction], dict[str, str]]:
-        """Exact single-source shortest path lengths and parents, cached.
+    def _dijkstra(self, source: str, skip: str | None = None) -> tuple[dict[str, Fraction], dict[str, str]]:
+        """Exact shortest path lengths and parents from `source`, avoiding
+        the arc `skip`; cached when nothing is skipped.
 
         Ties pop in push order (the counter), and a node's distance and
         parent change only on a strictly shorter path."""
-        if source in self._dist_cache:
+        if skip is None and source in self._dist_cache:
             return self._dist_cache[source]
         dist = {source: Fraction(0)}
         parent: dict[str, str] = {}
@@ -252,13 +259,16 @@ class Network:
             if d > dist[n]:
                 continue
             for a in self._incident[n]:
+                if a.id == skip:
+                    continue
                 m = a.other(n)
                 nd = d + a.length
                 if m not in dist or nd < dist[m]:
                     dist[m] = nd
                     parent[m] = n
                     heapq.heappush(heap, (nd, next(counter), m))
-        self._dist_cache[source] = dist, parent
+        if skip is None:
+            self._dist_cache[source] = dist, parent
         return dist, parent
 
     def node_distances(self, source: str) -> dict[str, Fraction]:
@@ -619,8 +629,8 @@ class Walk:
     returned and `is_stationary` serves as the dwell marker.
 
     Steps are checked and timed on one integer scale, `_scale`: the lcm of
-    the denominators of the step offsets and of the lengths of the arcs they
-    use.  On it, `_offsets` holds each step's (start, end) offsets, `_ticks`
+    the network's D (`Network._units`) and of the step offsets' denominators.
+    On it, `_offsets` holds each step's (start, end) offsets, `_ticks`
     the clock at each step boundary and `_stops` the node there (None at an
     interior point).  `duration` and `end_point` are the only exact values
     built up front; the `Fraction` step times that `position` and
@@ -634,14 +644,15 @@ class Walk:
         self.start = start
         self.steps = steps = tuple(steps)
         arcs = net._arc_by_id
+        net_scale, lengths = net._units
         rows = []  # (step, arc, start, end) up to the first unknown arc or inexact offset
-        denominators = {1}
+        denominators = {net_scale}
         for s in steps:
             a, lo, hi = arcs.get(s.arc), s.start, s.end
             if a is None or not (_exact(lo) and _exact(hi)):
                 break
             rows.append((s, a, lo, hi))
-            denominators.update((lo.denominator, hi.denominator, a.length.denominator))
+            denominators.update((lo.denominator, hi.denominator))
         scale = math.lcm(*denominators)
         per = {d: scale // d for d in denominators}
         # the position: a node, or an arc and a scaled offset; an interior
@@ -651,7 +662,7 @@ class Walk:
         clock = 0
         ticks, offsets, stops = [0], [], [node]
         for i, (s, a, start_off, end_off) in enumerate(rows):
-            length = a.length.numerator * per[a.length.denominator]
+            length = lengths[a.id] * per[net_scale]
             lo = start_off.numerator * per[start_off.denominator]
             hi = end_off.numerator * per[end_off.denominator]
             if lo == hi:

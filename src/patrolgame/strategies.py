@@ -299,6 +299,14 @@ def _require_complete_even(net: Network):
         raise ValidationError("network is not simple complete")
 
 
+def _tour_mixture(net: Network, complements: list[Network]) -> PatrolStrategy:
+    """Eulerian tours of the complements, as walks of `net`, each weighted
+    by its share q / sum(q) of the total tour length."""
+    total = sum((q.total_length for q in complements), Fraction(0))
+    tours = [(eulerian_tour(q), q.total_length / total) for q in complements]
+    return PatrolStrategy(net, tuple((Walk(net, t.start, t.steps), s) for t, s in tours))
+
+
 def complete_patrolling(net: Network, factorization: Factorization | None = None) -> PatrolStrategy:
     """Mixture of Eulerian tours of the complements of the factors of a
     1-factorization, each weighted by its share of the total tour length."""
@@ -308,17 +316,7 @@ def complete_patrolling(net: Network, factorization: Factorization | None = None
     violations = validate_factorization(net, factorization.factors, 1)
     if violations:
         raise FactorizationError(violations)
-    n = len(net.nodes)
-    mu = net.total_length
-    comps = []
-    for i in range(len(factorization.factors)):
-        qi = factorization.complement(i)
-        s_i = qi.total_length / ((n - 2) * mu)
-        tour = eulerian_tour(qi)
-        comps.append((Walk(net, tour.start, tour.steps), s_i))
-    total = sum((s for _, s in comps), Fraction(0))
-    assert total == 1
-    return PatrolStrategy(net, tuple(comps))
+    return _tour_mixture(net, [factorization.complement(i) for i in range(len(factorization.factors))])
 
 
 def factor_patrolling(net: Network, factorization: Factorization) -> PatrolStrategy:
@@ -362,9 +360,4 @@ def factor_patrolling(net: Network, factorization: Factorization) -> PatrolStrat
                 complements.append(qi)
     if violations:
         raise FactorizationError(violations)
-    total = sum((q.total_length for q in complements), Fraction(0))
-    comps = []
-    for qi in complements:
-        tour = eulerian_tour(qi)
-        comps.append((Walk(net, tour.start, tour.steps), qi.total_length / total))
-    return PatrolStrategy(net, tuple(comps))
+    return _tour_mixture(net, complements)

@@ -248,3 +248,26 @@ def test_patrol_file_round_trips_via_cli(tree_file, tmp_path, capsys):
 def test_missing_network_file(capsys):
     assert main(["decompose", "/nonexistent.net", "--alpha", "2"]) == 1
     assert "no such file" in capsys.readouterr().err
+
+
+def test_network_path_is_a_directory(tmp_path, capsys):
+    assert main(["decompose", str(tmp_path), "--alpha", "2"]) == 1
+    assert capsys.readouterr().err == f"error: is a directory: {tmp_path}\n"
+
+
+def test_network_file_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.net"
+    bad.write_bytes(b"node a\xff\n")
+    assert main(["decompose", str(bad), "--alpha", "2"]) == 1
+    assert capsys.readouterr().err == f"error: not UTF-8 text: {bad}\n"
+
+
+def test_output_path_is_a_directory(tree_file, tmp_path, capsys):
+    assert main(["decompose", tree_file, "--alpha", "4", "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: is a directory: {tmp_path}\n"
+
+
+def test_simulate_patrol_path_is_a_directory(tree_file, tmp_path, capsys):
+    assert main(["simulate", tree_file, "--patrol", str(tmp_path), "--attack", str(tmp_path),
+                 "--alpha", "4"]) == 1
+    assert capsys.readouterr().err == f"error: is a directory: {tmp_path}\n"

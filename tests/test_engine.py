@@ -34,6 +34,7 @@ from patrolgame import (
     interception_probability,
     k4_tightness_attack,
     patrol_search,
+    path_network,
     random_closed_walk,
     round_robin_one_factorization,
     subtree_decomposition,
@@ -675,6 +676,17 @@ def test_patrol_search_guard(unit_k4):
         assert res.walks_examined == family
         with pytest.raises(SizeGuardError, match=f"^patrol family exceeded {family - 1} walks$"):
             patrol_search(unit_k4, att, 5, max_steps=max_steps, max_walks=family - 1)
+
+
+def test_patrol_search_depth_guard():
+    # on one arc the walk count grows only linearly in max_steps, so
+    # max_walks never trips; a depth past the recursion limit is refused
+    net = path_network(1)
+    att = uniform_attack(net, TemporalLaw.uniform(3))
+    kw = dict(offset_step=F(1, 2), grid_step=F(1, 2))
+    with pytest.raises(SizeGuardError, match="max_steps=3000"):
+        patrol_search(net, att, F(1, 2), max_steps=3000, **kw)
+    assert patrol_search(net, att, F(1, 2), max_steps=50, **kw).walks_examined > 50
 
 
 def _search_cases():

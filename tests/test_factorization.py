@@ -173,6 +173,29 @@ def test_girth_acyclic(sample_tree):
         girth(sample_tree)
 
 
+def test_girth_multigraph():
+    # the networkx oracle sees neither loops nor parallel arcs, so these
+    # values are checked by hand: a triangle b-c-d of length 13/3 hangs off
+    # node b, joined to node a by two parallel arcs (a circuit of 5/2) or by
+    # one bridge; a loop of 1/3 at a is the shortest circuit of all
+    triangle = [("bc", "b", "c", 1), ("cd", "c", "d", 1), ("db", "d", "b", F(7, 3))]
+    pair = [("ab1", "a", "b", 1), ("ab2", "a", "b", F(3, 2))]
+    nodes = ["a", "b", "c", "d"]
+    cases = [(pair + triangle + [("aa", "a", "a", F(1, 3))], F(1, 3)),
+             (pair + triangle, F(5, 2)),
+             ([("ab", "a", "b", 4)] + triangle, F(13, 3))]
+    for arcs, want in cases:
+        net = Network(nodes, arcs)
+        assert girth(net) == want
+        # a run that skips an arc leaves the shortest-path cache alone
+        assert net.node_distances("a") == Network(nodes, arcs).node_distances("a")
+        assert net.node_distances("b") == Network(nodes, arcs).node_distances("b")
+    assert Network(nodes, pair + triangle).node_distances("a") == {"a": 0, "b": 1, "c": 2, "d": 3}
+    path = Network(["a", "b", "c"], [("ab", "a", "b", 1), ("bc", "b", "c", F(1, 2))])
+    with pytest.raises(ValidationError, match="^network is acyclic$"):
+        girth(path)
+
+
 def test_girth_random_matches_bruteforce():
     rng = random.Random(47)
     for _ in range(10):
