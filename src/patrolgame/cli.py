@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import serialize
 from .decomposition import critical_alpha, local_root_of_tree, subtree_decomposition
-from .engine import evaluate
+from .engine import _duration, evaluate
 from .errors import FactorizationError, FormatError, SizeGuardError, ValidationError
 from .factorization import (
     Factorization,
@@ -108,7 +108,7 @@ def cmd_attack(args, printer) -> int:
 
 def cmd_patrol(args, printer) -> int:
     net = _load_network(args.network)
-    alpha = parse_rational(args.alpha, "--alpha")
+    alpha = _duration(parse_rational(args.alpha, "--alpha"))
     inputs = [("net", _digest(args.network))]
     if args.kind == "e":
         strat = e_patrolling(net, alpha)

@@ -4,11 +4,12 @@ The distribution places mass on the leaf nodes of a rooted subtree so that at
 every branch node the hanging branches carry the same mass per unit length.
 Splitting the incoming mass of each branch node proportionally to branch
 measure realizes exactly that and is the unique such measure, so the
-computation is a single top-down pass with exact rationals.
+computation is a single top-down pass with exact integer ratios.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -59,27 +60,28 @@ def density(measure, subset: SubNetwork) -> Fraction:
 
 
 def _branches(rooted: RootedSubtree):
-    """One tour of a rooted subtree, in place on the host.
-
-    Returns its points in pre-order (root first); for each point, the pieces
-    hanging beyond it as (next point, piece measure, branch measure) in host
-    arc-id order; and the measure hanging beyond each point.  Return
-    crossings come in post-order, so a point's measure is complete when the
-    tour crosses back from it.
-    """
-    order = [rooted.root]
-    children: dict[Point, list[tuple[Point, Fraction, Fraction]]] = {}
-    beyond: dict[Point, Fraction] = {}
-    for piece, p, outward in tree_tour(rooted.subtree._graph, rooted.root):
+    """One tour of a rooted subtree, in place on the host.  Returns the scale
+    of its integer measures (the lcm of D and the piece ends' denominators,
+    as a cut point need not lie on D); its points in pre-order as (key,
+    point), keyed by the piece the tour enters them by (None at the root);
+    per key, the pieces hanging beyond its point as (key, piece measure,
+    branch measure) in host arc-id order; and the measure beyond each key,
+    complete when the tour crosses back from the point (in post-order)."""
+    graph = rooted.subtree._graph
+    scale = math.lcm(graph.host._units[0], *(x.denominator for q in graph.pieces for x in (q.lo, q.hi)))
+    order, children, beyond, path = [(None, rooted.root)], {}, {}, [None]  # path: the keys down to here
+    for piece, p, outward in tree_tour(graph, rooted.root):
         if outward:
-            order.append(piece.other(p))
+            path.append(piece)
+            order.append((piece, piece.other(p)))
             continue
-        parent = piece.other(p)
-        length = piece.measure
-        branch = length + beyond[p] if p in beyond else length
-        children.setdefault(parent, []).append((p, length, branch))
-        beyond[parent] = beyond[parent] + branch if parent in beyond else branch
-    return order, children, beyond
+        path.pop()
+        lo, hi = piece.lo, piece.hi
+        length = hi.numerator * (scale // hi.denominator) - lo.numerator * (scale // lo.denominator)
+        branch = length + beyond.get(piece, 0)
+        children.setdefault(path[-1], []).append((piece, length, branch))
+        beyond[path[-1]] = beyond.get(path[-1], 0) + branch
+    return scale, order, children, beyond
 
 
 def ebd(rooted: RootedSubtree, total_mass) -> LeafDistribution:
@@ -87,26 +89,24 @@ def ebd(rooted: RootedSubtree, total_mass) -> LeafDistribution:
 
     Mass enters at the root and is divided proportionally to branch measure
     wherever the subtree branches; degree-2 points pass it through unchanged.
+    It is carried as an integer ratio, and one `Fraction` is built per leaf.
     """
     mass = frac(total_mass)
-    order, children, beyond = _branches(rooted)
-    if rooted.root not in beyond:
+    scale, order, children, beyond = _branches(rooted)
+    if None not in beyond:
         raise ValidationError("degenerate subtree: no segment ends at the root")
-    if beyond[rooted.root] != rooted.subtree.measure:
+    if beyond[None] != rooted.subtree.measure * scale:
         raise ValidationError("subtree is disconnected")
-    inflow = {rooted.root: mass}
-    atoms: dict[Point, Fraction] = {}
-    for p in order:
-        m = inflow.pop(p)
-        if p not in children:
-            atoms[p] = m
-            continue
-        for q, _, branch in children[p]:
-            inflow[q] = m * branch / beyond[p]
-    items = tuple(sorted(atoms.items(), key=lambda kv: kv[0].sort_key()))
-    dist = LeafDistribution(items, mass)
-    assert sum((m for _, m in items), Fraction(0)) == mass
-    return dist
+    inflow, atoms = {None: (mass.numerator, mass.denominator)}, []
+    for key, p in order:
+        num, den = inflow.pop(key)
+        if key not in children:
+            atoms.append((p, Fraction(num, den)))
+        for q, _, branch in children.get(key, ()):
+            g = math.gcd(branch, beyond[key])
+            inflow[q] = num * (branch // g), den * (beyond[key] // g)
+    atoms.sort(key=lambda pm: pm[0].sort_key())
+    return LeafDistribution(tuple(atoms), mass)
 
 
 def subtree_above(tree: Network, root: Point, x: Point) -> RootedSubtree:
@@ -127,15 +127,14 @@ def subtree_above(tree: Network, root: Point, x: Point) -> RootedSubtree:
 def branch_stats(rooted: RootedSubtree, dist: LeafDistribution) -> Iterator[tuple[Point, tuple[tuple[Fraction, Fraction], ...]]]:
     """Yield (branch node, ((branch measure, branch mass), ...)) for every
     point of the subtree with at least two hanging branches, in pre-order."""
-    order, children, _ = _branches(rooted)
+    scale, order, children, _ = _branches(rooted)
     held = dist._by_point()
-    below = {}  # mass at and beyond each point
-    for p in reversed(order):
-        below[p] = held.get(p, Fraction(0)) + sum((below[q] for q, _, _ in children.get(p, ())), Fraction(0))
-    for p in order:
-        kids = children.get(p, ())
-        if len(kids) >= 2:
-            yield p, tuple((branch, below[q]) for q, _, branch in kids)
+    below = {}  # mass at and beyond each key's point
+    for key, p in reversed(order):
+        below[key] = held.get(p, Fraction(0)) + sum((below[q] for q, _, _ in children.get(key, ())), Fraction(0))
+    for key, p in order:
+        if len(children.get(key, ())) >= 2:
+            yield p, tuple((Fraction(branch, scale), below[q]) for q, _, branch in children[key])
 
 
 def iter_cut_subtree_stats(rooted: RootedSubtree, dist: LeafDistribution, cut_grid: tuple) -> Iterator[tuple[Fraction, Fraction]]:
@@ -150,22 +149,23 @@ def iter_cut_subtree_stats(rooted: RootedSubtree, dist: LeafDistribution, cut_gr
     fractions = tuple(frac(g) for g in cut_grid)
     if any(not (0 < g < 1) for g in fractions):
         raise ValidationError("cut grid fractions must lie strictly between 0 and 1")
-    order, children, _ = _branches(rooted)
+    scale, order, children, _ = _branches(rooted)
     held = dist._by_point()
-    options = {}  # point -> (length, mass) choices for everything beyond it
-    for p in reversed(order):
-        if p not in children:
-            options[p] = [(Fraction(0), held.get(p, Fraction(0)))]
+    options = {}  # key -> (length, mass) choices for everything beyond its point
+    for key, p in reversed(order):
+        if key not in children:
+            options[key] = [(Fraction(0), held.get(p, Fraction(0)))]
             continue
         combos = [(Fraction(0), Fraction(0))]
-        for q, length, _ in children[p]:
+        for q, length, _ in children[key]:
+            length = Fraction(length, scale)
             # the branch entered via this piece: drop it, cut it partway, or
             # take it whole plus any combination beyond
             branch = [(Fraction(0), Fraction(0))]
             branch += [(g * length, Fraction(0)) for g in fractions]
             branch += [(length + lam, m) for lam, m in options.pop(q)]
             combos = [(l1 + l2, m1 + m2) for l1, m1 in combos for l2, m2 in branch]
-        options[p] = combos
-    for lam, m in options[rooted.root]:
+        options[key] = combos
+    for lam, m in options[None]:
         if lam > 0:
             yield lam, m

@@ -355,10 +355,6 @@ class _Piece:
         self.u = Point(node=arc.u) if lo == 0 else Point(arc=arc.id, offset=lo)
         self.v = Point(node=arc.v) if hi == arc.length else Point(arc=arc.id, offset=hi)
 
-    @property
-    def measure(self) -> Fraction:
-        return self.hi - self.lo
-
     def other(self, p: Point) -> Point:
         return self.v if p == self.u else self.u
 
@@ -372,9 +368,8 @@ class _SegmentGraph:
     cut points alike; `incident` lists a point's pieces in host arc-id order,
     so `tree_tour` walks a subtree in place."""
 
-    def __init__(self, host: Network, segs: Iterable[Segment]):
-        self.host = host
-        self.pieces = [_Piece(host.arc(s.arc), s.lo, s.hi) for s in segs]
+    def __init__(self, host: Network, pieces: list[_Piece]):
+        self.host, self.pieces = host, pieces
         self._touch: dict[Point, list[_Piece]] = {}
         for piece in self.pieces:
             self._touch.setdefault(piece.u, []).append(piece)
@@ -406,12 +401,14 @@ class _SegmentGraph:
                             comp.append(q)
                             frontier.append(q)
             # the pieces come from a checked, merged subnetwork (or its cut at
-            # a blocked point), so they are grouped and merged unchecked
-            by_arc: dict[str, list] = {}
-            for q in comp:
-                by_arc.setdefault(q.arc, []).append((q.lo, q.hi))
-            segments = {aid: _merge_intervals(by_arc[aid]) for aid in sorted(by_arc)}
-            out.append((SubNetwork(self.host, segments, frozenset()), stops))
+            # a blocked point), so they are grouped and merged unchecked; the
+            # part's segment graph is built on them unless two were merged
+            comp.sort(key=lambda q: (q.arc, q.lo))
+            sub = SubNetwork(self.host, {aid: _merge_intervals((q.lo, q.hi) for q in qs)
+                                         for aid, qs in itertools.groupby(comp, lambda q: q.arc)}, frozenset())
+            if len(comp) == sum(map(len, sub.segments.values())):
+                sub._graph = _SegmentGraph(self.host, comp)
+            out.append((sub, stops))
         return out
 
 
@@ -534,7 +531,7 @@ class SubNetwork:
 
     @cached_property
     def _graph(self) -> _SegmentGraph:
-        return _SegmentGraph(self.host, self.segment_list())
+        return _SegmentGraph(self.host, [_Piece(self.host.arc(s.arc), s.lo, s.hi) for s in self.segment_list()])
 
     def split_at(self, p: Point) -> list["SubNetwork"]:
         """Closed components of the subnetwork minus `p`, each re-closed to
@@ -543,17 +540,15 @@ class SubNetwork:
         two; then the flood is the same as at a node."""
         if not self.contains(p):
             raise ValidationError(f"{p!r} not in subnetwork")
-        if p.is_node:
-            graph = self._graph
-        else:
-            segs, off = [], frac(p.offset)
-            for seg in self.segment_list():
-                if seg.arc == p.arc and seg.lo < off < seg.hi:
-                    segs.append(Segment(seg.arc, seg.lo, off))
-                    segs.append(Segment(seg.arc, off, seg.hi))
+        graph = self._graph
+        if not p.is_node:
+            pieces, off, arc = [], frac(p.offset), self.host.arc(p.arc)
+            for q in graph.pieces:
+                if q.arc == p.arc and q.lo < off < q.hi:
+                    pieces += [_Piece(arc, q.lo, off), _Piece(arc, off, q.hi)]
                 else:
-                    segs.append(seg)
-            graph = _SegmentGraph(self.host, segs)
+                    pieces.append(q)
+            graph = _SegmentGraph(self.host, pieces)
         return [sub for sub, _ in graph.parts(graph.incident(p), (p,))]
 
 
@@ -646,25 +641,24 @@ class Walk:
         arcs = net._arc_by_id
         net_scale, lengths = net._units
         rows = []  # (step, arc, start, end) up to the first unknown arc or inexact offset
-        denominators = {net_scale}
+        values = {}  # id -> offset, for each distinct offset object
         for s in steps:
             a, lo, hi = arcs.get(s.arc), s.start, s.end
             if a is None or not (_exact(lo) and _exact(hi)):
                 break
             rows.append((s, a, lo, hi))
-            denominators.update((lo.denominator, hi.denominator))
-        scale = math.lcm(*denominators)
-        per = {d: scale // d for d in denominators}
+            values[id(lo)], values[id(hi)] = lo, hi
+        scale = math.lcm(net_scale, *{x.denominator for x in values.values()})
+        scaled = {i: x.numerator * (scale // x.denominator) for i, x in values.items()}
         # the position: a node, or an arc and a scaled offset; an interior
         # start whose offset is no int or Fraction matches no step
         node, arc = start.node, start.arc
         off = start.offset * scale if _exact(start.offset) else None
         clock = 0
         ticks, offsets, stops = [0], [], [node]
+        k = scale // net_scale
         for i, (s, a, start_off, end_off) in enumerate(rows):
-            length = lengths[a.id] * per[net_scale]
-            lo = start_off.numerator * per[start_off.denominator]
-            hi = end_off.numerator * per[end_off.denominator]
+            length, lo, hi = lengths[a.id] * k, scaled[id(start_off)], scaled[id(end_off)]
             if lo == hi:
                 raise ValidationError(f"zero-length step on arc {s.arc!r}")
             for raw, x in ((start_off, lo), (end_off, hi)):

@@ -124,36 +124,40 @@ def parse_attack(net: Network, text: str) -> AttackStrategy:
 
 
 def write_patrol(p: PatrolStrategy) -> str:
+    """Steps are written from each walk's integer offsets (`Walk._offsets`
+    on `Walk._scale`), each distinct offset formatted once per walk."""
     lines = ["patrol"]
     for walk, s in p.components:
-        lines.append(f"mix {fmt_frac(s)}")
-        lines.append(f"walk {fmt_point(walk.start)}")
-        for st in walk.steps:
-            lines.append(f"step {st.arc} {fmt_frac(st.start)} {fmt_frac(st.end)}")
+        lines += [f"mix {fmt_frac(s)}", f"walk {fmt_point(walk.start)}"]
+        text = {x: fmt_frac(Fraction(x, walk._scale)) for x in {x for pair in walk._offsets for x in pair}}
+        lines += [f"step {st.arc} {text[lo]} {text[hi]}" for st, (lo, hi) in zip(walk.steps, walk._offsets)]
     return "\n".join(lines) + "\n"
 
 
 def parse_patrol(net: Network, text: str) -> PatrolStrategy:
     """Records run `mix`, `walk`, then that walk's `step`s, per component.
-    Each distinct step record (a walk and its reverse repeat them all) is
-    parsed once into an immutable `Step`; `Walk` still checks every step."""
+    Each distinct step record (a walk and its reverse repeat them all) and
+    offset text is parsed once.  `Walk` checks every step, except that a walk
+    that is exactly the reverse of the one before it (an E-patrol's second)
+    is that walk's `reversed()`, which equals what `Walk` builds."""
     lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
     if not lines or lines[0] != "patrol":
         raise FormatError("line 1: expected 'patrol' header")
-    comps = []
-    prob = None
-    start = None
-    walk_ln = 0
+    comps, prob, start, walk_ln = [], None, None, 0
     steps: list[Step] = []
     parsed: dict[str, Step] = {}  # step record text -> its Step
+    offsets: dict[str, Fraction] = {}  # offset text -> its value, shared by the Steps
 
     def flush(ln):
         if prob is None:
             return
         if start is None:
             raise FormatError(f"line {ln}: mix record without a walk")
+        prev = comps[-1][0] if comps else None
+        back = prev is not None and prev.end_point == start and len(prev.steps) == len(steps) and all(
+            (s.arc, s.start, s.end) == (q.arc, q.end, q.start) for s, q in zip(steps, reversed(prev.steps)))
         with _at_line(walk_ln):
-            comps.append((Walk(net, start, steps.copy()), prob))
+            comps.append((prev.reversed() if back else Walk(net, start, steps.copy()), prob))
 
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
@@ -164,7 +168,8 @@ def parse_patrol(net: Network, text: str) -> PatrolStrategy:
             if start is None:
                 raise FormatError(f"line {ln}: step record before its walk")
             if step is None:
-                lo, hi = (parse_rational(t, "offset", ln) for t in tok[2:])
+                lo, hi = (offsets[t] if t in offsets else offsets.setdefault(t, parse_rational(t, "offset", ln))
+                          for t in tok[2:])
                 step = parsed[line] = Step(tok[1], lo, hi)
             steps.append(step)
         elif tok[0] == "mix" and len(tok) == 2:

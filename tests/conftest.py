@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from patrolgame import Network, complete_network
+from patrolgame import Network, Walk, complete_network
 
 
 @pytest.fixture
@@ -56,3 +56,13 @@ def random_alpha(rng: random.Random, tree: Network) -> Fraction:
     hi = 2 * tree.total_length
     num = rng.randint(1, int(hi * 4))
     return Fraction(num, 4)
+
+
+def walk_fields(w: Walk, types: bool = True):
+    """Every field of a walk, with the types of its offsets when `types`."""
+    fields = (w.net, w.start, w.steps, w.end_point, w.duration, w._scale, w._ticks, w._offsets,
+              w._stops, w._cum)
+    if not types:
+        return fields
+    offsets = [p.offset for p in (w.start, w.end_point)] + [o for s in w.steps for o in (s.start, s.end)]
+    return fields, [type(o) for o in offsets], type(w.duration)

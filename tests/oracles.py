@@ -12,6 +12,9 @@ matchings, a single walk is scored from the definition of interception
 under each rule for after its end (repeat, hold, none), the patrol search
 scores every walk of its family that way under the hold rule, one at a
 time, and Monte Carlo is replayed one trial at a time in plain Python.
+Equal-branch-density leaf measures come from their `Fraction` implementation
+on a freshly built segment graph, and patrol text from `fmt_frac` on each
+step's `Fraction` offsets.
 """
 
 import bisect
@@ -24,7 +27,9 @@ import numpy as np
 
 from patrolgame import Network, Point, Segment, Step, ValidationError, Walk
 from patrolgame.decomposition import ExtremitySet, _require_tree
-from patrolgame.network import frac, tree_tour, validate_alpha
+from patrolgame.ebd import LeafDistribution, RootedSubtree
+from patrolgame.network import _Piece, _SegmentGraph, frac, tree_tour, validate_alpha
+from patrolgame.serialize import fmt_frac, fmt_point
 
 
 def to_nx(net: Network) -> nx.MultiGraph:
@@ -529,3 +534,49 @@ class FractionWalk:
         dt = t - self._cum[lo]
         off = s.start + dt if s.end > s.start else s.start - dt
         return self.net.point(s.arc, off)
+
+
+def fraction_ebd(rooted: RootedSubtree, total_mass) -> LeafDistribution:
+    """`ebd` in `Fraction`s, keyed by `Point`: one tour of the subtree's
+    segment graph, built afresh from its segments, gives each point's
+    hanging pieces and branch measures; then mass flows down from the root,
+    split proportionally to branch measure."""
+    sub = rooted.subtree
+    graph = _SegmentGraph(sub.host, [_Piece(sub.host.arc(s.arc), s.lo, s.hi) for s in sub.segment_list()])
+    order = [rooted.root]
+    children: dict[Point, list[tuple[Point, Fraction]]] = {}
+    beyond: dict[Point, Fraction] = {}
+    for piece, p, outward in tree_tour(graph, rooted.root):
+        if outward:
+            order.append(piece.other(p))
+            continue
+        parent = piece.other(p)
+        branch = piece.hi - piece.lo + beyond.get(p, Fraction(0))
+        children.setdefault(parent, []).append((p, branch))
+        beyond[parent] = beyond.get(parent, Fraction(0)) + branch
+    mass = frac(total_mass)
+    if rooted.root not in beyond:
+        raise ValidationError("degenerate subtree: no segment ends at the root")
+    if beyond[rooted.root] != sub.measure:
+        raise ValidationError("subtree is disconnected")
+    inflow = {rooted.root: mass}
+    atoms: dict[Point, Fraction] = {}
+    for p in order:
+        m = inflow.pop(p)
+        if p not in children:
+            atoms[p] = m
+            continue
+        for q, branch in children[p]:
+            inflow[q] = m * branch / beyond[p]
+    items = tuple(sorted(atoms.items(), key=lambda kv: kv[0].sort_key()))
+    assert sum((m for _, m in items), Fraction(0)) == mass
+    return LeafDistribution(items, mass)
+
+
+def write_patrol_reference(patrol) -> str:
+    """The patrol text format, every rational through `fmt_frac`."""
+    lines = ["patrol"]
+    for walk, s in patrol.components:
+        lines += [f"mix {fmt_frac(s)}", f"walk {fmt_point(walk.start)}"]
+        lines += [f"step {st.arc} {fmt_frac(st.start)} {fmt_frac(st.end)}" for st in walk.steps]
+    return "\n".join(lines) + "\n"

@@ -86,6 +86,25 @@ def test_patrol_factor_requires_file(k4_file, capsys):
     assert "requires --factorization" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["complete", "factor"])
+def test_patrol_rejects_negative_alpha(k4_file, tmp_path, capsys, kind):
+    # both tour mixtures are built whatever the duration, so the duration is
+    # checked first; with the factorization file the factor kind needs
+    fact_file = tmp_path / "k4.fact"
+    assert main(["factorize", k4_file, "--best", "-o", str(fact_file)]) == 0
+    assert main(["patrol", k4_file, "--alpha", "3", "--kind", kind, "--factorization", str(fact_file)]) == 0
+    capsys.readouterr()
+    assert main(["patrol", k4_file, "--alpha", "-3", "--kind", kind, "--factorization", str(fact_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: attack duration must be nonnegative\n"
+    assert captured.out == ""
+
+
+def test_patrol_e_rejects_negative_alpha(tree_file, capsys):
+    assert main(["patrol", tree_file, "--alpha", "-3", "--kind", "e"]) == 1
+    assert capsys.readouterr().err == "error: attack duration must be nonnegative\n"
+
+
 def test_simulate_exact(k4_file, tmp_path, capsys):
     patrol_file = tmp_path / "p.txt"
     attack_file = tmp_path / "a.txt"

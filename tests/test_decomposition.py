@@ -25,7 +25,7 @@ from patrolgame import (
     tree_attack_strategy,
 )
 from patrolgame.decomposition import _local_roots, _side_weights
-from patrolgame.network import _SegmentGraph
+from patrolgame.network import _Piece, _SegmentGraph
 from patrolgame.serialize import write_attack, write_decomposition_report, write_patrol
 from conftest import LENGTH_POOL, make_sample_tree, random_alpha, random_tree
 from oracles import (fraction_critical_alpha, fraction_extremity_set, fraction_local_root,
@@ -416,7 +416,7 @@ def _cut_graph(sub, p):
             segs += [Segment(s.arc, s.lo, p.offset), Segment(s.arc, p.offset, s.hi)]
         else:
             segs.append(s)
-    return _SegmentGraph(sub.host, segs)
+    return _SegmentGraph(sub.host, [_Piece(sub.host.arc(s.arc), s.lo, s.hi) for s in segs])
 
 
 def test_flood_parts_match_from_segments():
@@ -449,3 +449,35 @@ def test_flood_parts_match_from_segments():
             dec = subtree_decomposition(host, alpha)
             assert sorted(_fields(c.subtree) for c in dec.components) == sorted(_fields(part) for part, _ in parts)
     assert splits > 150
+
+
+def _graph_fields(graph):
+    ends = {e for q in graph.pieces for e in (q.u, q.v)}
+    return ([(q.arc, q.lo, q.hi, q.u, q.v) for q in graph.pieces],
+            {e: [graph.pieces.index(q) for q in graph.incident(e)] for e in ends})
+
+
+def test_flood_parts_keep_their_pieces_as_fresh_graphs():
+    # a part's segment graph, built on the pieces its flood reached, equals
+    # the one its segments would build; on a host with cycles a part may
+    # hold two pieces of one arc, or the two halves of a cut one (merged)
+    rng = random.Random(67)
+    hosts = [random_tree(rng, max_nodes=14, min_nodes=2) for _ in range(20)]
+    hosts += [complete_network(4, F(3, 2)), Network(["x", "y"], [("b", "x", "y", 1), ("l", "x", "x", 2)])]
+    handed = 0
+    for host in hosts:
+        parts = []
+        for sub in (SubNetwork.whole(host), host.ball(host.node_point(host.nodes[-1]), host.total_length / 5)):
+            for arc, ivs in sub.segments.items():
+                parts += sub.split_at(host.point(arc, (ivs[0][0] + 2 * ivs[0][1]) / 3))
+            parts += [part for n in sub.covered_nodes() for part in sub.split_at(host.node_point(n))]
+        if host.is_tree():
+            a_star = critical_alpha(host)
+            for alpha in (a_star * F(rng.randint(20, 95), 100), a_star):
+                host._decomposition_memo = None
+                parts += [c.subtree for c in subtree_decomposition(host, alpha).components]
+        for sub in parts:
+            handed += "_graph" in vars(sub)
+            fresh = _cut_graph(sub, host.node_point(host.nodes[0]))  # a node cuts no segment
+            assert _graph_fields(sub._graph) == _graph_fields(fresh)
+    assert handed > 500

@@ -5,6 +5,7 @@ import pytest
 
 from patrolgame import (
     LeafDistribution,
+    Network,
     Point,
     RootedSubtree,
     SubNetwork,
@@ -21,7 +22,8 @@ from patrolgame import (
     TemporalLaw,
 )
 from patrolgame.ebd import branch_stats, iter_cut_subtree_stats
-from conftest import random_tree
+from conftest import LENGTH_POOL, random_tree
+from oracles import fraction_ebd
 
 F = Fraction
 
@@ -79,6 +81,43 @@ def test_ebd_branch_densities_equal():
         for _, stats in branch_stats(rooted, dist):
             densities = {m / lam for lam, m in stats}
             assert len(densities) == 1
+
+
+def test_ebd_matches_fraction_reference():
+    # whole trees from a random root, and the components of decompositions
+    # below and at the critical duration, whose cut points often have a
+    # denominator that does not divide D
+    rng = random.Random(43)
+    off_scale = 0
+    for _ in range(40):
+        tree = random_tree(rng, max_nodes=16, min_nodes=2)
+        cases = [rooted_whole(tree, rng.choice(tree.nodes))]
+        a_star = critical_alpha(tree)
+        for alpha in (a_star * F(rng.randint(20, 95), 100), a_star):
+            cases += [RootedSubtree(c.subtree, c.root) for c in subtree_decomposition(tree, alpha).components]
+        for rooted in cases:
+            mass = F(rng.randint(0, 9), rng.randint(1, 9))
+            assert ebd(rooted, mass) == fraction_ebd(rooted, mass)
+            off_scale += any(tree._units[0] % x.denominator for s in rooted.subtree.segment_list()
+                             for x in (s.lo, s.hi))
+    assert off_scale > 20
+
+
+def test_ebd_deep_spine_matches_fraction_reference():
+    # the benchmark's deep probe shape: 2,000 unit arcs, about one node in
+    # ten carrying a pendant leaf, rooted at one end
+    rng = random.Random(61)
+    nodes = [f"s{i}" for i in range(2001)]
+    arcs = [(f"a{i:05d}", nodes[i], nodes[i + 1], 1) for i in range(2000)]
+    for i in range(1, 2000):
+        if rng.random() < 0.1:
+            nodes.append(f"t{i}")
+            arcs.append((f"b{i:05d}", f"s{i}", f"t{i}", rng.choice(LENGTH_POOL)))
+    spine = Network(nodes, arcs)
+    rooted = rooted_whole(spine, "s0")
+    dist = ebd(rooted, 1)
+    assert len(dist.atoms) > 150
+    assert dist == fraction_ebd(rooted, 1)
 
 
 def test_ebd_degenerate_root_rejected():

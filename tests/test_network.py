@@ -29,7 +29,7 @@ from patrolgame import (
     walk_through_nodes,
 )
 from patrolgame.network import parse_rational
-from conftest import make_sample_tree, random_tree
+from conftest import make_sample_tree, random_tree, walk_fields
 from oracles import (FractionWalk, removal_component_measures, search_family, subdivided_distance,
                      to_nx, walk_trace_reference)
 
@@ -326,16 +326,6 @@ def test_walk_trace_matches_point_reference():
     assert count > 100
 
 
-def _walk_fields(w: Walk, types: bool = True):
-    """Every field of a walk, with the types of its offsets when `types`."""
-    fields = (w.net, w.start, w.steps, w.end_point, w.duration, w._scale, w._ticks, w._offsets,
-              w._stops, w._cum)
-    if not types:
-        return fields
-    offsets = [p.offset for p in (w.start, w.end_point)] + [o for s in w.steps for o in (s.start, s.end)]
-    return fields, [type(o) for o in offsets], type(w.duration)
-
-
 def test_walk_reversed_matches_constructor():
     net = Network(["u", "v"], [("a", "u", "v", 2)])
     walks = list(_seeded_walks()) + [
@@ -348,8 +338,8 @@ def test_walk_reversed_matches_constructor():
     for w in walks:
         rev = w.reversed()
         built = Walk(w.net, w.end_point, [Step(s.arc, s.end, s.start) for s in reversed(w.steps)])
-        assert _walk_fields(rev) == _walk_fields(built), w.steps
-        assert _walk_fields(rev.reversed(), types=False) == _walk_fields(w, types=False)
+        assert walk_fields(rev) == walk_fields(built), w.steps
+        assert walk_fields(rev.reversed(), types=False) == walk_fields(w, types=False)
     assert type(walks[-2].reversed().end_point.offset) is Fraction
 
 

@@ -12,6 +12,8 @@ from patrolgame import (
     FormatError,
     FactorizationError,
     TemporalLaw,
+    Network,
+    PatrolStrategy,
     Step,
     ValidationError,
     Walk,
@@ -30,7 +32,8 @@ from patrolgame import (
 )
 from patrolgame import serialize as ser
 from patrolgame.network import parse_rational
-from conftest import make_sample_tree, random_alpha, random_tree
+from conftest import make_sample_tree, random_alpha, random_tree, walk_fields
+from oracles import write_patrol_reference
 
 F = Fraction
 
@@ -367,6 +370,113 @@ def test_repeated_bad_record_names_its_first_line(sample_tree):
     steps = patrol.components[0][0].steps
     assert steps == (Step("aL5", 0, 1), Step("aL5", 1, 0)) * 2
     assert all(type(o) is F for s in steps for o in (s.start, s.end))
+
+
+def test_write_patrol_matches_fmt_frac_reference():
+    # the writer reads each walk's integer offsets; the reference formats
+    # every step offset with fmt_frac
+    net = Network(["u", "v", "w"], [("a", "u", "v", F(3, 2)), ("b", "v", "w", 2)])  # D = 2
+    around = Walk(net, net.point("a", F(1, 3)), [     # interior start, scale 6 > D
+        Step("a", F(1, 3), F(3, 2)), Step("b", 0, 2), Step("b", 2, F(5, 7)), Step("b", F(5, 7), 0),
+        Step("a", F(3, 2), 0), Step("a", 0, F(1, 3))])
+    still = Walk(net, net.point("b", F(4, 5)))        # stationary, inside an arc
+    ints = Walk(net, net.node_point("v"), [Step("b", 0, 2), Step("b", 2, 0)])  # int offsets
+    assert around._scale == 42 > net._units[0]
+    patrols = [PatrolStrategy(net, ((around, F(1, 3)), (still, F(1, 6)), (ints, F(1, 2)))),
+               PatrolStrategy(net, ((around, F(2, 3)), (around.reversed(), F(1, 3)))),
+               PatrolStrategy.single(still), e_patrolling(make_sample_tree(), F(7, 3))]
+    rng = random.Random(47)
+    for _ in range(12):
+        tree = random_tree(rng, max_nodes=12, min_nodes=2)
+        patrols.append(e_patrolling(tree, random_alpha(rng, tree)))
+    k6 = complete_network(6)
+    patrols.append(complete_patrolling(Network(k6.nodes, [(a.id, a.u, a.v, F(1 + k % 5, 1 + k % 3))
+                                                          for k, a in enumerate(k6.arcs)])))
+    for patrol in patrols:
+        assert ser.write_patrol(patrol) == write_patrol_reference(patrol)
+
+
+def _counting_walks(monkeypatch):
+    built = []
+
+    def walk(*args):
+        built.append(args)
+        return Walk(*args)
+    monkeypatch.setattr(ser, "Walk", walk)
+    return built
+
+
+def test_parse_patrol_reverse_is_constructor_walk(monkeypatch):
+    # the second walk of an E-patrol is the reverse of the first: it is
+    # taken as Walk.reversed(), whose fields equal the constructor's
+    rng = random.Random(53)
+    built = _counting_walks(monkeypatch)
+    for _ in range(12):
+        tree = random_tree(rng, max_nodes=12, min_nodes=2)
+        text = ser.write_patrol(e_patrolling(tree, random_alpha(rng, tree)))
+        built.clear()
+        (first, _), (second, _) = ser.parse_patrol(tree, text).components
+        assert len(built) == 1
+        want = Walk(tree, first.end_point, [Step(s.arc, s.end, s.start) for s in reversed(first.steps)])
+        assert walk_fields(second) == walk_fields(want)
+
+
+def test_parse_patrol_near_reverse_gets_constructor_error(monkeypatch):
+    # one offset changed in the second walk: the constructor checks that
+    # walk and its error names the walk's line, as for any other walk
+    rng = random.Random(59)
+    built = _counting_walks(monkeypatch)
+    for _ in range(12):
+        tree = random_tree(rng, max_nodes=12, min_nodes=3)
+        lines = ser.write_patrol(e_patrolling(tree, random_alpha(rng, tree))).splitlines()
+        walk_ln = [ln for ln, line in enumerate(lines, start=1) if line.startswith("walk ")][1]
+        i = rng.randrange(walk_ln, len(lines) - 1)  # a step of the second walk, not its last
+        _, arc, lo, hi = lines[i].split()
+        lines[i] = f"step {arc} {lo} {ser.fmt_frac((F(lo) + F(hi)) / 2)}"  # stops short
+        text = "\n".join(lines) + "\n"
+        built.clear()
+        got = _parse_patrol_outcome(tree, text)
+        assert got == _parse_record_by_record(tree, text)
+        assert got[0] is FormatError and got[1].startswith(f"line {walk_ln}: step on ")
+        assert len(built) == 2
+
+
+def test_parse_patrol_reverse_prefix_extension_or_moved_start_use_constructor(monkeypatch):
+    # a second walk that is the reverse without its last step, the reverse
+    # with one more step back and forth, or the reverse from another start
+    # point is not the reverse: the constructor builds or rejects it
+    rng = random.Random(71)
+    built = _counting_walks(monkeypatch)
+    for _ in range(8):
+        tree = random_tree(rng, max_nodes=12, min_nodes=3)
+        lines = ser.write_patrol(e_patrolling(tree, random_alpha(rng, tree))).splitlines()
+        walk_ln = [ln for ln, line in enumerate(lines, start=1) if line.startswith("walk ")][1]
+        _, arc, lo, hi = lines[-1].split()
+        other = next(n for n in tree.nodes if f"walk node:{n}" != lines[walk_ln - 1])
+        variants = [(lines[:-1], (ValidationError, "patrol walks must be closed")),
+                    (lines + [f"step {arc} {hi} {lo}", lines[-1]], None),
+                    (lines[:walk_ln - 1] + [f"walk node:{other}"] + lines[walk_ln:], None)]
+        for variant, error in variants:
+            text = "\n".join(variant) + "\n"
+            built.clear()
+            got = _parse_patrol_outcome(tree, text)
+            assert got == (error or _parse_record_by_record(tree, text))
+            assert len(built) == 2
+
+
+def test_parse_patrol_other_second_walks_use_constructor(monkeypatch, sample_tree):
+    # the same walk twice, or two tours that are not reverses, each go
+    # through the constructor and parse as record by record
+    built = _counting_walks(monkeypatch)
+    walk = e_patrolling(sample_tree, 4).components[0][0]
+    texts = [(sample_tree, ser.write_patrol(PatrolStrategy(sample_tree, ((walk, F(1, 2)), (walk, F(1, 2))))))]
+    k4 = complete_network(4)
+    texts.append((k4, ser.write_patrol(complete_patrolling(k4))))
+    for net, text in texts:
+        built.clear()
+        got = _parse_patrol_outcome(net, text)
+        assert got == _parse_record_by_record(net, text)
+        assert len(built) == len(got)
 
 
 def test_point_and_segment_bad_rationals(sample_tree):
