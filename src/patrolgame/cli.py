@@ -146,6 +146,8 @@ def cmd_simulate(args, printer) -> int:
         raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     if args.jobs <= 0:
         raise ValidationError(f"--jobs must be positive, got {args.jobs}")
+    if args.trials <= 0:
+        raise ValidationError(f"--trials must be positive, got {args.trials}")
     net = _load_network(args.network)
     patrol = serialize.parse_patrol(net, _read_text(args.patrol))
     attack = serialize.parse_attack(net, _read_text(args.attack))
@@ -219,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("--alpha", required=True)
     p.add_argument("--kind", choices=["e", "complete", "factor"], required=True)
-    p.add_argument("--factorization")
-    p.add_argument("--best", action="store_true")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--factorization")
+    group.add_argument("--best", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_patrol)
 
@@ -252,6 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "factorize" and args.heuristic and not args.best:
+        parser.error("factorize: argument --heuristic: needs --best")
     printer = print
     try:
         return args.func(args, printer)

@@ -64,6 +64,11 @@ class Arc:
             return self.v
         return None
 
+    def step_from(self, node: str) -> "Step":
+        """The traversal of the whole arc leaving from its endpoint `node`."""
+        return (Step(self.id, Fraction(0), self.length) if node == self.u
+                else Step(self.id, self.length, Fraction(0)))
+
 
 @dataclass(frozen=True)
 class Point:
@@ -787,11 +792,7 @@ def walk_through_nodes(net: Network, nodes: Sequence[str], initial: tuple | None
         cands = [a for a in net.incident(u) if a.other(u) == v and a.u != a.v]
         if not cands:
             raise ValidationError(f"no arc between {u!r} and {v!r}")
-        a = cands[0]
-        if a.u == u:
-            steps.append(Step(a.id, Fraction(0), a.length))
-        else:
-            steps.append(Step(a.id, a.length, Fraction(0)))
+        steps.append(cands[0].step_from(u))
     return Walk(net, start, steps)
 
 
@@ -831,8 +832,7 @@ def double_traversal(net: Network, start: str) -> Walk:
     """
     if not net.is_tree():
         raise ValidationError("network is not a tree")
-    steps = [Step(a.id, Fraction(0), a.length) if a.u == node else Step(a.id, a.length, Fraction(0))
-             for a, node, _ in tree_tour(net, start)]
+    steps = [a.step_from(node) for a, node, _ in tree_tour(net, start)]
     return Walk(net, net.node_point(start), steps)
 
 
@@ -840,16 +840,21 @@ def eulerian_tour(net: Network, start: str | None = None) -> Walk:
     """Closed walk traversing every arc exactly once (Hierholzer).
 
     Requires every node degree to be even; the tour is deterministic given
-    the canonical arc order.
+    the canonical arc order.  A tour mixture tours its host network the same
+    way, with one factor's arcs left out (`_tour_from`).
     """
     if not net.is_eulerian():
         raise ValidationError("network is not Eulerian")
-    if start is None:
-        start = net.nodes[0]
-    used: set[str] = set()
-    cursor: dict[str, int] = {n: 0 for n in net.nodes}
-    order: list[tuple[str, str]] = []  # (arc id, node entered from)
-    stack: list[tuple[str, tuple[str, str] | None]] = [(start, None)]
+    return _tour_from(net, net.nodes[0] if start is None else start, set())
+
+
+def _tour_from(net: Network, start: str, used: set[str]) -> Walk:
+    """Closed walk from node `start` traversing once every arc whose id is
+    not in `used` (Hierholzer), adding each to `used`; every node is left by
+    its lowest-id arc not yet used."""
+    cursor = dict.fromkeys(net.nodes, 0)
+    order: list[Step] = []
+    stack: list[tuple[str, Step | None]] = [(start, None)]  # (node, step that entered it)
     while stack:
         node, via = stack[-1]
         inc = net.incident(node)
@@ -860,20 +865,13 @@ def eulerian_tour(net: Network, start: str | None = None) -> Walk:
         if i < len(inc):
             a = inc[i]
             used.add(a.id)
-            stack.append((a.other(node), (a.id, node)))
+            stack.append((a.other(node), a.step_from(node)))
         else:
             stack.pop()
             if via is not None:
                 order.append(via)
     order.reverse()
-    steps = []
-    for arc_id, from_node in order:
-        a = net.arc(arc_id)
-        if a.u == from_node:
-            steps.append(Step(arc_id, Fraction(0), a.length))
-        else:
-            steps.append(Step(arc_id, a.length, Fraction(0)))
-    walk = Walk(net, net.node_point(start), steps)
+    walk = Walk(net, net.node_point(start), order)
     if len(used) != len(net.arcs) or not walk.is_closed:
         raise ValidationError("network is not Eulerian")  # disconnected arc set
     return walk
@@ -968,10 +966,12 @@ def parse_network(text: str) -> Network:
 
     One declaration per line: ``node <name>`` or ``arc <name> <u> <v> <length>``
     where length is a decimal or p/q rational.  ``#`` starts a comment.
-    Errors carry the offending line number.
+    Nodes may be declared after the arcs that use them.  Errors name the
+    offending line (a repeated arc id's second one, or the first arc naming
+    an undeclared node), except that a network is disconnected.
     """
     nodes: list[str] = []
-    arcs: list[tuple] = []
+    arcs: list[tuple] = []  # (line, arc)
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -987,13 +987,21 @@ def parse_network(text: str) -> Network:
             length = parse_rational(parts[4], "length", ln)
             if length <= 0:
                 raise FormatError(f"line {ln}: nonpositive length {length}")
-            arcs.append((parts[1], parts[2], parts[3], length))
+            arcs.append((ln, (parts[1], parts[2], parts[3], length)))
         else:
             raise FormatError(f"line {ln}: unknown declaration {parts[0]!r}")
+    at = None  # line of the arc `Network` is reading and checking; None before and after
+
+    def read_arcs():
+        nonlocal at
+        for at, arc in arcs:
+            yield arc
+        at = None
+
     try:
-        return Network(nodes, arcs)
+        return Network(nodes, read_arcs())
     except ValidationError as e:
-        raise FormatError(str(e)) from None
+        raise FormatError(f"line {at}: {e}" if at is not None else str(e)) from None
 
 
 def format_network(net: Network) -> str:

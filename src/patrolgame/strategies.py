@@ -15,18 +15,9 @@ from fractions import Fraction
 from .decomposition import extremity_set, subtree_decomposition
 from .ebd import RootedSubtree, ebd
 from .errors import FactorizationError, ValidationError
-from .factorization import Factorization, round_robin_one_factorization, validate_factorization
-from .network import (
-    Network,
-    Point,
-    Step,
-    SubNetwork,
-    Walk,
-    eulerian_tour,
-    frac,
-    tree_tour,
-    validate_alpha,
-)
+from .factorization import (Factorization, _require_even_complete, round_robin_one_factorization,
+                            validate_factorization)
+from .network import Network, Point, Step, SubNetwork, Walk, _tour_from, frac, tree_tour, validate_alpha
 
 
 @dataclass(frozen=True)
@@ -291,40 +282,35 @@ def e_patrolling(tree: Network, alpha) -> PatrolStrategy:
     return PatrolStrategy(tree, ((walk, half), (walk.reversed(), half)))
 
 
-def _require_complete_even(net: Network):
-    n = len(net.nodes)
-    if n < 4 or n % 2 != 0:
-        raise ValidationError("complete-network patrolling needs an even node count of at least 4")
-    if not net.is_simple or len(net.arcs) != n * (n - 1) // 2:
-        raise ValidationError("network is not simple complete")
-
-
-def _tour_mixture(net: Network, complements: list[Network]) -> PatrolStrategy:
-    """Eulerian tours of the complements, as walks of `net`, each weighted
-    by its share q / sum(q) of the total tour length."""
-    total = sum((q.total_length for q in complements), Fraction(0))
-    tours = [(eulerian_tour(q), q.total_length / total) for q in complements]
-    return PatrolStrategy(net, tuple((Walk(net, t.start, t.steps), s) for t, s in tours))
+def _tour_mixture(net: Network, factors) -> PatrolStrategy:
+    """Per factor, an Eulerian tour of the host network `net` with the factor's
+    arcs left out, weighted by its share d / sum(d) of the total duration."""
+    tours = [_tour_from(net, net.nodes[0], set(f)) for f in factors]
+    total = sum((t.duration for t in tours), Fraction(0))
+    return PatrolStrategy(net, tuple((t, t.duration / total) for t in tours))
 
 
 def complete_patrolling(net: Network, factorization: Factorization | None = None) -> PatrolStrategy:
-    """Mixture of Eulerian tours of the complements of the factors of a
-    1-factorization, each weighted by its share of the total tour length."""
-    _require_complete_even(net)
+    """Mixture, over the factors of a 1-factorization, of Eulerian tours of
+    `net` with the factor's arcs left out, each weighted by its share of the
+    total tour length."""
+    if len(net.nodes) < 4:
+        raise ValidationError("complete-network patrolling needs an even node count of at least 4")
+    _require_even_complete(net)
     if factorization is None:
         factorization = round_robin_one_factorization(net)
     violations = validate_factorization(net, factorization.factors, 1)
     if violations:
         raise FactorizationError(violations)
-    return _tour_mixture(net, [factorization.complement(i) for i in range(len(factorization.factors))])
+    return _tour_mixture(net, factorization.factors)
 
 
 def factor_patrolling(net: Network, factorization: Factorization) -> PatrolStrategy:
     """Generalization to odd-k-regular networks with an m-factorization.
 
-    Requires k odd, m odd, k >= n + m on 2n nodes; every complement must
-    come out connected and Eulerian.  All violated hypotheses are reported
-    together rather than one at a time.
+    Requires k odd, m odd, k >= n + m on 2n nodes.  Each tour is an Eulerian
+    tour of `net` with one factor's arcs left out.  All violated hypotheses
+    are reported together rather than one at a time.
     """
     violations = []
     n2 = len(net.nodes)
@@ -346,18 +332,8 @@ def factor_patrolling(net: Network, factorization: Factorization) -> PatrolStrat
     if k is not None and n2 % 2 == 0 and k < n2 // 2 + m:
         violations.append(f"need degree >= n + m = {n2 // 2 + m}, got {k}")
     violations += validate_factorization(net, factorization.factors, m)
-    complements = []
-    if not violations:
-        for i in range(len(factorization.factors)):
-            try:
-                qi = factorization.complement(i)
-            except ValidationError:
-                violations.append(f"complement of factor {i + 1} is disconnected")
-                continue
-            if not qi.is_eulerian():
-                violations.append(f"complement of factor {i + 1} is not Eulerian")
-            else:
-                complements.append(qi)
     if violations:
         raise FactorizationError(violations)
-    return _tour_mixture(net, complements)
+    # each complement is (k - m)-regular with k - m even, so Eulerian, and
+    # k - m >= n, half the node count, so it is connected (Dirac)
+    return _tour_mixture(net, factorization.factors)

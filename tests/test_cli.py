@@ -167,6 +167,22 @@ def test_simulate_rejects_bad_seed_and_jobs(tree_file, tmp_path, capsys, flag, v
 
 
 @pytest.mark.parametrize("method", ["exact", "grid", "mc"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_simulate_rejects_nonpositive_trials(tree_file, tmp_path, capsys, method, trials):
+    # every method checks --trials, although only Monte Carlo reads it
+    patrol_file = tmp_path / "p.txt"
+    attack_file = tmp_path / "a.txt"
+    main(["patrol", tree_file, "--alpha", "4", "--kind", "e", "-o", str(patrol_file)])
+    main(["attack", tree_file, "--alpha", "4", "-o", str(attack_file)])
+    capsys.readouterr()
+    assert main(["simulate", tree_file, "--patrol", str(patrol_file), "--attack", str(attack_file),
+                 "--alpha", "4", "--method", method, "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --trials must be positive, got {trials}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("method", ["exact", "grid", "mc"])
 def test_simulate_rejects_negative_alpha(tree_file, tmp_path, capsys, method):
     patrol_file = tmp_path / "p.txt"
     attack_file = tmp_path / "a.txt"
@@ -229,6 +245,34 @@ def test_simulate_usage_error(tree_file):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", tree_file, "--alpha", "4"])
     assert exc.value.code == 2
+
+
+def test_patrol_best_excludes_factorization(k4_file, tmp_path, capsys):
+    # --best certifies only the factorization it finds itself
+    fact_file = tmp_path / "k4.fact"
+    assert main(["factorize", k4_file, "--best", "-o", str(fact_file)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["patrol", k4_file, "--alpha", "3", "--kind", "complete", "--best",
+              "--factorization", str(fact_file)])
+    assert exc.value.code == 2
+    assert "delta_star" not in capsys.readouterr().out
+
+
+def test_factorize_heuristic_needs_best(k4_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["factorize", k4_file, "--enumerate", "--heuristic"])
+    assert exc.value.code == 2
+    assert "count=" not in capsys.readouterr().out
+
+
+def test_network_file_error_names_its_line(tmp_path, capsys):
+    net = tmp_path / "dup.net"
+    net.write_text("node a\nnode b\narc x a b 1\narc x a b 2\n")
+    assert main(["decompose", str(net), "--alpha", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 4: duplicate arc id 'x'\n"
+    assert captured.out == ""
 
 
 def test_factorize_counts(k4_file, tmp_path, capsys):

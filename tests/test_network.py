@@ -487,6 +487,24 @@ def test_network_format_errors():
         parse_network("node a\nnode b\nnode c\narc e a b 1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("node a\nnode b\narc x a b 1\narc x a b 2\n", "line 4: duplicate arc id 'x'"),
+    ("node a\nnode b\narc x a b 1\n\n# again\narc y a b 1\narc x b a 1\n", "line 7: duplicate arc id 'x'"),
+    ("node a\narc x a b 1\narc y a c 1\nnode c\n", "line 2: arc 'x' references unknown node"),
+    ("node a\nnode b\narc x a b 1\narc y b z 1\narc x a b 1\n", "line 4: arc 'y' references unknown node"),
+    ("node a\nnode b\nnode c\narc e a b 1\n", "network is disconnected"),
+])
+def test_network_format_arc_errors_name_their_line(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_network(text)
+    assert str(err.value) == message
+
+
+def test_network_format_nodes_after_arcs():
+    net = parse_network("arc x a b 1\narc y b c 2\nnode c\nnode b\nnode a\n")
+    assert net.nodes == ("a", "b", "c") and [a.id for a in net.arcs] == ["x", "y"]
+
+
 def test_network_format_rationals():
     net = parse_network("node a\nnode b\narc e a b 3/7\n")
     assert net.arc("e").length == F(3, 7)

@@ -12,6 +12,7 @@ from patrolgame import (
     SubNetwork,
     TemporalLaw,
     ValidationError,
+    best_one_factorization,
     complete_network,
     complete_patrolling,
     critical_alpha,
@@ -238,11 +239,7 @@ def test_factor_patrolling_k8():
 
 
 def test_factor_patrolling_five_regular():
-    k8 = complete_network(8)
-    rr = round_robin_one_factorization(k8)
-    net5 = k8.without_arcs(rr.factors[5] | rr.factors[6])
-    fact = Factorization(net5, 1, rr.factors[:5])
-    pat = factor_patrolling(net5, fact)
+    pat = factor_patrolling(*_five_regular())
     assert len(pat.components) == 5
     assert sum(s for _, s in pat.components) == 1
 
@@ -267,6 +264,72 @@ def test_factor_patrolling_reports_violations(unit_k4, unit_k6):
     with pytest.raises(FactorizationError) as err:
         factor_patrolling(unit_k6, paired)
     assert any("regularity 2 is even" in v for v in err.value.violations)
+
+
+def _rational_complete(n, rng):
+    net = complete_network(n)
+    return Network(net.nodes, [(a.id, a.u, a.v, F(rng.randint(1, 12), rng.randint(1, 4))) for a in net.arcs])
+
+
+def _five_regular():
+    """K8 minus two round-robin factors, with the other five as its 1-factors."""
+    k8 = complete_network(8)
+    rr = round_robin_one_factorization(k8)
+    net5 = k8.without_arcs(rr.factors[5] | rr.factors[6])
+    return net5, Factorization(net5, 1, rr.factors[:5])
+
+
+def _mixture_digests():
+    """SHA-256 of the patrol file of each tour mixture: complete_patrolling
+    on unit K4, K6 and K8 and on two seeded rational K6s (certified best
+    and round-robin factorizations), and factor_patrolling on the
+    5-regular network."""
+    patrols = [complete_patrolling(complete_network(n)) for n in (4, 6, 8)]
+    rng = random.Random(23)
+    for _ in range(2):
+        k6 = _rational_complete(6, rng)
+        patrols += [complete_patrolling(k6, best_one_factorization(k6)),
+                    complete_patrolling(k6, round_robin_one_factorization(k6))]
+    patrols.append(factor_patrolling(*_five_regular()))
+    return [hashlib.sha256(ser.write_patrol(p).encode()).hexdigest() for p in patrols]
+
+
+# frozen from the implementation that toured a standalone copy of each
+# factor's complement
+MIXTURE_DIGESTS = [
+    "ea570a84c65a48a125819c2034504b5cd3eb8bd5dc40305eb2ef95e565ca1b95",
+    "536e82d0225a2a369e3bac3850d943585b627bbc13f12e9304bca6d3395cfcc2",
+    "f7f082b1a3aa9b1839f8d5e818c198dcc7f6e81c10d66ea95ce70cb08da0ee67",
+    "9839d3f63634f7a580c7a3e95ca94d23340d4ae99154017c7bc9a993872be19c",
+    "5abb731e67f2e80740281806440a0b2f716a4ff055820aa7b14588859fa639ca",
+    "ffae9d427c27a9e5face0da29dd5d2d40cf74ff8befda2c63318bc132c47ce2a",
+    "f2450aa4e98563f19e43e13fe36084509908a46270d072ee2c6fba4b08cd8a74",
+    "868952b5ec0ecb9cb435beae33b02a312204c2c5fcbf3c0d0aad16a54320b69a",
+]
+
+
+def test_tour_mixture_bytes_frozen():
+    assert _mixture_digests() == MIXTURE_DIGESTS
+
+
+@pytest.mark.parametrize("n, dropped, m", [
+    (10, 0, 1), (10, 2, 1), (12, 0, 1), (12, 2, 1), (12, 4, 1), (10, 0, 3), (12, 2, 3)])
+def test_tour_mixture_tours_each_complement_once(n, dropped, m):
+    # k-regular hosts, k odd, with k >= n/2 + m: K_n minus `dropped` seeded
+    # round-robin factors, its other factors (in unions of three for m = 3)
+    # as the factorization
+    rng = random.Random(n * 100 + dropped * 10 + m)
+    kn = _rational_complete(n, rng)
+    rr = list(round_robin_one_factorization(kn).factors)
+    rng.shuffle(rr)
+    net = kn.without_arcs(frozenset().union(*rr[:dropped]))
+    kept = rr[dropped:]
+    factors = tuple(frozenset().union(*kept[i:i + m]) for i in range(0, len(kept), m))
+    pat = factor_patrolling(net, Factorization(net, m, factors))
+    assert len(pat.components) == len(factors)
+    assert sum(s for _, s in pat.components) == 1
+    for (walk, _), factor in zip(pat.components, factors):
+        assert walk.arc_traversal_counts() == {a.id: 1 for a in net.arcs if a.id not in factor}
 
 
 def test_e_patrolling_value_guarantee_random_trees():
