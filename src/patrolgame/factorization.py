@@ -8,15 +8,22 @@ Enumeration and the certified least-heaviest-factor search walk one search
 tree, an exact cover of the arcs by perfect matchings: each level covers
 the lowest uncovered arc with one perfect matching, tried in increasing
 node index.  Arcs are bits of one mask, ranked in lexicographic order, and
-the perfect matchings are built once and listed under each of their arcs,
-so a level only filters its arc's list by the covered mask.  The certified
-search is a branch and bound over that tree on the network's integer arc
-lengths (`Network._units`).  It prunes a child when max(heaviest
+one table (`_matching_table`) builds the perfect matchings once and lists
+them under each of their arcs, so a level only filters its arc's list by
+the covered mask.  Enumeration first fills `live`: for each cover state
+(covered mask) the search reaches, the matchings that lead to a complete
+factorization.  It then walks that table, so no dead state is searched
+twice and the leaves come out in the search's order; a leaf is checked by
+one sum of its factors' masks over the network's arcs.  The certified
+search is a branch and bound over the same tree on the network's integer
+arc lengths (`Network._units`).  It prunes a child when max(heaviest
 factor so far, ceil(remaining length / factors left)) is at least the best
 found, so of equally heavy optima it returns the first in enumeration
-order.  It shares the 8-node guard; beyond it a randomized heuristic with
+order; its pruning depends on the path, so it keeps the plain depth-first
+search.  It shares the 8-node guard; beyond it a randomized heuristic with
 cycle-rebalancing swaps stands in for the certified optimum.  Every
 factorization either search returns is validated against the network.
+Girth runs the network's one Dijkstra on those integer lengths.
 """
 
 from __future__ import annotations
@@ -151,19 +158,40 @@ def _matchings(remaining: int, acc: list, out: list):
         acc.pop()
 
 
+def _matching_table(n: int) -> tuple[int, list[tuple], list[int], list[list[int]]]:
+    """The perfect matchings of the complete network on node indices
+    0..n-1, as both searches read them: (full, matchings, masks, through).
+
+    Arc (i, j), i < j, is bit k of an arc mask, k its rank in lexicographic
+    order, and `full` has every arc's bit, so the lowest zero bit of a
+    `covered` mask is the lowest uncovered arc.  `matchings` lists every
+    perfect matching as its index pairs, in the order `_matchings` builds
+    them, which is lexicographic, and `masks` their arc masks.
+    `through[k]` lists the index of every matching that holds arc k, in
+    that same order.
+    """
+    bit = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            bit[i, j] = 1 << len(bit)
+    matchings: list[tuple] = []
+    _matchings((1 << n) - 1, [], matchings)
+    masks = [sum(bit[p] for p in pairs) for pairs in matchings]
+    through: list[list[int]] = [[] for _ in bit]
+    for index, pairs in enumerate(matchings):
+        for p in pairs:
+            through[bit[p].bit_length() - 1].append(index)
+    return (1 << len(bit)) - 1, matchings, masks, through
+
+
 def _factorization_search(n: int, admit=None):
     """Depth-first search over the 1-factorizations of the complete network
     on node indices 0..n-1, each visited exactly once: an exact cover of the
-    arcs by perfect matchings.
+    arcs by the perfect matchings of `_matching_table`.
 
-    Arc (i, j), i < j, is bit k of an arc mask, k its rank in lexicographic
-    order, so the lowest zero bit of the `covered` mask is the lowest
-    uncovered arc.  Every perfect matching is built once, as (arc mask,
-    pairs), and listed under each of its arcs in the order `_matchings`
-    yields them, which is lexicographic.  A level tries the lowest
-    uncovered arc's matchings that miss `covered`.  Filtering a
-    lexicographic list keeps it lexicographic, so a level meets the
-    matchings of the uncovered arcs in the order a recursion over those
+    A level tries the lowest uncovered arc's matchings that miss `covered`.
+    Filtering a lexicographic list keeps it lexicographic, so a level meets
+    the matchings of the uncovered arcs in the order a recursion over those
     arcs alone would build them, and the enumeration order, the pruning
     and the first-minimum tie rule of `admit` do not depend on how the
     candidates are found.
@@ -174,19 +202,7 @@ def _factorization_search(n: int, admit=None):
     search descends into a child: `pairs` would become factor `depth`, and
     a false answer prunes the child's whole subtree.
     """
-    bit = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            bit[i, j] = 1 << len(bit)
-    full = (1 << len(bit)) - 1
-    matchings: list[tuple] = []
-    _matchings((1 << n) - 1, [], matchings)
-    # through[k]: (mask, pairs) of every perfect matching containing arc k
-    through: list[list] = [[] for _ in bit]
-    for pairs in matchings:
-        mask = sum(bit[p] for p in pairs)
-        for p in pairs:
-            through[bit[p].bit_length() - 1].append((mask, pairs))
+    full, matchings, masks, through = _matching_table(n)
     chosen: list[tuple] = []
 
     def rec(covered):
@@ -194,9 +210,11 @@ def _factorization_search(n: int, admit=None):
             yield chosen
             return
         low = ~covered & (covered + 1)
-        for mask, pairs in through[low.bit_length() - 1]:
+        for index in through[low.bit_length() - 1]:
+            mask = masks[index]
             if mask & covered:
                 continue
+            pairs = matchings[index]
             if admit is not None and not admit(len(chosen), pairs):
                 continue
             chosen.append(pairs)
@@ -215,47 +233,75 @@ def _arc_ids(net: Network) -> list[list]:
 def enumerate_one_factorizations(net: Network):
     """Yield every 1-factorization of a small complete network exactly once.
 
-    Factorizations are distinct as unordered sets of factors; the generator
-    branches on the lowest uncovered arc so no set is produced twice.  The
-    arc set, sort key and arc mask of each distinct matching are built
-    once, and every factorization is checked before it is yielded: perfect
-    matchings, pairwise arc-disjoint, covering every arc.  A violation
-    raises `FactorizationError` with `validate_factorization`'s messages.
+    Factorizations are distinct as unordered sets of factors; the search
+    branches on the lowest uncovered arc so no set is produced twice.  It
+    first fills `live`: for each cover state (a `covered` arc mask) the
+    search reaches, `live[covered]` lists, in search order, the number of
+    each matching that has a complete factorization below it.  A stack
+    walk over `live` from the empty cover then meets the leaves in the
+    order of `_factorization_search`, without entering a dead state twice.
+    Each matching's arc set, sort key and mask over the network's arcs are
+    built once, and its number is its place in sort-key order, so a
+    factorization's factors sort as ints.
+
+    Every factorization is checked before it is yielded.  The matchings are
+    checked once to be perfect, and the masks of a leaf's n - 1 matchings
+    must sum to the mask of every arc: a sum that equals it had no carries,
+    so the factors are pairwise arc-disjoint and cover every arc.  A
+    violation raises `FactorizationError` with `validate_factorization`'s
+    messages.
     """
     _require_even_complete(net)
     n = len(net.nodes)
     if n > ENUMERATION_NODE_LIMIT:
         raise SizeGuardError(f"enumeration guarded to <= {ENUMERATION_NODE_LIMIT} nodes, got {n}")
     ids = _arc_ids(net)
+    full, matchings, masks, through = _matching_table(n)
+    arcs = [frozenset(ids[i][j] for i, j in pairs) for pairs in matchings]
+    order = sorted(range(len(arcs)), key=lambda k: sorted(arcs[k]))
+    rank = {k: r for r, k in enumerate(order)}
+    factors = [arcs[k] for k in order]
+    cover = [masks[k] for k in order]  # factor r's mask in the search's arc order
+    # check[r]: factor r's mask over the network's arcs, or a bit above
+    # them all when its pairs are not a perfect matching
     bit = {a.id: 1 << k for k, a in enumerate(net.arcs)}
-    full = (1 << len(net.arcs)) - 1
+    every = (1 << len(net.arcs)) - 1
     nodes = list(range(n))
-    # pairs -> (sort key, arc ids, arc mask); the mask is None unless the
-    # pairs are a perfect matching
-    parts: dict[tuple, tuple] = {}
+    check = [sum(bit[a] for a in arcs[k]) if sorted(x for pair in matchings[k] for x in pair) == nodes
+             else every + 1 for k in order]
+    live: dict[int, tuple[int, ...]] = {}
 
-    def part(pairs):
-        arcs = frozenset(ids[i][j] for i, j in pairs)
-        if sorted(x for pair in pairs for x in pair) != nodes:
-            return None, arcs, None
-        return sorted(arcs), arcs, sum(bit[a] for a in arcs)
+    def fill(covered) -> bool:
+        # fills live[covered] with factor numbers; true when `covered` can
+        # be completed
+        if covered == full:
+            return True
+        below = live.get(covered)
+        if below is None:
+            low = ~covered & (covered + 1)
+            below = live[covered] = tuple(rank[index] for index in through[low.bit_length() - 1]
+                                          if not masks[index] & covered and fill(covered | masks[index]))
+        return bool(below)
 
-    for chosen in _factorization_search(n):
-        factors = []
-        covered, valid = 0, True
-        for pairs in chosen:
-            f = parts.get(pairs)
-            if f is None:
-                f = parts[pairs] = part(pairs)
-            factors.append(f)
-            # the predicate of `validate_factorization`: perfect matchings,
-            # pairwise arc-disjoint, covering every arc
-            valid = valid and f[2] is not None and not f[2] & covered
-            covered |= f[2] or 0
-        if not valid or covered != full:
-            raise FactorizationError(validate_factorization(net, [f[1] for f in factors], 1))
-        factors.sort()  # by sort key: the keys of disjoint factors differ
-        yield Factorization(net, 1, tuple(f[1] for f in factors))
+    fill(0)
+    chosen: list[int] = []  # numbers of the factors on the walk's path
+    stack = [(0, iter(live[0]))]  # (covered, its live factors left) per level
+    while stack:
+        state, below = stack[-1]
+        for r in below:
+            covered = state | cover[r]
+            chosen.append(r)
+            if covered != full:
+                stack.append((covered, iter(live[covered])))
+                break
+            if sum(check[f] for f in chosen) != every:
+                raise FactorizationError(validate_factorization(net, [factors[f] for f in chosen], 1))
+            yield Factorization(net, 1, tuple(factors[f] for f in sorted(chosen)))
+            chosen.pop()
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
 
 
 def best_one_factorization(net: Network, heuristic: bool = False, restarts: int = 32, seed: int = 0) -> Factorization:
@@ -396,13 +442,14 @@ def _best_cycle_split(net: Network, fa: set, fb: set, weight: dict[str, int]):
 
 def girth(net: Network) -> Fraction:
     """Minimum total length over circuits; errors on acyclic networks."""
+    scale, length = net._units
     best = None
     for a in net.arcs:
         # a circuit through the arc closes it with a shortest path avoiding
         # it: the empty path for a loop, none across a bridge
         d = net._dijkstra(a.u, skip=a.id)[0].get(a.v)
-        if d is not None and (best is None or a.length + d < best):
-            best = a.length + d
+        if d is not None and (best is None or length[a.id] + d < best):
+            best = length[a.id] + d
     if best is None:
         raise ValidationError("network is acyclic")
-    return best
+    return Fraction(best, scale)

@@ -120,8 +120,6 @@ class Network:
 
     def __init__(self, nodes: Iterable[str], arcs: Iterable[tuple]):
         self.nodes: tuple[str, ...] = tuple(sorted(set(nodes)))
-        if not self.nodes:
-            raise ValidationError("network has no nodes")
         built = []
         seen = set()
         node_set = set(self.nodes)
@@ -135,6 +133,8 @@ class Network:
             if ln <= 0:
                 raise ValidationError(f"arc {aid!r} has nonpositive length {ln}")
             built.append(Arc(str(aid), str(u), str(v), ln))
+        if not self.nodes:
+            raise ValidationError("network has no nodes")
         self.arcs: tuple[Arc, ...] = tuple(sorted(built, key=lambda a: a.id))
         if not self.arcs:
             raise ValidationError("network has no arcs")
@@ -146,7 +146,8 @@ class Network:
                 incident[a.v].append(a)
         self._incident = {n: tuple(sorted(v, key=lambda a: a.id)) for n, v in incident.items()}
         self._total_length = sum((a.length for a in self.arcs), Fraction(0))
-        self._dist_cache: dict[str, tuple[dict[str, Fraction], dict[str, str]]] = {}
+        self._dist_cache: dict[str, tuple[dict[str, int], dict[str, str]]] = {}
+        self._node_distances: dict[str, dict[str, Fraction]] = {}
         # filled by the tree layer (decomposition.py) on first use: D and, per
         # arc id, its length and side weights on the scale D of `_units`
         self._side_weights_memo: tuple[int, dict[str, tuple[int, int, int]]] | None = None
@@ -247,18 +248,20 @@ class Network:
 
     # -- metric ------------------------------------------------------------
 
-    def _dijkstra(self, source: str, skip: str | None = None) -> tuple[dict[str, Fraction], dict[str, str]]:
-        """Exact shortest path lengths and parents from `source`, avoiding
-        the arc `skip`; cached when nothing is skipped.
+    def _dijkstra(self, source: str, skip: str | None = None) -> tuple[dict[str, int], dict[str, str]]:
+        """Exact shortest path lengths from `source` on the integer scale D
+        of `_units` (each length times D), and parents, avoiding the arc
+        `skip`; cached when nothing is skipped.
 
         Ties pop in push order (the counter), and a node's distance and
         parent change only on a strictly shorter path."""
         if skip is None and source in self._dist_cache:
             return self._dist_cache[source]
-        dist = {source: Fraction(0)}
+        length = self._units[1]
+        dist = {source: 0}
         parent: dict[str, str] = {}
         counter = itertools.count()
-        heap = [(Fraction(0), next(counter), source)]
+        heap = [(0, next(counter), source)]
         while heap:
             d, _, n = heapq.heappop(heap)
             if d > dist[n]:
@@ -267,7 +270,7 @@ class Network:
                 if a.id == skip:
                     continue
                 m = a.other(n)
-                nd = d + a.length
+                nd = d + length[a.id]
                 if m not in dist or nd < dist[m]:
                     dist[m] = nd
                     parent[m] = n
@@ -278,7 +281,12 @@ class Network:
 
     def node_distances(self, source: str) -> dict[str, Fraction]:
         """Exact single-source shortest path lengths (Dijkstra), cached."""
-        return self._dijkstra(source)[0]
+        dist = self._node_distances.get(source)
+        if dist is None:
+            scale = self._units[0]
+            dist = self._node_distances[source] = {
+                n: Fraction(d, scale) for n, d in self._dijkstra(source)[0].items()}
+        return dist
 
     def node_path(self, source: str, target: str) -> list[str]:
         """Node sequence of a shortest path between two nodes."""

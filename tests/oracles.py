@@ -8,8 +8,11 @@ critical durations and local roots come from its `Fraction` implementation,
 interception probabilities come from a merge of
 rational phase intervals, one point at a time, factorization counts and least largest-factor
 lengths come from set-cover search over explicitly enumerated perfect
-matchings, a single walk is scored from the definition of interception
-under each rule for after its end (repeat, hold, none), the patrol search
+matchings, the enumeration order comes from a recursion over the
+exact-cover search with every leaf's factors built and checked one by one,
+shortest paths and their parents come from a Dijkstra on `Fraction`
+lengths, circuits come from networkx's cycle enumeration, a single walk is
+scored from the definition of interception under each rule for after its end (repeat, hold, none), the patrol search
 scores every walk of its family that way under the hold rule, one at a
 time, and Monte Carlo is replayed one trial at a time in plain Python.
 Equal-branch-density leaf measures come from their `Fraction` implementation
@@ -18,6 +21,7 @@ step's `Fraction` offsets.
 """
 
 import bisect
+import heapq
 import itertools
 import warnings
 from fractions import Fraction
@@ -25,7 +29,8 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
-from patrolgame import Network, Point, Segment, Step, ValidationError, Walk
+from patrolgame import Factorization, FactorizationError, Network, Point, Segment, Step, ValidationError, Walk
+from patrolgame import factorization
 from patrolgame.decomposition import ExtremitySet, _require_tree
 from patrolgame.ebd import LeafDistribution, RootedSubtree
 from patrolgame.network import _Piece, _SegmentGraph, frac, tree_tour, validate_alpha
@@ -258,19 +263,76 @@ def best_delta_bruteforce(net: Network) -> tuple[Fraction, set[frozenset]]:
 
 
 def girth_bruteforce(net: Network) -> Fraction | None:
-    """Minimum circuit length from explicit simple-cycle enumeration."""
-    g = nx.Graph()
+    """Minimum circuit length from explicit cycle enumeration: a loop, two
+    parallel arcs, or a simple cycle of three or more nodes through the
+    shortest arc between each two consecutive nodes."""
+    g = nx.MultiGraph()
     for a in net.arcs:
         g.add_edge(a.u, a.v, length=a.length)
     best = None
     for cycle in nx.simple_cycles(g):
-        m = Fraction(0)
         k = len(cycle)
-        for i in range(k):
-            m += g[cycle[i]][cycle[(i + 1) % k]]["length"]
+        if k == 1:
+            m = min(d["length"] for d in g[cycle[0]][cycle[0]].values())
+        elif k == 2:
+            m = sum(sorted(d["length"] for d in g[cycle[0]][cycle[1]].values())[:2])
+        else:
+            m = sum(min(d["length"] for d in g[cycle[i]][cycle[(i + 1) % k]].values()) for i in range(k))
         if best is None or m < best:
             best = m
     return best
+
+
+def fraction_dijkstra(net: Network, source: str, skip: str | None = None) -> tuple[dict, dict]:
+    """`Network._dijkstra` in `Fraction`s: shortest path lengths and
+    parents from `source`, avoiding the arc `skip`.  Ties pop in push order,
+    and a node's distance and parent change only on a strictly shorter
+    path."""
+    dist = {source: Fraction(0)}
+    parent: dict[str, str] = {}
+    counter = itertools.count()
+    heap = [(Fraction(0), next(counter), source)]
+    while heap:
+        d, _, n = heapq.heappop(heap)
+        if d > dist[n]:
+            continue
+        for a in net.incident(n):
+            if a.id == skip:
+                continue
+            m = a.other(n)
+            nd = d + a.length
+            if m not in dist or nd < dist[m]:
+                dist[m] = nd
+                parent[m] = n
+                heapq.heappush(heap, (nd, next(counter), m))
+    return dist, parent
+
+
+def enumerate_reference(net: Network):
+    """`enumerate_one_factorizations` as a plain depth-first search: at
+    every leaf of `factorization._factorization_search`, the matchings are
+    turned into arc sets one by one, checked to be perfect, pairwise
+    arc-disjoint and covering every arc, and sorted by their sorted arc
+    ids."""
+    n = len(net.nodes)
+    ids = factorization._arc_ids(net)
+    bit = {a.id: 1 << k for k, a in enumerate(net.arcs)}
+    full = (1 << len(net.arcs)) - 1
+    nodes = list(range(n))
+    for chosen in factorization._factorization_search(n):
+        factors = []
+        covered, valid = 0, True
+        for pairs in chosen:
+            arcs = frozenset(ids[i][j] for i, j in pairs)
+            mask = sum(bit[a] for a in arcs)
+            perfect = sorted(x for pair in pairs for x in pair) == nodes
+            valid = valid and perfect and not mask & covered
+            covered |= mask
+            factors.append((sorted(arcs), arcs))
+        if not valid or covered != full:
+            raise FactorizationError(factorization.validate_factorization(net, [f[1] for f in factors], 1))
+        factors.sort()
+        yield Factorization(net, 1, tuple(f[1] for f in factors))
 
 
 def search_family(net: Network, offset_step: Fraction, max_steps: int):

@@ -19,7 +19,8 @@ from patrolgame import (
 )
 from patrolgame import factorization
 from patrolgame.serialize import write_factorization
-from oracles import best_delta_bruteforce, count_one_factorizations_bruteforce, girth_bruteforce
+from oracles import (best_delta_bruteforce, count_one_factorizations_bruteforce, enumerate_reference,
+                     girth_bruteforce)
 
 F = Fraction
 
@@ -30,6 +31,19 @@ def rational_complete(seed: int, n: int) -> Network:
     base = complete_network(n)
     return Network(base.nodes, [(a.id, a.u, a.v, F(rng.randint(1, 16), rng.choice([1, 2, 3, 4])))
                                 for a in base.arcs])
+
+
+def scrambled_complete(seed: int, n: int) -> Network:
+    """Complete network on n nodes with shuffled node names, arc ids whose
+    string order runs against node-index order, and seeded rational
+    lengths."""
+    rng = random.Random(seed)
+    names = [f"p{x}" for x in rng.sample(range(1, 400), n)]
+    pairs = [(u, v) for i, u in enumerate(sorted(names)) for v in sorted(names)[i + 1:]]
+    ids = [f"z{x}" for x in rng.sample(range(1, 200), len(pairs))]
+    rng.shuffle(names)
+    return Network(names, [(aid, *rng.sample(pair, 2), F(rng.randint(1, 16), rng.choice([1, 2, 3, 5])))
+                           for aid, pair in zip(ids, pairs)])
 
 
 def test_validate_ok(unit_k4):
@@ -79,7 +93,12 @@ def test_round_robin_rejects_bad_node_order(unit_k4, order):
     [((0, 1), (2, 3)), ((0, 2), (1, 3))],
 ])
 def test_enumeration_validates_every_factorization(unit_k4, monkeypatch, chosen):
-    monkeypatch.setattr(factorization, "_factorization_search", lambda n, admit=None: iter([chosen]))
+    # a matching table whose k-th matching is the k-th injected one and
+    # covers the search's k-th arc alone, so the search's one leaf is the
+    # injected list
+    k = len(chosen)
+    table = ((1 << k) - 1, list(chosen), [1 << i for i in range(k)], [[i] for i in range(k)])
+    monkeypatch.setattr(factorization, "_matching_table", lambda n: table)
     ids = factorization._arc_ids(unit_k4)
     factors = [frozenset(ids[i][j] for i, j in pairs) for pairs in chosen]
     expected = validate_factorization(unit_k4, factors, 1)
@@ -87,6 +106,17 @@ def test_enumeration_validates_every_factorization(unit_k4, monkeypatch, chosen)
     with pytest.raises(FactorizationError) as info:
         next(enumerate_one_factorizations(unit_k4))
     assert info.value.violations == expected
+
+
+@pytest.mark.parametrize("n, seeds", [(2, 3), (4, 4), (6, 4), (8, 2)])
+def test_enumeration_matches_reference(n, seeds):
+    for seed in range(seeds):
+        net = scrambled_complete(seed, n)
+        by_nodes = sorted(net.arcs, key=lambda a: sorted((a.u, a.v)))  # node-index order
+        assert n == 2 or by_nodes != list(net.arcs)  # net.arcs is in id order
+        got = [f.factors for f in enumerate_one_factorizations(net)]
+        assert got == [f.factors for f in enumerate_reference(net)]
+        assert len(got) == {2: 1, 4: 1, 6: 6, 8: 6240}[n]
 
 
 def test_enumeration_k2():
@@ -174,10 +204,9 @@ def test_girth_acyclic(sample_tree):
 
 
 def test_girth_multigraph():
-    # the networkx oracle sees neither loops nor parallel arcs, so these
-    # values are checked by hand: a triangle b-c-d of length 13/3 hangs off
-    # node b, joined to node a by two parallel arcs (a circuit of 5/2) or by
-    # one bridge; a loop of 1/3 at a is the shortest circuit of all
+    # a triangle b-c-d of length 13/3 hangs off node b, joined to node a by
+    # two parallel arcs (a circuit of 5/2) or by one bridge; a loop of 1/3
+    # at a is the shortest circuit of all
     triangle = [("bc", "b", "c", 1), ("cd", "c", "d", 1), ("db", "d", "b", F(7, 3))]
     pair = [("ab1", "a", "b", 1), ("ab2", "a", "b", F(3, 2))]
     nodes = ["a", "b", "c", "d"]
@@ -186,7 +215,7 @@ def test_girth_multigraph():
              ([("ab", "a", "b", 4)] + triangle, F(13, 3))]
     for arcs, want in cases:
         net = Network(nodes, arcs)
-        assert girth(net) == want
+        assert girth(net) == want == girth_bruteforce(net)
         # a run that skips an arc leaves the shortest-path cache alone
         assert net.node_distances("a") == Network(nodes, arcs).node_distances("a")
         assert net.node_distances("b") == Network(nodes, arcs).node_distances("b")

@@ -22,6 +22,7 @@ from patrolgame import (
     e_patrolling,
     eulerian_tour,
     format_network,
+    girth,
     parse_network,
     path_network,
     random_closed_walk,
@@ -30,8 +31,8 @@ from patrolgame import (
 )
 from patrolgame.network import parse_rational
 from conftest import make_sample_tree, random_tree, walk_fields
-from oracles import (FractionWalk, removal_component_measures, search_family, subdivided_distance,
-                     to_nx, walk_trace_reference)
+from oracles import (FractionWalk, fraction_dijkstra, girth_bruteforce, removal_component_measures,
+                     search_family, subdivided_distance, to_nx, walk_trace_reference)
 
 F = Fraction
 
@@ -134,6 +135,45 @@ def test_node_path_is_a_shortest_path():
     # which of several shortest paths comes back (ties go to the earliest
     # push), frozen
     assert digest.hexdigest() == FROZEN_PATHS
+
+
+def test_dijkstra_matches_fraction_oracle():
+    # connected multigraphs with loops and parallel arcs, and lengths on
+    # several denominators: the integer Dijkstra gives the oracle's
+    # distances and parents from every source, with and without a skipped arc
+    rng = random.Random(67)
+    lengths = [F(1, 2), F(1, 3), F(5, 6), F(1), F(7, 4), F(2)]
+    shapes = Counter()
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        nodes = [f"n{i}" for i in rng.sample(range(20), n)]
+        arcs = [(f"t{i}", nodes[rng.randrange(i)], nodes[i], rng.choice(lengths)) for i in range(1, n)]
+        arcs += [(f"x{k}", rng.choice(nodes), rng.choice(nodes), rng.choice(lengths))
+                 for k in range(rng.randint(1, 2 * n))]
+        net = Network(nodes, arcs)
+        shapes["loop"] += any(a.u == a.v for a in net.arcs)
+        shapes["parallel"] += len({frozenset((a.u, a.v)) for a in net.arcs}) < len(net.arcs)
+        scale = net._units[0]
+        for s in net.nodes:
+            dist, parent = fraction_dijkstra(net, s)
+            assert net.node_distances(s) == dist
+            assert all(type(d) is Fraction for d in net.node_distances(s).values())
+            for t in net.nodes:
+                path = [t]
+                while path[-1] != s:
+                    path.append(parent[path[-1]])
+                assert net.node_path(s, t) == path[::-1]
+            skip = rng.choice(net.arcs).id
+            dist, parent = fraction_dijkstra(net, s, skip)
+            got, got_parent = net._dijkstra(s, skip)
+            assert {m: F(d, scale) for m, d in got.items()} == dist and got_parent == parent
+        want = girth_bruteforce(net)
+        if want is None:
+            with pytest.raises(ValidationError, match="acyclic"):
+                girth(net)
+        else:
+            assert girth(net) == want
+    assert shapes["loop"] >= 10 and shapes["parallel"] >= 10
 
 
 def test_point_normalization(sample_tree):
@@ -493,6 +533,8 @@ def test_network_format_errors():
     ("node a\narc x a b 1\narc y a c 1\nnode c\n", "line 2: arc 'x' references unknown node"),
     ("node a\nnode b\narc x a b 1\narc y b z 1\narc x a b 1\n", "line 4: arc 'y' references unknown node"),
     ("node a\nnode b\nnode c\narc e a b 1\n", "network is disconnected"),
+    ("arc x a b 1\n", "line 1: arc 'x' references unknown node"),
+    ("# nothing\n\n", "network has no nodes"),
 ])
 def test_network_format_arc_errors_name_their_line(text, message):
     with pytest.raises(FormatError) as err:
