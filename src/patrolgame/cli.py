@@ -153,8 +153,7 @@ def cmd_simulate(args, printer) -> int:
     attack = serialize.parse_attack(net, _read_text(args.attack))
     alpha = parse_rational(args.alpha, "--alpha")
     grid_step = parse_rational(args.grid_step, "--grid-step")
-    method = {"mc": "mc", "exact": "exact", "grid": "grid"}[args.method]
-    result = evaluate(patrol, attack, alpha, method=method, trials=args.trials,
+    result = evaluate(patrol, attack, alpha, method=args.method, trials=args.trials,
                       seed=args.seed, grid_step=grid_step, jobs=args.jobs)
     if result.notes:
         printer(f"note: {result.notes}")

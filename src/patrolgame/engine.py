@@ -245,15 +245,12 @@ def evaluate(patrol: PatrolStrategy, attack: AttackStrategy, alpha, *,
     alpha = _duration(alpha)
     if method in ("mc", "monte-carlo"):
         return _mc_evaluate(patrol, attack, alpha, trials, seed, jobs)
-    if method == "exact":
-        if attack.is_atomic:
-            return EvaluationResult(_exact_atomic(patrol, attack, alpha), "exact")
-        note = "continuous spatial part: exact mode fell back to grid quadrature"
+    if method == "exact" and attack.is_atomic:
+        return EvaluationResult(_exact_atomic(patrol, attack, alpha), "exact")
+    if method in ("exact", "grid"):
+        note = "continuous spatial part: exact mode fell back to grid quadrature" if method == "exact" else ""
         disc = attack.discretized(grid_step)
         return EvaluationResult(_exact_atomic(patrol, disc, alpha), "grid", notes=note)
-    if method == "grid":
-        disc = attack.discretized(grid_step)
-        return EvaluationResult(_exact_atomic(patrol, disc, alpha), "grid")
     raise ValidationError(f"unknown evaluation method {method!r}")
 
 

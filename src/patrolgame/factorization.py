@@ -7,34 +7,34 @@ complete network; exhaustive enumeration is guarded to at most 8 nodes.
 Enumeration and the certified least-heaviest-factor search walk one search
 tree, an exact cover of the arcs by perfect matchings: each level covers
 the lowest uncovered arc with one perfect matching, tried in increasing
-node index.  Arcs are bits of one mask, ranked in lexicographic order, and
-one table (`_matching_table`) builds the perfect matchings once and lists
-them under each of their arcs, so a level only filters its arc's list by
-the covered mask.  Enumeration first fills `live`: for each cover state
-(covered mask) the search reaches, the matchings that lead to a complete
-factorization.  It then walks that table, so no dead state is searched
-twice and the leaves come out in the search's order; a leaf is checked by
+node index.  Arcs are bits of one mask, ranked in lexicographic order.
+One table per node count (`_matching_table`, built once) holds the perfect
+matchings and `live`: for each cover state (covered mask) the search
+reaches, the matchings that lead to a complete factorization.  One walker
+(`_factorization_walk`) walks that table, so no dead state is entered and
+the leaves come out in the search's order.  Enumeration checks each leaf by
 one sum of its factors' masks over the network's arcs.  The certified
-search is a branch and bound over the same tree on the network's integer
+search is a branch and bound over the same walk on the network's integer
 arc lengths (`Network._units`).  It prunes a child when max(heaviest
 factor so far, ceil(remaining length / factors left)) is at least the best
 found, so of equally heavy optima it returns the first in enumeration
-order; its pruning depends on the path, so it keeps the plain depth-first
-search.  It shares the 8-node guard; beyond it a randomized heuristic with
-cycle-rebalancing swaps stands in for the certified optimum.  Every
-factorization either search returns is validated against the network.
-Girth runs the network's one Dijkstra on those integer lengths.
+order; the pruning depends on the path, so the walker asks it before each
+descent rather than the table holding it.  It shares the 8-node guard;
+beyond it a randomized heuristic with cycle-rebalancing swaps stands in
+for the certified optimum.  Every factorization either search returns is
+validated against the network.  Girth runs the network's one Dijkstra on
+those integer lengths.
 """
 
 from __future__ import annotations
 
-import numbers
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FactorizationError, SizeGuardError, ValidationError
-from .network import Network
+from .network import Network, _is_int
 
 ENUMERATION_NODE_LIMIT = 8
 
@@ -158,22 +158,30 @@ def _matchings(remaining: int, acc: list, out: list):
         acc.pop()
 
 
-def _matching_table(n: int) -> tuple[int, list[tuple], list[int], list[list[int]]]:
-    """The perfect matchings of the complete network on node indices
-    0..n-1, as both searches read them: (full, matchings, masks, through).
+@functools.cache
+def _matching_table(n: int) -> tuple[int, list[tuple], list[int], dict[int, tuple[int, ...]]]:
+    """The search tree over the 1-factorizations of the complete network on
+    node indices 0..n-1, as both searches walk it: (full, matchings, masks,
+    live).  Built once per node count; both callers guard n to at most
+    ENUMERATION_NODE_LIMIT.
 
     Arc (i, j), i < j, is bit k of an arc mask, k its rank in lexicographic
     order, and `full` has every arc's bit, so the lowest zero bit of a
     `covered` mask is the lowest uncovered arc.  `matchings` lists every
     perfect matching as its index pairs, in the order `_matchings` builds
-    them, which is lexicographic, and `masks` their arc masks.
-    `through[k]` lists the index of every matching that holds arc k, in
-    that same order.
+    them, which is lexicographic, and `masks` their arc masks.  A level of
+    the search covers the lowest uncovered arc with a matching through it
+    that misses `covered`; filtering a lexicographic list keeps it
+    lexicographic, so the order does not depend on how the candidates are
+    found.  `live[covered]` lists, for each cover state the search reaches
+    and in that order, the index of every such matching that has a complete
+    factorization below it.
     """
     bit = {}
     for i in range(n):
         for j in range(i + 1, n):
             bit[i, j] = 1 << len(bit)
+    full = (1 << len(bit)) - 1
     matchings: list[tuple] = []
     _matchings((1 << n) - 1, [], matchings)
     masks = [sum(bit[p] for p in pairs) for pairs in matchings]
@@ -181,47 +189,53 @@ def _matching_table(n: int) -> tuple[int, list[tuple], list[int], list[list[int]
     for index, pairs in enumerate(matchings):
         for p in pairs:
             through[bit[p].bit_length() - 1].append(index)
-    return (1 << len(bit)) - 1, matchings, masks, through
+    live: dict[int, tuple[int, ...]] = {}
 
-
-def _factorization_search(n: int, admit=None):
-    """Depth-first search over the 1-factorizations of the complete network
-    on node indices 0..n-1, each visited exactly once: an exact cover of the
-    arcs by the perfect matchings of `_matching_table`.
-
-    A level tries the lowest uncovered arc's matchings that miss `covered`.
-    Filtering a lexicographic list keeps it lexicographic, so a level meets
-    the matchings of the uncovered arcs in the order a recursion over those
-    arcs alone would build them, and the enumeration order, the pruning
-    and the first-minimum tie rule of `admit` do not depend on how the
-    candidates are found.
-
-    Yields the list of chosen matchings (tuples of index pairs) at every
-    complete factorization; the list is the search's own and changes as it
-    moves on.  `admit(depth, pairs)`, when given, is asked before the
-    search descends into a child: `pairs` would become factor `depth`, and
-    a false answer prunes the child's whole subtree.
-    """
-    full, matchings, masks, through = _matching_table(n)
-    chosen: list[tuple] = []
-
-    def rec(covered):
+    def fill(covered) -> bool:
+        # fills live[covered]; true when `covered` can be completed
         if covered == full:
-            yield chosen
-            return
-        low = ~covered & (covered + 1)
-        for index in through[low.bit_length() - 1]:
-            mask = masks[index]
-            if mask & covered:
-                continue
-            pairs = matchings[index]
-            if admit is not None and not admit(len(chosen), pairs):
-                continue
-            chosen.append(pairs)
-            yield from rec(covered | mask)
-            chosen.pop()
+            return True
+        below = live.get(covered)
+        if below is None:
+            low = ~covered & (covered + 1)
+            below = live[covered] = tuple(k for k in through[low.bit_length() - 1]
+                                          if not masks[k] & covered and fill(covered | masks[k]))
+        return bool(below)
 
-    return rec(0)
+    fill(0)
+    return full, matchings, masks, live
+
+
+def _factorization_walk(n: int, admit=None):
+    """Depth-first walk over `_matching_table(n)` from the empty cover.
+
+    Yields the list of chosen matching indices at every complete
+    factorization, in search order; the list is the walk's own and changes
+    as it moves on.  `admit(depth, pairs)`, when given, is asked before the
+    walk descends into a child: `pairs` would become factor `depth`, and a
+    false answer prunes the child's whole subtree.  Only live children are
+    met, and a dead one holds no leaf, so skipping it changes neither the
+    leaves nor their order.
+    """
+    full, matchings, masks, live = _matching_table(n)
+    chosen: list[int] = []
+    stack = [(0, iter(live[0]))]  # (covered, its live matchings left) per level
+    while stack:
+        state, below = stack[-1]
+        for index in below:
+            if admit is not None and not admit(len(chosen), matchings[index]):
+                continue
+            covered = state | masks[index]
+            chosen.append(index)
+            if covered != full:
+                stack.append((covered, iter(live[covered])))
+                break
+            yield chosen
+            chosen.pop()
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
 
 
 def _arc_ids(net: Network) -> list[list]:
@@ -234,15 +248,12 @@ def enumerate_one_factorizations(net: Network):
     """Yield every 1-factorization of a small complete network exactly once.
 
     Factorizations are distinct as unordered sets of factors; the search
-    branches on the lowest uncovered arc so no set is produced twice.  It
-    first fills `live`: for each cover state (a `covered` arc mask) the
-    search reaches, `live[covered]` lists, in search order, the number of
-    each matching that has a complete factorization below it.  A stack
-    walk over `live` from the empty cover then meets the leaves in the
-    order of `_factorization_search`, without entering a dead state twice.
-    Each matching's arc set, sort key and mask over the network's arcs are
-    built once, and its number is its place in sort-key order, so a
-    factorization's factors sort as ints.
+    branches on the lowest uncovered arc so no set is produced twice.  The
+    leaves come from `_factorization_walk`, which walks the node count's
+    one table of live cover states, so no dead state is entered.  Each
+    matching's arc set and mask over the network's arcs are built once per
+    call, and a factorization's factors are sorted by their sorted arc ids
+    through each matching's place in that order.
 
     Every factorization is checked before it is yielded.  The matchings are
     checked once to be perfect, and the masks of a leaf's n - 1 matchings
@@ -256,59 +267,28 @@ def enumerate_one_factorizations(net: Network):
     if n > ENUMERATION_NODE_LIMIT:
         raise SizeGuardError(f"enumeration guarded to <= {ENUMERATION_NODE_LIMIT} nodes, got {n}")
     ids = _arc_ids(net)
-    full, matchings, masks, through = _matching_table(n)
+    matchings = _matching_table(n)[1]
     arcs = [frozenset(ids[i][j] for i, j in pairs) for pairs in matchings]
     order = sorted(range(len(arcs)), key=lambda k: sorted(arcs[k]))
     rank = {k: r for r, k in enumerate(order)}
-    factors = [arcs[k] for k in order]
-    cover = [masks[k] for k in order]  # factor r's mask in the search's arc order
-    # check[r]: factor r's mask over the network's arcs, or a bit above
+    # check[k]: matching k's mask over the network's arcs, or a bit above
     # them all when its pairs are not a perfect matching
     bit = {a.id: 1 << k for k, a in enumerate(net.arcs)}
     every = (1 << len(net.arcs)) - 1
     nodes = list(range(n))
-    check = [sum(bit[a] for a in arcs[k]) if sorted(x for pair in matchings[k] for x in pair) == nodes
-             else every + 1 for k in order]
-    live: dict[int, tuple[int, ...]] = {}
-
-    def fill(covered) -> bool:
-        # fills live[covered] with factor numbers; true when `covered` can
-        # be completed
-        if covered == full:
-            return True
-        below = live.get(covered)
-        if below is None:
-            low = ~covered & (covered + 1)
-            below = live[covered] = tuple(rank[index] for index in through[low.bit_length() - 1]
-                                          if not masks[index] & covered and fill(covered | masks[index]))
-        return bool(below)
-
-    fill(0)
-    chosen: list[int] = []  # numbers of the factors on the walk's path
-    stack = [(0, iter(live[0]))]  # (covered, its live factors left) per level
-    while stack:
-        state, below = stack[-1]
-        for r in below:
-            covered = state | cover[r]
-            chosen.append(r)
-            if covered != full:
-                stack.append((covered, iter(live[covered])))
-                break
-            if sum(check[f] for f in chosen) != every:
-                raise FactorizationError(validate_factorization(net, [factors[f] for f in chosen], 1))
-            yield Factorization(net, 1, tuple(factors[f] for f in sorted(chosen)))
-            chosen.pop()
-        else:
-            stack.pop()
-            if chosen:
-                chosen.pop()
+    check = [sum(bit[a] for a in arcs[k]) if sorted(x for pair in pairs for x in pair) == nodes
+             else every + 1 for k, pairs in enumerate(matchings)]
+    for chosen in _factorization_walk(n):
+        if sum(check[k] for k in chosen) != every:
+            raise FactorizationError(validate_factorization(net, [arcs[k] for k in chosen], 1))
+        yield Factorization(net, 1, tuple(arcs[k] for k in sorted(chosen, key=rank.__getitem__)))
 
 
 def best_one_factorization(net: Network, heuristic: bool = False, restarts: int = 32, seed: int = 0) -> Factorization:
     """1-factorization minimizing the largest factor length.
 
-    Certified up to the enumeration guard: a depth-first branch and bound
-    over the enumeration's own search tree, on integer arc lengths.  A
+    Certified up to the enumeration guard: a branch and bound on integer
+    arc lengths over the enumeration's own walk of live cover states.  A
     child is pruned when max(heaviest factor so far, ceil(remaining length
     / factors left)) is at least the incumbent's heaviest factor; pruning
     on ties means the first minimum in enumeration order is the one
@@ -324,7 +304,7 @@ def best_one_factorization(net: Network, heuristic: bool = False, restarts: int 
     if not heuristic:
         raise SizeGuardError(
             f"exhaustive search guarded to <= {ENUMERATION_NODE_LIMIT} nodes; pass heuristic=True")
-    if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts <= 0:
+    if not _is_int(restarts) or restarts <= 0:
         raise ValidationError(f"restarts must be a positive integer, got {restarts!r}")
     weight = net._units[1]
     rng = random.Random(seed)
@@ -363,9 +343,10 @@ def _branch_and_bound(net: Network) -> list[frozenset]:
         heaviest[depth + 1], remaining[depth + 1] = top, rest
         return True
 
-    for chosen in _factorization_search(n, admit):
+    matchings = _matching_table(n)[1]
+    for chosen in _factorization_walk(n, admit):
         # admitted leaves strictly beat the incumbent
-        best = [frozenset(ids[i][j] for i, j in pairs) for pairs in chosen]
+        best = [frozenset(ids[i][j] for i, j in matchings[k]) for k in chosen]
         incumbent = heaviest[n - 1]
     return best
 

@@ -309,21 +309,46 @@ def fraction_dijkstra(net: Network, source: str, skip: str | None = None) -> tup
 
 
 def enumerate_reference(net: Network):
-    """`enumerate_one_factorizations` as a plain depth-first search: at
-    every leaf of `factorization._factorization_search`, the matchings are
-    turned into arc sets one by one, checked to be perfect, pairwise
-    arc-disjoint and covering every arc, and sorted by their sorted arc
-    ids."""
+    """`enumerate_one_factorizations` as a plain recursion: every perfect
+    matching of the node indices is listed in lexicographic order of its
+    pairs; a level covers the lowest uncovered pair (i, j), in lexicographic
+    order, with each listed matching through it that shares no pair with
+    the matchings already chosen.  At every leaf the matchings are turned
+    into arc sets one by one, checked to be perfect, pairwise arc-disjoint
+    and covering every arc, and sorted by their sorted arc ids."""
     n = len(net.nodes)
-    ids = factorization._arc_ids(net)
+    index = {v: k for k, v in enumerate(net.nodes)}
+    ids = {}
+    for a in net.arcs:
+        ids[index[a.u], index[a.v]] = ids[index[a.v], index[a.u]] = a.id
     bit = {a.id: 1 << k for k, a in enumerate(net.arcs)}
     full = (1 << len(net.arcs)) - 1
     nodes = list(range(n))
-    for chosen in factorization._factorization_search(n):
+
+    def matchings(rest):
+        if not rest:
+            yield ()
+        for v in rest[1:]:
+            for tail in matchings([x for x in rest[1:] if x != v]):
+                yield ((rest[0], v),) + tail
+
+    pairs_in_order = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    through = {p: [m for m in matchings(nodes) if p in m] for p in pairs_in_order}
+
+    def rec(used, chosen):
+        low = next((p for p in pairs_in_order if p not in used), None)
+        if low is None:
+            yield chosen
+            return
+        for m in through[low]:
+            if used.isdisjoint(m):
+                yield from rec(used | set(m), chosen + [m])
+
+    for chosen in rec(frozenset(), []):
         factors = []
         covered, valid = 0, True
         for pairs in chosen:
-            arcs = frozenset(ids[i][j] for i, j in pairs)
+            arcs = frozenset(ids[i, j] for i, j in pairs)
             mask = sum(bit[a] for a in arcs)
             perfect = sorted(x for pair in pairs for x in pair) == nodes
             valid = valid and perfect and not mask & covered

@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from patrolgame.cli import main
-from patrolgame import format_network, complete_network
+from patrolgame import Network, format_network, complete_network
 from conftest import make_sample_tree
 
 F = Fraction
@@ -289,6 +292,46 @@ def test_factorize_best(k4_file, capsys):
     out = capsys.readouterr().out
     assert "delta_star=2" in out
     assert out.count("factor ") == 3
+
+
+def test_complete_network_outputs_frozen(tmp_path, capsys):
+    # the complete-network command outputs whose SHA-256 the console-script
+    # smoke step of the CI workflow also checks, here through cli.main
+    def sha(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    def write(name, net):
+        path = tmp_path / name
+        path.write_text(format_network(net))
+        return str(path)
+
+    k6 = complete_network(6)
+    k6z = write("k6z.net", Network(k6.nodes, [(f"z{99 - k}", a.u, a.v, F(1 + (7 * k) % 11, 1 + k % 3))
+                                              for k, a in enumerate(k6.arcs)]))
+    k6 = write("k6.net", Network(k6.nodes, [(a.id, a.u, a.v, F(1 + (7 * k) % 11, 1 + k % 3))
+                                            for k, a in enumerate(k6.arcs)]))
+    k8 = write("k8.net", complete_network(8))
+    out = {name: str(tmp_path / name) for name in ("k6z.fact", "k6.fact", "k6.patrol", "k8.best", "k8.patrol")}
+    assert main(["factorize", k6z, "--enumerate", "-o", out["k6z.fact"]]) == 0
+    assert "count=6" in capsys.readouterr().out.splitlines()
+    k4 = str(Path(__file__).resolve().parents[1] / "demos" / "data" / "unit_k4.net")
+    assert main(["factorize", k4, "--best"]) == 0
+    k4_best = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert main(["factorize", k6, "--best", "-o", out["k6.fact"]]) == 0
+    assert main(["patrol", k6, "--alpha", "4", "--kind", "complete",
+                 "--factorization", out["k6.fact"], "-o", out["k6.patrol"]]) == 0
+    assert main(["factorize", k8, "--best", "-o", out["k8.best"]]) == 0
+    assert main(["patrol", k8, "--alpha", "4", "--kind", "factor",
+                 "--factorization", out["k8.best"], "-o", out["k8.patrol"]]) == 0
+    assert "tours=7" in capsys.readouterr().out.splitlines()
+    assert k4_best == "8572f1b6ced55e98104f165f26729eb975bab1b26d4c0e41a897dcb26f829901"
+    assert {name: sha(path) for name, path in out.items()} == {
+        "k6z.fact": "3e221b6975752208b38f05b02a8cf831f001346d4a62ce212559d0eed197d80f",
+        "k6.fact": "b5de1d390a604b25f38748818ab72e97a10a1a1b82dabe5c7b150cec5732834b",
+        "k6.patrol": "7a3fd02ed7d42cce4c800200d6fecf24003ed9bf2827b505910878aeeca4a819",
+        "k8.best": "243eb05b655dc5d5ae1acd1f6e1b3c3053efc59eb3aaa3e3207f8faa56ee99a8",
+        "k8.patrol": "fa5b7e9245d0a5dc185d57efbd9e7c33c12c24e4b5d212942e0c5ce3a2582904",
+    }
 
 
 def test_factorize_size_guard(tmp_path, capsys):

@@ -93,11 +93,12 @@ def test_round_robin_rejects_bad_node_order(unit_k4, order):
     [((0, 1), (2, 3)), ((0, 2), (1, 3))],
 ])
 def test_enumeration_validates_every_factorization(unit_k4, monkeypatch, chosen):
-    # a matching table whose k-th matching is the k-th injected one and
-    # covers the search's k-th arc alone, so the search's one leaf is the
-    # injected list
+    # a table whose k-th matching is the k-th injected one, covers the
+    # search's k-th arc alone and is the one live matching once k arcs are
+    # covered, so the walk's one leaf is the injected list; the cached
+    # builder itself is replaced, so no fake table is left in its cache
     k = len(chosen)
-    table = ((1 << k) - 1, list(chosen), [1 << i for i in range(k)], [[i] for i in range(k)])
+    table = ((1 << k) - 1, list(chosen), [1 << i for i in range(k)], {(1 << i) - 1: (i,) for i in range(k)})
     monkeypatch.setattr(factorization, "_matching_table", lambda n: table)
     ids = factorization._arc_ids(unit_k4)
     factors = [frozenset(ids[i][j] for i, j in pairs) for pairs in chosen]
@@ -274,6 +275,8 @@ def test_best_matches_bruteforce_k6():
         # ties go to the first optimum in enumeration order
         first = next(f for f in enumerate_one_factorizations(net) if f.as_key() in optima)
         assert best.factors == first.factors
+        # and in the order of the oracle's own search
+        assert best.factors == next(f for f in enumerate_reference(net) if f.as_key() in optima).factors
 
 
 def test_best_rational_k8_frozen():
@@ -303,10 +306,11 @@ def test_best_matches_enumeration():
     for net in [rational_complete(seed, 8) for seed in (11, 12, 13)] + ties:
         # integer lengths (denominators divide 12) keep the scan fast
         weight = {a.id: int(a.length * 12) for a in net.arcs}
-        first_min = min(enumerate_one_factorizations(net),
-                        key=lambda f: max(sum(weight[a] for a in x) for x in f.factors))
+        heaviest = lambda f: max(sum(weight[a] for a in x) for x in f.factors)
+        first_min = min(enumerate_one_factorizations(net), key=heaviest)
         best = best_one_factorization(net)
         assert best.certified and best.factors == first_min.factors
+        assert best.factors == min(enumerate_reference(net), key=heaviest).factors
     for n in (4, 6, 8):
         # every factorization of a unit network ties at n/2
         net = complete_network(n)
