@@ -23,9 +23,11 @@ never more workers than chunks or cores.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -521,25 +523,31 @@ class SearchResult:
 def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int = 8,
                   offset_step=Fraction(1, 4), grid_step=Fraction(1, 4),
                   max_walks: int = 2_000_000) -> SearchResult:
-    """Exhaustive best patrol among unit-speed node-waypoint walks.
+    """Best patrol among unit-speed node-waypoint walks, by branch and bound.
 
     Walks start at a node, or at an interior grid offset heading for an
     endpoint, then take up to `max_steps` full arc steps; on finishing a walk
-    the patrol waits at its final position.  Each candidate (including every
-    prefix) is scored exactly against the grid-discretized attack.  Scores
-    are integers on a common scale of times and masses, updated step by step;
-    the result is one exact rational built at the end.  Walks are examined
-    depth first, each prefix before its extensions, and the first walk of the
-    best score wins.  A walk of `max_steps` steps is scored from its prefix
-    without descending into it; it is still examined in that order and
-    counted once in `walks_examined` and against `max_walks`.  A `max_steps`
-    beyond the interpreter's recursion limit raises `SizeGuardError`.
+    the patrol waits at its final position.  Scores are exact against the
+    grid-discretized attack: integers on a common scale of times and masses,
+    updated step by step; the result is one exact rational built at the end.
+    Walks are taken depth first, each prefix before its extensions, and the
+    first walk of the best score wins.  Every walk of the family is scored
+    or counted: the search skips the extensions of a walk when an upper bound
+    on what they can add cannot beat the best score so far, which changes
+    neither the best score nor the first walk that reaches it.  A walk of
+    `max_steps` steps is scored from its prefix without descending into it.
+    `walks_examined` is the size of the whole family, skipped walks included.
+    A family of more than `max_walks` walks, or a `max_steps` at or beyond
+    the interpreter's recursion limit, raises `SizeGuardError` before any
+    walk is scored.
 
     A closed walk is held at its end point like an open one, not repeated;
     `walk_attack_probability` repeats a closed walk periodically, so on a
     closed walk the two can give different probabilities.
     """
     alpha = _duration(alpha)
+    if max_steps >= sys.getrecursionlimit():
+        raise SizeGuardError(f"max_steps={max_steps} exceeds the recursion limit")
     offset_step = frac(offset_step)
     disc = attack.discretized(grid_step)
     fixed_t = disc.temporal.kind == "fixed"
@@ -601,6 +609,16 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
                 start = ("start-arc", a.id, off, target)
                 moves[None].append(move(start, a.id, off, exit_, target))
 
+    # The family's size: walks[node] counts the walks of 1..r full steps out
+    # of a node, saturated past max_walks so that the numbers stay small.
+    walks = dict.fromkeys(net.nodes, 0)
+    for _ in range(max_steps):
+        walks = {name: min(max_walks + 1, sum(1 + walks[other] for _, other, *_ in moves[name]))
+                 for name in net.nodes}
+    family = sum(1 + walks[other] for _, other, *_ in moves[None])
+    if family > max_walks:
+        raise SizeGuardError(f"patrol family exceeded {max_walks} walks")
+
     # A walk's score is the sum over atoms of mass times favourable measure,
     # one integer `total` that each move adds its hits' gains to.  An atom's
     # visits come in nondecreasing time (the clock only moves forward and a
@@ -616,14 +634,31 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     # written once, in its loop below; `_walk_probability` reads the same
     # rules for one walk.  A walk of max_steps steps is scored from its
     # prefix's state without being entered, so it writes no state.
+    #
+    # The bound on what the extensions of a walk can add.  A move that starts
+    # at or after `last` (H + alpha, or t + alpha) gains nothing, its wait
+    # included, and a full step takes at least `shortest`, so from `then` on
+    # at most ceil(span / shortest) moves gain anything, span = last - then.
+    # r moves enter at most r arcs, so they gain at most cap[r], the mass of
+    # the node atoms and of the r heaviest arcs, times the measure an atom
+    # can still gain: 1 under the fixed law, and at most min(H, span) under
+    # the uniform law, as every later window lies in [then - alpha, H].  The
+    # search skips the extensions when that cannot beat the best score; a tie
+    # never replaces the best walk, so the first best walk stays the same.
+    arc_mass = sorted((sum(m for _, _, m in by_arc.get(a.id, ())) for a in net.arcs if a.u != a.v),
+                      reverse=True)
+    gains = list(itertools.accumulate(arc_mass, initial=sum(m for _, m in node_atoms.values())))
+    cap = [gains[min(r, len(arc_mass))] for r in range(max_steps + 1)]
+    shortest = min((arc_len[a.id] for a in net.arcs if a.u != a.v), default=1)
+    fix_lo, fix_hi = tfix_i, tfix_i + alpha_i
+    last = fix_hi if fixed_t else horizon_i + alpha_i
     state = [0] * len(disc.atoms)  # hit or reach, by the law
     path: list[tuple] = []  # the records of the moves into the current node
-    best_value, best_spec, count = -1, None, 0
-    fix_lo, fix_hi = tfix_i, tfix_i + alpha_i
+    best_value, best_spec = -1, None
 
     def uniform_law(node, now: int, steps: int, total: int) -> None:
-        nonlocal best_value, best_spec, count
-        reach, h, earliest = state, horizon_i, now - alpha_i
+        nonlocal best_value, best_spec
+        reach, h, earliest, left = state, horizon_i, now - alpha_i, max_steps - steps
         for record, other, length, hits, end in moves[node]:
             gained = 0
             for idx, dt, m in hits:
@@ -639,12 +674,16 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
             value = total + gained
             if end is not None and then < h:
                 value += end[1] * (h - then)
-            count += 1
-            if count > max_walks:
-                raise SizeGuardError(f"patrol family exceeded {max_walks} walks")
             if value > best_value:
                 best_value, best_spec = value, (*path, record)
-            if steps < max_steps:
+            if left > 0:
+                span = last - then
+                if span <= 0:
+                    continue
+                ahead = (span + shortest - 1) // shortest
+                bound = cap[ahead if ahead < left else left] * (span if span < h else h)
+                if total + gained + bound <= best_value:
+                    continue
                 undo = [reach[idx] for idx, _, _ in hits]
                 for idx, dt, _ in hits:
                     reach[idx] = now + dt if now + dt < h else h
@@ -655,8 +694,8 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
                     reach[idx] = old
 
     def fixed_law(node, now: int, steps: int, total: int) -> None:
-        nonlocal best_value, best_spec, count
-        hit = state
+        nonlocal best_value, best_spec
+        hit, left = state, max_steps - steps
         for record, other, length, hits, end in moves[node]:
             gained, newly = 0, []
             for idx, dt, m in hits:
@@ -667,12 +706,15 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
             value = total + gained
             if end is not None and then < fix_lo and not hit[end[0]]:
                 value += end[1]
-            count += 1
-            if count > max_walks:
-                raise SizeGuardError(f"patrol family exceeded {max_walks} walks")
             if value > best_value:
                 best_value, best_spec = value, (*path, record)
-            if steps < max_steps:
+            if left > 0:
+                span = last - then
+                if span <= 0:
+                    continue
+                ahead = (span + shortest - 1) // shortest
+                if total + gained + cap[ahead if ahead < left else left] <= best_value:
+                    continue
                 for idx in newly:
                     hit[idx] = 1
                 path.append(record)
@@ -687,7 +729,7 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
         raise SizeGuardError(f"max_steps={max_steps} exceeds the recursion limit") from None
     walk = _walk_from_spec(net, best_spec, scale)
     denominator = mass_scale if fixed_t else mass_scale * horizon_i
-    return SearchResult(walk, Fraction(best_value, denominator), count)
+    return SearchResult(walk, Fraction(best_value, denominator), family)
 
 
 def _walk_from_spec(net: Network, spec, scale: int) -> Walk:

@@ -753,7 +753,14 @@ class Walk:
         the constructor would build from the reversed steps."""
         w = Walk.__new__(Walk)
         w.net, w.start, w.duration, w._scale = self.net, self.end_point, self.duration, self._scale
-        w.steps = tuple(Step(s.arc, s.end, s.start) for s in reversed(self.steps))
+        flipped: dict[int, Step] = {}  # one reversed Step per distinct step object
+        steps = []
+        for s in reversed(self.steps):
+            r = flipped.get(id(s))
+            if r is None:
+                r = flipped[id(s)] = Step(s.arc, s.end, s.start)
+            steps.append(r)
+        w.steps = tuple(steps)
         w._ticks = tuple(self._ticks[-1] - t for t in reversed(self._ticks))
         w._offsets = tuple((hi, lo) for lo, hi in reversed(self._offsets))
         w._stops = self._stops[::-1]

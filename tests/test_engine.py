@@ -676,6 +676,10 @@ def test_patrol_search_guard(unit_k4):
         assert res.walks_examined == family
         with pytest.raises(SizeGuardError, match=f"^patrol family exceeded {family - 1} walks$"):
             patrol_search(unit_k4, att, 5, max_steps=max_steps, max_walks=family - 1)
+    # 200 lies inside the count of a skipped subtree of the 5-step family
+    # (walks 124 to 243 in search order): skipped walks count toward the guard
+    with pytest.raises(SizeGuardError, match="^patrol family exceeded 200 walks$"):
+        patrol_search(unit_k4, att, 5, max_steps=5, max_walks=200)
 
 
 def test_patrol_search_depth_guard():
@@ -754,6 +758,35 @@ def test_patrol_search_holds_after_a_last_revisit():
         if full_steps == 3 and end in dict(atoms) and min(res.walk.visit_times(end)) < res.walk.duration:
             revisits.add(law.kind)
     assert revisits == {"fixed", "uniform"}
+
+
+def test_patrol_search_skips_match_bruteforce():
+    """Seeded attacks whose windows close within a few steps, searched to
+    more steps than the horizon allows, on a multigraph with a loop and on
+    rational lengths, under both laws, with and without a zone: the search
+    skips most extensions unscored and still returns the scan's probability,
+    walk count and first best walk."""
+    rng = random.Random(42)
+    multigraph = Network(["u", "v", "w"], [("a", "u", "v", 1), ("b", "u", "v", F(3, 2)),
+                                           ("c", "v", "w", F(2, 3)), ("l", "w", "w", 1)])
+    rational = Network(["p", "q", "r", "s"], [("x", "p", "q", F(5, 3)), ("y", "q", "r", F(1, 2)),
+                                              ("z", "r", "p", F(7, 4)), ("t", "r", "s", F(4, 3))])
+    for case in range(4):
+        net = (multigraph, rational)[case % 2]
+        law = (TemporalLaw.fixed, TemporalLaw.uniform)[case // 2](F(1, 2))
+        points = [net.node_point(n) for n in net.nodes]
+        points += [net.point(a.id, a.length / 2) for a in net.arcs]
+        chosen = rng.sample(points, 3)
+        weights = [rng.randint(1, 5) for _ in chosen]
+        zone = case in (1, 2)
+        share = F(1, 2) if zone else F(1)
+        atoms = tuple((p, share * F(w, sum(weights))) for p, w in zip(chosen, weights))
+        parts = (UniformPart(net.ball(net.node_point(rng.choice(net.nodes)), F(1, 2)), F(1, 2)),) \
+            if zone else ()
+        # no move that starts at 3/2 or later gains, and each step takes at
+        # least 1/2, so no walk gains after its third step
+        _assert_search_matches_bruteforce(net, AttackStrategy(net, atoms, parts, law),
+                                          F(rng.randint(1, 2), 2), 4)
 
 
 def test_patrol_search_k4_frozen(unit_k4):
