@@ -19,11 +19,12 @@ arc lengths (`Network._units`).  It prunes a child when max(heaviest
 factor so far, ceil(remaining length / factors left)) is at least the best
 found, so of equally heavy optima it returns the first in enumeration
 order; the pruning depends on the path, so the walker asks it before each
-descent rather than the table holding it.  It shares the 8-node guard;
-beyond it a randomized heuristic with cycle-rebalancing swaps stands in
-for the certified optimum.  Every factorization either search returns is
-validated against the network.  Girth runs the network's one Dijkstra on
-those integer lengths.
+descent rather than the table holding it.  Beyond the 8-node guard a
+seeded heuristic stands in: circle-method restarts rebalanced by
+re-splitting the cycles of two factors' union, on the same node indices
+and integer lengths, each factor a mate array (`mate[i]` is node i's
+partner).  Every factorization a search returns is validated against the
+network once.  Girth runs the network's one Dijkstra on those lengths.
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ class Factorization:
 
     def as_key(self) -> frozenset:
         return frozenset(self.factors)
+
+
+def _leaf(net: Network, factors: tuple[frozenset, ...]) -> Factorization:
+    """`Factorization(net, 1, factors)`, not set field by field through `object.__setattr__`."""
+    leaf = object.__new__(Factorization)
+    leaf.__dict__.update(network=net, regularity=1, factors=factors, certified=True)
+    return leaf
 
 
 def validate_factorization(net: Network, factors, m: int) -> list[str]:
@@ -128,15 +136,15 @@ def round_robin_one_factorization(net: Network, node_order=None) -> Factorizatio
     if len(nodes) != len(net.nodes) or set(nodes) != set(net.nodes):
         raise ValidationError(f"node_order must be a permutation of the network's nodes, got {nodes!r}")
     table = _arc_lookup(net)
-    pivot, others = nodes[0], nodes[1:]
+    return _checked(net, [frozenset(table[p] for p in pairs) for pairs in _circle_rounds(nodes)], 1)
+
+
+def _circle_rounds(order: list) -> list[list[tuple]]:
+    """The circle method's rounds as lists of pairs: `order[0]` at the centre, the rest around it."""
+    pivot, others = order[0], order[1:]
     m = len(others)
-    factors = []
-    for r in range(m):
-        pairs = [(pivot, others[r])]
-        for i in range(1, len(nodes) // 2):
-            pairs.append((others[(r + i) % m], others[(r - i) % m]))
-        factors.append(frozenset(table[p] for p in pairs))
-    return _checked(net, factors, 1)
+    return [[(pivot, others[r])] + [(others[(r + i) % m], others[(r - i) % m]) for i in range(1, len(order) // 2)]
+            for r in range(m)]
 
 
 def _matchings(remaining: int, acc: list, out: list):
@@ -251,9 +259,9 @@ def enumerate_one_factorizations(net: Network):
     branches on the lowest uncovered arc so no set is produced twice.  The
     leaves come from `_factorization_walk`, which walks the node count's
     one table of live cover states, so no dead state is entered.  Each
-    matching's arc set and mask over the network's arcs are built once per
-    call, and a factorization's factors are sorted by their sorted arc ids
-    through each matching's place in that order.
+    matching's arc set, lowest arc id and mask over the network's arcs are
+    built once per call.  A leaf's factors are disjoint, so sorting them by
+    lowest arc id sorts them as `_checked` does; `_leaf` builds the leaf.
 
     Every factorization is checked before it is yielded.  The matchings are
     checked once to be perfect, and the masks of a leaf's n - 1 matchings
@@ -269,19 +277,17 @@ def enumerate_one_factorizations(net: Network):
     ids = _arc_ids(net)
     matchings = _matching_table(n)[1]
     arcs = [frozenset(ids[i][j] for i, j in pairs) for pairs in matchings]
-    order = sorted(range(len(arcs)), key=lambda k: sorted(arcs[k]))
-    rank = {k: r for r, k in enumerate(order)}
+    low = [min(f) for f in arcs]
     # check[k]: matching k's mask over the network's arcs, or a bit above
     # them all when its pairs are not a perfect matching
     bit = {a.id: 1 << k for k, a in enumerate(net.arcs)}
     every = (1 << len(net.arcs)) - 1
-    nodes = list(range(n))
-    check = [sum(bit[a] for a in arcs[k]) if sorted(x for pair in pairs for x in pair) == nodes
+    check = [sum(bit[a] for a in arcs[k]) if sorted(x for pair in pairs for x in pair) == list(range(n))
              else every + 1 for k, pairs in enumerate(matchings)]
     for chosen in _factorization_walk(n):
-        if sum(check[k] for k in chosen) != every:
+        if sum(map(check.__getitem__, chosen)) != every:
             raise FactorizationError(validate_factorization(net, [arcs[k] for k in chosen], 1))
-        yield Factorization(net, 1, tuple(arcs[k] for k in sorted(chosen, key=rank.__getitem__)))
+        yield _leaf(net, tuple(map(arcs.__getitem__, sorted(chosen, key=low.__getitem__))))
 
 
 def best_one_factorization(net: Network, heuristic: bool = False, restarts: int = 32, seed: int = 0) -> Factorization:
@@ -296,7 +302,9 @@ def best_one_factorization(net: Network, heuristic: bool = False, restarts: int 
 
     With `heuristic` the guard is lifted and a seeded round-robin restart
     search (`restarts` of them, a positive int) with pairwise
-    cycle-rebalancing swaps returns an uncertified result.
+    cycle-rebalancing swaps returns an uncertified result.  Its factors are
+    mate arrays on node indices, weighed in integer lengths; only the best
+    restart's become arc-id sets, validated once by `_checked`.
     """
     _require_even_complete(net)
     if len(net.nodes) <= ENUMERATION_NODE_LIMIT and not heuristic:
@@ -306,17 +314,24 @@ def best_one_factorization(net: Network, heuristic: bool = False, restarts: int 
             f"exhaustive search guarded to <= {ENUMERATION_NODE_LIMIT} nodes; pass heuristic=True")
     if not _is_int(restarts) or restarts <= 0:
         raise ValidationError(f"restarts must be a positive integer, got {restarts!r}")
-    weight = net._units[1]
+    n = len(net.nodes)
+    ids = _arc_ids(net)
+    w = [[net._units[1].get(a, 0) for a in row] for row in ids]
     rng = random.Random(seed)
-    nodes = list(net.nodes)
+    order = list(range(n))
     best, best_key = None, None
     for _ in range(restarts):
-        rng.shuffle(nodes)
-        factors = [set(f) for f in round_robin_one_factorization(net, node_order=nodes).factors]
-        key = _rebalance(net, factors, weight)
+        rng.shuffle(order)
+        factors = [[0] * n for _ in range(n - 1)]
+        for mate, pairs in zip(factors, _circle_rounds(order)):
+            for i, j in pairs:
+                mate[i], mate[j] = j, i
+        factors.sort(key=lambda mate: min(map(list.__getitem__, ids, mate)))  # lowest arc id: `_checked`'s order
+        key = _rebalance(factors, w, ids)
         if best is None or key < best_key:
             best, best_key = factors, key
-    return _checked(net, best, 1, certified=False)
+    return _checked(net, [frozenset(ids[i][j] for i, j in enumerate(mate) if i < j) for mate in best], 1,
+                    certified=False)
 
 
 def _branch_and_bound(net: Network) -> list[frozenset]:
@@ -351,74 +366,59 @@ def _branch_and_bound(net: Network) -> list[frozenset]:
     return best
 
 
-def _rebalance(net: Network, factors: list[set], weight: dict[str, int]) -> int:
-    """Local improvement in place: the union of two perfect matchings is a
-    disjoint set of even cycles, each of which can be re-split two ways;
-    pick the split minimizing the larger factor weight.  Returns the
-    heaviest factor's integer weight."""
+def _rebalance(factors: list[list[int]], w: list[list[int]], ids: list[list]) -> int:
+    """Local improvement in place on mate arrays: re-split the heaviest
+    factor with the first other factor whose union's cycles split more
+    evenly, until none does.  Returns the heaviest factor's integer weight."""
+    lengths = [sum(map(list.__getitem__, w, mate)) // 2 for mate in factors]  # each arc from both ends
     while True:
-        lengths = [sum(weight[a] for a in x) for x in factors]
-        worst = max(range(len(factors)), key=lambda i: lengths[i])
-        for j in range(len(factors)):
-            if j == worst:
-                continue
-            new_max, new_a, new_b = _best_cycle_split(net, factors[worst], factors[j], weight)
-            if new_max < max(lengths[worst], lengths[j]):
-                factors[worst], factors[j] = set(new_a), set(new_b)
+        worst = lengths.index(max(lengths))
+        for j, other in enumerate(factors):
+            if j != worst and (la := _best_cycle_split(factors[worst], other, lengths[worst], w, ids)) is not None:
+                lengths[worst], lengths[j] = la, lengths[worst] + lengths[j] - la
                 break
         else:
             return lengths[worst]
 
 
-def _best_cycle_split(net: Network, fa: set, fb: set, weight: dict[str, int]):
-    # Two disjoint perfect matchings form a 2-regular union: disjoint even
-    # cycles alternating between the matchings.
-    owner = {aid: 0 for aid in fa}
-    owner.update({aid: 1 for aid in fb})
-    arc_at: dict[tuple[str, int], str] = {}
-    for aid, side in owner.items():
-        a = net.arc(aid)
-        arc_at[(a.u, side)] = aid
-        arc_at[(a.v, side)] = aid
-    visited: set[str] = set()
-    cycles = []
-    for start_arc in sorted(owner):
-        if start_arc in visited:
+def _best_cycle_split(fa: list[int], fb: list[int], heavier: int, w: list[list[int]], ids: list[list]):
+    """Re-split two disjoint perfect matchings, given as mate arrays, in
+    place when the best split's larger weight is below `heavier`, theirs,
+    and return `fa`'s new weight; else return None.  Their union is even
+    cycles, ordered by lowest arc id; a cycle's "evens" are the arcs of the
+    factor holding that arc, bit k of a mask gives `fa` cycle k's odds
+    instead, and the first mask of the least larger weight wins."""
+    x, size = fb[fa[0]], 2
+    while x:
+        x, size = fb[fa[x]], size + 2
+    if size == len(fa):
+        return None  # one cycle, whose two splits are the two factors
+    seen = [False] * len(fa)
+    cycles = []  # (lowest arc id, evens weight, odds weight, whether fa holds the evens, nodes)
+    for start in range(len(fa)):
+        if seen[start]:
             continue
-        cycle = []
-        cur = start_arc
-        node = net.arc(cur).u
-        side = owner[cur]
-        while cur not in visited:
-            visited.add(cur)
-            cycle.append(cur)
-            node = net.arc(cur).other(node)
-            side = 1 - side
-            cur = arc_at[(node, side)]
-        cycles.append(cycle)
-    halves = [(sum(weight[a] for a in cyc[0::2]), sum(weight[a] for a in cyc[1::2]))
-              for cyc in cycles]
-    best_key, best_mask = None, 0
-    for mask in range(1 << len(cycles)):
-        la = lb = 0
-        for k, (evens, odds) in enumerate(halves):
-            if mask >> k & 1:
-                la += odds
-                lb += evens
-            else:
-                la += evens
-                lb += odds
-        key = max(la, lb)
-        if best_key is None or key < best_key:
-            best_key, best_mask = key, mask
-    side_a, side_b = [], []
-    for k, cyc in enumerate(cycles):
-        evens, odds = cyc[0::2], cyc[1::2]
-        if best_mask >> k & 1:
-            evens, odds = odds, evens
-        side_a += evens
-        side_b += odds
-    return best_key, side_a, side_b
+        x, nodes, in_a, in_b = start, [], 0, 0
+        low_a, low_b = ids[x][fa[x]], ids[x][fb[x]]
+        while not seen[x]:
+            y, z = fa[x], fb[fa[x]]
+            seen[x] = seen[y] = True
+            nodes += (x, y)
+            in_a, low_a = in_a + w[x][y], min(low_a, ids[x][y])
+            in_b, low_b = in_b + w[y][z], min(low_b, ids[y][z])
+            x = z
+        cycles.append((low_a, in_a, in_b, True, nodes) if low_a < low_b else (low_b, in_b, in_a, False, nodes))
+    cycles.sort()
+    total = sum(c[1] + c[2] for c in cycles)
+    las = [sum(c[2] if mask >> k & 1 else c[1] for k, c in enumerate(cycles)) for mask in range(1 << len(cycles))]
+    mask = min(range(len(las)), key=lambda m: max(las[m], total - las[m]))
+    if max(las[mask], total - las[mask]) >= heavier:
+        return None
+    for k, (*_, evens_in_a, nodes) in enumerate(cycles):
+        if bool(mask >> k & 1) == evens_in_a:  # fa takes fb's arcs on this cycle
+            for x in nodes:
+                fa[x], fb[x] = fb[x], fa[x]
+    return las[mask]
 
 
 def girth(net: Network) -> Fraction:

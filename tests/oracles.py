@@ -10,6 +10,8 @@ rational phase intervals, one point at a time, factorization counts and least la
 lengths come from set-cover search over explicitly enumerated perfect
 matchings, the enumeration order comes from a recursion over the
 exact-cover search with every leaf's factors built and checked one by one,
+the factorization heuristic comes from a restart loop over arc-id sets
+that walks each cycle of two factors through `Network.arc`,
 shortest paths and their parents come from a Dijkstra on `Fraction`
 lengths, circuits come from networkx's cycle enumeration, a single walk is
 scored from the definition of interception under each rule for after its end (repeat, hold, none), the patrol search
@@ -23,13 +25,15 @@ step's `Fraction` offsets.
 import bisect
 import heapq
 import itertools
+import random
 import warnings
 from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 
-from patrolgame import Factorization, FactorizationError, Network, Point, Segment, Step, ValidationError, Walk
+from patrolgame import (Factorization, FactorizationError, Network, Point, Segment, Step, ValidationError, Walk,
+                        round_robin_one_factorization)
 from patrolgame import factorization
 from patrolgame.decomposition import ExtremitySet, _require_tree
 from patrolgame.ebd import LeafDistribution, RootedSubtree
@@ -260,6 +264,91 @@ def best_delta_bruteforce(net: Network) -> tuple[Fraction, set[frozenset]]:
         if delta == best:
             optima.add(frozenset(combo))
     return best, optima
+
+
+def heuristic_reference(net: Network, restarts: int = 32, seed: int = 0) -> Factorization:
+    """`best_one_factorization(net, heuristic=True)` as a restart loop over
+    arc-id sets: each restart is the public round robin on the shuffled
+    node order, rebalanced by re-splitting the cycles of two factors'
+    union, found by walking arcs through `net.arc` and split by trying
+    every mask."""
+    weight = net._units[1]
+    rng = random.Random(seed)
+    nodes = list(net.nodes)
+    best, best_key = None, None
+    for _ in range(restarts):
+        rng.shuffle(nodes)
+        factors = [set(f) for f in round_robin_one_factorization(net, node_order=nodes).factors]
+        key = _rebalance_reference(net, factors, weight)
+        if best is None or key < best_key:
+            best, best_key = factors, key
+    return factorization._checked(net, best, 1, certified=False)
+
+
+def _rebalance_reference(net: Network, factors: list[set], weight: dict[str, int]) -> int:
+    while True:
+        lengths = [sum(weight[a] for a in x) for x in factors]
+        worst = max(range(len(factors)), key=lambda i: lengths[i])
+        for j in range(len(factors)):
+            if j == worst:
+                continue
+            new_max, new_a, new_b = _best_cycle_split_reference(net, factors[worst], factors[j], weight)
+            if new_max < max(lengths[worst], lengths[j]):
+                factors[worst], factors[j] = set(new_a), set(new_b)
+                break
+        else:
+            return lengths[worst]
+
+
+def _best_cycle_split_reference(net: Network, fa: set, fb: set, weight: dict[str, int]):
+    # Two disjoint perfect matchings form a 2-regular union: disjoint even
+    # cycles alternating between the matchings.
+    owner = {aid: 0 for aid in fa}
+    owner.update({aid: 1 for aid in fb})
+    arc_at: dict[tuple[str, int], str] = {}
+    for aid, side in owner.items():
+        a = net.arc(aid)
+        arc_at[(a.u, side)] = aid
+        arc_at[(a.v, side)] = aid
+    visited: set[str] = set()
+    cycles = []
+    for start_arc in sorted(owner):
+        if start_arc in visited:
+            continue
+        cycle = []
+        cur = start_arc
+        node = net.arc(cur).u
+        side = owner[cur]
+        while cur not in visited:
+            visited.add(cur)
+            cycle.append(cur)
+            node = net.arc(cur).other(node)
+            side = 1 - side
+            cur = arc_at[(node, side)]
+        cycles.append(cycle)
+    halves = [(sum(weight[a] for a in cyc[0::2]), sum(weight[a] for a in cyc[1::2]))
+              for cyc in cycles]
+    best_key, best_mask = None, 0
+    for mask in range(1 << len(cycles)):
+        la = lb = 0
+        for k, (evens, odds) in enumerate(halves):
+            if mask >> k & 1:
+                la += odds
+                lb += evens
+            else:
+                la += evens
+                lb += odds
+        key = max(la, lb)
+        if best_key is None or key < best_key:
+            best_key, best_mask = key, mask
+    side_a, side_b = [], []
+    for k, cyc in enumerate(cycles):
+        evens, odds = cyc[0::2], cyc[1::2]
+        if best_mask >> k & 1:
+            evens, odds = odds, evens
+        side_a += evens
+        side_b += odds
+    return best_key, side_a, side_b
 
 
 def girth_bruteforce(net: Network) -> Fraction | None:

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -296,7 +297,9 @@ def test_factorize_best(k4_file, capsys):
 
 def test_complete_network_outputs_frozen(tmp_path, capsys):
     # the complete-network command outputs whose SHA-256 the console-script
-    # smoke step of the CI workflow also checks, here through cli.main
+    # smoke step of the CI workflow also checks, here through cli.main: the
+    # unit K8 enumeration, certified and tour-mixture files, and the
+    # heuristic's best factorizations of rational K10 and K12 networks
     def sha(path):
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -311,9 +314,24 @@ def test_complete_network_outputs_frozen(tmp_path, capsys):
     k6 = write("k6.net", Network(k6.nodes, [(a.id, a.u, a.v, F(1 + (7 * k) % 11, 1 + k % 3))
                                             for k, a in enumerate(k6.arcs)]))
     k8 = write("k8.net", complete_network(8))
-    out = {name: str(tmp_path / name) for name in ("k6z.fact", "k6.fact", "k6.patrol", "k8.best", "k8.patrol")}
+
+    def zrational(n):
+        # seeded rational lengths; arc ids from z99 down sort against node-index order
+        rng = random.Random(n)
+        base = complete_network(n)
+        arcs = [(f"z{99 - k}", a.u, a.v, F(rng.randint(1, 16), rng.choice([1, 2, 3, 4])))
+                for k, a in enumerate(base.arcs)]
+        return write(f"k{n}z.net", Network(base.nodes, arcs))
+
+    out = {name: str(tmp_path / name) for name in ("k6z.fact", "k6.fact", "k6.patrol", "k8.best", "k8.patrol",
+                                                   "k8.fact", "k10z.fact", "k12z.fact")}
     assert main(["factorize", k6z, "--enumerate", "-o", out["k6z.fact"]]) == 0
     assert "count=6" in capsys.readouterr().out.splitlines()
+    assert main(["factorize", k8, "--enumerate", "-o", out["k8.fact"]]) == 0
+    assert "count=6240" in capsys.readouterr().out.splitlines()
+    for n in (10, 12):
+        assert main(["factorize", zrational(n), "--best", "--heuristic", "-o", out[f"k{n}z.fact"]]) == 0
+        assert capsys.readouterr().out.startswith("delta=")
     k4 = str(Path(__file__).resolve().parents[1] / "demos" / "data" / "unit_k4.net")
     assert main(["factorize", k4, "--best"]) == 0
     k4_best = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -331,6 +349,9 @@ def test_complete_network_outputs_frozen(tmp_path, capsys):
         "k6.patrol": "7a3fd02ed7d42cce4c800200d6fecf24003ed9bf2827b505910878aeeca4a819",
         "k8.best": "243eb05b655dc5d5ae1acd1f6e1b3c3053efc59eb3aaa3e3207f8faa56ee99a8",
         "k8.patrol": "fa5b7e9245d0a5dc185d57efbd9e7c33c12c24e4b5d212942e0c5ce3a2582904",
+        "k8.fact": "29b9eb693f959fe063a2cb6c5b26ab7cfc01be43863fed7d371ea94b83c58517",
+        "k10z.fact": "ca86e3e79f121ef7fc6327bb62d06fde9c1f7eb1d18c831cb6d4e9493909a17c",
+        "k12z.fact": "f993dbf61c86acd046204a2e15327d68d721d11ef48681ea04ec1f1e3e32f14d",
     }
 
 

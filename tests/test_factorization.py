@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -20,7 +21,7 @@ from patrolgame import (
 from patrolgame import factorization
 from patrolgame.serialize import write_factorization
 from oracles import (best_delta_bruteforce, count_one_factorizations_bruteforce, enumerate_reference,
-                     girth_bruteforce)
+                     girth_bruteforce, heuristic_reference)
 
 F = Fraction
 
@@ -120,6 +121,17 @@ def test_enumeration_matches_reference(n, seeds):
         assert len(got) == {2: 1, 4: 1, 6: 6, 8: 6240}[n]
 
 
+def test_enumeration_leaves_are_plain_factorizations(unit_k4, unit_k6):
+    # leaves skip the dataclass __init__ but are the objects it would build
+    for net in (unit_k4, unit_k6, complete_network(8)):
+        for fact in enumerate_one_factorizations(net):
+            built = Factorization(net, 1, fact.factors)
+            assert fact == built and hash(fact) == hash(built) and vars(fact) == vars(built)
+            assert type(fact) is Factorization and fact.certified
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                fact.certified = False
+
+
 def test_enumeration_k2():
     net = complete_network(2)
     facts = list(enumerate_one_factorizations(net))
@@ -173,6 +185,23 @@ def test_best_heuristic_mode():
     assert not fact.certified
     assert validate_factorization(net, fact.factors, 1) == []
     assert fact.delta == 5  # unit lengths: every perfect matching weighs n
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 12, 14])
+def test_heuristic_matches_reference(n):
+    # the heuristic on mate arrays and integer weights returns what the
+    # restart loop over arc-id sets returns: shuffled node names with arc
+    # ids sorting against node-index order, rational lengths, and lengths
+    # of 1 or 2, whose ties test the cycle-split and restart tie rules
+    rng = random.Random(n)
+    base = complete_network(n)
+    ties = Network(base.nodes, [(a.id, a.u, a.v, rng.choice([1, 2])) for a in base.arcs])
+    for k, net in enumerate([scrambled_complete(n, n), scrambled_complete(n + 1, n), rational_complete(n, n), ties]):
+        for restarts in (1, 4, 32):
+            seed = 3 * k + restarts
+            got = best_one_factorization(net, heuristic=True, restarts=restarts, seed=seed)
+            want = heuristic_reference(net, restarts=restarts, seed=seed)
+            assert (got.factors, got.delta, got.certified) == (want.factors, want.delta, False)
 
 
 @pytest.mark.parametrize("restarts", [0, -1, True, 2.0, "4"])
