@@ -88,7 +88,9 @@ class AttackStrategy:
 
     def discretized(self, step) -> "AttackStrategy":
         """Atomic approximation: each uniform part becomes midpoint atoms on
-        cells no wider than `step`.  Exact masses, approximate positions."""
+        cells no wider than `step`.  Exact masses, approximate positions.
+        A segment's cell midpoints are interior points on one integer
+        denominator; its cells share one mass; atoms that coincide merge."""
         h = frac(step)
         if h <= 0:
             raise ValidationError("grid step must be positive")
@@ -99,10 +101,12 @@ class AttackStrategy:
             for seg in part.region.segment_list():
                 cells = max(1, -(seg.measure // -h))  # ceil division
                 width = seg.measure / cells
-                for i in range(cells):
-                    mid = seg.lo + width * i + width / 2
-                    p = self.network.point(seg.arc, mid)
-                    atoms[p] = atoms.get(p, Fraction(0)) + part.density * width
+                mass = part.density * width
+                # lo = a/b and width = c/d put midpoint i at (2ad + bc(2i + 1)) / 2bd
+                (a, b), (c, d) = seg.lo.as_integer_ratio(), width.as_integer_ratio()
+                for num in range(2 * a * d + b * c, 2 * (a * d + b * c * cells), 2 * b * c):
+                    p = Point(arc=seg.arc, offset=Fraction(num, 2 * b * d))
+                    atoms[p] = atoms[p] + mass if p in atoms else mass
         ordered = tuple(sorted(atoms.items(), key=lambda kv: kv[0].sort_key()))
         return AttackStrategy(self.network, ordered, (), self.temporal)
 

@@ -18,8 +18,9 @@ scored from the definition of interception under each rule for after its end (re
 scores every walk of its family that way under the hold rule, one at a
 time, and Monte Carlo is replayed one trial at a time in plain Python.
 Equal-branch-density leaf measures come from their `Fraction` implementation
-on a freshly built segment graph, and patrol text from `fmt_frac` on each
-step's `Fraction` offsets.
+on a freshly built segment graph, patrol text from `fmt_frac` on each
+step's `Fraction` offsets, and a discretized attack from each cell's
+`Fraction` midpoint placed through `Network.point`.
 """
 
 import bisect
@@ -756,3 +757,25 @@ def write_patrol_reference(patrol) -> str:
         lines += [f"mix {fmt_frac(s)}", f"walk {fmt_point(walk.start)}"]
         lines += [f"step {st.arc} {fmt_frac(st.start)} {fmt_frac(st.end)}" for st in walk.steps]
     return "\n".join(lines) + "\n"
+
+
+def discretized_reference(attack, step):
+    """`AttackStrategy.discretized` in `Fraction` arithmetic: each cell's
+    midpoint and mass computed on their own, placed through `Network.point`,
+    merged in a dict and sorted by `Point.sort_key`."""
+    h = frac(step)
+    if h <= 0:
+        raise ValidationError("grid step must be positive")
+    atoms: dict[Point, Fraction] = {}
+    for p, m in attack.atoms:
+        atoms[p] = atoms.get(p, Fraction(0)) + m
+    for part in attack.uniform_parts:
+        for seg in part.region.segment_list():
+            cells = max(1, -(seg.measure // -h))  # ceil division
+            width = seg.measure / cells
+            for i in range(cells):
+                mid = seg.lo + width * i + width / 2
+                p = attack.network.point(seg.arc, mid)
+                atoms[p] = atoms.get(p, Fraction(0)) + part.density * width
+    ordered = tuple(sorted(atoms.items(), key=lambda kv: kv[0].sort_key()))
+    return type(attack)(attack.network, ordered, (), attack.temporal)

@@ -10,6 +10,7 @@ from patrolgame import Network, format_network, complete_network
 from conftest import make_sample_tree
 
 F = Fraction
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 @pytest.fixture
@@ -332,7 +333,7 @@ def test_complete_network_outputs_frozen(tmp_path, capsys):
     for n in (10, 12):
         assert main(["factorize", zrational(n), "--best", "--heuristic", "-o", out[f"k{n}z.fact"]]) == 0
         assert capsys.readouterr().out.startswith("delta=")
-    k4 = str(Path(__file__).resolve().parents[1] / "demos" / "data" / "unit_k4.net")
+    k4 = str(DEMO_DATA / "unit_k4.net")
     assert main(["factorize", k4, "--best"]) == 0
     k4_best = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert main(["factorize", k6, "--best", "-o", out["k6.fact"]]) == 0
@@ -353,6 +354,64 @@ def test_complete_network_outputs_frozen(tmp_path, capsys):
         "k10z.fact": "ca86e3e79f121ef7fc6327bb62d06fde9c1f7eb1d18c831cb6d4e9493909a17c",
         "k12z.fact": "f993dbf61c86acd046204a2e15327d68d721d11ef48681ea04ec1f1e3e32f14d",
     }
+    # the enumeration guard exits 3 with its line and writes no file
+    k10 = write("k10.net", complete_network(10))
+    assert main(["factorize", k10, "--enumerate", "-o", str(tmp_path / "k10.fact")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: enumeration guarded to <= 8 nodes, got 10"]
+    assert captured.out == "" and not (tmp_path / "k10.fact").exists()
+
+
+def test_tree_outputs_frozen(tmp_path, capsys):
+    # the rows of the CI workflow's tree and simulate console-script smoke
+    # steps, here through cli.main: decompose reports and the attack and
+    # E-patrol files on the demo tree, the exact, grid and seeded Monte
+    # Carlo rows (whose manifest lines hold input digests, not paths), and
+    # the two exit-1 lines
+    tree = str(DEMO_DATA / "sample_tree.net")
+    attack, patrol, patrol73 = (str(tmp_path / name) for name in ("tree.attack", "tree.patrol", "tree73.patrol"))
+    stdout = {}
+    for name, argv in (("tree.report", ["decompose", tree, "--alpha", "4"]),
+                       ("tree73.report", ["decompose", tree, "--alpha", "7/3"]),
+                       ("tree8.report", ["decompose", tree, "--alpha", "8"]),
+                       (None, ["attack", tree, "--alpha", "4", "-o", attack]),
+                       (None, ["patrol", tree, "--alpha", "4", "--kind", "e", "-o", patrol]),
+                       (None, ["patrol", tree, "--alpha", "7/3", "--kind", "e", "-o", patrol73]),
+                       ("sim.exact", ["simulate", tree, "--patrol", patrol, "--attack", attack, "--alpha", "4",
+                                      "--method", "exact"]),
+                       ("sim.grid", ["simulate", tree, "--patrol", patrol, "--attack", attack, "--alpha", "4",
+                                     "--method", "grid"])) + tuple(
+            (f"sim.mc.j{jobs}", ["simulate", tree, "--patrol", patrol, "--attack", attack, "--alpha", "4",
+                                 "--method", "mc", "--trials", "200003", "--seed", "7", "--jobs", str(jobs)])
+            for jobs in (1, 2)):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if name:
+            stdout[name] = hashlib.sha256(out.encode()).hexdigest()
+    files = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+             for name, path in (("tree.attack", attack), ("tree.patrol", patrol), ("tree73.patrol", patrol73))}
+    assert stdout | files == {
+        "tree.report": "d468bac4cc36323e50e226b04af050354b57a7f8de6522029bb2261be4186d13",
+        "tree.attack": "d7720f1b3095f3693d3fd5bd06b50e3786a85eed9bac5cc07f76cbbd059fe3a4",
+        "tree.patrol": "1b3b71d29d2d0c58994e96ad2f0e209b09eacf57e613cc1372566cbfbd43df42",
+        "tree73.report": "d88de081d19e7c9dd128ae83ff6132b8c9c82471eedb10eb4f9efb1950a20088",
+        "tree8.report": "1fe241ed2d5a7addc412ba1a54341b430b2dee746315abe85733f5a8fc45acc2",
+        "tree73.patrol": "00129e9f974e08c0ec688db55d85f39fe105ff363e60e520dba2687c75cf7275",
+        "sim.exact": "4e5b9f30baf685203690a8ae5c76147ab7aebc064c6d16b8fbf2a7f117fcc040",
+        "sim.grid": "0dc525c69fa9d11e0a8b38393c0c3cd69811b5e8d30091b463efba52d5067dad",
+        "sim.mc.j1": "fead29762305ca04cc5cbd729df3ace5f456fbba0aa14b056cd17d6fdf2a30a2",
+        "sim.mc.j2": "7f8c597a319e459ecca4fc053c075c41f0c0b3a6b346cb38fe5d4217349ea0ce",
+    }
+    negative = tmp_path / "negative.attack"
+    negative.write_text("attack\ntemporal fixed -1\natom node:L3 1\n")
+    for argv, line in (
+            (["patrol", str(DEMO_DATA / "unit_k4.net"), "--alpha", "-3", "--kind", "complete"],
+             "error: attack duration must be nonnegative"),
+            (["simulate", tree, "--patrol", patrol, "--attack", str(negative), "--alpha", "4", "--method", "exact"],
+             "error: line 2: attack start time must be nonnegative")):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert line in captured.err.splitlines() and captured.out == ""
 
 
 def test_factorize_size_guard(tmp_path, capsys):

@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 
 from patrolgame import (
+    AttackStrategy,
     FactorizationError,
     Factorization,
     Network,
     RootedSubtree,
+    Segment,
     SubNetwork,
     TemporalLaw,
+    UniformPart,
     ValidationError,
     best_one_factorization,
     complete_network,
@@ -34,6 +37,7 @@ from patrolgame.ebd import iter_cut_subtree_stats
 from patrolgame.ebd import ebd as make_ebd
 from patrolgame import serialize as ser
 from conftest import make_sample_tree, random_alpha, random_tree
+from oracles import discretized_reference
 
 F = Fraction
 
@@ -474,3 +478,66 @@ def test_e_patrolling_core_without_nodes_starts_at_lo_end():
     assert [(s.start, s.end) for s in walk.steps] == [
         (half, 0), (0, half), (half, 0), (0, half), (half, one),
         (one, end), (end, one), (one, end), (end, one), (one, half)]
+
+
+def _assert_discretized_matches_reference(attack, step):
+    got, want = attack.discretized(step), discretized_reference(attack, step)
+    assert got == want  # atoms compared as one tuple, so their order too
+    assert all(type(m) is Fraction for _, m in got.atoms)
+    assert all(type(p.offset) is Fraction for p, _ in got.atoms if not p.is_node)
+    assert got.is_atomic and got.total_mass == 1
+
+
+def test_discretized_matches_reference(sample_tree):
+    k4 = complete_network(4)
+    for alpha in (F(9, 2), F(5), F(11, 2), F(6)):
+        for step in (F(1, 4), F(1, 8), F(1, 3), F(1)):
+            _assert_discretized_matches_reference(k4_tightness_attack(k4, alpha=alpha), step)
+    for alpha in (2, F(7, 3), 4, 8):
+        _assert_discretized_matches_reference(tree_attack_strategy(sample_tree, alpha, horizon=240), F(1, 8))
+    rng = random.Random(83)
+    pool = [F(1, 3), F(2, 3), F(2, 7), F(9, 7), F(5, 12), F(13, 12), F(1), F(5, 2)]
+    steps = [F(1, 4), F(1, 3), F(2, 7), F(1, 12), F(3, 5), F(7)]  # F(7) is wider than every segment
+    trees_attacked = 0
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        tree = Network([f"n{i}" for i in range(n)],
+                       [(f"e{i:02d}", f"n{rng.randrange(i)}", f"n{i}", rng.choice(pool)) for i in range(1, n)])
+        law = TemporalLaw.uniform(rng.choice([1, F(7, 3)]))
+        arcs = list(tree.arcs)
+        # overlapping regions with rational cut points, from `from_segments`
+        regions = []
+        for _ in range(2):
+            segs = []
+            for a in rng.sample(arcs, rng.randint(1, len(arcs))):
+                lo, hi = sorted(rng.sample(range(13), 2))
+                segs.append(Segment(a.id, a.length * lo / 12, a.length * hi / 12))
+            regions.append(SubNetwork.from_segments(tree, segs))
+        # an atom on a cell midpoint of the first region's first segment at
+        # the first step, another on a node
+        seg = regions[0].segment_list()[0]
+        cells = -(seg.measure // -steps[0])
+        on_mid = tree.point(seg.arc, seg.lo + seg.measure / cells / 2)
+        atoms = ((on_mid, F(1, 6)), (tree.node_point(rng.choice(tree.nodes)), F(1, 12)))
+        parts = (UniformPart(regions[0], F(1, 2)), UniformPart(regions[1], F(1, 4)))
+        attacks = [AttackStrategy(tree, atoms, parts, law), uniform_attack(tree, law)]
+        alpha = random_alpha(rng, tree)
+        if tree.is_tree and alpha < 2 * tree.total_length:
+            attacks.append(tree_attack_strategy(tree, alpha, horizon=60))
+        for attack in attacks:
+            _assert_discretized_matches_reference(attack, rng.choice(steps))
+        _assert_discretized_matches_reference(attacks[0], steps[0])
+        assert dict(attacks[0].discretized(steps[0]).atoms)[on_mid] > F(1, 6)  # the atom and its cell merged
+        trees_attacked += len(attacks) == 3
+    assert trees_attacked >= 10
+
+
+@pytest.mark.parametrize("step, error", [(0, ValidationError), (-1, ValidationError), (F(-1, 3), ValidationError),
+                                         (0.25, TypeError), (True, TypeError)])
+def test_discretized_rejects_bad_step(step, error):
+    attack = k4_tightness_attack(complete_network(4), alpha=5)
+    with pytest.raises(error) as got:
+        attack.discretized(step)
+    with pytest.raises(error) as want:
+        discretized_reference(attack, step)
+    assert str(got.value) == str(want.value)
