@@ -11,9 +11,9 @@ node index.  Arcs are bits of one mask, ranked in lexicographic order.
 One table per node count (`_matching_table`, built once) holds the perfect
 matchings and `live`: for each cover state (covered mask) the search
 reaches, the matchings that lead to a complete factorization.  One walker
-(`_factorization_walk`) walks it, so no dead state is entered and the
-leaves come out in the search's order; enumeration keeps them with the
-table and checks each by one sum of its factors' masks.  The certified
+(`_factorization_walk`) walks that table, so no dead state is entered and
+the leaves come out in the search's order.  Enumeration checks each leaf by
+one sum of its factors' masks over the network's arcs.  The certified
 search is a branch and bound over the same walk on the network's integer
 arc lengths (`Network._units`).  It prunes a child when max(heaviest
 factor so far, ceil(remaining length / factors left)) is at least the best
@@ -30,7 +30,6 @@ network once.  Girth runs the network's one Dijkstra on those lengths.
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,11 +167,11 @@ def _matchings(remaining: int, acc: list, out: list):
 
 
 @functools.cache
-def _matching_table(n: int) -> tuple[int, list[tuple], list[int], dict[int, tuple[int, ...]], list]:
+def _matching_table(n: int) -> tuple[int, list[tuple], list[int], dict[int, tuple[int, ...]]]:
     """The search tree over the 1-factorizations of the complete network on
     node indices 0..n-1, as both searches walk it: (full, matchings, masks,
-    live, leaves).  Built once per node count; both callers guard n to at
-    most ENUMERATION_NODE_LIMIT.  The first enumeration fills `leaves`.
+    live).  Built once per node count; both callers guard n to at most
+    ENUMERATION_NODE_LIMIT.
 
     Arc (i, j), i < j, is bit k of an arc mask, k its rank in lexicographic
     order, and `full` has every arc's bit, so the lowest zero bit of a
@@ -212,7 +211,7 @@ def _matching_table(n: int) -> tuple[int, list[tuple], list[int], dict[int, tupl
         return bool(below)
 
     fill(0)
-    return full, matchings, masks, live, []
+    return full, matchings, masks, live
 
 
 def _factorization_walk(n: int, admit=None):
@@ -226,7 +225,7 @@ def _factorization_walk(n: int, admit=None):
     met, and a dead one holds no leaf, so skipping it changes neither the
     leaves nor their order.
     """
-    full, matchings, masks, live, _ = _matching_table(n)
+    full, matchings, masks, live = _matching_table(n)
     chosen: list[int] = []
     stack = [(0, iter(live[0]))]  # (covered, its live matchings left) per level
     while stack:
@@ -259,11 +258,13 @@ def enumerate_one_factorizations(net: Network):
 
     Factorizations are distinct as unordered sets of factors; the search
     branches on the lowest uncovered arc so no set is produced twice.  The
-    node count's table keeps the leaves of one `_factorization_walk`, each
-    an `operator.itemgetter` of its matchings in walk order: by lowest arc
-    in node-index order, which is `_checked`'s when the matchings' lowest
-    arc ids rise in table order; else a leaf is sorted by lowest arc id.  A
-    call builds each matching's arc set and mask; `_leaf` builds the leaf.
+    leaves come from `_factorization_walk`, which walks the node count's
+    one table of live cover states, so no dead state is entered.  Each
+    matching's arc set, lowest arc id and mask over the network's arcs are
+    built once per call.  The walk meets a leaf's factors by lowest arc in
+    node-index order, which is `_checked`'s order when the matchings'
+    lowest arc ids rise in table order; else the leaf is sorted by lowest
+    arc id (its factors are disjoint).  `_leaf` builds the leaf.
 
     Every factorization is checked before it is yielded.  The matchings are
     checked once to be perfect, and the masks of a leaf's n - 1 matchings
@@ -277,26 +278,22 @@ def enumerate_one_factorizations(net: Network):
     if n > ENUMERATION_NODE_LIMIT:
         raise SizeGuardError(f"enumeration guarded to <= {ENUMERATION_NODE_LIMIT} nodes, got {n}")
     ids = _arc_ids(net)
-    _, matchings, _, _, leaves = _matching_table(n)
-    if not leaves:  # K2's one leaf is a slice, as an itemgetter of one index returns a bare item
-        leaves[:] = [operator.itemgetter(*chosen) if n > 2 else operator.itemgetter(slice(0, 1))
-                     for chosen in _factorization_walk(n)]
-    arcs = tuple(frozenset(ids[i][j] for i, j in pairs) for pairs in matchings)
+    matchings = _matching_table(n)[1]
+    arcs = [frozenset(ids[i][j] for i, j in pairs) for pairs in matchings]
     low = [min(f) for f in arcs]
     ordered = low == sorted(low)
     # check[k]: matching k's mask over the network's arcs, or a bit above
     # them all when its pairs are not a perfect matching
     bit = {a.id: 1 << k for k, a in enumerate(net.arcs)}
     every = (1 << len(net.arcs)) - 1
-    check = tuple(sum(bit[a] for a in arcs[k]) if sorted(x for pair in pairs for x in pair) == list(range(n))
-                  else every + 1 for k, pairs in enumerate(matchings))
+    check = [sum(bit[a] for a in arcs[k]) if sorted(x for pair in pairs for x in pair) == list(range(n))
+             else every + 1 for k, pairs in enumerate(matchings)]
 
     def factorizations():
-        for pick in leaves:
-            factors = pick(arcs)
-            if sum(pick(check)) != every:
-                raise FactorizationError(validate_factorization(net, factors, 1))
-            yield _leaf(net, factors if ordered else tuple(sorted(factors, key=min)))
+        for chosen in _factorization_walk(n):
+            if sum(map(check.__getitem__, chosen)) != every:
+                raise FactorizationError(validate_factorization(net, [arcs[k] for k in chosen], 1))
+            yield _leaf(net, tuple(map(arcs.__getitem__, chosen if ordered else sorted(chosen, key=low.__getitem__))))
 
     return factorizations()
 

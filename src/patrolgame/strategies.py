@@ -89,8 +89,9 @@ class AttackStrategy:
     def discretized(self, step) -> "AttackStrategy":
         """Atomic approximation: each uniform part becomes midpoint atoms on
         cells no wider than `step`.  Exact masses, approximate positions.
-        A segment's cell midpoints are interior points on one integer
-        denominator; its cells share one mass; atoms that coincide merge."""
+        A segment must lie on one of this network's arcs; its cell
+        midpoints are then interior points, and its cells share one mass.
+        Atoms that coincide merge."""
         h = frac(step)
         if h <= 0:
             raise ValidationError("grid step must be positive")
@@ -99,14 +100,15 @@ class AttackStrategy:
             atoms[p] = atoms.get(p, Fraction(0)) + m
         for part in self.uniform_parts:
             for seg in part.region.segment_list():
+                if seg.hi > (length := self.network.arc(seg.arc).length):
+                    raise ValidationError(f"segment {seg.lo}..{seg.hi} outside arc {seg.arc!r} of length {length}")
                 cells = max(1, -(seg.measure // -h))  # ceil division
                 width = seg.measure / cells
-                mass = part.density * width
-                # lo = a/b and width = c/d put midpoint i at (2ad + bc(2i + 1)) / 2bd
-                (a, b), (c, d) = seg.lo.as_integer_ratio(), width.as_integer_ratio()
-                for num in range(2 * a * d + b * c, 2 * (a * d + b * c * cells), 2 * b * c):
-                    p = Point(arc=seg.arc, offset=Fraction(num, 2 * b * d))
+                mass, mid = part.density * width, seg.lo + width / 2
+                for _ in range(cells):
+                    p = Point(arc=seg.arc, offset=mid)
                     atoms[p] = atoms[p] + mass if p in atoms else mass
+                    mid += width
         ordered = tuple(sorted(atoms.items(), key=lambda kv: kv[0].sort_key()))
         return AttackStrategy(self.network, ordered, (), self.temporal)
 

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -98,10 +97,9 @@ def test_enumeration_validates_every_factorization(unit_k4, monkeypatch, chosen)
     # a table whose k-th matching is the k-th injected one, covers the
     # search's k-th arc alone and is the one live matching once k arcs are
     # covered, so the walk's one leaf is the injected list; the cached
-    # builder itself is replaced, so no fake table, and none of the leaves
-    # the enumeration keeps in the table's last slot, is left in its cache
+    # builder itself is replaced, so no fake table is left in its cache
     k = len(chosen)
-    table = ((1 << k) - 1, list(chosen), [1 << i for i in range(k)], {(1 << i) - 1: (i,) for i in range(k)}, [])
+    table = ((1 << k) - 1, list(chosen), [1 << i for i in range(k)], {(1 << i) - 1: (i,) for i in range(k)})
     monkeypatch.setattr(factorization, "_matching_table", lambda n: table)
     ids = factorization._arc_ids(unit_k4)
     factors = [frozenset(ids[i][j] for i, j in pairs) for pairs in chosen]
@@ -110,10 +108,6 @@ def test_enumeration_validates_every_factorization(unit_k4, monkeypatch, chosen)
     with pytest.raises(FactorizationError) as info:
         next(enumerate_one_factorizations(unit_k4))
     assert info.value.violations == expected
-    assert len(table[4]) == 1  # the fake table kept its one leaf
-    monkeypatch.undo()
-    assert [f.factors for f in enumerate_one_factorizations(unit_k4)] == \
-        [f.factors for f in enumerate_reference(unit_k4)]
 
 
 @pytest.mark.parametrize("n, seeds", [(2, 3), (4, 4), (6, 4), (8, 2)])
@@ -155,40 +149,6 @@ def test_enumeration_counts_small(unit_k4, unit_k6):
     assert len(keys) == 6  # pairwise distinct as unordered factor sets
     for f in facts:
         assert validate_factorization(unit_k6, f.factors, 1) == []
-
-
-K8_ENUMERATION_DIGEST = "29b9eb693f959fe063a2cb6c5b26ab7cfc01be43863fed7d371ea94b83c58517"
-
-
-def _enumeration_digest(net):
-    h = hashlib.sha256()
-    for fact in enumerate_one_factorizations(net):
-        h.update(write_factorization(fact).encode())
-    return h.hexdigest()
-
-
-@functools.cache
-def _scrambled_k8_reference():
-    net = scrambled_complete(5, 8)
-    return net, [f.factors for f in enumerate_reference(net)]
-
-
-@pytest.mark.parametrize("scrambled_first", [True, False])
-def test_enumeration_leaves_kept_per_node_count(monkeypatch, scrambled_first):
-    # a fresh table cache: the first K8 enumeration below walks the table
-    # and keeps its leaves, the later ones, on either network, reuse them
-    monkeypatch.setattr(factorization, "_matching_table",
-                        functools.cache(factorization._matching_table.__wrapped__))
-    scrambled, reference = _scrambled_k8_reference()
-    unit = complete_network(8)
-    order = [scrambled, unit] if scrambled_first else [unit, scrambled]
-    next(enumerate_one_factorizations(order[0]))  # a first enumeration left unfinished
-    for net in order + order:
-        if net is unit:
-            assert _enumeration_digest(net) == K8_ENUMERATION_DIGEST
-        else:
-            assert [f.factors for f in enumerate_one_factorizations(net)] == reference
-    assert len(factorization._matching_table(8)[4]) == 6240
 
 
 def test_enumeration_checks_inputs_when_called():

@@ -541,3 +541,16 @@ def test_discretized_rejects_bad_step(step, error):
     with pytest.raises(error) as want:
         discretized_reference(attack, step)
     assert str(got.value) == str(want.value)
+
+
+def test_discretized_rejects_region_off_the_network():
+    # a uniform part whose region lies on another network: an arc id this
+    # network lacks, or a segment past the end of this network's arc
+    k4, law = complete_network(4), TemporalLaw.fixed(0)
+    for other, error in [(complete_network(4, prefix="w"), "unknown arc 'w1-w2'"),
+                         (complete_network(4, length=3), "segment 0..3 outside arc 'v1-v2' of length 1")]:
+        attack = AttackStrategy(k4, (), (UniformPart(SubNetwork.whole(other), F(1)),), law)
+        with pytest.raises(ValidationError, match=error):
+            attack.discretized(F(1, 4))
+        with pytest.raises(ValidationError):
+            discretized_reference(attack, F(1, 4))
