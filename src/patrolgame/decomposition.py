@@ -16,9 +16,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ValidationError
-from .network import Network, Point, Segment, SubNetwork, tree_tour, validate_alpha
+from .network import Network, Point, Segment, SubNetwork, _on_scale, tree_tour, validate_alpha
 
 
 def _side_weights(tree: Network) -> tuple[int, dict[str, tuple[int, int, int]]]:
@@ -75,9 +76,10 @@ class SubtreeDecomposition:
     core: SubNetwork
     components: tuple[TreeComponent, ...]
 
-    @property
+    @cached_property
     def lambda_e(self) -> Fraction:
-        return sum((c.measure for c in self.components), Fraction(0))
+        scale = math.lcm(*(c.subtree._scale for c in self.components))
+        return Fraction(sum(c.subtree._total * (scale // c.subtree._scale) for c in self.components), scale)
 
     @property
     def roots(self) -> tuple[Point, ...]:
@@ -89,31 +91,36 @@ def _require_tree(tree: Network):
         raise ValidationError("network is not a tree")
 
 
+def _extremity(tree: Network, a: Fraction) -> SubNetwork:
+    """The extremity closure as a subnetwork, on the tree's scale D widened
+    so that a/2 is an integer; every boundary is then an integer."""
+    _require_tree(tree)
+    D, weights = _side_weights(tree)
+    scale, (half,) = _on_scale(D, (a / 2,))
+    k, ivs = scale // D, {}
+    for arc in tree.arcs:
+        ln, wu, wv = weights[arc.id]
+        if k > 1:
+            ln, wu, wv = ln * k, wu * k, wv * k
+        pairs = []
+        if wu < half:
+            pairs.append((0, min(ln, half - wu)))
+        if wv < half:
+            pairs.append((max(0, ln - (half - wv)), ln))
+        if len(pairs) == 2 and pairs[0][1] >= pairs[1][0]:
+            pairs = [(0, ln)]
+        if pairs:
+            ivs[arc.id] = tuple(pairs)
+    return SubNetwork(tree, scale, ivs)
+
+
 def extremity_set(tree: Network, alpha) -> ExtremitySet:
     """Closure of the set of regular points whose smaller removal side
     measures less than alpha/2."""
     _require_tree(tree)
     a = validate_alpha(tree, alpha)
-    scale, weights = _side_weights(tree)
-    k = math.lcm(scale, 2 * a.denominator) // scale  # alpha/2 is an integer on scale * k
-    scale *= k
-    half = a.numerator * (scale // (2 * a.denominator))
-    segs, total = [], 0
-    for arc in tree.arcs:
-        ln, wu, wv = (x * k for x in weights[arc.id])
-        ivs = []
-        if wu < half:
-            ivs.append((0, min(ln, half - wu)))
-        if wv < half:
-            ivs.append((max(0, ln - (half - wv)), ln))
-        if len(ivs) == 2 and ivs[0][1] >= ivs[1][0]:
-            ivs = [(0, ln)]
-        for lo, hi in ivs:
-            if lo < hi:
-                segs.append(Segment(arc.id, Fraction(lo, scale) if lo else Fraction(0),
-                                    arc.length if hi == ln else Fraction(hi, scale)))
-                total += hi - lo
-    return ExtremitySet(a, tuple(segs), Fraction(total, scale))
+    ext = _extremity(tree, a)
+    return ExtremitySet(a, ext.segment_list(), ext.measure)
 
 
 def critical_alpha(tree: Network) -> Fraction:
@@ -161,26 +168,25 @@ def core(tree: Network, alpha) -> SubNetwork:
     return subtree_decomposition(tree, alpha).core
 
 
-def _local_roots(tree: Network, ext_sub: SubNetwork) -> set[Point]:
-    """Local roots of all the extremity closure's components at once: where
-    it touches its complement, at segment endpoints interior to an arc and at
-    covered nodes that fewer of its segments reach than the node has arcs.
-    An offset p/q is the far end of an arc of scaled length L exactly when
-    p * D == L * q."""
-    scale, weights = _side_weights(tree)
-    roots, reach = set(), {}  # covered node -> segments of the closure that reach it
-    for aid, ivs in ext_sub.segments.items():
-        arc, ln = tree.arc(aid), weights[aid][0]
+def _local_roots(tree: Network, ext: SubNetwork) -> set:
+    """Local roots of all the extremity closure's components at once, as
+    vertices of its segment graph: where it touches its complement, at
+    segment ends interior to an arc and at covered nodes that fewer of its
+    segments reach than the node has arcs."""
+    (D, length), k = tree._units, ext._scale // tree._units[0]
+    roots, reach = set(), {}  # reach: covered node -> segments of the closure that reach it
+    for aid, ivs in ext._ivs.items():
+        arc = tree.arc(aid)
         for lo, hi in ivs:
-            if lo.numerator > 0:
-                roots.add(Point(arc=aid, offset=lo))
+            if lo > 0:
+                roots.add((aid, lo))
             else:
                 reach[arc.u] = reach.get(arc.u, 0) + 1
-            if hi.numerator * scale < ln * hi.denominator:
-                roots.add(Point(arc=aid, offset=hi))
+            if hi < length[aid] * k:
+                roots.add((aid, hi))
             else:
                 reach[arc.v] = reach.get(arc.v, 0) + 1
-    roots.update(Point(node=n) for n, k in reach.items() if k < tree.degree(n))
+    roots.update(n for n, k in reach.items() if k < tree.degree(n))
     return roots
 
 
@@ -208,11 +214,12 @@ def _decompose(tree: Network, a: Fraction) -> SubtreeDecomposition:
         # Each extremity component touches the complement at one local root,
         # so one flood of the closure that stops at every root yields the
         # branches at all roots; a part touching two is a component with two.
-        ext_sub = extremity_set(tree, a).as_subnetwork(tree)
-        core_sub, roots, comps = ext_sub.complement(), _local_roots(tree, ext_sub), []
-        for sub, touched in ext_sub._graph.parts(ext_sub._graph.pieces, roots):
+        ext = _extremity(tree, a)
+        graph, core_sub, comps = ext._graph, ext.complement(), []
+        for sub, touched in graph.parts(graph.pieces, _local_roots(tree, ext)):
             if len(touched) != 1:
                 raise AssertionError(f"extremity part touches roots {touched}, expected a single local root")
-            comps.append(TreeComponent(sub, touched.pop(), sub.measure))
-    comps.sort(key=lambda c: min((s.arc, s.lo) for s in c.subtree.segment_list()))
+            comps.append(TreeComponent(sub, graph.point(touched.pop()), sub.measure))
+    # by each part's first segment: the parts share one scale, so its ints compare
+    comps.sort(key=lambda c: next((aid, ivs[0][0]) for aid, ivs in c.subtree._ivs.items()))
     return SubtreeDecomposition(a, core_sub, tuple(comps))

@@ -1,12 +1,18 @@
 """Metric multigraph networks, points on arcs, and unit-speed walks.
 
-All lengths, offsets and probabilities are exact `fractions.Fraction`
-values; floating point never enters this module.  Networks are immutable
-after construction and every operation here is pure, so concurrent reads
-need no synchronization: a network memoizes what it derives (integer arc
-lengths and shortest paths here, side weights and the last subtree
-decomposition in the tree layer), and two threads that fill a memo at once
-store equal values.
+All lengths, offsets and probabilities are exact: `fractions.Fraction`
+values at the interface, and integers on a common scale inside (`_on_scale`
+puts a set of `Fraction`s on one).  A network keeps its arc lengths times
+D, the lcm of their denominators; a walk keeps its offsets and clock, and a
+subnetwork its segment ends, on a multiple of D.  A subnetwork's segment
+graph names each vertex by a node's name or by (arc id, scaled offset), so
+its tours and floods hash strings and small tuples, not `Point`s.  Floating
+point never enters this module.  Networks are immutable after construction
+and every operation here is pure, so concurrent reads need no
+synchronization: a network memoizes what it derives (integer arc lengths
+and shortest paths here, side weights and the last subtree decomposition in
+the tree layer), and two threads that fill a memo at once store equal
+values.
 """
 
 from __future__ import annotations
@@ -320,35 +326,20 @@ class Network:
                     best = cand
         return best
 
-    def ball(self, center: Point, radius) -> "SubNetwork":
-        """Closed metric ball around `center`; always a connected subnetwork."""
-        r = frac(radius)
-        if r < 0:
-            raise ValidationError("radius must be nonnegative")
-        segs = []
-        for a in self.arcs:
-            ivs = []
-            du = self.distance(center, Point(node=a.u))
-            dv = self.distance(center, Point(node=a.v))
-            if r >= du:
-                ivs.append((Fraction(0), min(a.length, r - du)))
-            if r >= dv:
-                ivs.append((max(Fraction(0), a.length - (r - dv)), a.length))
-            if not center.is_node and center.arc == a.id:
-                ivs.append((max(Fraction(0), center.offset - r), min(a.length, center.offset + r)))
-            for lo, hi in ivs:
-                if lo < hi:
-                    segs.append(Segment(a.id, lo, hi))
-        if segs:
-            return SubNetwork.from_segments(self, segs)
-        return SubNetwork.single_point(self, center)
-
 
 # -- subnetworks -----------------------------------------------------------
 
 
-def _merge_intervals(intervals: Iterable[tuple[Fraction, Fraction]]):
-    merged: list[list[Fraction]] = []
+def _on_scale(scale: int, values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """A common integer scale: the lcm of `scale` and the values'
+    denominators, and each value times it."""
+    values = list(values)
+    scale = math.lcm(scale, *{x.denominator for x in values})
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _merge_intervals(intervals: Iterable[tuple]):
+    merged: list[list] = []
     for lo, hi in sorted(intervals):
         if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
@@ -358,43 +349,70 @@ def _merge_intervals(intervals: Iterable[tuple[Fraction, Fraction]]):
 
 
 class _Piece:
-    """One segment of a subnetwork as an edge of its segment graph, between
-    its two end points."""
+    """One segment of a subnetwork as an edge of its segment graph: its arc,
+    its ends on the subnetwork's scale, and its two end vertices."""
 
     __slots__ = ("arc", "lo", "hi", "u", "v")
 
-    def __init__(self, arc: Arc, lo: Fraction, hi: Fraction):
-        self.arc, self.lo, self.hi = arc.id, lo, hi
-        self.u = Point(node=arc.u) if lo == 0 else Point(arc=arc.id, offset=lo)
-        self.v = Point(node=arc.v) if hi == arc.length else Point(arc=arc.id, offset=hi)
+    def __init__(self, arc: str, lo: int, hi: int, u, v):
+        self.arc, self.lo, self.hi, self.u, self.v = arc, lo, hi, u, v
 
-    def other(self, p: Point) -> Point:
-        return self.v if p == self.u else self.u
-
-    def step_from(self, p: Point) -> "Step":
-        """The traversal of the whole piece leaving from end point p."""
-        return Step(self.arc, self.lo, self.hi) if p == self.u else Step(self.arc, self.hi, self.lo)
+    def other(self, v):
+        return self.v if v == self.u else self.u
 
 
 class _SegmentGraph:
-    """Segments as edges between their end points, node points and interior
-    cut points alike; `incident` lists a point's pieces in host arc-id order,
-    so `tree_tour` walks a subtree in place."""
+    """Segments as edges between their end vertices: a node's name, or
+    (arc id, offset on `scale`) at a cut point interior to an arc.
+    `incident` lists a vertex's pieces in host arc-id order, so `tree_tour`
+    walks a subtree in place."""
 
-    def __init__(self, host: Network, pieces: list[_Piece]):
-        self.host, self.pieces = host, pieces
-        self._touch: dict[Point, list[_Piece]] = {}
+    def __init__(self, host: Network, scale: int, pieces: list[_Piece]):
+        self.host, self.scale, self.pieces = host, scale, pieces
+        self._touch: dict = {}
+        # one Fraction per distinct scaled offset, so that the steps of a tour
+        # share offset objects, which `Walk` puts on its scale once each
+        self._offsets: dict[int, Fraction] = {}
         for piece in self.pieces:
             self._touch.setdefault(piece.u, []).append(piece)
             self._touch.setdefault(piece.v, []).append(piece)
 
-    def incident(self, p: Point) -> Sequence[_Piece]:
-        return self._touch.get(p, ())
+    @classmethod
+    def build(cls, host: Network, scale: int, ivs: dict) -> "_SegmentGraph":
+        """The graph of merged or cut intervals {arc id: ((lo, hi), ...)} on `scale`."""
+        arcs, k, pieces = host._arc_by_id, scale // host._units[0], []
+        for aid, pairs in ivs.items():
+            a, ln = arcs[aid], host._units[1][aid] * k
+            pieces += [_Piece(aid, lo, hi, a.u if lo == 0 else (aid, lo), a.v if hi == ln else (aid, hi))
+                       for lo, hi in pairs]
+        return cls(host, scale, pieces)
 
-    def parts(self, seeds: Iterable[_Piece], blocked: Container[Point]) -> list[tuple[SubNetwork, set[Point]]]:
-        """Flood from each seed not yet reached, stopping at every point in
+    def incident(self, v) -> Sequence[_Piece]:
+        return self._touch.get(v, ())
+
+    def vertex(self, p: Point):
+        """The vertex at a host point; one off the scale matches none."""
+        if p.node is not None:
+            return p.node
+        off = p.offset * self.scale
+        return p.arc, off.numerator if off.denominator == 1 else off
+
+    def point(self, v) -> Point:
+        return Point(node=v) if isinstance(v, str) else Point(arc=v[0], offset=Fraction(v[1], self.scale))
+
+    def step(self, piece: _Piece, v) -> "Step":
+        """The traversal of the whole piece leaving from its end vertex v."""
+        lo, hi = self._offsets.get(piece.lo), self._offsets.get(piece.hi)
+        if lo is None:
+            lo = self._offsets[piece.lo] = Fraction(piece.lo, self.scale)
+        if hi is None:
+            hi = self._offsets[piece.hi] = Fraction(piece.hi, self.scale)
+        return Step(piece.arc, lo, hi) if v == piece.u else Step(piece.arc, hi, lo)
+
+    def parts(self, seeds: Iterable[_Piece], blocked: Container) -> list[tuple[SubNetwork, set]]:
+        """Flood from each seed not yet reached, stopping at every vertex in
         `blocked`; per flood, in seed order, the subnetwork it covers and the
-        blocked points it stopped at."""
+        blocked vertices it stopped at."""
         reached: set[_Piece] = set()
         out = []
         for seed in seeds:
@@ -414,56 +432,73 @@ class _SegmentGraph:
                             comp.append(q)
                             frontier.append(q)
             # the pieces come from a checked, merged subnetwork (or its cut at
-            # a blocked point), so they are grouped and merged unchecked; the
+            # a blocked vertex), so they are grouped and merged unchecked; the
             # part's segment graph is built on them unless two were merged
             comp.sort(key=lambda q: (q.arc, q.lo))
-            sub = SubNetwork(self.host, {aid: _merge_intervals((q.lo, q.hi) for q in qs)
-                                         for aid, qs in itertools.groupby(comp, lambda q: q.arc)}, frozenset())
-            if len(comp) == sum(map(len, sub.segments.values())):
-                sub._graph = _SegmentGraph(self.host, comp)
+            sub = SubNetwork(self.host, self.scale, {aid: _merge_intervals((q.lo, q.hi) for q in qs)
+                                                     for aid, qs in itertools.groupby(comp, lambda q: q.arc)})
+            if len(comp) == sum(map(len, sub._ivs.values())):
+                sub._graph = _SegmentGraph(self.host, self.scale, comp)
             out.append((sub, stops))
         return out
 
 
 class SubNetwork:
     """Closed union of arc segments (and possibly isolated points) of a host
-    network.  Measures, containment and splitting are exact."""
+    network.  Measures, containment and splitting are exact.  `_ivs` maps
+    each arc id, in id order, to its merged, disjoint (lo, hi) offsets times
+    `_scale`; `segments`, `segment_list()` and `measure` are `Fraction`
+    views of them built on first read."""
 
-    def __init__(self, host: Network, segments: dict, points: frozenset):
-        self.host = host
-        self.segments = segments  # arc id -> tuple of (lo, hi), merged, disjoint
-        self.points = points      # isolated Points not covered by any segment
-        self._measure = sum((hi - lo for ivs in segments.values() for lo, hi in ivs), Fraction(0))
+    def __init__(self, host: Network, scale: int, ivs: dict, points: frozenset = frozenset()):
+        self.host, self._scale, self._ivs = host, scale, ivs
+        self.points = points  # isolated Points not covered by any segment
+        self._total = sum(hi - lo for pairs in ivs.values() for lo, hi in pairs)
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def whole(cls, host: Network) -> "SubNetwork":
-        return cls(host, {a.id: ((Fraction(0), a.length),) for a in host.arcs}, frozenset())
+        scale, length = host._units
+        return cls(host, scale, {aid: ((0, ln),) for aid, ln in length.items()})
 
     @classmethod
     def from_segments(cls, host: Network, segs: Iterable[Segment]) -> "SubNetwork":
-        by_arc: dict[str, list] = {}
+        rows = []
         for s in segs:
             a = host.arc(s.arc)
             lo, hi = frac(s.lo), frac(s.hi)
-            if not (0 <= lo < hi <= a.length):
+            if not (0 <= lo <= a.length and 0 <= hi <= a.length):
                 raise ValidationError(f"segment {s!r} outside arc of length {a.length}")
-            by_arc.setdefault(s.arc, []).append((lo, hi))
-        merged = {aid: _merge_intervals(ivs) for aid, ivs in sorted(by_arc.items())}
-        return cls(host, merged, frozenset())
+            if lo >= hi:
+                raise ValidationError(f"segment {s!r} is empty or reversed")
+            rows.append((s.arc, lo, hi))
+        scale, ends = _on_scale(host._units[0], (x for _, lo, hi in rows for x in (lo, hi)))
+        by_arc: dict[str, list] = {}
+        for (aid, _, _), lo, hi in zip(rows, ends[::2], ends[1::2]):
+            by_arc.setdefault(aid, []).append((lo, hi))
+        return cls(host, scale, {aid: _merge_intervals(ivs) for aid, ivs in sorted(by_arc.items())})
 
     @classmethod
     def single_point(cls, host: Network, p: Point) -> "SubNetwork":
         if not (p.is_node or host.contains_point(p)):
             raise ValidationError(f"{p!r} not on network")
-        return cls(host, {}, frozenset([p]))
+        return cls(host, host._units[0], {}, frozenset([p]))
 
     # -- queries ---------------------------------------------------------
 
-    @property
+    @cached_property
+    def segments(self) -> dict[str, tuple[tuple[Fraction, Fraction], ...]]:
+        """Arc id -> its merged, disjoint (lo, hi) offsets, in arc-id order;
+        an arc's ends are 0 and its `length`, with no gcd taken."""
+        (D, length), arcs, scale = self.host._units, self.host._arc_by_id, self._scale
+        return {aid: tuple((Fraction(lo, scale) if lo else Fraction(0),
+                            arcs[aid].length if hi * D == length[aid] * scale else Fraction(hi, scale))
+                           for lo, hi in pairs) for aid, pairs in self._ivs.items()}
+
+    @cached_property
     def measure(self) -> Fraction:
-        return self._measure
+        return Fraction(self._total, self._scale)
 
     def segment_list(self) -> tuple[Segment, ...]:
         return tuple(Segment(aid, lo, hi) for aid, ivs in self.segments.items() for lo, hi in ivs)
@@ -472,71 +507,64 @@ class SubNetwork:
         if p in self.points:
             return True
         if p.is_node:
-            for a in self.host.incident(p.node):
-                for lo, hi in self.segments.get(a.id, ()):
-                    if (a.u == p.node and lo == 0) or (a.v == p.node and hi == a.length):
-                        return True
-            return False
-        for lo, hi in self.segments.get(p.arc, ()):
-            if lo <= p.offset <= hi:
-                return True
-        return False
+            D, length = self.host._units
+            return any((a.u == p.node and lo == 0) or (a.v == p.node and hi * D == length[a.id] * self._scale)
+                       for a in self.host.incident(p.node) for lo, hi in self._ivs.get(a.id, ()))
+        num, den = p.offset.numerator * self._scale, p.offset.denominator
+        return any(lo * den <= num <= hi * den for lo, hi in self._ivs.get(p.arc, ()))
 
     def covered_nodes(self) -> tuple[str, ...]:
         found = {p.node for p in self.points if p.is_node}
-        for aid, ivs in self.segments.items():
-            a = self.host.arc(aid)
+        (D, length), arcs = self.host._units, self.host._arc_by_id
+        for aid, ivs in self._ivs.items():
             for lo, hi in ivs:
                 if lo == 0:
-                    found.add(a.u)
-                if hi == a.length:
-                    found.add(a.v)
+                    found.add(arcs[aid].u)
+                if hi * D == length[aid] * self._scale:
+                    found.add(arcs[aid].v)
         return tuple(sorted(found))
 
-    def contains_sub(self, other: "SubNetwork") -> bool:
-        for aid, ivs in other.segments.items():
-            mine = self.segments.get(aid, ())
-            for lo, hi in ivs:
-                if not any(mlo <= lo and hi <= mhi for mlo, mhi in mine):
-                    return False
-        return all(self.contains(p) for p in other.points)
-
     def overlap_measure(self, other: "SubNetwork") -> Fraction:
-        total = Fraction(0)
-        for aid, ivs in self.segments.items():
-            for olo, ohi in other.segments.get(aid, ()):
+        scale = math.lcm(self._scale, other._scale)
+        k, m, total = scale // self._scale, scale // other._scale, 0
+        for aid, ivs in self._ivs.items():
+            for olo, ohi in other._ivs.get(aid, ()):
                 for lo, hi in ivs:
-                    total += max(Fraction(0), min(hi, ohi) - max(lo, olo))
-        return total
+                    total += max(0, min(hi * k, ohi * m) - max(lo * k, olo * m))
+        return Fraction(total, scale)
 
     def complement(self) -> "SubNetwork":
         """Closure of the host minus this subnetwork."""
-        segs = []
+        gaps, (D, length) = {}, self.host._units
         for a in self.host.arcs:
-            cursor = Fraction(0)
-            for lo, hi in self.segments.get(a.id, ()):
+            cursor, ln, out = 0, length[a.id] * (self._scale // D), []
+            for lo, hi in self._ivs.get(a.id, ()):
                 if cursor < lo:
-                    segs.append(Segment(a.id, cursor, lo))
+                    out.append((cursor, lo))
                 cursor = hi
-            if cursor < a.length:
-                segs.append(Segment(a.id, cursor, a.length))
-        if not segs:
+            if cursor < ln:
+                out.append((cursor, ln))
+            if out:
+                gaps[a.id] = tuple(out)
+        if not gaps:
             raise ValidationError("complement has empty interior")
-        return SubNetwork.from_segments(self.host, segs)
+        return SubNetwork(self.host, self._scale, gaps)
 
     def grid_points(self, step, extra: Iterable[Point] = ()) -> list[Point]:
         """Nodes, segment endpoints and uniform subdivisions at the given step."""
         h = frac(step)
         if h <= 0:
             raise ValidationError("grid step must be positive")
-        pts = {self.host.node_point(n) for n in self.covered_nodes()}
+        scale, (h,) = _on_scale(self._scale, (h,))
+        k, (D, length), arcs = scale // self._scale, self.host._units, self.host._arc_by_id
+        pts = {Point(node=n) for n in self.covered_nodes()}
         pts.update(self.points)
-        for seg in self.segment_list():
-            off = seg.lo
-            while off < seg.hi:
-                pts.add(self.host.point(seg.arc, off))
-                off += h
-            pts.add(self.host.point(seg.arc, seg.hi))
+        for aid, ivs in self._ivs.items():
+            a, ln = arcs[aid], length[aid] * (scale // D)
+            for lo, hi in ivs:
+                for off in (*range(lo * k, hi * k, h), hi * k):
+                    pts.add(Point(node=a.u) if off == 0 else Point(node=a.v) if off == ln
+                            else Point(arc=aid, offset=Fraction(off, scale)))
         pts.update(extra)
         return sorted(pts, key=Point.sort_key)
 
@@ -544,25 +572,26 @@ class SubNetwork:
 
     @cached_property
     def _graph(self) -> _SegmentGraph:
-        return _SegmentGraph(self.host, [_Piece(self.host.arc(s.arc), s.lo, s.hi) for s in self.segment_list()])
+        return _SegmentGraph.build(self.host, self._scale, self._ivs)
 
     def split_at(self, p: Point) -> list["SubNetwork"]:
         """Closed components of the subnetwork minus `p`, each re-closed to
         include `p` on its boundary.  The host must be a tree for the result
         to be a genuine split.  An interior point first cuts its segment in
-        two; then the flood is the same as at a node."""
+        two, on a scale widened to hold it; then the flood is the same as at
+        a node."""
         if not self.contains(p):
             raise ValidationError(f"{p!r} not in subnetwork")
         graph = self._graph
         if not p.is_node:
-            pieces, off, arc = [], frac(p.offset), self.host.arc(p.arc)
-            for q in graph.pieces:
-                if q.arc == p.arc and q.lo < off < q.hi:
-                    pieces += [_Piece(arc, q.lo, off), _Piece(arc, off, q.hi)]
-                else:
-                    pieces.append(q)
-            graph = _SegmentGraph(self.host, pieces)
-        return [sub for sub, _ in graph.parts(graph.incident(p), (p,))]
+            scale, (off,) = _on_scale(self._scale, (p.offset,))
+            k = scale // self._scale
+            cut = {aid: [(lo * k, hi * k) for lo, hi in ivs] for aid, ivs in self._ivs.items()}
+            cut[p.arc] = [q for lo, hi in cut.get(p.arc, ()) for q in (((lo, off), (off, hi)) if lo < off < hi
+                                                                       else ((lo, hi),))]
+            graph = _SegmentGraph.build(self.host, scale, cut)
+        v = graph.vertex(p)
+        return [sub for sub, _ in graph.parts(graph.incident(v), (v,))]
 
 
 def components_after_removal(net: Network, x: Point) -> list[SubNetwork]:

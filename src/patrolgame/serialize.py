@@ -7,6 +7,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -52,8 +53,13 @@ def parse_point(net: Network, text: str, ln: int | None = None) -> Point:
     raise FormatError(f"{_where(ln)}bad point {text!r}")
 
 
-def fmt_segment(s: Segment) -> str:
-    return f"{s.arc}:{fmt_frac(s.lo)}:{fmt_frac(s.hi)}"
+def _fmt_segments(sub: SubNetwork, sep: str) -> str:
+    """A subnetwork's segments as `arc:lo:hi` records, each offset written
+    as `fmt_frac` writes it, from their ints."""
+    def fmt(x: int) -> str:
+        g = math.gcd(x, sub._scale)
+        return str(x // g) if g == sub._scale else f"{x // g}/{sub._scale // g}"
+    return sep.join(f"{aid}:{fmt(lo)}:{fmt(hi)}" for aid, ivs in sub._ivs.items() for lo, hi in ivs)
 
 
 def parse_segment(text: str, ln: int | None = None) -> Segment:
@@ -86,8 +92,7 @@ def write_attack(a: AttackStrategy) -> str:
     for p, m in a.atoms:
         lines.append(f"atom {fmt_point(p)} {fmt_frac(m)}")
     for part in a.uniform_parts:
-        segs = " ".join(fmt_segment(s) for s in part.region.segment_list())
-        lines.append(f"uniform {fmt_frac(part.mass)} {segs}")
+        lines.append(f"uniform {fmt_frac(part.mass)} {_fmt_segments(part.region, ' ')}")
     return "\n".join(lines) + "\n"
 
 
@@ -234,14 +239,13 @@ def write_decomposition_report(tree: Network, dec, alpha_star, local_root, value
         f"local_root {fmt_point(local_root)}",
         f"value {fmt_frac(value)}",
     ]
-    segs = ",".join(fmt_segment(s) for s in dec.core.segment_list())
+    segs = _fmt_segments(dec.core, ",")
     if dec.core.measure == 0:
         segs = ",".join(fmt_point(p) for p in sorted(dec.core.points, key=Point.sort_key))
     lines.append(f"core measure={fmt_frac(dec.core.measure)} segments={segs}")
     for j, comp in enumerate(dec.components, start=1):
-        segs = ",".join(fmt_segment(s) for s in comp.subtree.segment_list())
-        lines.append(
-            f"component {j} root={fmt_point(comp.root)} measure={fmt_frac(comp.measure)} segments={segs}")
+        lines.append(f"component {j} root={fmt_point(comp.root)} measure={fmt_frac(comp.measure)} "
+                     f"segments={_fmt_segments(comp.subtree, ',')}")
     return "\n".join(lines) + "\n"
 
 

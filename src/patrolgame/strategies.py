@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomposition import extremity_set, subtree_decomposition
+from .decomposition import _extremity, subtree_decomposition
 from .ebd import RootedSubtree, ebd
 from .errors import FactorizationError, ValidationError
 from .factorization import (Factorization, _require_even_complete, round_robin_one_factorization,
@@ -151,8 +151,7 @@ def epsilon_horizon(alpha, epsilon) -> Fraction:
 def game_value_tree(tree: Network, alpha) -> Fraction:
     """Value of the game on a tree: alpha / (mu + lambda(E))."""
     a = validate_alpha(tree, alpha)
-    ext = extremity_set(tree, a)
-    return a / (tree.total_length + ext.measure)
+    return a / (tree.total_length + _extremity(tree, a).measure)
 
 
 def value_complete(net: Network, factorization: Factorization, alpha) -> Fraction:
@@ -204,7 +203,7 @@ def tree_attack_strategy(tree: Network, alpha, horizon=None, epsilon=None) -> At
         mass = 2 * comp.measure / denom
         dist = ebd(RootedSubtree(comp.subtree, comp.root), mass)
         for p, m in dist.atoms:
-            atoms[p] = atoms.get(p, Fraction(0)) + m
+            atoms[p] = atoms[p] + m if p in atoms else m
     parts = ()
     core_mass = dec.core.measure / denom
     if core_mass > 0:
@@ -249,27 +248,30 @@ def e_patrolling(tree: Network, alpha) -> PatrolStrategy:
     """
     a = validate_alpha(tree, alpha)
     dec = subtree_decomposition(tree, a)
-    blocks: dict[Point, list[Step]] = {}
+    # the core and the components share the extremity closure's scale, so
+    # a root is the same vertex of a component's segment graph and the core's
+    blocks: dict = {}
     for c in dec.components:
-        blocks.setdefault(c.root, []).extend(
-            piece.step_from(p) for piece, p, _ in tree_tour(c.subtree._graph, c.root))
+        graph = c.subtree._graph
+        root = graph.vertex(c.root)
+        blocks.setdefault(root, []).extend(graph.step(piece, v) for piece, v, _ in tree_tour(graph, root))
 
     if dec.core.measure == 0:
-        x_star = next(iter(dec.core.points))
-        walk = Walk(tree, x_star, blocks[x_star] * 2)
+        (block,) = blocks.values()
+        walk = Walk(tree, next(iter(dec.core.points)), block * 2)
     else:
         graph = dec.core._graph
         nodes = dec.core.covered_nodes()
-        start = Point(node=nodes[0]) if nodes else graph.pieces[0].u
+        start = nodes[0] if nodes else graph.pieces[0].u
         steps: list[Step] = []
-        arrivals: dict[Point, int] = {}
+        arrivals: dict = {}
 
-        def arrive(p: Point):
-            block = blocks.get(p)
+        def arrive(v):
+            block = blocks.get(v)
             if block is None:
                 return
-            k = arrivals[p] = arrivals.get(p, 0) + 1
-            if len(graph.incident(p)) >= 2:
+            k = arrivals[v] = arrivals.get(v, 0) + 1
+            if len(graph.incident(v)) >= 2:
                 if k <= 2:
                     steps.extend(block)
             elif k == 1:
@@ -277,10 +279,10 @@ def e_patrolling(tree: Network, alpha) -> PatrolStrategy:
                 steps.extend(block)
 
         arrive(start)
-        for piece, p, _ in tree_tour(graph, start):
-            steps.append(piece.step_from(p))
-            arrive(piece.other(p))
-        walk = Walk(tree, start, steps)
+        for piece, v, _ in tree_tour(graph, start):
+            steps.append(graph.step(piece, v))
+            arrive(piece.other(v))
+        walk = Walk(tree, graph.point(start), steps)
 
     expected = 2 * (tree.total_length + dec.lambda_e)
     assert walk.duration == expected and walk.is_closed

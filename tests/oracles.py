@@ -18,8 +18,13 @@ scored from the definition of interception under each rule for after its end (re
 scores every walk of its family that way under the hold rule, one at a
 time, and Monte Carlo is replayed one trial at a time in plain Python.
 Equal-branch-density leaf measures come from their `Fraction` implementation
-on a freshly built segment graph, patrol text from `fmt_frac` on each
-step's `Fraction` offsets, and a discretized attack from each cell's
+on a freshly built `Fraction` segment graph, subnetworks from their
+`Fraction` implementation (`FractionSubNetwork`), whose parts of a split are
+floods of that graph re-checked through `from_segments`, metric balls from
+per-arc distance intervals, patrol text from `fmt_frac` on each
+step's `Fraction` offsets, the branch statistics and cut-subtree
+enumerations that check the density lemma from a tour of that `Fraction`
+segment graph, and a discretized attack from each cell's
 `Fraction` midpoint placed through `Network.point`.
 """
 
@@ -33,12 +38,12 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
-from patrolgame import (Factorization, FactorizationError, Network, Point, Segment, Step, ValidationError, Walk,
-                        round_robin_one_factorization)
+from patrolgame import (Factorization, FactorizationError, Network, Point, Segment, Step, SubNetwork,
+                        ValidationError, Walk, round_robin_one_factorization)
 from patrolgame import factorization
 from patrolgame.decomposition import ExtremitySet, _require_tree
 from patrolgame.ebd import LeafDistribution, RootedSubtree
-from patrolgame.network import _Piece, _SegmentGraph, frac, tree_tour, validate_alpha
+from patrolgame.network import Arc, frac, tree_tour, validate_alpha
 from patrolgame.serialize import fmt_frac, fmt_point
 
 
@@ -713,13 +718,219 @@ class FractionWalk:
         return self.net.point(s.arc, off)
 
 
+def ball(net: Network, center: Point, radius) -> SubNetwork:
+    """Closed metric ball around `center`; always a connected subnetwork."""
+    r = frac(radius)
+    if r < 0:
+        raise ValidationError("radius must be nonnegative")
+    segs = []
+    for a in net.arcs:
+        ivs = []
+        du = net.distance(center, Point(node=a.u))
+        dv = net.distance(center, Point(node=a.v))
+        if r >= du:
+            ivs.append((Fraction(0), min(a.length, r - du)))
+        if r >= dv:
+            ivs.append((max(Fraction(0), a.length - (r - dv)), a.length))
+        if not center.is_node and center.arc == a.id:
+            ivs.append((max(Fraction(0), center.offset - r), min(a.length, center.offset + r)))
+        for lo, hi in ivs:
+            if lo < hi:
+                segs.append(Segment(a.id, lo, hi))
+    if segs:
+        return SubNetwork.from_segments(net, segs)
+    return SubNetwork.single_point(net, center)
+
+
+def contains_sub(sub, other) -> bool:
+    """Whether a subnetwork holds every segment and point of another."""
+    for aid, ivs in other.segments.items():
+        mine = sub.segments.get(aid, ())
+        for lo, hi in ivs:
+            if not any(mlo <= lo and hi <= mhi for mlo, mhi in mine):
+                return False
+    return all(sub.contains(p) for p in other.points)
+
+
+class FractionPiece:
+    """A segment as an edge between its two end `Point`s."""
+
+    __slots__ = ("arc", "lo", "hi", "u", "v")
+
+    def __init__(self, arc: Arc, lo: Fraction, hi: Fraction):
+        self.arc, self.lo, self.hi = arc.id, lo, hi
+        self.u = Point(node=arc.u) if lo == 0 else Point(arc=arc.id, offset=lo)
+        self.v = Point(node=arc.v) if hi == arc.length else Point(arc=arc.id, offset=hi)
+
+    def other(self, p: Point) -> Point:
+        return self.v if p == self.u else self.u
+
+
+class FractionSegmentGraph:
+    """Segments as edges between their end `Point`s; `incident` lists a
+    point's pieces in segment order."""
+
+    def __init__(self, host: Network, segs):
+        self.host = host
+        self.pieces = [FractionPiece(host.arc(s.arc), s.lo, s.hi) for s in segs]
+        self._touch: dict[Point, list[FractionPiece]] = {}
+        for piece in self.pieces:
+            self._touch.setdefault(piece.u, []).append(piece)
+            self._touch.setdefault(piece.v, []).append(piece)
+
+    def incident(self, p: Point):
+        return self._touch.get(p, ())
+
+
+def fraction_flood(graph, seeds, blocked) -> list[tuple[list[Segment], set]]:
+    """Floods of a segment graph from each seed not yet reached, stopping at
+    blocked vertices: per flood, the `Fraction` segments of the pieces it
+    reached and the blocked vertices it stopped at.  A graph with a `scale`
+    holds its piece ends as ints on it."""
+    scale = getattr(graph, "scale", 1)
+    out, seen = [], set()
+    for seed in seeds:
+        if seed in seen:
+            continue
+        seen.add(seed)
+        segs, todo, stops = [], [seed], set()
+        while todo:
+            q = todo.pop()
+            segs.append(Segment(q.arc, Fraction(q.lo) / scale, Fraction(q.hi) / scale))
+            for end in (q.u, q.v):
+                if end in blocked:
+                    stops.add(end)
+                    continue
+                fresh = [r for r in graph.incident(end) if r not in seen]
+                seen.update(fresh)
+                todo += fresh
+        out.append((segs, stops))
+    return out
+
+
+def _merge_reference(intervals):
+    merged = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
+class FractionSubNetwork:
+    """`SubNetwork` in `Fraction`s: per arc id, in id order, its merged,
+    disjoint (lo, hi) offsets, checked and merged by every constructor; a
+    split floods a `FractionSegmentGraph` and re-checks each part."""
+
+    def __init__(self, host: Network, segments: dict, points: frozenset = frozenset()):
+        self.host, self.segments, self.points = host, segments, points
+        self.measure = sum((hi - lo for ivs in segments.values() for lo, hi in ivs), Fraction(0))
+
+    @classmethod
+    def whole(cls, host: Network):
+        return cls(host, {a.id: ((Fraction(0), a.length),) for a in host.arcs})
+
+    @classmethod
+    def from_segments(cls, host: Network, segs):
+        by_arc: dict[str, list] = {}
+        for s in segs:
+            a = host.arc(s.arc)
+            lo, hi = frac(s.lo), frac(s.hi)
+            if not (0 <= lo < hi <= a.length):
+                raise ValidationError(f"segment {s!r} outside arc of length {a.length}")
+            by_arc.setdefault(s.arc, []).append((lo, hi))
+        return cls(host, {aid: _merge_reference(ivs) for aid, ivs in sorted(by_arc.items())})
+
+    @classmethod
+    def single_point(cls, host: Network, p: Point):
+        if not (p.is_node or host.contains_point(p)):
+            raise ValidationError(f"{p!r} not on network")
+        return cls(host, {}, frozenset([p]))
+
+    def segment_list(self) -> tuple[Segment, ...]:
+        return tuple(Segment(aid, lo, hi) for aid, ivs in self.segments.items() for lo, hi in ivs)
+
+    def contains(self, p: Point) -> bool:
+        if p in self.points:
+            return True
+        if p.is_node:
+            for a in self.host.incident(p.node):
+                for lo, hi in self.segments.get(a.id, ()):
+                    if (a.u == p.node and lo == 0) or (a.v == p.node and hi == a.length):
+                        return True
+            return False
+        return any(lo <= p.offset <= hi for lo, hi in self.segments.get(p.arc, ()))
+
+    def covered_nodes(self) -> tuple[str, ...]:
+        found = {p.node for p in self.points if p.is_node}
+        for aid, ivs in self.segments.items():
+            a = self.host.arc(aid)
+            for lo, hi in ivs:
+                if lo == 0:
+                    found.add(a.u)
+                if hi == a.length:
+                    found.add(a.v)
+        return tuple(sorted(found))
+
+    def overlap_measure(self, other) -> Fraction:
+        total = Fraction(0)
+        for aid, ivs in self.segments.items():
+            for olo, ohi in other.segments.get(aid, ()):
+                for lo, hi in ivs:
+                    total += max(Fraction(0), min(hi, ohi) - max(lo, olo))
+        return total
+
+    def complement(self):
+        segs = []
+        for a in self.host.arcs:
+            cursor = Fraction(0)
+            for lo, hi in self.segments.get(a.id, ()):
+                if cursor < lo:
+                    segs.append(Segment(a.id, cursor, lo))
+                cursor = hi
+            if cursor < a.length:
+                segs.append(Segment(a.id, cursor, a.length))
+        if not segs:
+            raise ValidationError("complement has empty interior")
+        return FractionSubNetwork.from_segments(self.host, segs)
+
+    def grid_points(self, step, extra=()) -> list[Point]:
+        h = frac(step)
+        if h <= 0:
+            raise ValidationError("grid step must be positive")
+        pts = {self.host.node_point(n) for n in self.covered_nodes()}
+        pts.update(self.points)
+        for seg in self.segment_list():
+            off = seg.lo
+            while off < seg.hi:
+                pts.add(self.host.point(seg.arc, off))
+                off += h
+            pts.add(self.host.point(seg.arc, seg.hi))
+        pts.update(extra)
+        return sorted(pts, key=Point.sort_key)
+
+    def split_at(self, p: Point):
+        if not self.contains(p):
+            raise ValidationError(f"{p!r} not in subnetwork")
+        segs = []
+        for s in self.segment_list():
+            if not p.is_node and s.arc == p.arc and s.lo < p.offset < s.hi:
+                segs += [Segment(s.arc, s.lo, p.offset), Segment(s.arc, p.offset, s.hi)]
+            else:
+                segs.append(s)
+        graph = FractionSegmentGraph(self.host, segs)
+        return [FractionSubNetwork.from_segments(self.host, part)
+                for part, _ in fraction_flood(graph, graph.incident(p), {p})]
+
+
 def fraction_ebd(rooted: RootedSubtree, total_mass) -> LeafDistribution:
     """`ebd` in `Fraction`s, keyed by `Point`: one tour of the subtree's
     segment graph, built afresh from its segments, gives each point's
     hanging pieces and branch measures; then mass flows down from the root,
     split proportionally to branch measure."""
     sub = rooted.subtree
-    graph = _SegmentGraph(sub.host, [_Piece(sub.host.arc(s.arc), s.lo, s.hi) for s in sub.segment_list()])
+    graph = FractionSegmentGraph(sub.host, sub.segment_list())
     order = [rooted.root]
     children: dict[Point, list[tuple[Point, Fraction]]] = {}
     beyond: dict[Point, Fraction] = {}
@@ -748,6 +959,79 @@ def fraction_ebd(rooted: RootedSubtree, total_mass) -> LeafDistribution:
     items = tuple(sorted(atoms.items(), key=lambda kv: kv[0].sort_key()))
     assert sum((m for _, m in items), Fraction(0)) == mass
     return LeafDistribution(items, mass)
+
+
+def _fraction_branches(rooted: RootedSubtree):
+    """One tour of a rooted subtree's `FractionSegmentGraph`: its points in
+    pre-order as (key, point), keyed by the piece the tour enters them by
+    (None at the root), and per key, the pieces hanging beyond its point as
+    (key, piece length, branch length) in host arc-id order."""
+    graph = FractionSegmentGraph(rooted.subtree.host, rooted.subtree.segment_list())
+    order, children, beyond, path = [(None, rooted.root)], {}, {}, [None]
+    for piece, p, outward in tree_tour(graph, rooted.root):
+        if outward:
+            path.append(piece)
+            order.append((piece, piece.other(p)))
+            continue
+        path.pop()
+        length = piece.hi - piece.lo
+        branch = length + beyond.get(piece, Fraction(0))
+        children.setdefault(path[-1], []).append((piece, length, branch))
+        beyond[path[-1]] = beyond.get(path[-1], Fraction(0)) + branch
+    return order, children
+
+
+def _mass_by_point(dist: LeafDistribution) -> dict[Point, Fraction]:
+    out: dict[Point, Fraction] = {}
+    for p, m in dist.atoms:
+        out[p] = out.get(p, Fraction(0)) + m
+    return out
+
+
+def branch_stats(rooted: RootedSubtree, dist: LeafDistribution):
+    """Yield (branch point, ((branch measure, branch mass), ...)) for every
+    point of the subtree with at least two hanging branches, in pre-order."""
+    order, children = _fraction_branches(rooted)
+    held = _mass_by_point(dist)
+    below = {}  # mass at and beyond each key's point
+    for key, p in reversed(order):
+        below[key] = held.get(p, Fraction(0)) + sum((below[q] for q, _, _ in children.get(key, ())), Fraction(0))
+    for key, p in order:
+        if len(children.get(key, ())) >= 2:
+            yield p, tuple((branch, below[q]) for q, _, branch in children[key])
+
+
+def iter_cut_subtree_stats(rooted: RootedSubtree, dist: LeafDistribution, cut_grid: tuple):
+    """Enumerate (length, mass) over rooted subtrees obtained by cutting each
+    arc above the root at a grid fraction of its length, keeping it whole, or
+    dropping it.  The subtree {root} alone (zero length) is skipped.
+
+    The mass/length ratio of such a subtree is monotone between grid cuts
+    because mass is constant and length linear in each cut position, so grid
+    extremes bound the continuum of subtrees.
+    """
+    fractions = tuple(frac(g) for g in cut_grid)
+    if any(not (0 < g < 1) for g in fractions):
+        raise ValidationError("cut grid fractions must lie strictly between 0 and 1")
+    order, children = _fraction_branches(rooted)
+    held = _mass_by_point(dist)
+    options = {}  # key -> (length, mass) choices for everything beyond its point
+    for key, p in reversed(order):
+        if key not in children:
+            options[key] = [(Fraction(0), held.get(p, Fraction(0)))]
+            continue
+        combos = [(Fraction(0), Fraction(0))]
+        for q, length, _ in children[key]:
+            # the branch entered via this piece: drop it, cut it partway, or
+            # take it whole plus any combination beyond
+            branch = [(Fraction(0), Fraction(0))]
+            branch += [(g * length, Fraction(0)) for g in fractions]
+            branch += [(length + lam, m) for lam, m in options.pop(q)]
+            combos = [(l1 + l2, m1 + m2) for l1, m1 in combos for l2, m2 in branch]
+        options[key] = combos
+    for lam, m in options[None]:
+        if lam > 0:
+            yield lam, m
 
 
 def write_patrol_reference(patrol) -> str:

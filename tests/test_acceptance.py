@@ -33,8 +33,9 @@ from patrolgame import (
     tree_attack_strategy,
     uniform_attack,
 )
-from patrolgame.ebd import branch_stats, iter_cut_subtree_stats, subtree_above
+from patrolgame.ebd import subtree_above
 from conftest import make_sample_tree, random_tree
+from oracles import ball, branch_stats, iter_cut_subtree_stats
 
 F = Fraction
 
@@ -236,7 +237,7 @@ def test_zone_uniform_bound():
         net = nets[zones_done % len(nets)]
         center = net.node_point(rng.choice(net.nodes))
         radius = F(rng.randint(2, 5), 2)
-        zone = net.ball(center, radius)
+        zone = ball(net, center, radius)
         if zone.measure == 0 or zone.measure == net.total_length:
             continue
         alpha = F(1)

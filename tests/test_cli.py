@@ -1,5 +1,8 @@
 import hashlib
+import io
 import random
+import runpy
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +13,8 @@ from patrolgame import Network, format_network, complete_network
 from conftest import make_sample_tree
 
 F = Fraction
-DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+DEMO_DATA = DEMOS / "data"
 
 
 @pytest.fixture
@@ -412,6 +416,58 @@ def test_tree_outputs_frozen(tmp_path, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert line in captured.err.splitlines() and captured.out == ""
+
+
+# the arc lengths of the benchmark's random trees (perfbench/inputs.py)
+BENCH_LENGTHS = (F(1, 2), F(1), F(3, 2), F(2), F(1, 4), F(3), F(5, 2))
+
+
+def test_large_tree_outputs_frozen(tmp_path, capsys):
+    # decompose, attack and E-patrol on a seeded 2,000-node random-attachment
+    # tree, at alpha 7/3 (thirds widen the tree's scale of quarters) and near
+    # half its critical duration 1878: the report's stdout and both files
+    rng = random.Random(2000)
+    nodes = [f"n{i}" for i in range(2000)]
+    tree = tmp_path / "big.net"
+    tree.write_text(format_network(Network(nodes, [(f"e{i:04d}", nodes[rng.randrange(i)], nodes[i],
+                                                    rng.choice(BENCH_LENGTHS)) for i in range(1, 2000)])))
+    got = {}
+    for alpha in ("7/3", "939"):
+        attack, patrol = tmp_path / f"{alpha[0]}.attack", tmp_path / f"{alpha[0]}.patrol"
+        assert main(["decompose", str(tree), "--alpha", alpha]) == 0
+        report = capsys.readouterr().out
+        assert main(["attack", str(tree), "--alpha", alpha, "-o", str(attack)]) == 0
+        assert main(["patrol", str(tree), "--alpha", alpha, "--kind", "e", "-o", str(patrol)]) == 0
+        capsys.readouterr()
+        got[alpha] = tuple(hashlib.sha256(b).hexdigest()
+                           for b in (report.encode(), attack.read_bytes(), patrol.read_bytes()))
+    assert got == {
+        "7/3": ("a8a9ffdb173c7c7c70670288562903247e41075b7679f9aa89e7f121d299bac8",
+                "4ca263c4abf2368a57053d7daeddbb296d8e9eab77a96164204ad4aadfeb8630",
+                "e6d188b5365b3440e8f9684b80297d0caa5ec71326e0078bc744aaf402d25133"),
+        "939": ("975853b9018ef2ed28b70ceeed22a36fda53d5eec778a73f7be36f106b0a628c",
+                "9df0af33f624a9a45c9a7af80b35a1a8e3ccfbd958f75e632b5da88e8f040f9c",
+                "4e1dd517aff196237c7a040cc1fc41cff7d95c385162416f7f8327c615554557"),
+    }
+
+
+def test_demo_outputs_frozen():
+    # the stdout of each demo, whose SHA-256 the CI workflow's Demos step
+    # also checks; the demos are deterministic, Monte Carlo included
+    got = {}
+    for demo in sorted(DEMOS.glob("*.py")):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            runpy.run_path(str(demo), run_name="__main__")
+        got[demo.name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert got == {
+        "01_networks_and_walks.py": "12753c2b01f31468316b371364be6bb5824f6b53f6bf4cd41b4d17b697fcd9f4",
+        "02_subtree_decomposition.py": "27141a079e6e4c4d4834c5ca65c3437853df6b0d300bc28d25a05d0e9c8ba4c7",
+        "03_tree_attack.py": "e1759a0d476220b4be1ca06ce3ddf552e0cc8c626d45d6779cffb113f6842be5",
+        "04_extremity_patrolling.py": "e3601fa098cd1e9235c73dec5ca422ae69db37118523897cca87eb0343858755",
+        "05_complete_networks.py": "73ae316e55976ddcdd3c521353a2953cac5d138d053d7a9e35df2620169b0e19",
+        "06_monte_carlo.py": "ade0bbafecf798f5683daa8541a9e26dcbc2387e951ef14514aaea02c025f9cf",
+    }
 
 
 def test_factorize_size_guard(tmp_path, capsys):

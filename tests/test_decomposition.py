@@ -25,11 +25,11 @@ from patrolgame import (
     tree_attack_strategy,
 )
 from patrolgame.decomposition import _local_roots, _side_weights
-from patrolgame.network import _Piece, _SegmentGraph
+from patrolgame.network import _SegmentGraph, _on_scale
 from patrolgame.serialize import write_attack, write_decomposition_report, write_patrol
 from conftest import LENGTH_POOL, make_sample_tree, random_alpha, random_tree
-from oracles import (fraction_critical_alpha, fraction_extremity_set, fraction_local_root,
-                     fraction_side_weights, side_measures)
+from oracles import (ball, contains_sub, fraction_critical_alpha, fraction_extremity_set, fraction_flood,
+                     fraction_local_root, fraction_side_weights, side_measures)
 
 F = Fraction
 
@@ -96,7 +96,7 @@ def test_monotone_in_alpha():
             continue
         e1 = extremity_set(tree, a1).as_subnetwork(tree)
         e2 = extremity_set(tree, min(a2, hi)).as_subnetwork(tree)
-        assert e2.contains_sub(e1)
+        assert contains_sub(e2, e1)
 
 
 def test_critical_alpha_fixtures(sample_tree):
@@ -382,26 +382,10 @@ def test_checks_run_on_every_call(sample_tree, unit_k4):
 
 def _flood_reference(graph, seeds, blocked):
     """Floods of a segment graph from each seed not yet reached, stopping at
-    blocked points: each part built by `SubNetwork.from_segments` over its
-    pieces, with the blocked points it stopped at."""
-    out, seen = [], set()
-    for seed in seeds:
-        if seed in seen:
-            continue
-        seen.add(seed)
-        pieces, todo, stops = [], [seed], set()
-        while todo:
-            q = todo.pop()
-            pieces.append(Segment(q.arc, q.lo, q.hi))
-            for end in (q.u, q.v):
-                if end in blocked:
-                    stops.add(end)
-                    continue
-                fresh = [r for r in graph.incident(end) if r not in seen]
-                seen.update(fresh)
-                todo += fresh
-        out.append((SubNetwork.from_segments(graph.host, pieces), stops))
-    return out
+    blocked vertices: each part built by `SubNetwork.from_segments` over its
+    pieces, with the blocked vertices it stopped at."""
+    return [(SubNetwork.from_segments(graph.host, segs), stops)
+            for segs, stops in fraction_flood(graph, seeds, blocked)]
 
 
 def _fields(sub):
@@ -416,7 +400,11 @@ def _cut_graph(sub, p):
             segs += [Segment(s.arc, s.lo, p.offset), Segment(s.arc, p.offset, s.hi)]
         else:
             segs.append(s)
-    return _SegmentGraph(sub.host, [_Piece(sub.host.arc(s.arc), s.lo, s.hi) for s in segs])
+    scale, ends = _on_scale(sub.host._units[0], [x for s in segs for x in (s.lo, s.hi)])
+    ivs = {}
+    for s, lo, hi in zip(segs, ends[::2], ends[1::2]):
+        ivs.setdefault(s.arc, []).append((lo, hi))
+    return _SegmentGraph.build(sub.host, scale, ivs)
 
 
 def test_flood_parts_match_from_segments():
@@ -427,13 +415,14 @@ def test_flood_parts_match_from_segments():
     hosts += [complete_network(4, F(3, 2)), Network(["x", "y"], [("b", "x", "y", 1), ("l", "x", "x", 2)])]
     splits = 0
     for host in hosts:
-        subs = [SubNetwork.whole(host), host.ball(host.node_point(host.nodes[-1]), host.total_length / 3)]
+        subs = [SubNetwork.whole(host), ball(host, host.node_point(host.nodes[-1]), host.total_length / 3)]
         for sub in subs:
             arc = rng.choice(sorted(sub.segments))
             lo, hi = rng.choice(sub.segments[arc])
             for p in [host.node_point(n) for n in sub.covered_nodes()] + [host.point(arc, (lo + hi) / 2)]:
                 graph = _cut_graph(sub, p)
-                want = _flood_reference(graph, graph.incident(p), {p})
+                v = graph.vertex(p)
+                want = _flood_reference(graph, graph.incident(v), {v})
                 assert [_fields(part) for part in sub.split_at(p)] == [_fields(part) for part, _ in want]
                 splits += 1
         if not host.is_tree():
@@ -452,9 +441,10 @@ def test_flood_parts_match_from_segments():
 
 
 def _graph_fields(graph):
+    # as Fractions and Points, so that graphs kept on different scales compare
     ends = {e for q in graph.pieces for e in (q.u, q.v)}
-    return ([(q.arc, q.lo, q.hi, q.u, q.v) for q in graph.pieces],
-            {e: [graph.pieces.index(q) for q in graph.incident(e)] for e in ends})
+    return ([(q.arc, F(q.lo, graph.scale), F(q.hi, graph.scale), graph.point(q.u), graph.point(q.v))
+             for q in graph.pieces], {graph.point(e): [graph.pieces.index(q) for q in graph.incident(e)] for e in ends})
 
 
 def test_flood_parts_keep_their_pieces_as_fresh_graphs():
@@ -467,7 +457,7 @@ def test_flood_parts_keep_their_pieces_as_fresh_graphs():
     handed = 0
     for host in hosts:
         parts = []
-        for sub in (SubNetwork.whole(host), host.ball(host.node_point(host.nodes[-1]), host.total_length / 5)):
+        for sub in (SubNetwork.whole(host), ball(host, host.node_point(host.nodes[-1]), host.total_length / 5)):
             for arc, ivs in sub.segments.items():
                 parts += sub.split_at(host.point(arc, (ivs[0][0] + 2 * ivs[0][1]) / 3))
             parts += [part for n in sub.covered_nodes() for part in sub.split_at(host.node_point(n))]

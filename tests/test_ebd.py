@@ -21,9 +21,8 @@ from patrolgame import (
     uniform_attack,
     TemporalLaw,
 )
-from patrolgame.ebd import branch_stats, iter_cut_subtree_stats
 from conftest import LENGTH_POOL, random_tree
-from oracles import fraction_ebd
+from oracles import branch_stats, fraction_ebd, iter_cut_subtree_stats
 
 F = Fraction
 

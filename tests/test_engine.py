@@ -45,7 +45,7 @@ from patrolgame import (
 )
 from patrolgame import engine
 from conftest import LENGTH_POOL, make_sample_tree, random_tree
-from oracles import (bruteforce_search, interception_reference, mc_hits_reference,
+from oracles import (ball, bruteforce_search, interception_reference, mc_hits_reference,
                      walk_probability_reference)
 
 F = Fraction
@@ -346,7 +346,7 @@ def _reference_mc_cases():
         weights = [rng.randint(1, 4) for _ in walks]
         pat = PatrolStrategy(net, tuple((w, F(x, sum(weights))) for w, x in zip(walks, weights)))
         region = (SubNetwork.whole(net) if k % 2 else
-                  net.ball(net.node_point(rng.choice(net.nodes)), F(rng.randint(1, 6), 2)))
+                  ball(net, net.node_point(rng.choice(net.nodes)), F(rng.randint(1, 6), 2)))
         atoms = tuple((p, F(1, 2 * len(chosen))) for p in chosen)
         temporal = TemporalLaw.fixed(F(rng.randint(0, 12), 4)) if k % 2 else \
             TemporalLaw.uniform(F(rng.randint(1, 40), 2))
@@ -709,7 +709,7 @@ def _search_cases():
             chosen = rng.sample(points, 3)
             weights = [rng.randint(1, 5) for _ in chosen]
             atoms = tuple((p, F(w, 2 * sum(weights))) for p, w in zip(chosen, weights))
-            zone = net.ball(net.node_point(rng.choice(net.nodes)), F(1))
+            zone = ball(net, net.node_point(rng.choice(net.nodes)), F(1))
             att = AttackStrategy(net, atoms, (UniformPart(zone, F(1, 2)),), temporal)
             yield net, att, F(rng.randint(1, 6), 2), max_steps
 
@@ -781,7 +781,7 @@ def test_patrol_search_skips_match_bruteforce():
         zone = case in (1, 2)
         share = F(1, 2) if zone else F(1)
         atoms = tuple((p, share * F(w, sum(weights))) for p, w in zip(chosen, weights))
-        parts = (UniformPart(net.ball(net.node_point(rng.choice(net.nodes)), F(1, 2)), F(1, 2)),) \
+        parts = (UniformPart(ball(net, net.node_point(rng.choice(net.nodes)), F(1, 2)), F(1, 2)),) \
             if zone else ()
         # no move that starts at 3/2 or later gains, and each step takes at
         # least 1/2, so no walk gains after its third step
@@ -828,7 +828,7 @@ def test_uniform_zone_bound_small():
     for net in nets:
         for _ in range(3):
             center = net.node_point(rng.choice(net.nodes))
-            zone = net.ball(center, F(3, 2))
+            zone = ball(net, center, F(3, 2))
             alpha = F(1)
             horizon = F(4)
             att = uniform_attack(zone, TemporalLaw.uniform(horizon))

@@ -12,6 +12,7 @@ from patrolgame import (
     FormatError,
     Network,
     Point,
+    Segment,
     Step,
     SubNetwork,
     ValidationError,
@@ -31,7 +32,7 @@ from patrolgame import (
 )
 from patrolgame.network import parse_rational
 from conftest import make_sample_tree, random_tree, walk_fields
-from oracles import (FractionWalk, fraction_dijkstra, girth_bruteforce, removal_component_measures,
+from oracles import (FractionSubNetwork, FractionWalk, ball, fraction_dijkstra, girth_bruteforce, removal_component_measures,
                      search_family, subdivided_distance, to_nx, walk_trace_reference)
 
 F = Fraction
@@ -491,7 +492,7 @@ def test_walk_through_nodes(unit_k4):
 
 
 def test_ball(sample_tree):
-    b = sample_tree.ball(sample_tree.node_point("C"), F(3, 2))
+    b = ball(sample_tree, sample_tree.node_point("C"), F(3, 2))
     # reaches 1/2 into bBC beyond C... 3/2 toward B, and swallows both unit leaf arcs
     assert b.measure == F(3, 2) + 1 + 1
     assert b.contains(sample_tree.node_point("L3"))
@@ -506,6 +507,75 @@ def test_subnetwork_split_and_components(sample_tree):
     comp = SubNetwork.from_segments(sample_tree, [
         s for p in parts if p.measure == 2 for s in p.segment_list()])
     assert comp.covered_nodes() == ("B", "L22")
+
+
+def test_from_segments_separates_empty_from_outside(sample_tree):
+    for lo, hi in ((F(1, 2), F(1, 2)), (F(3, 4), F(1, 4)), (F(0), F(0))):
+        with pytest.raises(ValidationError, match=f"^segment seg:aAB:{lo}:{hi} is empty or reversed$"):
+            SubNetwork.from_segments(sample_tree, [Segment("aAB", lo, hi)])
+    for lo, hi in ((F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2)), (F(3), F(2))):
+        with pytest.raises(ValidationError, match=f"^segment seg:aAB:{lo}:{hi} outside arc of length 1$"):
+            SubNetwork.from_segments(sample_tree, [Segment("aAB", lo, hi)])
+
+
+def _sub_fields(sub):
+    # key order included: a dict compares equal whatever its order
+    return list(sub.segments.items()), sub.segment_list(), sub.measure, sub.points, sub.covered_nodes()
+
+
+def test_subnetwork_matches_fraction_reference():
+    # every query of the integer subnetwork equals the Fraction one, with cut
+    # points of denominators 7 and 11 (which divide no D of LENGTH_POOL) fed
+    # to from_segments unsorted, overlapping and touching
+    rng = random.Random(73)
+    checked = 0
+    for _ in range(30):
+        tree = random_tree(rng, max_nodes=9)
+
+        def cut(arc):
+            den = rng.choice((7, 11))
+            return F(rng.randint(0, int(arc.length * den)), den)
+
+        def segments(count):
+            segs = []
+            for _ in range(count):
+                arc = rng.choice(tree.arcs)
+                lo, hi = sorted((cut(arc), cut(arc)))
+                if lo == hi:
+                    lo, hi = F(0), max(hi, arc.length / 2)
+                segs.append(Segment(arc.id, lo, hi))
+                if rng.random() < 0.5:  # overlapping the last one, or touching it at hi
+                    segs.append(Segment(arc.id, rng.choice((lo, (lo + hi) / 2, hi)), rng.choice((hi, arc.length))))
+            segs = [s for s in segs if s.lo < s.hi]
+            rng.shuffle(segs)
+            return segs
+
+        segs, others = segments(rng.randint(1, 6)), segments(rng.randint(1, 4))
+        subs = [(SubNetwork.from_segments(tree, segs), FractionSubNetwork.from_segments(tree, segs)),
+                (SubNetwork.whole(tree), FractionSubNetwork.whole(tree))]
+        other, other_ref = SubNetwork.from_segments(tree, others), FractionSubNetwork.from_segments(tree, others)
+        for sub, ref in subs:
+            assert _sub_fields(sub) == _sub_fields(ref)
+            probes = [Point(node=n) for n in tree.nodes]
+            for arc in tree.arcs:
+                probes += [tree.point(arc.id, cut(arc)), tree.point(arc.id, arc.length * F(1, 3))]
+            probes += [tree.point(s.arc, x) for s in sub.segment_list() for x in (s.lo, s.hi, (s.lo + s.hi) / 2)]
+            assert [sub.contains(p) for p in probes] == [ref.contains(p) for p in probes]
+            assert sub.overlap_measure(other) == ref.overlap_measure(other_ref)
+            assert other.overlap_measure(sub) == other_ref.overlap_measure(ref)
+            if ref.measure == tree.total_length:
+                with pytest.raises(ValidationError, match="empty interior"):
+                    sub.complement()
+            else:
+                assert _sub_fields(sub.complement()) == _sub_fields(ref.complement())
+            for step in (F(1, 3), F(2, 7), F(5, 4)):
+                assert sub.grid_points(step, extra=probes[:3]) == ref.grid_points(step, extra=probes[:3])
+            for p in probes:
+                if ref.contains(p):
+                    assert [_sub_fields(part) for part in sub.split_at(p)] == \
+                        [_sub_fields(part) for part in ref.split_at(p)]
+                    checked += 1
+    assert checked > 500
 
 
 def test_network_format_round_trip(sample_tree):

@@ -243,6 +243,19 @@ def test_parse_errors_name_their_line(sample_tree, header, body, line, message):
         parse(sample_tree, f"{header}\n{body}\n")
 
 
+def test_attack_segment_errors_name_their_line(sample_tree):
+    # an empty or reversed segment has its own message; one past an end of
+    # its arc keeps the old one
+    for seg, message in (("aAB:1/2:1/2", "segment seg:aAB:1/2:1/2 is empty or reversed"),
+                         ("aAB:3/4:1/4", "segment seg:aAB:3/4:1/4 is empty or reversed"),
+                         ("aAB:1/2:3/2", "segment seg:aAB:1/2:3/2 outside arc of length 1"),
+                         ("aAB:-1/2:1/2", "segment seg:aAB:-1/2:1/2 outside arc of length 1"),
+                         ("aAB:3:2", "segment seg:aAB:3:2 outside arc of length 1")):
+        text = f"attack\ntemporal fixed 0\natom node:L3 1/2\nuniform 1/2 bBC:0:2 {seg}\n"
+        with pytest.raises(FormatError, match=f"^line 4: {re.escape(message)}$"):
+            ser.parse_attack(sample_tree, text)
+
+
 def test_attack_parse_errors(sample_tree):
     with pytest.raises(FormatError, match="line 1"):
         ser.parse_attack(sample_tree, "strategy\n")

@@ -33,11 +33,10 @@ from patrolgame import (
     uniform_attack,
     value_complete,
 )
-from patrolgame.ebd import iter_cut_subtree_stats
 from patrolgame.ebd import ebd as make_ebd
 from patrolgame import serialize as ser
 from conftest import make_sample_tree, random_alpha, random_tree
-from oracles import discretized_reference
+from oracles import discretized_reference, iter_cut_subtree_stats
 
 F = Fraction
 
