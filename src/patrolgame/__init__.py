@@ -16,18 +16,16 @@ from .decomposition import (
     local_root_of_tree,
     subtree_decomposition,
 )
-from .ebd import LeafDistribution, RootedSubtree, density, ebd, subtree_above
+from .ebd import LeafDistribution, RootedSubtree, density, ebd
 from .engine import (
     BestResponse,
     EvaluationResult,
     SearchResult,
     attacker_best_response,
     evaluate,
-    greedy_coverage_walk,
     intercept,
     interception_probability,
     patrol_search,
-    random_closed_walk,
     walk_attack_probability,
 )
 from .errors import FactorizationError, FormatError, SizeGuardError, ValidationError

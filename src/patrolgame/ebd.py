@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .network import Network, Point, SubNetwork, frac, tree_tour
+from .network import Point, SubNetwork, frac, tree_tour
 
 
 @dataclass(frozen=True)
@@ -94,17 +94,3 @@ def ebd(rooted: RootedSubtree, total_mass) -> LeafDistribution:
     leaves.sort(key=lambda leaf: (True, leaf[0]) if isinstance(leaf[0], tuple) else (False, leaf[0]))
     return LeafDistribution(tuple((graph.point(v), Fraction(num, den)) for v, num, den in leaves), mass)
 
-
-def subtree_above(tree: Network, root: Point, x: Point) -> RootedSubtree:
-    """The part of a rooted tree at and above a point x: the union of the
-    components of tree minus x that do not contain the root, re-rooted at x."""
-    if x == root:
-        return RootedSubtree(SubNetwork.whole(tree), root)
-    parts = SubNetwork.whole(tree).split_at(x)
-    away = [p for p in parts if not p.contains(root)]
-    if len(away) == len(parts):
-        raise ValidationError(f"root {root!r} not found on any side of {x!r}")
-    segs = [s for p in away for s in p.segment_list()]
-    if not segs:
-        raise ValidationError(f"nothing lies above {x!r}")
-    return RootedSubtree(SubNetwork.from_segments(tree, segs), x)

@@ -1,10 +1,11 @@
 """Interception evaluation and best-response searches.
 
 Exact evaluation runs on one integer kernel: the attack duration, step
-offsets and point offsets are scaled to integers by the lcm of their
-denominators, each walk's visits are indexed once per call, and a point's
-covered phase measure is the sum of min(gap, alpha) over the cyclic gaps
-between its visits; the only Fraction a point gets is its probability.
+offsets and point offsets are put on one integer scale by
+`network._on_scale`, each walk's visits are read once per call from its
+`_WalkIndex` (kept in `network.py`, beside `Walk`), and a point's covered
+phase measure is the sum of min(gap, alpha) over the cyclic gaps between
+its visits; the only Fraction a point gets is its probability.
 Deterministic walks (`walk_attack_probability`, `intercept`) are scored on
 the same integer clock, from the same walk index, by one coverage rule.
 Continuous spatial attack parts are handled by midpoint-grid quadrature or
@@ -26,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import random
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .network import Network, Point, Step, SubNetwork, Walk, _is_int, frac, walk_through_nodes
+from .network import Network, Point, Step, SubNetwork, Walk, _is_int, _on_scale, _WalkIndex, frac
 from .strategies import AttackStrategy, PatrolStrategy, TemporalLaw
 
 
@@ -64,36 +64,6 @@ def _covered_measure(visits: Sequence[int], alpha: int, period: int) -> int:
     return total
 
 
-class _WalkIndex:
-    """A walk's clock on a common integer scale: the walk's own scale times
-    `factor`.  `by_arc` lists its steps by arc as (start time, low offset,
-    high offset, entry offset) and `by_node` the times it is at each node
-    (its start, then its step ends), both in step order; `period` is its
-    duration.  The index serves closed, open and stationary walks alike: a
-    stationary walk has no steps and period 0."""
-
-    def __init__(self, walk: Walk, factor: int):
-        self.by_arc: dict[str, list[tuple[int, int, int, int]]] = {}
-        self.by_node: dict[str, list[int]] = {}
-        ticks = [t * factor for t in walk._ticks]
-        for st, (o1, o2), t0 in zip(walk.steps, walk._offsets, ticks):
-            o1, o2 = o1 * factor, o2 * factor
-            self.by_arc.setdefault(st.arc, []).append((t0, min(o1, o2), max(o1, o2), o1))
-        for t, node in zip(ticks, walk._stops):
-            if node is not None:
-                self.by_node.setdefault(node, []).append(t)
-        self.period = ticks[-1]
-
-    def visits(self, x: Point, off: int | None) -> list[int]:
-        """Visit times of x (at scaled offset `off` when interior) within
-        [0, period], nondecreasing.  A time can be listed twice: at a step
-        boundary, or at both 0 and the period of a closed walk."""
-        if x.is_node:
-            return self.by_node.get(x.node, [])
-        return [t0 + abs(off - o1) for t0, lo, hi, o1 in self.by_arc.get(x.arc, ())
-                if lo <= off <= hi]
-
-
 def _walk_probability(walk: Walk, atoms, alpha: Fraction, law: TemporalLaw,
                       dwell_at_end: bool) -> Fraction:
     """Exact probability that one deterministic walk intercepts an attack on
@@ -112,13 +82,10 @@ def _walk_probability(walk: Walk, atoms, alpha: Fraction, law: TemporalLaw,
     repeat = walk.is_closed and not walk.is_stationary
     hold = walk.is_stationary or (dwell_at_end and not walk.is_closed)
     atoms = [(p, m) for p, m in atoms if m]
-    scale = math.lcm(alpha.denominator, law.value.denominator, walk._scale,
-                     *(p.offset.denominator for p, _ in atoms if not p.is_node))
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    a, t = scaled(alpha), scaled(law.value)  # t: the start time, or H under a uniform law
+    # t: the start time, or H under a uniform law
+    scale, (a, t, *offsets) = _on_scale(
+        walk._scale, [alpha, law.value, *(p.offset for p, _ in atoms if not p.is_node)])
+    offsets = iter(offsets)
     index = _WalkIndex(walk, scale // walk._scale)
     end = index.period
     fixed = law.kind == "fixed"
@@ -126,7 +93,7 @@ def _walk_probability(walk: Walk, atoms, alpha: Fraction, law: TemporalLaw,
         raise ValidationError("attack window extends past the end of an open walk")
     total = Fraction(0)
     for p, m in atoms:
-        visits = index.visits(p, None if p.is_node else scaled(p.offset))
+        visits = index.visits(p, None if p.is_node else next(offsets))
         held = hold and p == walk.end_point
         if fixed:
             if repeat:  # modular, so a late start unrolls nothing
@@ -177,22 +144,15 @@ def _interception_probabilities(patrol: PatrolStrategy, points: Sequence[Point],
     one Fraction.
     """
     walks = [(w, s) for w, s in patrol.components if s]
-    denoms = [alpha.denominator]
-    denoms += [w._scale for w, _ in walks]
-    denoms += [p.offset.denominator for p in points if not p.is_node]
-    scale = math.lcm(*denoms)
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    a = scaled(alpha)
-    offsets = [None if p.is_node else scaled(p.offset) for p in points]
+    scale, (a, *interior) = _on_scale(math.lcm(*(w._scale for w, _ in walks)),
+                                      [alpha, *(p.offset for p in points if not p.is_node)])
+    interior = iter(interior)
+    offsets = [None if p.is_node else next(interior) for p in points]
     # a stationary walk covers its start point at every phase: weight s, measure 1
-    weights = [s / scaled(w.duration) if w.steps else s for w, s in walks]
-    denominator = math.lcm(*(wt.denominator for wt in weights))
+    weights = [s / (w.duration * scale) if w.steps else s for w, s in walks]
+    denominator, coefs = _on_scale(1, weights)
     totals = [0] * len(points)
-    for (walk, _), wt in zip(walks, weights):
-        coef = wt.numerator * (denominator // wt.denominator)
+    for (walk, _), coef in zip(walks, coefs):
         if not walk.steps:
             for k, x in enumerate(points):
                 if x == walk.start:
@@ -348,10 +308,9 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
     # (start time, low offset, high offset, entry offset) tuple per step on the arc.
     # Times and offsets come from the walks' integer clocks on one scale; an
     # int/int division rounds as correctly as float() of the equal Fraction.
-    atoms = [e[1] for e in entries if e[0] == "atom"]
-    scale = math.lcm(*[w._scale for w in walks], *[p.offset.denominator for p in atoms if not p.is_node])
-    atom_offsets = {p: p.offset.numerator * (scale // p.offset.denominator) for p in atoms
-                    if not p.is_node}
+    interior = [e[1] for e in entries if e[0] == "atom" and not e[1].is_node]
+    scale, offsets = _on_scale(math.lcm(*[w._scale for w in walks]), (p.offset for p in interior))
+    atom_offsets = dict(zip(interior, offsets))
     tasks = {}
     for i, w in enumerate(walks):
         index = _WalkIndex(w, scale // w._scale)
@@ -449,15 +408,20 @@ def attacker_best_response(patrol: PatrolStrategy, alpha, *, space_step,
     nodes, supplied structural points, and uniform subdivisions).
 
     Uniform phases make the probability independent of the attack's start
-    time, so every point is scored once at time 0.  `time_step` does not
-    change the result and is deprecated: passing it emits a
-    `DeprecationWarning`; it is still echoed in `BestResponse.time_step`.
+    time, so every point is scored once at time 0.  Each extra point must
+    lie on the patrol's network.  `time_step` does not change the result
+    and is deprecated: passing it emits a `DeprecationWarning`; it is still
+    echoed in `BestResponse.time_step`.
     """
     if time_step is not None:
         warnings.warn("time_step does not change the best response and is deprecated",
                       DeprecationWarning, stacklevel=2)
     alpha = _duration(alpha)
-    grid = SubNetwork.whole(patrol.network).grid_points(space_step, extra=extra_points)
+    net = patrol.network
+    for p in extra_points:
+        if not net.contains_point(p):
+            raise ValidationError(f"{p!r} not on network")
+    grid = SubNetwork.whole(net).grid_points(space_step, extra=extra_points)
     probs = _interception_probabilities(patrol, grid, alpha)
     best = None
     for x, prob in zip(grid, probs):
@@ -469,48 +433,6 @@ def attacker_best_response(patrol: PatrolStrategy, alpha, *, space_step,
 
 
 # -- patrol families and search ---------------------------------------------------
-
-
-def greedy_coverage_walk(net: Network, start: str | None = None, seed: int = 0) -> Walk:
-    """Closed walk built by always taking the least recently traversed arc;
-    an adversarial probe, not an optimal patrol."""
-    rng = random.Random(seed)
-    nodes = list(net.nodes)
-    node = start if start is not None else rng.choice(nodes)
-    origin = node
-    last: dict[str, int] = {}
-    seq = [node]
-    elapsed = Fraction(0)
-    budget = 4 * net.total_length
-    step_no = 0
-    while True:
-        arcs = [a for a in net.incident(node) if a.u != a.v]
-        arc = min(arcs, key=lambda a: (last.get(a.id, -1), a.id))
-        step_no += 1
-        last[arc.id] = step_no
-        node = arc.other(node)
-        seq.append(node)
-        elapsed += arc.length
-        if node == origin and len(last) == len([a for a in net.arcs if a.u != a.v]):
-            break
-        if elapsed > budget:
-            seq.extend(net.node_path(node, origin)[1:])
-            break
-    return walk_through_nodes(net, seq)
-
-
-def random_closed_walk(net: Network, rng: random.Random, max_steps: int = 20) -> Walk:
-    """Random node walk closed by a shortest path back to its origin."""
-    node = rng.choice(list(net.nodes))
-    seq = [node]
-    for _ in range(rng.randint(2, max_steps)):
-        arcs = [a for a in net.incident(node) if a.u != a.v]
-        arc = rng.choice(arcs)
-        node = arc.other(node)
-        seq.append(node)
-    if node != seq[0]:
-        seq.extend(net.node_path(node, seq[0])[1:])
-    return walk_through_nodes(net, seq)
 
 
 @dataclass(frozen=True)
@@ -539,7 +461,8 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     `walks_examined` is the size of the whole family, skipped walks included.
     A family of more than `max_walks` walks, or a `max_steps` at or beyond
     the interpreter's recursion limit, raises `SizeGuardError` before any
-    walk is scored.
+    walk is scored; a negative `max_steps` or a non-positive `offset_step`
+    raises `ValidationError`.
 
     A closed walk is held at its end point like an open one, not repeated;
     `walk_attack_probability` repeats a closed walk periodically, so on a
@@ -548,31 +471,30 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     alpha = _duration(alpha)
     if max_steps >= sys.getrecursionlimit():
         raise SizeGuardError(f"max_steps={max_steps} exceeds the recursion limit")
+    if max_steps < 0:
+        raise ValidationError(f"max_steps must be nonnegative, got {max_steps!r}")
     offset_step = frac(offset_step)
+    if offset_step <= 0:
+        raise ValidationError(f"offset step must be positive, got {offset_step}")
     disc = attack.discretized(grid_step)
     fixed_t = disc.temporal.kind == "fixed"
     horizon = disc.temporal.value if not fixed_t else Fraction(0)
     t_fix = disc.temporal.value if fixed_t else Fraction(0)
 
-    denoms = [net._units[0], alpha.denominator, offset_step.denominator,
-              horizon.denominator, t_fix.denominator]
-    denoms += [p.offset.denominator for p, _ in disc.atoms if not p.is_node]
-    scale = math.lcm(*denoms)
-
-    def s(x: Fraction) -> int:
-        return int(x * scale)
-
-    alpha_i, horizon_i, tfix_i = s(alpha), s(horizon), s(t_fix)
-    arc_len = {a.id: s(a.length) for a in net.arcs}
-    mass_scale = math.lcm(*(m.denominator for _, m in disc.atoms))
+    (D, lengths), atoms = net._units, disc.atoms
+    scale, (alpha_i, horizon_i, tfix_i, step_i, *offsets) = _on_scale(
+        D, [alpha, horizon, t_fix, offset_step, *(p.offset for p, _ in atoms if not p.is_node)])
+    arc_len = {aid: ln * (scale // D) for aid, ln in lengths.items()}
+    mass_scale, masses = _on_scale(1, (m for _, m in atoms))
 
     by_arc: dict[str, list[tuple[int, int, int]]] = {}  # arc -> (atom, scaled offset, mass)
     node_atoms: dict[str, tuple[int, int]] = {}  # node -> (atom, mass)
-    for idx, (p, m) in enumerate(disc.atoms):
+    offsets = iter(offsets)
+    for idx, ((p, _), m) in enumerate(zip(atoms, masses)):
         if p.is_node:
-            node_atoms[p.node] = (idx, int(m * mass_scale))
+            node_atoms[p.node] = (idx, m)
         else:
-            by_arc.setdefault(p.arc, []).append((idx, s(p.offset), int(m * mass_scale)))
+            by_arc.setdefault(p.arc, []).append((idx, next(offsets), m))
 
     def move(record, arc_id, entry: int, exit_: int, node: str) -> tuple:
         """A move along an arc from offset entry to exit_, ending at `node`:
@@ -599,7 +521,6 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
                 entry = 0 if a.u == name else arc_len[a.id]
                 exit_ = arc_len[a.id] - entry
                 moves[name].append(move((a.id, entry, exit_), a.id, entry, exit_, a.other(name)))
-    step_i = s(offset_step)
     for a in net.arcs:
         if a.u == a.v:
             continue

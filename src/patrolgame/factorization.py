@@ -436,7 +436,7 @@ def girth(net: Network) -> Fraction:
     for a in net.arcs:
         # a circuit through the arc closes it with a shortest path avoiding
         # it: the empty path for a loop, none across a bridge
-        d = net._dijkstra(a.u, skip=a.id)[0].get(a.v)
+        d = net._dijkstra(a.u, skip=a.id).get(a.v)
         if d is not None and (best is None or length[a.id] + d < best):
             best = length[a.id] + d
     if best is None:

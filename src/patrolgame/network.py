@@ -10,13 +10,14 @@ its tours and floods hash strings and small tuples, not `Point`s.  Floating
 point never enters this module.  Networks are immutable after construction
 and every operation here is pure, so concurrent reads need no
 synchronization: a network memoizes what it derives (integer arc lengths
-and shortest paths here, side weights and the last subtree decomposition in
-the tree layer), and two threads that fill a memo at once store equal
-values.
+and single-source distances here, side weights and the last subtree
+decomposition in the tree layer), and two threads that fill a memo at once
+store equal values.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -152,7 +153,6 @@ class Network:
                 incident[a.v].append(a)
         self._incident = {n: tuple(sorted(v, key=lambda a: a.id)) for n, v in incident.items()}
         self._total_length = sum((a.length for a in self.arcs), Fraction(0))
-        self._dist_cache: dict[str, tuple[dict[str, int], dict[str, str]]] = {}
         self._node_distances: dict[str, dict[str, Fraction]] = {}
         # filled by the tree layer (decomposition.py) on first use: D and, per
         # arc id, its length and side weights on the scale D of `_units`
@@ -210,8 +210,8 @@ class Network:
     @cached_property
     def _units(self) -> tuple[int, dict[str, int]]:
         """D, the lcm of the arc-length denominators, and each arc's length times D."""
-        scale = math.lcm(*(a.length.denominator for a in self.arcs))
-        return scale, {a.id: a.length.numerator * (scale // a.length.denominator) for a in self.arcs}
+        scale, lengths = _on_scale(1, (a.length for a in self.arcs))
+        return scale, {a.id: ln for a, ln in zip(self.arcs, lengths)}
 
     def is_tree(self) -> bool:
         return len(self.arcs) == len(self.nodes) - 1
@@ -254,18 +254,14 @@ class Network:
 
     # -- metric ------------------------------------------------------------
 
-    def _dijkstra(self, source: str, skip: str | None = None) -> tuple[dict[str, int], dict[str, str]]:
+    def _dijkstra(self, source: str, skip: str | None = None) -> dict[str, int]:
         """Exact shortest path lengths from `source` on the integer scale D
-        of `_units` (each length times D), and parents, avoiding the arc
-        `skip`; cached when nothing is skipped.
+        of `_units` (each length times D), avoiding the arc `skip`.
 
-        Ties pop in push order (the counter), and a node's distance and
-        parent change only on a strictly shorter path."""
-        if skip is None and source in self._dist_cache:
-            return self._dist_cache[source]
+        Ties pop in push order (the counter), and a node's distance changes
+        only on a strictly shorter path."""
         length = self._units[1]
         dist = {source: 0}
-        parent: dict[str, str] = {}
         counter = itertools.count()
         heap = [(0, next(counter), source)]
         while heap:
@@ -279,11 +275,8 @@ class Network:
                 nd = d + length[a.id]
                 if m not in dist or nd < dist[m]:
                     dist[m] = nd
-                    parent[m] = n
                     heapq.heappush(heap, (nd, next(counter), m))
-        if skip is None:
-            self._dist_cache[source] = dist, parent
-        return dist, parent
+        return dist
 
     def node_distances(self, source: str) -> dict[str, Fraction]:
         """Exact single-source shortest path lengths (Dijkstra), cached."""
@@ -291,19 +284,8 @@ class Network:
         if dist is None:
             scale = self._units[0]
             dist = self._node_distances[source] = {
-                n: Fraction(d, scale) for n, d in self._dijkstra(source)[0].items()}
+                n: Fraction(d, scale) for n, d in self._dijkstra(source).items()}
         return dist
-
-    def node_path(self, source: str, target: str) -> list[str]:
-        """Node sequence of a shortest path between two nodes."""
-        if source == target:
-            return [source]
-        parent = self._dijkstra(source)[1]
-        path = [target]
-        while path[-1] != source:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
 
     def _point_node_anchors(self, p: Point) -> list[tuple[str, Fraction]]:
         if p.is_node:
@@ -670,10 +652,10 @@ class Walk:
     On it, `_offsets` holds each step's (start, end) offsets, `_ticks`
     the clock at each step boundary and `_stops` the node there (None at an
     interior point).  `duration` and `end_point` are the only exact values
-    built up front; the `Fraction` step times that `position` and
-    `visit_times` read are built on first use.  The reverse of a checked
-    walk is valid, so `reversed` derives its clock from this walk's instead
-    of checking its steps again.
+    built up front: `position` bisects `_ticks`, and `visit_times` reads the
+    walk's `_WalkIndex`, the clock the engine scores walks on.  The reverse
+    of a checked walk is valid, so `reversed` derives its clock from this
+    walk's instead of checking its steps again.
     """
 
     def __init__(self, net: Network, start: Point, steps: Sequence[Step] = ()):
@@ -690,8 +672,8 @@ class Walk:
                 break
             rows.append((s, a, lo, hi))
             values[id(lo)], values[id(hi)] = lo, hi
-        scale = math.lcm(net_scale, *{x.denominator for x in values.values()})
-        scaled = {i: x.numerator * (scale // x.denominator) for i, x in values.items()}
+        scale, ints = _on_scale(net_scale, values.values())
+        scaled = dict(zip(values, ints))
         # the position: a node, or an arc and a scaled offset; an interior
         # start whose offset is no int or Fraction matches no step
         node, arc = start.node, start.arc
@@ -729,10 +711,6 @@ class Walk:
         self.duration = Fraction(clock, scale)
         self.end_point = _position(node, arc, off, scale) if steps else start
 
-    @cached_property
-    def _cum(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(t, self._scale) for t in self._ticks)
-
     @property
     def is_closed(self) -> bool:
         return self.end_point == self.start
@@ -747,16 +725,10 @@ class Walk:
             raise ValidationError(f"time {t} outside [0, {self.duration}]")
         if self.is_stationary:
             return self.start
-        cum = self._cum
-        lo, hi = 0, len(self.steps)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum[mid + 1] < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        s = self.steps[lo]
-        dt = t - cum[lo]
+        # the first step that ends at or after t
+        i = bisect.bisect_left(self._ticks, t * self._scale, 1) - 1
+        s = self.steps[i]
+        dt = t - Fraction(self._ticks[i], self._scale)
         off = s.start + dt if s.end > s.start else s.start - dt
         return self.net.point(s.arc, off)
 
@@ -764,18 +736,11 @@ class Walk:
         """Sorted exact times in [0, duration] at which the walk occupies x."""
         if self.is_stationary:
             return (Fraction(0),) if x == self.start else ()
-        cum = self._cum
-        if x.is_node:
-            # the clock strictly increases, so boundary times come sorted
-            return tuple(cum[i] for i, node in enumerate(self._stops) if node == x.node)
-        times = set()
-        for i, s in enumerate(self.steps):
-            if s.arc != x.arc:
-                continue
-            lo, hi = min(s.start, s.end), max(s.start, s.end)
-            if lo <= x.offset <= hi:
-                times.add(cum[i] + abs(x.offset - s.start))
-        return tuple(sorted(times))
+        scale, off = self._scale, None
+        if not x.is_node:
+            scale, (off,) = _on_scale(scale, (x.offset,))
+        index = _WalkIndex(self, scale // self._scale)
+        return tuple(Fraction(t, scale) for t in sorted(set(index.visits(x, off))))
 
     def reversed(self) -> "Walk":
         """The walk run backwards from its end point; every field equals what
@@ -804,12 +769,35 @@ class Walk:
             raise ValidationError("only closed walks can be repeated")
         return Walk(self.net, self.start, self.steps * k)
 
-    def arc_traversal_counts(self) -> dict[str, Fraction]:
-        """Total traversed length per arc, as a multiple of the arc length."""
-        out: dict[str, Fraction] = {}
-        for s in self.steps:
-            out[s.arc] = out.get(s.arc, Fraction(0)) + s.length
-        return {aid: tot / self.net.arc(aid).length for aid, tot in out.items()}
+
+class _WalkIndex:
+    """A walk's clock on a common integer scale: the walk's own scale times
+    `factor`.  `by_arc` lists its steps by arc as (start time, low offset,
+    high offset, entry offset) and `by_node` the times it is at each node
+    (its start, then its step ends), both in step order; `period` is its
+    duration.  The index serves closed, open and stationary walks alike: a
+    stationary walk has no steps and period 0."""
+
+    def __init__(self, walk: Walk, factor: int):
+        self.by_arc: dict[str, list[tuple[int, int, int, int]]] = {}
+        self.by_node: dict[str, list[int]] = {}
+        ticks = [t * factor for t in walk._ticks]
+        for st, (o1, o2), t0 in zip(walk.steps, walk._offsets, ticks):
+            o1, o2 = o1 * factor, o2 * factor
+            self.by_arc.setdefault(st.arc, []).append((t0, min(o1, o2), max(o1, o2), o1))
+        for t, node in zip(ticks, walk._stops):
+            if node is not None:
+                self.by_node.setdefault(node, []).append(t)
+        self.period = ticks[-1]
+
+    def visits(self, x: Point, off: int | None) -> list[int]:
+        """Visit times of x (at scaled offset `off` when interior) within
+        [0, period], nondecreasing.  A time can be listed twice: at a step
+        boundary, or at both 0 and the period of a closed walk."""
+        if x.is_node:
+            return self.by_node.get(x.node, [])
+        return [t0 + abs(off - o1) for t0, lo, hi, o1 in self.by_arc.get(x.arc, ())
+                if lo <= off <= hi]
 
 
 def walk_through_nodes(net: Network, nodes: Sequence[str], initial: tuple | None = None) -> Walk:

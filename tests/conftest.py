@@ -61,7 +61,7 @@ def random_alpha(rng: random.Random, tree: Network) -> Fraction:
 def walk_fields(w: Walk, types: bool = True):
     """Every field of a walk, with the types of its offsets when `types`."""
     fields = (w.net, w.start, w.steps, w.end_point, w.duration, w._scale, w._ticks, w._offsets,
-              w._stops, w._cum)
+              w._stops)
     if not types:
         return fields
     offsets = [p.offset for p in (w.start, w.end_point)] + [o for s in w.steps for o in (s.start, s.end)]

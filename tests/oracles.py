@@ -6,14 +6,16 @@ timed step by step in `Fraction`s by `FractionWalk`, side measures come from
 edge-removal component sums, the tree layer's side weights, extremity sets,
 critical durations and local roots come from its `Fraction` implementation,
 interception probabilities come from a merge of
-rational phase intervals, one point at a time, factorization counts and least largest-factor
+rational phase intervals, one point at a time, a walk's visit times from a
+scan of its steps in `Fraction`s, factorization counts and least largest-factor
 lengths come from set-cover search over explicitly enumerated perfect
 matchings, the enumeration order comes from a recursion over the
 exact-cover search with every leaf's factors built and checked one by one,
 the factorization heuristic comes from a restart loop over arc-id sets
 that walks each cycle of two factors through `Network.arc`,
 shortest paths and their parents come from a Dijkstra on `Fraction`
-lengths, circuits come from networkx's cycle enumeration, a single walk is
+lengths, whose parents also give the shortest paths that close the seeded
+random and greedy test walks, circuits come from networkx's cycle enumeration, a single walk is
 scored from the definition of interception under each rule for after its end (repeat, hold, none), the patrol search
 scores every walk of its family that way under the hold rule, one at a
 time, and Monte Carlo is replayed one trial at a time in plain Python.
@@ -21,7 +23,8 @@ Equal-branch-density leaf measures come from their `Fraction` implementation
 on a freshly built `Fraction` segment graph, subnetworks from their
 `Fraction` implementation (`FractionSubNetwork`), whose parts of a split are
 floods of that graph re-checked through `from_segments`, metric balls from
-per-arc distance intervals, patrol text from `fmt_frac` on each
+per-arc distance intervals, the subtree above a point from the parts of a
+split that miss the root, patrol text from `fmt_frac` on each
 step's `Fraction` offsets, the branch statistics and cut-subtree
 enumerations that check the density lemma from a tour of that `Fraction`
 segment graph, and a discretized attack from each cell's
@@ -43,7 +46,7 @@ from patrolgame import (Factorization, FactorizationError, Network, Point, Segme
 from patrolgame import factorization
 from patrolgame.decomposition import ExtremitySet, _require_tree
 from patrolgame.ebd import LeafDistribution, RootedSubtree
-from patrolgame.network import Arc, frac, tree_tour, validate_alpha
+from patrolgame.network import Arc, frac, tree_tour, validate_alpha, walk_through_nodes
 from patrolgame.serialize import fmt_frac, fmt_point
 
 
@@ -403,6 +406,67 @@ def fraction_dijkstra(net: Network, source: str, skip: str | None = None) -> tup
     return dist, parent
 
 
+def node_path(net: Network, source: str, target: str) -> list[str]:
+    """Node sequence of a shortest path between two nodes, read back along
+    `fraction_dijkstra`'s parents."""
+    parent = fraction_dijkstra(net, source)[1]
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def greedy_coverage_walk(net: Network, start: str | None = None, seed: int = 0) -> Walk:
+    """Closed walk built by always taking the least recently traversed arc;
+    an adversarial probe, not an optimal patrol."""
+    rng = random.Random(seed)
+    nodes = list(net.nodes)
+    node = start if start is not None else rng.choice(nodes)
+    origin = node
+    last: dict[str, int] = {}
+    seq = [node]
+    elapsed = Fraction(0)
+    budget = 4 * net.total_length
+    step_no = 0
+    while True:
+        arcs = [a for a in net.incident(node) if a.u != a.v]
+        arc = min(arcs, key=lambda a: (last.get(a.id, -1), a.id))
+        step_no += 1
+        last[arc.id] = step_no
+        node = arc.other(node)
+        seq.append(node)
+        elapsed += arc.length
+        if node == origin and len(last) == len([a for a in net.arcs if a.u != a.v]):
+            break
+        if elapsed > budget:
+            seq.extend(node_path(net, node, origin)[1:])
+            break
+    return walk_through_nodes(net, seq)
+
+
+def random_closed_walk(net: Network, rng: random.Random, max_steps: int = 20) -> Walk:
+    """Random node walk closed by a shortest path back to its origin."""
+    node = rng.choice(list(net.nodes))
+    seq = [node]
+    for _ in range(rng.randint(2, max_steps)):
+        arcs = [a for a in net.incident(node) if a.u != a.v]
+        arc = rng.choice(arcs)
+        node = arc.other(node)
+        seq.append(node)
+    if node != seq[0]:
+        seq.extend(node_path(net, node, seq[0])[1:])
+    return walk_through_nodes(net, seq)
+
+
+def arc_traversal_counts(walk: Walk) -> dict[str, Fraction]:
+    """Total traversed length per arc, as a multiple of the arc length."""
+    out: dict[str, Fraction] = {}
+    for s in walk.steps:
+        out[s.arc] = out.get(s.arc, Fraction(0)) + s.length
+    return {aid: tot / walk.net.arc(aid).length for aid, tot in out.items()}
+
+
 def enumerate_reference(net: Network):
     """`enumerate_one_factorizations` as a plain recursion: every perfect
     matching of the node indices is listed in lexicographic order of its
@@ -717,6 +781,22 @@ class FractionWalk:
         off = s.start + dt if s.end > s.start else s.start - dt
         return self.net.point(s.arc, off)
 
+    def visit_times(self, x: Point) -> tuple[Fraction, ...]:
+        """Sorted times in [0, duration] at which the walk occupies x: the
+        step boundaries at a node, or each step's passage over an interior
+        point."""
+        if not self.steps:
+            return (Fraction(0),) if x == self.start else ()
+        if x.is_node:
+            ends = [self.start] + [Point(node=self.net.arc(s.arc).endpoint_at(s.end)) for s in self.steps]
+            return tuple(t for t, p in zip(self._cum, ends) if p == x)
+        times = set()
+        for i, s in enumerate(self.steps):
+            lo, hi = min(s.start, s.end), max(s.start, s.end)
+            if s.arc == x.arc and lo <= x.offset <= hi:
+                times.add(self._cum[i] + abs(x.offset - s.start))
+        return tuple(sorted(times))
+
 
 def ball(net: Network, center: Point, radius) -> SubNetwork:
     """Closed metric ball around `center`; always a connected subnetwork."""
@@ -740,6 +820,21 @@ def ball(net: Network, center: Point, radius) -> SubNetwork:
     if segs:
         return SubNetwork.from_segments(net, segs)
     return SubNetwork.single_point(net, center)
+
+
+def subtree_above(tree: Network, root: Point, x: Point) -> RootedSubtree:
+    """The part of a rooted tree at and above a point x: the union of the
+    components of tree minus x that do not contain the root, re-rooted at x."""
+    if x == root:
+        return RootedSubtree(SubNetwork.whole(tree), root)
+    parts = SubNetwork.whole(tree).split_at(x)
+    away = [p for p in parts if not p.contains(root)]
+    if len(away) == len(parts):
+        raise ValidationError(f"root {root!r} not found on any side of {x!r}")
+    segs = [s for p in away for s in p.segment_list()]
+    if not segs:
+        raise ValidationError(f"nothing lies above {x!r}")
+    return RootedSubtree(SubNetwork.from_segments(tree, segs), x)
 
 
 def contains_sub(sub, other) -> bool:

@@ -4,10 +4,12 @@ PASS/FAIL line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import functools
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
+import patrolgame
 from patrolgame import (
     PatrolStrategy,
     Network,
@@ -24,18 +26,16 @@ from patrolgame import (
     evaluate,
     game_value_tree,
     girth,
-    greedy_coverage_walk,
     interception_probability,
     k4_tightness_attack,
     patrol_search,
-    random_closed_walk,
     subtree_decomposition,
     tree_attack_strategy,
     uniform_attack,
 )
-from patrolgame.ebd import subtree_above
 from conftest import make_sample_tree, random_tree
-from oracles import ball, branch_stats, iter_cut_subtree_stats
+from oracles import (ball, branch_stats, greedy_coverage_walk, iter_cut_subtree_stats, random_closed_walk,
+                     subtree_above)
 
 F = Fraction
 
@@ -249,3 +249,27 @@ def test_zone_uniform_bound():
         assert res.probability <= alpha / zone.measure + tol, \
             f"zone of measure {zone.measure}: {res.probability} > bound"
         zones_done += 1
+
+
+PUBLIC_NAMES = [
+    "Arc", "AttackStrategy", "BestResponse", "EvaluationResult", "ExtremitySet", "Factorization",
+    "FactorizationError", "FormatError", "LeafDistribution", "Network", "PatrolStrategy", "Point",
+    "RootedSubtree", "SearchResult", "Segment", "SizeGuardError", "Step", "SubNetwork",
+    "SubtreeDecomposition", "TemporalLaw", "TreeComponent", "UniformPart", "ValidationError", "Walk",
+    "attacker_best_response", "best_one_factorization", "complete_network", "complete_patrolling",
+    "components_after_removal", "core", "critical_alpha", "density", "double_traversal", "e_patrolling",
+    "ebd", "enumerate_one_factorizations", "epsilon_horizon", "eulerian_tour", "evaluate",
+    "extremity_set", "factor_patrolling", "format_network", "frac", "game_value_tree", "girth",
+    "intercept", "interception_probability", "k4_tightness_attack", "local_root_of_tree",
+    "parse_network", "path_network", "patrol_search", "round_robin_one_factorization", "star_network",
+    "subtree_decomposition", "tree_attack_strategy", "uniform_attack", "validate_alpha",
+    "validate_factorization", "value_complete", "walk_attack_probability", "walk_through_nodes",
+]
+
+
+@criterion("public-names-frozen")
+def test_public_names_frozen():
+    # every change to the package's public names shows in this list
+    names = sorted(n for n, v in vars(patrolgame).items()
+                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert names == PUBLIC_NAMES

@@ -15,14 +15,13 @@ from patrolgame import (
     ebd,
     path_network,
     star_network,
-    subtree_above,
     subtree_decomposition,
     tree_attack_strategy,
     uniform_attack,
     TemporalLaw,
 )
 from conftest import LENGTH_POOL, random_tree
-from oracles import branch_stats, fraction_ebd, iter_cut_subtree_stats
+from oracles import branch_stats, fraction_ebd, iter_cut_subtree_stats, subtree_above
 
 F = Fraction
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from patrolgame import (
     AttackStrategy,
     PatrolStrategy,
     Network,
+    Point,
     SizeGuardError,
     Step,
     SubNetwork,
@@ -29,14 +31,13 @@ from patrolgame import (
     e_patrolling,
     evaluate,
     game_value_tree,
-    greedy_coverage_walk,
     intercept,
     interception_probability,
     k4_tightness_attack,
     patrol_search,
     path_network,
-    random_closed_walk,
     round_robin_one_factorization,
+    star_network,
     subtree_decomposition,
     tree_attack_strategy,
     uniform_attack,
@@ -45,8 +46,8 @@ from patrolgame import (
 )
 from patrolgame import engine
 from conftest import LENGTH_POOL, make_sample_tree, random_tree
-from oracles import (ball, bruteforce_search, interception_reference, mc_hits_reference,
-                     walk_probability_reference)
+from oracles import (ball, bruteforce_search, greedy_coverage_walk, interception_reference, mc_hits_reference,
+                     node_path, random_closed_walk, walk_probability_reference)
 
 F = Fraction
 
@@ -556,6 +557,16 @@ def test_attacker_best_response_e_patrol(sample_tree):
         assert br.probability >= game_value_tree(sample_tree, alpha) - F(1, 100)
 
 
+def test_attacker_best_response_rejects_points_off_network(unit_k4):
+    # an extra point off the patrol's network would be scored as never
+    # visited and come back as the best response with probability 0
+    star = star_network([1, 2, 3])
+    pat = e_patrolling(star, 2)
+    for p in (unit_k4.point("v1-v2", F(1, 2)), Point(arc="sa1", offset=F(7)), Point(node="zz")):
+        with pytest.raises(ValidationError, match=f"^{re.escape(repr(p))} not on network$"):
+            attacker_best_response(pat, 2, space_step=F(1, 2), extra_points=[p])
+
+
 def test_walk_attack_probability_fixed_reachable():
     net = Network(["u", "v"], [("a", "u", "v", 2)])
     atom = AttackStrategy(net, ((net.node_point("v"), F(1)),), (), TemporalLaw.fixed(0))
@@ -586,7 +597,7 @@ def _walk_cases(rng):
         else:
             walk = walk_through_nodes(net, seq, initial=(a.id, off))
             if kind == "interior closed":
-                back = walk_through_nodes(net, net.node_path(seq[-1], target)).steps
+                back = walk_through_nodes(net, node_path(net, seq[-1], target)).steps
                 home = Step(a.id, F(0) if target == a.u else a.length, off)
                 walk = Walk(net, walk.start, walk.steps + back + (home,))
         others = [net.node_point(rng.choice(net.nodes)),
@@ -691,6 +702,17 @@ def test_patrol_search_depth_guard():
     with pytest.raises(SizeGuardError, match="max_steps=3000"):
         patrol_search(net, att, F(1, 2), max_steps=3000, **kw)
     assert patrol_search(net, att, F(1, 2), max_steps=50, **kw).walks_examined > 50
+
+
+def test_patrol_search_rejects_bad_steps(unit_k4):
+    # a non-positive offset step would drop the interior starts or fail in
+    # `range`, and a negative step count would search as if it were 0
+    att = k4_tightness_attack(unit_k4, alpha=5)
+    for offset_step in (0, -1, F(-1, 4)):
+        with pytest.raises(ValidationError, match="offset step must be positive"):
+            patrol_search(unit_k4, att, 5, max_steps=2, offset_step=offset_step)
+    with pytest.raises(ValidationError, match="max_steps must be nonnegative"):
+        patrol_search(unit_k4, att, 5, max_steps=-1)
 
 
 def _search_cases():

@@ -26,14 +26,14 @@ from patrolgame import (
     girth,
     parse_network,
     path_network,
-    random_closed_walk,
     star_network,
     walk_through_nodes,
 )
 from patrolgame.network import parse_rational
 from conftest import make_sample_tree, random_tree, walk_fields
-from oracles import (FractionSubNetwork, FractionWalk, ball, fraction_dijkstra, girth_bruteforce, removal_component_measures,
-                     search_family, subdivided_distance, to_nx, walk_trace_reference)
+from oracles import (FractionSubNetwork, FractionWalk, arc_traversal_counts, ball, fraction_dijkstra, girth_bruteforce,
+                     node_path, random_closed_walk, removal_component_measures, search_family, subdivided_distance,
+                     to_nx, walk_trace_reference)
 
 F = Fraction
 
@@ -126,7 +126,7 @@ def test_node_path_is_a_shortest_path():
             dist = net.node_distances(s)
             assert dist == nx.single_source_dijkstra_path_length(g, s, weight="length")
             for t in net.nodes:
-                path = net.node_path(s, t)
+                path = node_path(net, s, t)
                 digest.update(" ".join(path).encode() + b"\n")
                 assert path[0] == s and path[-1] == t
                 total = F(0)
@@ -141,7 +141,7 @@ def test_node_path_is_a_shortest_path():
 def test_dijkstra_matches_fraction_oracle():
     # connected multigraphs with loops and parallel arcs, and lengths on
     # several denominators: the integer Dijkstra gives the oracle's
-    # distances and parents from every source, with and without a skipped arc
+    # distances from every source, with and without a skipped arc
     rng = random.Random(67)
     lengths = [F(1, 2), F(1, 3), F(5, 6), F(1), F(7, 4), F(2)]
     shapes = Counter()
@@ -156,18 +156,13 @@ def test_dijkstra_matches_fraction_oracle():
         shapes["parallel"] += len({frozenset((a.u, a.v)) for a in net.arcs}) < len(net.arcs)
         scale = net._units[0]
         for s in net.nodes:
-            dist, parent = fraction_dijkstra(net, s)
+            dist = fraction_dijkstra(net, s)[0]
             assert net.node_distances(s) == dist
             assert all(type(d) is Fraction for d in net.node_distances(s).values())
-            for t in net.nodes:
-                path = [t]
-                while path[-1] != s:
-                    path.append(parent[path[-1]])
-                assert net.node_path(s, t) == path[::-1]
             skip = rng.choice(net.arcs).id
-            dist, parent = fraction_dijkstra(net, s, skip)
-            got, got_parent = net._dijkstra(s, skip)
-            assert {m: F(d, scale) for m, d in got.items()} == dist and got_parent == parent
+            dist = fraction_dijkstra(net, s, skip)[0]
+            got = net._dijkstra(s, skip)
+            assert {m: F(d, scale) for m, d in got.items()} == dist
         want = girth_bruteforce(net)
         if want is None:
             with pytest.raises(ValidationError, match="acyclic"):
@@ -235,14 +230,14 @@ def test_eulerian_tour_cycle():
                   [("e1", "a", "b", 1), ("e2", "b", "c", 1), ("e3", "c", "d", 1), ("e4", "d", "a", 1)])
     w = eulerian_tour(cyc)
     assert w.duration == 4 and w.is_closed
-    assert all(count == 1 for count in w.arc_traversal_counts().values())
+    assert all(count == 1 for count in arc_traversal_counts(w).values())
 
 
 def test_eulerian_tour_k4_minus_matching(unit_k4):
     q = unit_k4.without_arcs(["v1-v2", "v3-v4"])
     w = eulerian_tour(q)
     assert w.duration == 4 and w.is_closed
-    assert sorted(w.arc_traversal_counts()) == ["v1-v3", "v1-v4", "v2-v3", "v2-v4"]
+    assert sorted(arc_traversal_counts(w)) == ["v1-v3", "v1-v4", "v2-v3", "v2-v4"]
 
 
 def test_eulerian_tour_two_triangles():
@@ -251,7 +246,7 @@ def test_eulerian_tour_two_triangles():
                   ("t4", "a", "d", 1), ("t5", "d", "e", 1), ("t6", "e", "a", 1)])
     w = eulerian_tour(tt)
     assert w.duration == 6 and w.is_closed
-    assert all(n == 1 for n in w.arc_traversal_counts().values())  # each arc exactly once
+    assert all(n == 1 for n in arc_traversal_counts(w).values())  # each arc exactly once
 
 
 def test_eulerian_tour_rejects_odd(unit_k4):
@@ -365,6 +360,22 @@ def test_walk_trace_matches_point_reference():
         assert rev.end_point == w.start and rev.duration == duration
         count += 1
     assert count > 100
+
+
+def test_walk_clock_matches_fraction_walk():
+    # positions at times and visit times at points off the walks' integer
+    # scales (sevenths), at every node and at each interior step end
+    for w in _seeded_walks():
+        ref = FractionWalk(w.net, w.start, w.steps)
+        times = [w.duration * F(k, 7) for k in range(8)]
+        assert [w.position(t) for t in times] == [ref.position(t) for t in times]
+        points = {w.start, *(w.net.node_point(n) for n in w.net.nodes)}
+        points.update(Point(arc=s.arc, offset=s.end) for s in w.steps
+                      if w.net.arc(s.arc).endpoint_at(s.end) is None)
+        points.update(w.net.point(s.arc, w.net.arc(s.arc).length * F(k, 7)) for s in w.steps[:2] for k in (1, 4))
+        for x in points:
+            assert w.visit_times(x) == ref.visit_times(x), (w.steps, x)
+            assert all(type(t) is Fraction for t in w.visit_times(x))
 
 
 def test_walk_reversed_matches_constructor():
@@ -481,7 +492,7 @@ def test_stationary_walk():
 def test_double_traversal(sample_tree):
     w = double_traversal(sample_tree, "A")
     assert w.duration == 2 * sample_tree.total_length and w.is_closed
-    assert all(c == 2 for c in w.arc_traversal_counts().values())
+    assert all(c == 2 for c in arc_traversal_counts(w).values())
     # each leaf is reached exactly once per tour
     assert len(w.visit_times(sample_tree.node_point("L62"))) == 1
 

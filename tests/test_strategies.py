@@ -36,7 +36,7 @@ from patrolgame import (
 from patrolgame.ebd import ebd as make_ebd
 from patrolgame import serialize as ser
 from conftest import make_sample_tree, random_alpha, random_tree
-from oracles import discretized_reference, iter_cut_subtree_stats
+from oracles import arc_traversal_counts, discretized_reference, iter_cut_subtree_stats
 
 F = Fraction
 
@@ -332,7 +332,7 @@ def test_tour_mixture_tours_each_complement_once(n, dropped, m):
     assert len(pat.components) == len(factors)
     assert sum(s for _, s in pat.components) == 1
     for (walk, _), factor in zip(pat.components, factors):
-        assert walk.arc_traversal_counts() == {a.id: 1 for a in net.arcs if a.id not in factor}
+        assert arc_traversal_counts(walk) == {a.id: 1 for a in net.arcs if a.id not in factor}
 
 
 def test_e_patrolling_value_guarantee_random_trees():
