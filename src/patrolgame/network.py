@@ -463,7 +463,7 @@ class SubNetwork:
 
     @classmethod
     def single_point(cls, host: Network, p: Point) -> "SubNetwork":
-        if not (p.is_node or host.contains_point(p)):
+        if not host.contains_point(p):
             raise ValidationError(f"{p!r} not on network")
         return cls(host, host._units[0], {}, frozenset([p]))
 
@@ -581,7 +581,7 @@ def components_after_removal(net: Network, x: Point) -> list[SubNetwork]:
     length.  A regular point yields two components, a degree-n node yields n."""
     if not net.is_tree():
         raise ValidationError("network is not a tree")
-    if not (x.is_node or net.contains_point(x)):
+    if not net.contains_point(x):
         raise ValidationError(f"{x!r} not on network")
     return SubNetwork.whole(net).split_at(x)
 
@@ -833,8 +833,8 @@ def tree_tour(net, start) -> Iterator[tuple]:
     of a tree from `start`.
 
     `net` is a tree `Network`, or the segment graph of a subtree, whose
-    vertices are host `Point`s and whose arcs are its segments: anything
-    whose `incident(v)` lists arcs with `other(v)`.
+    vertices are node names or (arc id, scaled offset) pairs and whose arcs
+    are its segments: anything whose `incident(v)` lists arcs with `other(v)`.
 
     Each arc is crossed outward, and back once everything beyond it has been
     toured, so the return crossings come in post-order.  Children are taken

@@ -217,6 +217,14 @@ def test_components_rejects_non_tree(unit_k4):
         components_after_removal(unit_k4, unit_k4.node_point("v1"))
 
 
+def test_node_point_off_network_rejected():
+    star = star_network([1, 2, 3])
+    with pytest.raises(ValidationError, match="not on network"):
+        SubNetwork.single_point(star, Point(node="zz"))
+    with pytest.raises(ValidationError, match="not on network"):
+        components_after_removal(star, Point(node="zz"))
+
+
 def test_is_eulerian(unit_k4):
     cyc = Network(["a", "b", "c", "d"],
                   [("e1", "a", "b", 1), ("e2", "b", "c", 1), ("e3", "c", "d", 1), ("e4", "d", "a", 1)])
