@@ -3,8 +3,8 @@
 Every CLI and demo output whose bytes are frozen is held here, once. `INPUTS`
 writes the seeded networks (and one attack file) into a work directory,
 beside copies of the demo data files `DEMO_DATA_FILES`; each row of `ROWS`
-then runs one command there, or one demo, and checks its exit code and what
-the row names:
+(the rows of `GROUPS`, in order) then runs one command there, or one demo,
+and checks its exit code and what the row names:
 
 - `sha`: the SHA-256 of its stdout (key "stdout") or of a file it wrote;
 - `line`: a line its stdout holds exactly, `prefix`: how its stdout starts;
@@ -15,16 +15,16 @@ A row that exits nonzero must also print nothing on stdout. Rows run in
 order: `simulate` reads the files that earlier `attack` and `patrol` rows
 wrote.
 
-Two callers run the table. `test_cli.py::test_cli_table` calls `cli.main`
-in process and runs the demos through `runpy`;
+Two callers run the table. `test_cli.py` calls `cli.main` in process and
+runs the demos through `runpy`, one test per group of `GROUPS`;
 
     python tests/cli_table.py
 
 runs it through the installed `patrolgame` entry point and `python
 demos/<name>.py`, one process per row. Both print each row's output and
 list the checks that failed. To pin a new output, add its input to
-`INPUTS` if it needs one, and a row to `ROWS`; a deliberate output change
-edits its digest here and nowhere else.
+`INPUTS` if it needs one, and a row to a group of `GROUPS`; a deliberate
+output change edits its digest here and nowhere else.
 """
 
 from __future__ import annotations
@@ -102,7 +102,9 @@ class Row:
 
 SIMULATE = "simulate sample_tree.net --patrol tree.patrol --attack tree.attack --alpha 4"
 
-ROWS = (
+# the rows, in the order they run, in named groups; `test_cli.py` runs each
+# group (with the groups its rows read files from) as a test of its own
+GROUPS = {"complete": (
     # complete networks: enumeration counts and files; the K6z arc ids sort
     # against node-index order, so its factor order rests on the ids' keys
     Row("factorize k8.net --enumerate -o k8.fact", line="count=6240",
@@ -129,8 +131,11 @@ ROWS = (
         sha={"k8.factor.patrol": "fa5b7e9245d0a5dc185d57efbd9e7c33c12c24e4b5d212942e0c5ce3a2582904"}),
     # --best certifies only the factorization it finds itself: a usage error
     Row("patrol k8.net --alpha 4 --kind complete --best --factorization k8.best", exit=2),
+), "guard": (
+    # enumeration refuses more than 8 nodes, and writes no file
     Row("factorize k10.net --enumerate -o k10.fact", exit=3,
         stderr="error: enumeration guarded to <= 8 nodes, got 10", absent="k10.fact"),
+), "tree": (
     # the demo tree: reports at alpha 4, at 7/3 (whose thirds widen the
     # integer scale) and at 8 (its critical duration: a single-point core);
     # the attack and E-patrol files, the one at 7/3 on integer scale 6
@@ -161,6 +166,7 @@ ROWS = (
         sha={"stdout": "7f8c597a319e459ecca4fc053c075c41f0c0b3a6b346cb38fe5d4217349ea0ce"}),
     Row("simulate sample_tree.net --patrol tree.patrol --attack negative.attack --alpha 4 --method exact", exit=1,
         stderr="error: line 2: attack start time must be nonnegative"),
+), "large_tree": (
     # the 2,000-node tree at alpha 7/3 (thirds widen its scale of quarters)
     # and near half its critical duration 1878
     Row("decompose big.net --alpha 7/3",
@@ -175,6 +181,7 @@ ROWS = (
         sha={"big939.attack": "9df0af33f624a9a45c9a7af80b35a1a8e3ccfbd958f75e632b5da88e8f040f9c"}),
     Row("patrol big.net --alpha 939 --kind e -o big939.patrol",
         sha={"big939.patrol": "4e1dd517aff196237c7a040cc1fc41cff7d95c385162416f7f8327c615554557"}),
+), "demo": (
     # the demos, Monte Carlo included, are deterministic; demo 05's branch
     # and bound over the 8-step K4 walks keeps its best and its walk count
     Row("01_networks_and_walks.py",
@@ -190,7 +197,8 @@ ROWS = (
         sha={"stdout": "73ae316e55976ddcdd3c521353a2953cac5d138d053d7a9e35df2620169b0e19"}),
     Row("06_monte_carlo.py",
         sha={"stdout": "ade0bbafecf798f5683daa8541a9e26dcbc2387e951ef14514aaea02c025f9cf"}),
-)
+)}
+ROWS = tuple(row for rows in GROUPS.values() for row in rows)
 
 
 def in_process(row: Row) -> tuple[object, bytes, bytes]:
@@ -232,9 +240,10 @@ def _check(row: Row, code, out: bytes, err: bytes) -> list[str]:
     return [f"{row.run}: {what}" for what in bad]
 
 
-def run(execute, workdir, echo=print) -> list[str]:
-    """Write the inputs into `workdir`, run every row there with `execute`,
-    echo each row's output, and return the checks that failed."""
+def run(execute, workdir, echo=print, rows=ROWS) -> list[str]:
+    """Write the inputs into `workdir`, run `rows` (by default every row)
+    there with `execute`, echo each row's output, and return the checks that
+    failed."""
     workdir = Path(workdir)
     for name, make in INPUTS.items():
         (workdir / name).write_text(make())
@@ -244,7 +253,7 @@ def run(execute, workdir, echo=print) -> list[str]:
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        for row in ROWS:
+        for row in rows:
             code, out, err = execute(row)
             lines = (out + err).decode(errors="replace").splitlines()
             echo(f"== {row.run}", *lines[:ECHO_LINES], sep="\n")

@@ -289,11 +289,32 @@ def test_factorize_best(k4_file, capsys):
     assert out.count("factor ") == 3
 
 
-def test_cli_table(tmp_path):
-    # every pinned CLI and demo output (tests/cli_table.py), through cli.main
-    # and runpy; CI runs the same rows through the installed entry point
-    failures = cli_table.run(cli_table.in_process, tmp_path)
+def _run_groups(workdir, *groups):
+    # pinned CLI and demo outputs (tests/cli_table.py), through cli.main and
+    # runpy; CI runs every row through the installed entry point
+    rows = [row for group in groups for row in cli_table.GROUPS[group]]
+    failures = cli_table.run(cli_table.in_process, workdir, rows=rows)
     assert not failures, "\n".join(failures)
+
+
+def test_complete_network_outputs_frozen(tmp_path):
+    _run_groups(tmp_path, "complete", "guard")
+
+
+def test_factorize_size_guard(tmp_path):
+    _run_groups(tmp_path, "guard")
+
+
+def test_tree_outputs_frozen(tmp_path):
+    _run_groups(tmp_path, "tree")
+
+
+def test_large_tree_outputs_frozen(tmp_path):
+    _run_groups(tmp_path, "large_tree")
+
+
+def test_demo_outputs_frozen(tmp_path):
+    _run_groups(tmp_path, "demo")
 
 
 def test_patrol_file_round_trips_via_cli(tree_file, tmp_path, capsys):
