@@ -22,8 +22,9 @@ runs the demos through `runpy`, one test per group of `GROUPS`;
 
 runs it through the installed `patrolgame` entry point and `python
 demos/<name>.py`, one process per row. Both print each row's output and
-list the checks that failed. To pin a new output, add its input to
-`INPUTS` if it needs one, and a row to a group of `GROUPS`; a deliberate
+list the checks that failed, and both fail on a demo that no row runs. To
+pin a new output, add its input to `INPUTS` if it needs one, and a row to a
+group of `GROUPS`; a deliberate
 output change edits its digest here and nowhere else.
 """
 
@@ -103,7 +104,8 @@ class Row:
 SIMULATE = "simulate sample_tree.net --patrol tree.patrol --attack tree.attack --alpha 4"
 
 # the rows, in the order they run, in named groups; `test_cli.py` runs each
-# group (with the groups its rows read files from) as a test of its own
+# group as a test of its own, so a row reads files only from earlier rows of
+# its own group
 GROUPS = {"complete": (
     # complete networks: enumeration counts and files; the K6z arc ids sort
     # against node-index order, so its factor order rests on the ids' keys
@@ -240,7 +242,13 @@ def _check(row: Row, code, out: bytes, err: bytes) -> list[str]:
     return [f"{row.run}: {what}" for what in bad]
 
 
-def run(execute, workdir, echo=print, rows=ROWS) -> list[str]:
+def unpinned_demos() -> list[str]:
+    """A failure for each demo that no row runs: every demo is pinned."""
+    pinned = {row.run for row in ROWS}
+    return [f"{p.name}: no row runs this demo" for p in sorted(DEMOS.glob("*.py")) if p.name not in pinned]
+
+
+def run(execute, workdir, rows=ROWS) -> list[str]:
     """Write the inputs into `workdir`, run `rows` (by default every row)
     there with `execute`, echo each row's output, and return the checks that
     failed."""
@@ -256,9 +264,9 @@ def run(execute, workdir, echo=print, rows=ROWS) -> list[str]:
         for row in rows:
             code, out, err = execute(row)
             lines = (out + err).decode(errors="replace").splitlines()
-            echo(f"== {row.run}", *lines[:ECHO_LINES], sep="\n")
+            print(f"== {row.run}", *lines[:ECHO_LINES], sep="\n")
             if len(lines) > ECHO_LINES:
-                echo(f"... {len(lines) - ECHO_LINES} more lines")
+                print(f"... {len(lines) - ECHO_LINES} more lines")
             failed += _check(row, code, out, err)
     finally:
         os.chdir(cwd)
@@ -267,6 +275,6 @@ def run(execute, workdir, echo=print, rows=ROWS) -> list[str]:
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        failures = run(entry_point, tmp)
+        failures = unpinned_demos() + run(entry_point, tmp)
     print(*(["FAILED:"] + failures if failures else ["all rows pass"]), sep="\n")
     sys.exit(1 if failures else 0)

@@ -298,7 +298,7 @@ def _run_groups(workdir, *groups):
 
 
 def test_complete_network_outputs_frozen(tmp_path):
-    _run_groups(tmp_path, "complete", "guard")
+    _run_groups(tmp_path, "complete")
 
 
 def test_factorize_size_guard(tmp_path):
@@ -314,6 +314,8 @@ def test_large_tree_outputs_frozen(tmp_path):
 
 
 def test_demo_outputs_frozen(tmp_path):
+    # a demo without a row would be neither run nor pinned
+    assert cli_table.unpinned_demos() == []
     _run_groups(tmp_path, "demo")
 
 
