@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
+# numpy is imported only inside the three Monte Carlo functions, so that a
+# process that never runs Monte Carlo (most one-shot CLI commands) never loads it
 
 from .errors import SizeGuardError, ValidationError
 from .network import Network, Point, Step, SubNetwork, Walk, _is_int, _on_scale, _WalkIndex, frac
@@ -242,6 +243,7 @@ def _bucket_pick(cum: np.ndarray, dtype):
     so its integer part is u's bucket.  A bucket with no value of `cum`
     strictly inside it gives every u in it the same index, read from a table;
     the draws in the other buckets (marked -1) go to `searchsorted`."""
+    import numpy as np
     last = len(cum) - 1
     edges = np.arange(_PICK_BUCKETS + 1) / _PICK_BUCKETS
     at_low = np.searchsorted(cum, edges[:-1], side="right")
@@ -261,6 +263,7 @@ def _bucket_pick(cum: np.ndarray, dtype):
 def _draw_uniforms(seed: int, start: int, cols: np.ndarray, block: np.ndarray) -> None:
     """Fill row k of `cols` with use k of trials start, start + 1, ..., one
     column per trial, drawing `len(block)` trials at a time into `block`."""
+    import numpy as np
     gen = np.random.Generator(np.random.Philox(key=seed))
     gen.bit_generator.advance(start * _DRAWS_PER_TRIAL // 4)  # four words per counter block
     count, rows = cols.shape[1], len(block)
@@ -271,6 +274,7 @@ def _draw_uniforms(seed: int, start: int, cols: np.ndarray, block: np.ndarray) -
 
 
 def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
+    import numpy as np
     if not _is_int(trials) or trials <= 0:
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
     if not _is_int(jobs) or jobs <= 0:

@@ -30,6 +30,8 @@ from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import FormatError, ValidationError
 
+_ZERO = Fraction(0)  # shared by the whole-arc steps, which start or end at offset 0
+
 
 def frac(x) -> Fraction:
     """Coerce an int, Fraction, 'p/q' or decimal string to an exact Fraction.
@@ -73,8 +75,7 @@ class Arc:
 
     def step_from(self, node: str) -> "Step":
         """The traversal of the whole arc leaving from its endpoint `node`."""
-        return (Step(self.id, Fraction(0), self.length) if node == self.u
-                else Step(self.id, self.length, Fraction(0)))
+        return _step(self.id, _ZERO, self.length) if node == self.u else _step(self.id, self.length, _ZERO)
 
 
 @dataclass(frozen=True)
@@ -352,8 +353,7 @@ class _SegmentGraph:
     def __init__(self, host: Network, scale: int, pieces: list[_Piece]):
         self.host, self.scale, self.pieces = host, scale, pieces
         self._touch: dict = {}
-        # one Fraction per distinct scaled offset, so that the steps of a tour
-        # share offset objects, which `Walk` puts on its scale once each
+        # one Fraction per distinct scaled offset, shared by the steps of a tour
         self._offsets: dict[int, Fraction] = {}
         for piece in self.pieces:
             self._touch.setdefault(piece.u, []).append(piece)
@@ -382,14 +382,16 @@ class _SegmentGraph:
     def point(self, v) -> Point:
         return Point(node=v) if isinstance(v, str) else Point(arc=v[0], offset=Fraction(v[1], self.scale))
 
-    def step(self, piece: _Piece, v) -> "Step":
-        """The traversal of the whole piece leaving from its end vertex v."""
+    def step(self, piece: _Piece, v) -> tuple["Step", tuple[int, int]]:
+        """The traversal of the whole piece leaving from its end vertex v, and
+        its (start, end) offsets on `scale`."""
         lo, hi = self._offsets.get(piece.lo), self._offsets.get(piece.hi)
         if lo is None:
             lo = self._offsets[piece.lo] = Fraction(piece.lo, self.scale)
         if hi is None:
             hi = self._offsets[piece.hi] = Fraction(piece.hi, self.scale)
-        return Step(piece.arc, lo, hi) if v == piece.u else Step(piece.arc, hi, lo)
+        return ((_step(piece.arc, lo, hi), (piece.lo, piece.hi)) if v == piece.u
+                else (_step(piece.arc, hi, lo), (piece.hi, piece.lo)))
 
     def parts(self, seeds: Iterable[_Piece], blocked: Container) -> list[tuple[SubNetwork, set]]:
         """Flood from each seed not yet reached, stopping at every vertex in
@@ -413,13 +415,16 @@ class _SegmentGraph:
                             reached.add(q)
                             comp.append(q)
                             frontier.append(q)
-            # the pieces come from a checked, merged subnetwork (or its cut at
-            # a blocked vertex), so they are grouped and merged unchecked; the
-            # part's segment graph is built on them unless two were merged
+            # the pieces come from a checked, merged subnetwork (or its cut at a
+            # blocked vertex): taken as they are, merged only where two share an
+            # arc (around a cycle); the part's graph is built on them unless two merged
             comp.sort(key=lambda q: (q.arc, q.lo))
-            sub = SubNetwork(self.host, self.scale, {aid: _merge_intervals((q.lo, q.hi) for q in qs)
-                                                     for aid, qs in itertools.groupby(comp, lambda q: q.arc)})
-            if len(comp) == sum(map(len, sub._ivs.values())):
+            ivs = {q.arc: ((q.lo, q.hi),) for q in comp}
+            if len(ivs) < len(comp):
+                ivs = {aid: _merge_intervals((q.lo, q.hi) for q in qs)
+                       for aid, qs in itertools.groupby(comp, lambda q: q.arc)}
+            sub = SubNetwork(self.host, self.scale, ivs)
+            if len(comp) == sum(map(len, ivs.values())):
                 sub._graph = _SegmentGraph(self.host, self.scale, comp)
             out.append((sub, stops))
         return out
@@ -653,63 +658,31 @@ class Walk:
     the clock at each step boundary and `_stops` the node there (None at an
     interior point).  `duration` and `end_point` are the only exact values
     built up front: `position` bisects `_ticks`, and `visit_times` reads the
-    walk's `_WalkIndex`, the clock the engine scores walks on.  The reverse
-    of a checked walk is valid, so `reversed` derives its clock from this
-    walk's instead of checking its steps again.
+    walk's `_WalkIndex`, the clock the engine scores walks on.
+
+    One integer kernel, `_walk`, checks and times every walk: the constructor
+    puts each distinct `Step` object on the scale and calls it, and
+    `double_traversal`, the Eulerian tours, `e_patrolling`, `repeated` and
+    `parse_patrol` (for the reverse of the walk before) pass the ints they
+    hold.  A checked walk's reverse is valid: `reversed` derives its clock.
     """
 
     def __init__(self, net: Network, start: Point, steps: Sequence[Step] = ()):
-        self.net = net
-        self.start = start
-        self.steps = steps = tuple(steps)
-        arcs = net._arc_by_id
-        net_scale, lengths = net._units
-        rows = []  # (step, arc, start, end) up to the first unknown arc or inexact offset
-        values = {}  # id -> offset, for each distinct offset object
-        for s in steps:
-            a, lo, hi = arcs.get(s.arc), s.start, s.end
-            if a is None or not (_exact(lo) and _exact(hi)):
+        steps = tuple(steps)
+        arcs, n = net._arc_by_id, len(steps)
+        distinct = []  # each distinct step object, up to the first with an unknown arc or an inexact offset
+        for s in {id(s): s for s in steps}.values():
+            if s.arc not in arcs or not (_exact(s.start) and _exact(s.end)):
+                n = next(i for i, q in enumerate(steps) if q is s)
                 break
-            rows.append((s, a, lo, hi))
-            values[id(lo)], values[id(hi)] = lo, hi
-        scale, ints = _on_scale(net_scale, values.values())
+            distinct.append(s)
+        values = {id(x): x for s in distinct for x in (s.start, s.end)}
+        scale, ints = _on_scale(net._units[0], values.values())
         scaled = dict(zip(values, ints))
-        # the position: a node, or an arc and a scaled offset; an interior
-        # start whose offset is no int or Fraction matches no step
-        node, arc = start.node, start.arc
-        off = start.offset * scale if _exact(start.offset) else None
-        clock = 0
-        ticks, offsets, stops = [0], [], [node]
-        k = scale // net_scale
-        for i, (s, a, start_off, end_off) in enumerate(rows):
-            length, lo, hi = lengths[a.id] * k, scaled[id(start_off)], scaled[id(end_off)]
-            if lo == hi:
-                raise ValidationError(f"zero-length step on arc {s.arc!r}")
-            for raw, x in ((start_off, lo), (end_off, hi)):
-                if x < 0 or x > length:
-                    raise ValidationError(f"step offset {raw} outside arc {s.arc!r}")
-            # the step leaves from the walk's position: the node at the arc
-            # end it starts from, or the same interior offset of the same arc
-            at = a.u if lo == 0 else a.v if lo == length else None
-            if (node != at) if at is not None else (arc != a.id or off != lo):
-                where = start if i == 0 else _position(node, arc, off, scale)
-                raise ValidationError(f"step on {s.arc!r} starts at {net.point(s.arc, start_off)!r}, "
-                                      f"walk is at {where!r}")
-            node = a.u if hi == 0 else a.v if hi == length else None
-            arc, off = (None, None) if node is not None else (a.id, hi)
-            clock += abs(hi - lo)
-            ticks.append(clock)
-            offsets.append((lo, hi))
-            stops.append(node)
-        if len(rows) < len(steps):
-            where = start if not rows else _position(node, arc, off, scale)
-            _reject_step(net, steps[len(rows)], where)
-        self._scale = scale
-        self._ticks = tuple(ticks)
-        self._offsets = tuple(offsets)
-        self._stops = tuple(stops)
-        self.duration = Fraction(clock, scale)
-        self.end_point = _position(node, arc, off, scale) if steps else start
+        pairs = {id(s): (scaled[id(s.start)], scaled[id(s.end)]) for s in distinct}
+        _walk(net, start, steps, [pairs[id(s)] for s in steps[:n]], scale, self)
+        if n < len(steps):
+            _reject_step(net, steps[n], self.end_point)
 
     @property
     def is_closed(self) -> bool:
@@ -752,7 +725,7 @@ class Walk:
         for s in reversed(self.steps):
             r = flipped.get(id(s))
             if r is None:
-                r = flipped[id(s)] = Step(s.arc, s.end, s.start)
+                r = flipped[id(s)] = _step(s.arc, s.end, s.start)
             steps.append(r)
         w.steps = tuple(steps)
         w._ticks = tuple(self._ticks[-1] - t for t in reversed(self._ticks))
@@ -767,7 +740,60 @@ class Walk:
             raise ValidationError(f"repetitions must be a positive integer, got {k!r}")
         if not self.is_closed:
             raise ValidationError("only closed walks can be repeated")
-        return Walk(self.net, self.start, self.steps * k)
+        return _walk(self.net, self.start, self.steps * k, self._offsets * k, self._scale)
+
+
+def _step(arc: str, start, end) -> Step:
+    """`Step(arc, start, end)` without the dataclass `__init__`, fields set as it sets them."""
+    s = object.__new__(Step)
+    object.__setattr__(s, "arc", arc)
+    object.__setattr__(s, "start", start)
+    object.__setattr__(s, "end", end)
+    return s
+
+
+def _walk(net: Network, start: Point, steps: tuple, pairs: Sequence[tuple[int, int]], scale: int,
+          w: Walk | None = None) -> Walk:
+    """The walk kernel: fill `w` (a new `Walk` when None) from its start, its
+    steps and the (start, end) offsets of all or a prefix of them times
+    `scale`, a multiple of D.  It divides the scale by the gcd of scale / D
+    and the ints, as the constructor derives it, then runs the zero-length,
+    range and contiguity checks on the ints, with the constructor's messages."""
+    arcs, (D, lengths) = net._arc_by_id, net._units
+    k = scale // D
+    if k > 1 and pairs:
+        g = math.gcd(k, *itertools.chain.from_iterable(pairs))
+        if g > 1:
+            scale, k = scale // g, k // g
+            pairs = [(lo // g, hi // g) for lo, hi in pairs]
+    w = Walk.__new__(Walk) if w is None else w
+    w.net, w.start, w.steps = net, start, steps
+    # the position: a node, or an arc and a scaled offset; an interior start
+    # whose offset is no int or Fraction matches no step
+    node, arc = start.node, start.arc
+    off = start.offset * scale if _exact(start.offset) else None
+    clock, ticks, stops = 0, [0], [node]
+    for s, (lo, hi) in zip(steps, pairs):
+        a, length = arcs[s.arc], lengths[s.arc] * k
+        if lo == hi:
+            raise ValidationError(f"zero-length step on arc {s.arc!r}")
+        if not (0 <= lo <= length and 0 <= hi <= length):
+            raise ValidationError(f"step offset {s.end if 0 <= lo <= length else s.start} outside arc {s.arc!r}")
+        # the step leaves from the walk's position: the node at the arc end
+        # it starts from, or the same interior offset of the same arc
+        at = a.u if lo == 0 else a.v if lo == length else None
+        if (node != at) if at is not None else (arc != a.id or off != lo):
+            where = start if len(ticks) == 1 else _position(node, arc, off, scale)
+            raise ValidationError(f"step on {s.arc!r} starts at {net.point(s.arc, s.start)!r}, "
+                                  f"walk is at {where!r}")
+        node = a.u if hi == 0 else a.v if hi == length else None
+        arc, off = (None, None) if node is not None else (a.id, hi)
+        clock += hi - lo if hi > lo else lo - hi
+        ticks.append(clock)
+        stops.append(node)
+    w._scale, w._ticks, w._offsets, w._stops = scale, tuple(ticks), tuple(pairs), tuple(stops)
+    w.duration, w.end_point = Fraction(clock, scale), _position(node, arc, off, scale) if pairs else start
+    return w
 
 
 class _WalkIndex:
@@ -864,8 +890,16 @@ def double_traversal(net: Network, start: str) -> Walk:
     """
     if not net.is_tree():
         raise ValidationError("network is not a tree")
-    steps = [a.step_from(node) for a, node, _ in tree_tour(net, start)]
-    return Walk(net, net.node_point(start), steps)
+    return _arc_walk(net, start, ((a, node) for a, node, _ in tree_tour(net, start)))
+
+
+def _arc_walk(net: Network, start: str, crossings: Iterable[tuple[Arc, str]]) -> Walk:
+    """The walk from node `start` along whole arcs, each (arc, node it leaves), on D."""
+    (D, length), steps, pairs = net._units, [], []
+    for a, node in crossings:
+        steps.append(a.step_from(node))
+        pairs.append((0, length[a.id]) if node == a.u else (length[a.id], 0))
+    return _walk(net, net.node_point(start), tuple(steps), pairs, D)
 
 
 def eulerian_tour(net: Network, start: str | None = None) -> Walk:
@@ -885,8 +919,8 @@ def _tour_from(net: Network, start: str, used: set[str]) -> Walk:
     not in `used` (Hierholzer), adding each to `used`; every node is left by
     its lowest-id arc not yet used."""
     cursor = dict.fromkeys(net.nodes, 0)
-    order: list[Step] = []
-    stack: list[tuple[str, Step | None]] = [(start, None)]  # (node, step that entered it)
+    order: list[tuple[Arc, str]] = []
+    stack: list[tuple[str, tuple | None]] = [(start, None)]  # (node, (arc, node left) that entered it)
     while stack:
         node, via = stack[-1]
         inc = net.incident(node)
@@ -897,13 +931,12 @@ def _tour_from(net: Network, start: str, used: set[str]) -> Walk:
         if i < len(inc):
             a = inc[i]
             used.add(a.id)
-            stack.append((a.other(node), a.step_from(node)))
+            stack.append((a.other(node), (a, node)))
         else:
             stack.pop()
             if via is not None:
                 order.append(via)
-    order.reverse()
-    walk = Walk(net, net.node_point(start), order)
+    walk = _arc_walk(net, start, reversed(order))
     if len(used) != len(net.arcs) or not walk.is_closed:
         raise ValidationError("network is not Eulerian")  # disconnected arc set
     return walk

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import FormatError, ValidationError
 from .factorization import Factorization, _checked
-from .network import Network, Point, Segment, Step, SubNetwork, Walk, frac, parse_rational
+from .network import Network, Point, Segment, Step, SubNetwork, Walk, _walk, frac, parse_rational
 from .strategies import AttackStrategy, PatrolStrategy, TemporalLaw, UniformPart
 
 
@@ -144,7 +144,7 @@ def parse_patrol(net: Network, text: str) -> PatrolStrategy:
     Each distinct step record (a walk and its reverse repeat them all) and
     offset text is parsed once.  `Walk` checks every step, except that a walk
     that is exactly the reverse of the one before it (an E-patrol's second)
-    is that walk's `reversed()`, which equals what `Walk` builds."""
+    goes to the walk kernel on that walk's offsets reversed, not scaled again."""
     lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
     if not lines or lines[0] != "patrol":
         raise FormatError("line 1: expected 'patrol' header")
@@ -162,7 +162,8 @@ def parse_patrol(net: Network, text: str) -> PatrolStrategy:
         back = prev is not None and prev.end_point == start and len(prev.steps) == len(steps) and all(
             (s.arc, s.start, s.end) == (q.arc, q.end, q.start) for s, q in zip(steps, reversed(prev.steps)))
         with _at_line(walk_ln):
-            comps.append((prev.reversed() if back else Walk(net, start, steps.copy()), prob))
+            comps.append((_walk(net, start, tuple(steps), [(hi, lo) for lo, hi in reversed(prev._offsets)],
+                                prev._scale) if back else Walk(net, start, steps.copy()), prob))
 
     for ln, line in enumerate(lines[1:], start=2):
         if not line:

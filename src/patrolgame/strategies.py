@@ -17,7 +17,7 @@ from .ebd import RootedSubtree, ebd
 from .errors import FactorizationError, ValidationError
 from .factorization import (Factorization, _require_even_complete, round_robin_one_factorization,
                             validate_factorization)
-from .network import Network, Point, Step, SubNetwork, Walk, _tour_from, frac, tree_tour, validate_alpha
+from .network import Network, Point, SubNetwork, Walk, _tour_from, _walk, frac, tree_tour, validate_alpha
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,8 @@ def e_patrolling(tree: Network, alpha) -> PatrolStrategy:
     a = validate_alpha(tree, alpha)
     dec = subtree_decomposition(tree, a)
     # the core and the components share the extremity closure's scale, so
-    # a root is the same vertex of a component's segment graph and the core's
+    # a root is the same vertex of a component's segment graph and the core's,
+    # and each crossing, a (Step, (start, end)) of `graph.step`, is on it
     blocks: dict = {}
     for c in dec.components:
         graph = c.subtree._graph
@@ -258,12 +259,12 @@ def e_patrolling(tree: Network, alpha) -> PatrolStrategy:
 
     if dec.core.measure == 0:
         (block,) = blocks.values()
-        walk = Walk(tree, next(iter(dec.core.points)), block * 2)
+        start, crossings = next(iter(dec.core.points)), block * 2
     else:
         graph = dec.core._graph
         nodes = dec.core.covered_nodes()
         start = nodes[0] if nodes else graph.pieces[0].u
-        steps: list[Step] = []
+        crossings = []
         arrivals: dict = {}
 
         def arrive(v):
@@ -273,16 +274,17 @@ def e_patrolling(tree: Network, alpha) -> PatrolStrategy:
             k = arrivals[v] = arrivals.get(v, 0) + 1
             if len(graph.incident(v)) >= 2:
                 if k <= 2:
-                    steps.extend(block)
+                    crossings.extend(block)
             elif k == 1:
-                steps.extend(block)
-                steps.extend(block)
+                crossings.extend(block)
+                crossings.extend(block)
 
         arrive(start)
         for piece, v, _ in tree_tour(graph, start):
-            steps.append(graph.step(piece, v))
+            crossings.append(graph.step(piece, v))
             arrive(piece.other(v))
-        walk = Walk(tree, graph.point(start), steps)
+        start = graph.point(start)
+    walk = _walk(tree, start, tuple(s for s, _ in crossings), [pair for _, pair in crossings], graph.scale)
 
     expected = 2 * (tree.total_length + dec.lambda_e)
     assert walk.duration == expected and walk.is_closed

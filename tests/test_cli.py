@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import cli_table
@@ -26,6 +31,22 @@ def test_decompose(tree_file, capsys):
     assert "lambda_e 7" in out
     assert "value 4/17" in out
     assert "manifest command=decompose" in out
+
+
+def test_no_numpy_outside_monte_carlo(tree_file):
+    # only Monte Carlo needs numpy: importing the package and a one-shot
+    # `decompose` leave it unloaded, so a fresh CLI process does not pay for it
+    code = ("import sys, patrolgame\n"
+            "from patrolgame import cli\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            f"cli.main(['decompose', {tree_file!r}, '--alpha', '4'])\n"
+            "loaded.append('numpy' in sys.modules)\n"
+            "print(loaded)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[False, False]"
 
 
 def test_decompose_critical(tree_file, capsys):

@@ -18,6 +18,7 @@ from patrolgame import (
     ValidationError,
     Walk,
     complete_network,
+    complete_patrolling,
     components_after_removal,
     double_traversal,
     e_patrolling,
@@ -27,9 +28,11 @@ from patrolgame import (
     parse_network,
     path_network,
     star_network,
+    subtree_decomposition,
     walk_through_nodes,
 )
-from patrolgame.network import parse_rational
+from patrolgame.network import _walk, parse_rational
+from patrolgame.serialize import parse_patrol, write_patrol
 from conftest import make_sample_tree, random_tree, walk_fields
 from oracles import (FractionSubNetwork, FractionWalk, arc_traversal_counts, ball, fraction_dijkstra, girth_bruteforce,
                      node_path, random_closed_walk, removal_component_measures, search_family, subdivided_distance,
@@ -401,6 +404,65 @@ def test_walk_reversed_matches_constructor():
         assert walk_fields(rev) == walk_fields(built), w.steps
         assert walk_fields(rev.reversed(), types=False) == walk_fields(w, types=False)
     assert type(walks[-2].reversed().end_point.offset) is Fraction
+
+
+def test_built_walks_match_constructor():
+    # every walk the library builds through the walk kernel has the fields,
+    # offset types included, that the constructor gives for its steps
+    rng = random.Random(83)
+    cases = []
+    for _ in range(16):
+        tree = random_tree(rng, max_nodes=12, min_nodes=2)
+        # thirds, fifths and sevenths widen the extremity closure's scale
+        cases.append((tree, min(F(rng.randint(1, int(14 * tree.total_length)), rng.choice([2, 3, 5, 7])),
+                                2 * tree.total_length)))
+    # two forks joined by a long arc: for alpha/2 strictly between 1 and 2,
+    # the closure is the four leaf arcs, cut at nodes only, so the E-patrol's
+    # offsets are integers while the closure's scale is den(alpha/2)
+    forks = Network(["r", "c", "l1", "l2", "t1", "t2"], [("a", "r", "c", 5), ("b", "c", "l1", 1),
+                                                        ("d", "c", "l2", 1), ("e", "r", "t1", 1), ("f", "r", "t2", 1)])
+    cases += [(forks, alpha) for alpha in (F(8, 3), F(16, 5), F(5, 2), F(18, 7))]
+    walks, widened = [], 0
+    for tree, alpha in cases:
+        patrol = e_patrolling(tree, alpha)
+        walk = patrol.components[0][0]
+        dec = subtree_decomposition(tree, alpha)
+        widened += dec.components[0].subtree._scale > walk._scale
+        walks += [double_traversal(tree, tree.nodes[0]), walk, patrol.components[1][0],
+                  walk.repeated(2), walk.reversed()]
+        walks += [w for w, _ in parse_patrol(tree, write_patrol(patrol)).components]
+    assert widened >= 4  # the kernel divides a wider scale down to the constructor's
+    k4, k6 = complete_network(4), complete_network(6)
+    k5z = Network(complete_network(5).nodes, [(a.id, a.u, a.v, F(1 + i % 4, 1 + i % 3))
+                                              for i, a in enumerate(complete_network(5).arcs)])
+    for net in (k4, k6):
+        patrol = complete_patrolling(net)
+        walks += [w for w, _ in patrol.components] + [w for w, _ in parse_patrol(net, write_patrol(patrol)).components]
+    walks += [eulerian_tour(k5z), eulerian_tour(k5z).repeated(2), eulerian_tour(complete_network(5))]
+    for w in walks:
+        assert walk_fields(w) == walk_fields(Walk(w.net, w.start, w.steps)), w.steps
+
+
+def test_walk_kernel_checks_its_ints():
+    # the builders' ints go through the constructor's checks: hand-built
+    # rows that are zero-length, out of range or not contiguous, and that
+    # pass every other check, raise the constructor's message
+    net = Network(["u", "v", "w"], [("a", "u", "v", 2), ("b", "v", "w", 1)])
+    u = net.node_point("u")
+    a, back, b = Step("a", F(0), F(2)), Step("a", F(2), F(0)), Step("b", F(0), F(1))
+    rows = [((Step("a", F(0), F(0)),), [(0, 0)], 1, "zero-length step on arc 'a'"),
+            ((Step("a", F(0), F(0)),), [(0, 0)], 4, "zero-length step on arc 'a'"),
+            ((Step("a", F(0), F(3)),), [(0, 3)], 1, "step offset 3 outside arc 'a'"),
+            ((a, Step("a", F(2), F(-1, 2))), [(0, 4), (4, -1)], 2, "step offset -1/2 outside arc 'a'"),
+            ((a, a), [(0, 2), (0, 2)], 1, "step on 'a' starts at node:u, walk is at node:v"),
+            ((b,), [(0, 1)], 1, "step on 'b' starts at node:v, walk is at node:u"),
+            ((Step("a", F(0), F(1)), b), [(0, 2), (0, 2)], 2, "step on 'b' starts at node:v, walk is at arc:a:1"),
+            ((a, b, back), [(0, 2), (0, 1), (2, 0)], 1, "step on 'a' starts at node:v, walk is at node:w")]
+    for steps, pairs, scale, message in rows:
+        with pytest.raises(ValidationError) as got:
+            _walk(net, u, steps, pairs, scale)
+        assert str(got.value) == message == _walk_error(net, u, steps)
+    assert _walk(net, u, (a, back), [(0, 8), (8, 0)], 4)._scale == 1
 
 
 def _outcome(make):
