@@ -57,9 +57,6 @@ class ExtremitySet:
     segments: tuple[Segment, ...]
     measure: Fraction
 
-    def as_subnetwork(self, tree: Network) -> SubNetwork:
-        return SubNetwork.from_segments(tree, self.segments)
-
 
 @dataclass(frozen=True)
 class TreeComponent:

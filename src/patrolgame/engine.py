@@ -38,7 +38,7 @@ from typing import Sequence
 # process that never runs Monte Carlo (most one-shot CLI commands) never loads it
 
 from .errors import SizeGuardError, ValidationError
-from .network import Network, Point, Step, SubNetwork, Walk, _is_int, _on_scale, _WalkIndex, frac
+from .network import Network, Point, SubNetwork, Walk, _is_int, _on_scale, _walk, _WalkIndex, frac
 from .strategies import AttackStrategy, PatrolStrategy, TemporalLaw
 
 
@@ -150,11 +150,11 @@ def _interception_probabilities(patrol: PatrolStrategy, points: Sequence[Point],
     interior = iter(interior)
     offsets = [None if p.is_node else next(interior) for p in points]
     # a stationary walk covers its start point at every phase: weight s, measure 1
-    weights = [s / (w.duration * scale) if w.steps else s for w, s in walks]
+    weights = [s / (w.duration * scale) if w._offsets else s for w, s in walks]
     denominator, coefs = _on_scale(1, weights)
     totals = [0] * len(points)
     for (walk, _), coef in zip(walks, coefs):
-        if not walk.steps:
+        if not walk._offsets:
             for k, x in enumerate(points):
                 if x == walk.start:
                     totals[k] += coef
@@ -531,7 +531,7 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
         for off in range(step_i, arc_len[a.id], step_i):
             for target in (a.u, a.v):
                 exit_ = 0 if target == a.u else arc_len[a.id]
-                start = ("start-arc", a.id, off, target)
+                start = ("start-arc", a.id, off, exit_)
                 moves[None].append(move(start, a.id, off, exit_, target))
 
     # The family's size: walks[node] counts the walks of 1..r full steps out
@@ -658,20 +658,16 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
 
 
 def _walk_from_spec(net: Network, spec, scale: int) -> Walk:
-    head, rest = spec[0], spec[1:]
-    steps = []
+    """The walk of a search path: its start record, then its moves, each
+    (arc id, entry, exit) on `scale`; a start on an arc is its first move."""
+    head, moves = spec[0], spec[1:]
     if head[0] == "start-node":
         start = net.node_point(head[1])
     else:
-        _, arc_id, off, target = head
-        a = net.arc(arc_id)
-        off_f = Fraction(off, scale)
-        start = net.point(arc_id, off_f)
-        end_off = Fraction(0) if target == a.u else a.length
-        steps.append(Step(arc_id, off_f, end_off))
-    for arc_id, entry, exit_ in rest:
-        steps.append(Step(arc_id, Fraction(entry, scale), Fraction(exit_, scale)))
-    return Walk(net, start, steps)
+        _, arc_id, off, exit_ = head
+        start = net.point(arc_id, Fraction(off, scale))
+        moves = ((arc_id, off, exit_), *moves)
+    return _walk(net, start, [m[0] for m in moves], [m[1:] for m in moves], scale)
 
 
 def walk_attack_probability(walk: Walk, attack: AttackStrategy, alpha, *,

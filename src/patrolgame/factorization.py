@@ -57,9 +57,6 @@ class Factorization:
     def factor_length(self, i: int) -> Fraction:
         return sum((self.network.arc(a).length for a in self.factors[i]), Fraction(0))
 
-    def as_key(self) -> frozenset:
-        return frozenset(self.factors)
-
 
 def _leaf(net: Network, factors: tuple[frozenset, ...]) -> Factorization:
     """`Factorization(net, 1, factors)`, not set field by field through `object.__setattr__`."""

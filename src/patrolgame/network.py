@@ -3,16 +3,17 @@
 All lengths, offsets and probabilities are exact: `fractions.Fraction`
 values at the interface, and integers on a common scale inside (`_on_scale`
 puts a set of `Fraction`s on one).  A network keeps its arc lengths times
-D, the lcm of their denominators; a walk keeps its offsets and clock, and a
-subnetwork its segment ends, on a multiple of D.  A subnetwork's segment
-graph names each vertex by a node's name or by (arc id, scaled offset), so
-its tours and floods hash strings and small tuples, not `Point`s.  Floating
-point never enters this module.  Networks are immutable after construction
-and every operation here is pure, so concurrent reads need no
-synchronization: a network memoizes what it derives (integer arc lengths
-and single-source distances here, side weights and the last subtree
-decomposition in the tree layer), and two threads that fill a memo at once
-store equal values.
+D, the lcm of their denominators; a walk keeps its steps as arc ids with
+offsets and a clock, and a subnetwork its segment ends, on a multiple of D.
+A walk builds its `Step` objects on the first read of `steps`.  A
+subnetwork's segment graph names each vertex by a node's name or by (arc
+id, scaled offset), so its tours and floods hash strings and small tuples,
+not `Point`s.  Floating point never enters this module.  Networks are
+immutable after construction and every operation here is pure, so
+concurrent reads need no synchronization: a network memoizes what it
+derives (integer arc lengths and single-source distances here, side weights
+and the last subtree decomposition in the tree layer), a walk its `steps`,
+and two threads that fill a memo at once store equal values.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from fractions import Fraction
 from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import FormatError, ValidationError
-
-_ZERO = Fraction(0)  # shared by the whole-arc steps, which start or end at offset 0
 
 
 def frac(x) -> Fraction:
@@ -72,10 +71,6 @@ class Arc:
         if offset == self.length:
             return self.v
         return None
-
-    def step_from(self, node: str) -> "Step":
-        """The traversal of the whole arc leaving from its endpoint `node`."""
-        return _step(self.id, _ZERO, self.length) if node == self.u else _step(self.id, self.length, _ZERO)
 
 
 @dataclass(frozen=True)
@@ -353,8 +348,6 @@ class _SegmentGraph:
     def __init__(self, host: Network, scale: int, pieces: list[_Piece]):
         self.host, self.scale, self.pieces = host, scale, pieces
         self._touch: dict = {}
-        # one Fraction per distinct scaled offset, shared by the steps of a tour
-        self._offsets: dict[int, Fraction] = {}
         for piece in self.pieces:
             self._touch.setdefault(piece.u, []).append(piece)
             self._touch.setdefault(piece.v, []).append(piece)
@@ -382,16 +375,11 @@ class _SegmentGraph:
     def point(self, v) -> Point:
         return Point(node=v) if isinstance(v, str) else Point(arc=v[0], offset=Fraction(v[1], self.scale))
 
-    def step(self, piece: _Piece, v) -> tuple["Step", tuple[int, int]]:
-        """The traversal of the whole piece leaving from its end vertex v, and
-        its (start, end) offsets on `scale`."""
-        lo, hi = self._offsets.get(piece.lo), self._offsets.get(piece.hi)
-        if lo is None:
-            lo = self._offsets[piece.lo] = Fraction(piece.lo, self.scale)
-        if hi is None:
-            hi = self._offsets[piece.hi] = Fraction(piece.hi, self.scale)
-        return ((_step(piece.arc, lo, hi), (piece.lo, piece.hi)) if v == piece.u
-                else (_step(piece.arc, hi, lo), (piece.hi, piece.lo)))
+    @staticmethod
+    def step(piece: _Piece, v) -> tuple[str, tuple[int, int]]:
+        """The traversal of the whole piece leaving from its end vertex v: its
+        arc id and its (start, end) offsets on `scale`."""
+        return piece.arc, ((piece.lo, piece.hi) if v == piece.u else (piece.hi, piece.lo))
 
     def parts(self, seeds: Iterable[_Piece], blocked: Container) -> list[tuple[SubNetwork, set]]:
         """Flood from each seed not yet reached, stopping at every vertex in
@@ -652,19 +640,22 @@ class Walk:
     occupied; for a stationary walk at the queried point the single time 0 is
     returned and `is_stationary` serves as the dwell marker.
 
-    Steps are checked and timed on one integer scale, `_scale`: the lcm of
-    the network's D (`Network._units`) and of the step offsets' denominators.
-    On it, `_offsets` holds each step's (start, end) offsets, `_ticks`
-    the clock at each step boundary and `_stops` the node there (None at an
-    interior point).  `duration` and `end_point` are the only exact values
-    built up front: `position` bisects `_ticks`, and `visit_times` reads the
-    walk's `_WalkIndex`, the clock the engine scores walks on.
+    A walk is its ints, on one integer scale, `_scale`: the lcm of the
+    network's D (`Network._units`) and of the step offsets' denominators.
+    `_arcs` holds each step's arc id, `_offsets` its (start, end) offsets on
+    that scale, `_ticks` the clock at each step boundary and `_stops` the
+    node there (None at an interior point).  `duration` and `end_point` are
+    the only exact values built up front: `position` bisects `_ticks`, and
+    `visit_times` reads the walk's `_WalkIndex`, the clock the engine scores
+    walks on.  `steps` is built from the ints on first read, except that the
+    constructor keeps the tuple it was given, offset types and all.
 
     One integer kernel, `_walk`, checks and times every walk: the constructor
     puts each distinct `Step` object on the scale and calls it, and
-    `double_traversal`, the Eulerian tours, `e_patrolling`, `repeated` and
-    `parse_patrol` (for the reverse of the walk before) pass the ints they
-    hold.  A checked walk's reverse is valid: `reversed` derives its clock.
+    `double_traversal`, the Eulerian tours, `e_patrolling`, `patrol_search`,
+    `repeated` and `parse_patrol` (for the reverse of the walk before) pass
+    the arc ids and ints they hold.  A checked walk's reverse is valid:
+    `reversed` derives its ints.
     """
 
     def __init__(self, net: Network, start: Point, steps: Sequence[Step] = ()):
@@ -680,9 +671,24 @@ class Walk:
         scale, ints = _on_scale(net._units[0], values.values())
         scaled = dict(zip(values, ints))
         pairs = {id(s): (scaled[id(s.start)], scaled[id(s.end)]) for s in distinct}
-        _walk(net, start, steps, [pairs[id(s)] for s in steps[:n]], scale, self)
+        _walk(net, start, [s.arc for s in steps[:n]], [pairs[id(s)] for s in steps[:n]], scale, self)
         if n < len(steps):
             _reject_step(net, steps[n], self.end_point)
+        self.steps = steps
+
+    @cached_property
+    def steps(self) -> tuple[Step, ...]:
+        """The steps, built from the ints on first read: one `Step` per
+        distinct step and one `Fraction` per distinct offset."""
+        scale, made, steps = self._scale, {}, []
+        value = {x: Fraction(x, scale) for x in set(itertools.chain.from_iterable(self._offsets))}
+        for key in zip(self._arcs, self._offsets):
+            s = made.get(key)
+            if s is None:
+                aid, (lo, hi) = key
+                s = made[key] = _step(aid, value[lo], value[hi])
+            steps.append(s)
+        return tuple(steps)
 
     @property
     def is_closed(self) -> bool:
@@ -690,7 +696,7 @@ class Walk:
 
     @property
     def is_stationary(self) -> bool:
-        return not self.steps
+        return not self._offsets
 
     def position(self, t) -> Point:
         t = frac(t)
@@ -700,10 +706,8 @@ class Walk:
             return self.start
         # the first step that ends at or after t
         i = bisect.bisect_left(self._ticks, t * self._scale, 1) - 1
-        s = self.steps[i]
-        dt = t - Fraction(self._ticks[i], self._scale)
-        off = s.start + dt if s.end > s.start else s.start - dt
-        return self.net.point(s.arc, off)
+        (lo, hi), dt = self._offsets[i], t * self._scale - self._ticks[i]
+        return self.net.point(self._arcs[i], (lo + dt if hi > lo else lo - dt) / self._scale)
 
     def visit_times(self, x: Point) -> tuple[Fraction, ...]:
         """Sorted exact times in [0, duration] at which the walk occupies x."""
@@ -717,22 +721,18 @@ class Walk:
 
     def reversed(self) -> "Walk":
         """The walk run backwards from its end point; every field equals what
-        the constructor would build from the reversed steps."""
+        the constructor would build from the reversed steps.  It holds
+        `steps` only when this walk does: flipped, offset types and all."""
         w = Walk.__new__(Walk)
         w.net, w.start, w.duration, w._scale = self.net, self.end_point, self.duration, self._scale
-        flipped: dict[int, Step] = {}  # one reversed Step per distinct step object
-        steps = []
-        for s in reversed(self.steps):
-            r = flipped.get(id(s))
-            if r is None:
-                r = flipped[id(s)] = _step(s.arc, s.end, s.start)
-            steps.append(r)
-        w.steps = tuple(steps)
+        if "steps" in self.__dict__:
+            w.steps = tuple(_step(s.arc, s.end, s.start) for s in reversed(self.steps))
+        w._arcs = self._arcs[::-1]
         w._ticks = tuple(self._ticks[-1] - t for t in reversed(self._ticks))
         w._offsets = tuple((hi, lo) for lo, hi in reversed(self._offsets))
         w._stops = self._stops[::-1]
         w.end_point = (_position(self._stops[0], self.start.arc, self._offsets[0][0], self._scale)
-                       if self.steps else self.start)
+                       if self._offsets else self.start)
         return w
 
     def repeated(self, k: int) -> "Walk":
@@ -740,7 +740,7 @@ class Walk:
             raise ValidationError(f"repetitions must be a positive integer, got {k!r}")
         if not self.is_closed:
             raise ValidationError("only closed walks can be repeated")
-        return _walk(self.net, self.start, self.steps * k, self._offsets * k, self._scale)
+        return _walk(self.net, self.start, self._arcs * k, self._offsets * k, self._scale)
 
 
 def _step(arc: str, start, end) -> Step:
@@ -752,14 +752,14 @@ def _step(arc: str, start, end) -> Step:
     return s
 
 
-def _walk(net: Network, start: Point, steps: tuple, pairs: Sequence[tuple[int, int]], scale: int,
+def _walk(net: Network, start: Point, arcs: Sequence[str], pairs: Sequence[tuple[int, int]], scale: int,
           w: Walk | None = None) -> Walk:
-    """The walk kernel: fill `w` (a new `Walk` when None) from its start, its
-    steps and the (start, end) offsets of all or a prefix of them times
-    `scale`, a multiple of D.  It divides the scale by the gcd of scale / D
-    and the ints, as the constructor derives it, then runs the zero-length,
-    range and contiguity checks on the ints, with the constructor's messages."""
-    arcs, (D, lengths) = net._arc_by_id, net._units
+    """The walk kernel: fill `w` (a new `Walk` when None) from its start, the
+    arc ids of its steps and their (start, end) offsets times `scale`, a
+    multiple of D.  It divides the scale by the gcd of scale / D and the
+    ints, as the constructor derives it, then runs the zero-length, range
+    and contiguity checks on the ints, with the constructor's messages."""
+    by_id, (D, lengths) = net._arc_by_id, net._units
     k = scale // D
     if k > 1 and pairs:
         g = math.gcd(k, *itertools.chain.from_iterable(pairs))
@@ -767,27 +767,28 @@ def _walk(net: Network, start: Point, steps: tuple, pairs: Sequence[tuple[int, i
             scale, k = scale // g, k // g
             pairs = [(lo // g, hi // g) for lo, hi in pairs]
     w = Walk.__new__(Walk) if w is None else w
-    w.net, w.start, w.steps = net, start, steps
+    w.net, w.start, w._arcs = net, start, tuple(arcs)
     # the position: a node, or an arc and a scaled offset; an interior start
     # whose offset is no int or Fraction matches no step
     node, arc = start.node, start.arc
     off = start.offset * scale if _exact(start.offset) else None
     clock, ticks, stops = 0, [0], [node]
-    for s, (lo, hi) in zip(steps, pairs):
-        a, length = arcs[s.arc], lengths[s.arc] * k
+    for aid, (lo, hi) in zip(arcs, pairs):
+        a, length = by_id[aid], lengths[aid] * k
         if lo == hi:
-            raise ValidationError(f"zero-length step on arc {s.arc!r}")
+            raise ValidationError(f"zero-length step on arc {aid!r}")
         if not (0 <= lo <= length and 0 <= hi <= length):
-            raise ValidationError(f"step offset {s.end if 0 <= lo <= length else s.start} outside arc {s.arc!r}")
+            raise ValidationError(f"step offset {Fraction(hi if 0 <= lo <= length else lo, scale)} "
+                                  f"outside arc {aid!r}")
         # the step leaves from the walk's position: the node at the arc end
         # it starts from, or the same interior offset of the same arc
         at = a.u if lo == 0 else a.v if lo == length else None
-        if (node != at) if at is not None else (arc != a.id or off != lo):
+        if (node != at) if at is not None else (arc != aid or off != lo):
             where = start if len(ticks) == 1 else _position(node, arc, off, scale)
-            raise ValidationError(f"step on {s.arc!r} starts at {net.point(s.arc, s.start)!r}, "
+            raise ValidationError(f"step on {aid!r} starts at {net.point(aid, Fraction(lo, scale))!r}, "
                                   f"walk is at {where!r}")
         node = a.u if hi == 0 else a.v if hi == length else None
-        arc, off = (None, None) if node is not None else (a.id, hi)
+        arc, off = (None, None) if node is not None else (aid, hi)
         clock += hi - lo if hi > lo else lo - hi
         ticks.append(clock)
         stops.append(node)
@@ -808,9 +809,9 @@ class _WalkIndex:
         self.by_arc: dict[str, list[tuple[int, int, int, int]]] = {}
         self.by_node: dict[str, list[int]] = {}
         ticks = [t * factor for t in walk._ticks]
-        for st, (o1, o2), t0 in zip(walk.steps, walk._offsets, ticks):
+        for aid, (o1, o2), t0 in zip(walk._arcs, walk._offsets, ticks):
             o1, o2 = o1 * factor, o2 * factor
-            self.by_arc.setdefault(st.arc, []).append((t0, min(o1, o2), max(o1, o2), o1))
+            self.by_arc.setdefault(aid, []).append((t0, min(o1, o2), max(o1, o2), o1))
         for t, node in zip(ticks, walk._stops):
             if node is not None:
                 self.by_node.setdefault(node, []).append(t)
@@ -850,7 +851,8 @@ def walk_through_nodes(net: Network, nodes: Sequence[str], initial: tuple | None
         cands = [a for a in net.incident(u) if a.other(u) == v and a.u != a.v]
         if not cands:
             raise ValidationError(f"no arc between {u!r} and {v!r}")
-        steps.append(cands[0].step_from(u))
+        a = cands[0]
+        steps.append(Step(a.id, Fraction(0), a.length) if u == a.u else Step(a.id, a.length, Fraction(0)))
     return Walk(net, start, steps)
 
 
@@ -895,11 +897,11 @@ def double_traversal(net: Network, start: str) -> Walk:
 
 def _arc_walk(net: Network, start: str, crossings: Iterable[tuple[Arc, str]]) -> Walk:
     """The walk from node `start` along whole arcs, each (arc, node it leaves), on D."""
-    (D, length), steps, pairs = net._units, [], []
+    (D, length), arcs, pairs = net._units, [], []
     for a, node in crossings:
-        steps.append(a.step_from(node))
+        arcs.append(a.id)
         pairs.append((0, length[a.id]) if node == a.u else (length[a.id], 0))
-    return _walk(net, net.node_point(start), tuple(steps), pairs, D)
+    return _walk(net, net.node_point(start), arcs, pairs, D)
 
 
 def eulerian_tour(net: Network, start: str | None = None) -> Walk:

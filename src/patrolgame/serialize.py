@@ -129,13 +129,14 @@ def parse_attack(net: Network, text: str) -> AttackStrategy:
 
 
 def write_patrol(p: PatrolStrategy) -> str:
-    """Steps are written from each walk's integer offsets (`Walk._offsets`
-    on `Walk._scale`), each distinct offset formatted once per walk."""
+    """Steps are written from each walk's arc ids and integer offsets
+    (`Walk._arcs`, and `Walk._offsets` on `Walk._scale`), each distinct
+    offset formatted once per walk."""
     lines = ["patrol"]
     for walk, s in p.components:
         lines += [f"mix {fmt_frac(s)}", f"walk {fmt_point(walk.start)}"]
         text = {x: fmt_frac(Fraction(x, walk._scale)) for x in {x for pair in walk._offsets for x in pair}}
-        lines += [f"step {st.arc} {text[lo]} {text[hi]}" for st, (lo, hi) in zip(walk.steps, walk._offsets)]
+        lines += [f"step {aid} {text[lo]} {text[hi]}" for aid, (lo, hi) in zip(walk._arcs, walk._offsets)]
     return "\n".join(lines) + "\n"
 
 
@@ -144,7 +145,8 @@ def parse_patrol(net: Network, text: str) -> PatrolStrategy:
     Each distinct step record (a walk and its reverse repeat them all) and
     offset text is parsed once.  `Walk` checks every step, except that a walk
     that is exactly the reverse of the one before it (an E-patrol's second)
-    goes to the walk kernel on that walk's offsets reversed, not scaled again."""
+    goes to the walk kernel on that walk's arc ids and offsets reversed, not
+    scaled again."""
     lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
     if not lines or lines[0] != "patrol":
         raise FormatError("line 1: expected 'patrol' header")
@@ -162,7 +164,7 @@ def parse_patrol(net: Network, text: str) -> PatrolStrategy:
         back = prev is not None and prev.end_point == start and len(prev.steps) == len(steps) and all(
             (s.arc, s.start, s.end) == (q.arc, q.end, q.start) for s, q in zip(steps, reversed(prev.steps)))
         with _at_line(walk_ln):
-            comps.append((_walk(net, start, tuple(steps), [(hi, lo) for lo, hi in reversed(prev._offsets)],
+            comps.append((_walk(net, start, prev._arcs[::-1], [(hi, lo) for lo, hi in reversed(prev._offsets)],
                                 prev._scale) if back else Walk(net, start, steps.copy()), prob))
 
     for ln, line in enumerate(lines[1:], start=2):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomposition import _extremity, subtree_decomposition
+from .decomposition import _extremity, _require_tree, subtree_decomposition
 from .ebd import RootedSubtree, ebd
 from .errors import FactorizationError, ValidationError
 from .factorization import (Factorization, _require_even_complete, round_robin_one_factorization,
@@ -150,6 +150,7 @@ def epsilon_horizon(alpha, epsilon) -> Fraction:
 
 def game_value_tree(tree: Network, alpha) -> Fraction:
     """Value of the game on a tree: alpha / (mu + lambda(E))."""
+    _require_tree(tree)
     a = validate_alpha(tree, alpha)
     return a / (tree.total_length + _extremity(tree, a).measure)
 
@@ -189,6 +190,7 @@ def tree_attack_strategy(tree: Network, alpha, horizon=None, epsilon=None) -> At
     component carries twice its length share, spread over its leaves with
     equal branch density.  The shares sum to one exactly.
     """
+    _require_tree(tree)
     a = validate_alpha(tree, alpha)
     if horizon is not None:
         T = frac(horizon)
@@ -246,11 +248,10 @@ def e_patrolling(tree: Network, alpha) -> PatrolStrategy:
     intercepts any fixed attack with probability at least
     alpha / (mu + lambda(E)).  The mixture adds a fair random orientation.
     """
-    a = validate_alpha(tree, alpha)
-    dec = subtree_decomposition(tree, a)
+    dec = subtree_decomposition(tree, alpha)
     # the core and the components share the extremity closure's scale, so
     # a root is the same vertex of a component's segment graph and the core's,
-    # and each crossing, a (Step, (start, end)) of `graph.step`, is on it
+    # and each crossing, an (arc id, (start, end)) of `graph.step`, is on it
     blocks: dict = {}
     for c in dec.components:
         graph = c.subtree._graph
@@ -284,7 +285,7 @@ def e_patrolling(tree: Network, alpha) -> PatrolStrategy:
             crossings.append(graph.step(piece, v))
             arrive(piece.other(v))
         start = graph.point(start)
-    walk = _walk(tree, start, tuple(s for s, _ in crossings), [pair for _, pair in crossings], graph.scale)
+    walk = _walk(tree, start, [aid for aid, _ in crossings], [pair for _, pair in crossings], graph.scale)
 
     expected = 2 * (tree.total_length + dec.lambda_e)
     assert walk.duration == expected and walk.is_closed

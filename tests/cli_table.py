@@ -155,6 +155,8 @@ GROUPS = {"complete": (
         sha={"tree73.patrol": "00129e9f974e08c0ec688db55d85f39fe105ff363e60e520dba2687c75cf7275"}),
     Row("patrol unit_k4.net --alpha -3 --kind complete", exit=1,
         stderr="error: attack duration must be nonnegative"),
+    # the tree check comes before the duration's, whose check warns on K4
+    Row("patrol unit_k4.net --alpha 1 --kind e", exit=1, stderr="error: network is not a tree"),
     # the E-patrol against the attack: exact, grid, and Monte Carlo at
     # 200,003 trials (four chunks, the last partial) on one and two threads;
     # the manifest lines hold input digests, not paths

@@ -60,7 +60,7 @@ def random_alpha(rng: random.Random, tree: Network) -> Fraction:
 
 def walk_fields(w: Walk, types: bool = True):
     """Every field of a walk, with the types of its offsets when `types`."""
-    fields = (w.net, w.start, w.steps, w.end_point, w.duration, w._scale, w._ticks, w._offsets,
+    fields = (w.net, w.start, w.steps, w.end_point, w.duration, w._scale, w._arcs, w._ticks, w._offsets,
               w._stops)
     if not types:
         return fields

@@ -28,7 +28,9 @@ split that miss the root, patrol text from `fmt_frac` on each
 step's `Fraction` offsets, the branch statistics and cut-subtree
 enumerations that check the density lemma from a tour of that `Fraction`
 segment graph, and a discretized attack from each cell's
-`Fraction` midpoint placed through `Network.point`.
+`Fraction` midpoint placed through `Network.point`.  Two views only tests
+read live here too: an extremity set as a subnetwork, and a factorization's
+factors as an order-free key.
 """
 
 import bisect
@@ -144,6 +146,11 @@ def fraction_extremity_set(tree: Network, alpha) -> ExtremitySet:
     return ExtremitySet(a, tuple(segs), measure)
 
 
+def extremity_subnetwork(ext: ExtremitySet, tree: Network) -> SubNetwork:
+    """An extremity set's closure as a subnetwork of its tree."""
+    return SubNetwork.from_segments(tree, ext.segments)
+
+
 def fraction_critical_alpha(tree: Network) -> Fraction:
     """Smallest attack duration for which the extremity closure covers the
     whole tree: twice the largest smaller-side measure over all points."""
@@ -216,6 +223,11 @@ def removal_component_measures(net: Network, x: Point) -> list[Fraction]:
                 m += data["length"]
         out.append(m)
     return sorted(out)
+
+
+def factorization_key(f: Factorization) -> frozenset:
+    """A factorization's factors as a set, which ignores their order."""
+    return frozenset(f.factors)
 
 
 def perfect_matchings_k(n: int) -> list[frozenset]:

@@ -28,8 +28,8 @@ from patrolgame.decomposition import _local_roots, _side_weights
 from patrolgame.network import _SegmentGraph, _on_scale
 from patrolgame.serialize import write_attack, write_decomposition_report, write_patrol
 from conftest import LENGTH_POOL, make_sample_tree, random_alpha, random_tree
-from oracles import (ball, contains_sub, fraction_critical_alpha, fraction_extremity_set, fraction_flood,
-                     fraction_local_root, fraction_side_weights, side_measures)
+from oracles import (ball, contains_sub, extremity_subnetwork, fraction_critical_alpha, fraction_extremity_set,
+                     fraction_flood, fraction_local_root, fraction_side_weights, side_measures)
 
 F = Fraction
 
@@ -41,12 +41,12 @@ def seg_set(sub):
 def test_extremity_fixtures(sample_tree):
     ext = extremity_set(sample_tree, 2)
     assert ext.measure == 5
-    assert seg_set(ext.as_subnetwork(sample_tree)) == {
+    assert seg_set(extremity_subnetwork(ext, sample_tree)) == {
         ("aL5", F(0), F(1)), ("aL62", F(1), F(2)), ("bL22", F(1), F(2)),
         ("cL3", F(0), F(1)), ("cL4", F(0), F(1))}
     ext8 = extremity_set(sample_tree, 8)
     assert ext8.measure == 10
-    assert seg_set(ext8.as_subnetwork(sample_tree)) == {
+    assert seg_set(extremity_subnetwork(ext8, sample_tree)) == {
         (a.id, F(0), a.length) for a in sample_tree.arcs}
 
 
@@ -54,7 +54,7 @@ def test_extremity_path():
     path = path_network(4, pieces=1)
     ext = extremity_set(path, 2)
     assert ext.measure == 2
-    assert seg_set(ext.as_subnetwork(path)) == {("pa0", F(0), F(1)), ("pa0", F(3), F(4))}
+    assert seg_set(extremity_subnetwork(ext, path)) == {("pa0", F(0), F(1)), ("pa0", F(3), F(4))}
 
 
 def test_extremity_rejects_non_tree(unit_k4):
@@ -71,7 +71,7 @@ def test_extremity_matches_sampling_oracle():
         if len(tree.arcs) > 8:
             continue
         alpha = tree.total_length / 2
-        ext = extremity_set(tree, alpha).as_subnetwork(tree)
+        ext = extremity_subnetwork(extremity_set(tree, alpha), tree)
         for arc in tree.arcs:
             wu, wv = side_measures(tree, arc.id)
             for i in range(1, 1000):
@@ -94,8 +94,8 @@ def test_monotone_in_alpha():
         a2 = a1 + hi * rng.randint(1, 8) // 16
         if a1 <= 0:
             continue
-        e1 = extremity_set(tree, a1).as_subnetwork(tree)
-        e2 = extremity_set(tree, min(a2, hi)).as_subnetwork(tree)
+        e1 = extremity_subnetwork(extremity_set(tree, a1), tree)
+        e2 = extremity_subnetwork(extremity_set(tree, min(a2, hi)), tree)
         assert contains_sub(e2, e1)
 
 
@@ -429,7 +429,7 @@ def test_flood_parts_match_from_segments():
             continue
         a_star = critical_alpha(host)
         for alpha in (a_star / 5, a_star / 2, a_star * 9 / 10):
-            ext_sub = extremity_set(host, alpha).as_subnetwork(host)
+            ext_sub = extremity_subnetwork(extremity_set(host, alpha), host)
             roots = _local_roots(host, ext_sub)
             graph = ext_sub._graph
             parts = graph.parts(graph.pieces, roots)

@@ -21,7 +21,7 @@ from patrolgame import (
 from patrolgame import factorization
 from patrolgame.serialize import write_factorization
 from oracles import (best_delta_bruteforce, count_one_factorizations_bruteforce, enumerate_reference,
-                     girth_bruteforce, heuristic_reference)
+                     factorization_key, girth_bruteforce, heuristic_reference)
 
 F = Fraction
 
@@ -145,7 +145,7 @@ def test_enumeration_counts_small(unit_k4, unit_k6):
     assert len(facts) == 6
     # frozen from the set-cover brute force over explicit perfect matchings
     assert count_one_factorizations_bruteforce(6) == 6
-    keys = {f.as_key() for f in facts}
+    keys = {factorization_key(f) for f in facts}
     assert len(keys) == 6  # pairwise distinct as unordered factor sets
     for f in facts:
         assert validate_factorization(unit_k6, f.factors, 1) == []
@@ -308,12 +308,12 @@ def test_best_matches_bruteforce_k6():
         delta, optima = best_delta_bruteforce(net)
         best = best_one_factorization(net)
         assert best.certified and best.delta == delta
-        assert best.as_key() in optima
+        assert factorization_key(best) in optima
         # ties go to the first optimum in enumeration order
-        first = next(f for f in enumerate_one_factorizations(net) if f.as_key() in optima)
+        first = next(f for f in enumerate_one_factorizations(net) if factorization_key(f) in optima)
         assert best.factors == first.factors
         # and in the order of the oracle's own search
-        assert best.factors == next(f for f in enumerate_reference(net) if f.as_key() in optima).factors
+        assert best.factors == next(f for f in enumerate_reference(net) if factorization_key(f) in optima).factors
 
 
 def test_best_rational_k8_frozen():

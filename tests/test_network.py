@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patrolgame import (
+    AttackStrategy,
     FormatError,
     Network,
     Point,
     Segment,
     Step,
     SubNetwork,
+    TemporalLaw,
     ValidationError,
     Walk,
     complete_network,
@@ -23,12 +25,16 @@ from patrolgame import (
     double_traversal,
     e_patrolling,
     eulerian_tour,
+    evaluate,
     format_network,
     girth,
+    k4_tightness_attack,
     parse_network,
     path_network,
+    patrol_search,
     star_network,
     subtree_decomposition,
+    tree_attack_strategy,
     walk_through_nodes,
 )
 from patrolgame.network import _walk, parse_rational
@@ -439,8 +445,38 @@ def test_built_walks_match_constructor():
         patrol = complete_patrolling(net)
         walks += [w for w, _ in patrol.components] + [w for w, _ in parse_patrol(net, write_patrol(patrol)).components]
     walks += [eulerian_tour(k5z), eulerian_tour(k5z).repeated(2), eulerian_tour(complete_network(5))]
+    # patrol_search's best walks: a node start on the K4 tightness attack, and
+    # a start inside an arc of the demo tree, searched on quarters, a wider
+    # scale than the walk's halves
+    sample = make_sample_tree()
+    atom = AttackStrategy(sample, ((sample.point("aAB", F(1, 2)), F(1)),), (), TemporalLaw.fixed(0))
+    searched = [patrol_search(k4, k4_tightness_attack(k4, 6), 6, max_steps=5).walk,
+                patrol_search(sample, atom, F(1, 4), max_steps=2, offset_step=F(1, 2)).walk]
+    assert searched[0].start.is_node and not searched[1].start.is_node
+    walks += searched + [walk_through_nodes(sample, ["A", "B", "C"], initial=("aL62", F(1, 2))),
+                         walk_through_nodes(sample, ["C", "L4"], initial=("bBC", F(3, 2)))]
     for w in walks:
         assert walk_fields(w) == walk_fields(Walk(w.net, w.start, w.steps)), w.steps
+
+
+def test_built_walks_hold_no_steps_until_read(sample_tree, unit_k4):
+    # an E-patrol's walks, its parsed copy's reverse walk and a search's
+    # walk answer every query from their ints; their `Step`s are built on
+    # the first read of `steps`, and only then
+    patrol = e_patrolling(sample_tree, 4)
+    walk, x = patrol.components[0][0], sample_tree.point("aAB", F(1, 2))
+    parsed = parse_patrol(sample_tree, write_patrol(patrol))
+    searched = patrol_search(unit_k4, k4_tightness_attack(unit_k4, 5), 5, max_steps=3).walk
+    assert not walk.is_stationary and walk.position(F(7, 3)) == walk.reversed().position(walk.duration - F(7, 3))
+    assert walk.visit_times(x) == tuple(walk.duration - t for t in reversed(walk.reversed().visit_times(x)))
+    assert evaluate(patrol, tree_attack_strategy(sample_tree, 4), 4, method="exact").probability > 0
+    assert searched.visit_times(searched.end_point)
+    lazy = [walk, patrol.components[1][0], parsed.components[1][0], searched]
+    assert all("steps" not in w.__dict__ for w in lazy)
+    for w in lazy:
+        steps = w.steps
+        assert "steps" in w.__dict__ and w.steps is steps
+        assert walk_fields(w) == walk_fields(Walk(w.net, w.start, steps))
 
 
 def test_walk_kernel_checks_its_ints():
@@ -460,9 +496,9 @@ def test_walk_kernel_checks_its_ints():
             ((a, b, back), [(0, 2), (0, 1), (2, 0)], 1, "step on 'a' starts at node:v, walk is at node:w")]
     for steps, pairs, scale, message in rows:
         with pytest.raises(ValidationError) as got:
-            _walk(net, u, steps, pairs, scale)
+            _walk(net, u, [s.arc for s in steps], pairs, scale)
         assert str(got.value) == message == _walk_error(net, u, steps)
-    assert _walk(net, u, (a, back), [(0, 8), (8, 0)], 4)._scale == 1
+    assert _walk(net, u, [a.arc, back.arc], [(0, 8), (8, 0)], 4)._scale == 1
 
 
 def _outcome(make):

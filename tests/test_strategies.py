@@ -1,5 +1,6 @@
 import hashlib
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,18 @@ def test_e_patrolling_leaf_visits_alpha2(sample_tree):
     assert walk.duration == 30
     for leaf in sample_tree.leaf_nodes():
         assert len(walk.visit_times(sample_tree.node_point(leaf))) == 2
+
+
+def test_tree_constructions_check_the_tree_first(unit_k4):
+    # on K4, which is neither a tree nor Eulerian, the duration's check
+    # would warn; the tree check comes first and raises without a warning
+    calls = (e_patrolling, tree_attack_strategy, game_value_tree)
+    for make in calls:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError) as err:
+                make(unit_k4, 1)
+        assert str(err.value) == "network is not a tree" and seen == [], make.__name__
 
 
 def test_complete_patrolling_unit_k4(unit_k4):
