@@ -38,7 +38,8 @@ from typing import Sequence
 # process that never runs Monte Carlo (most one-shot CLI commands) never loads it
 
 from .errors import SizeGuardError, ValidationError
-from .network import Network, Point, SubNetwork, Walk, _is_int, _on_scale, _walk, _WalkIndex, frac
+from .network import (Network, Point, SubNetwork, Walk, _is_int, _on_scale, _require_same_network, _walk, _WalkIndex,
+                      frac)
 from .strategies import AttackStrategy, PatrolStrategy, TemporalLaw
 
 
@@ -206,6 +207,7 @@ def evaluate(patrol: PatrolStrategy, attack: AttackStrategy, alpha, *,
     runs seeded Monte Carlo and reports a 95% confidence half-width.
     """
     alpha = _duration(alpha)
+    _require_same_network(patrol.network, attack.network, "attack")
     if method in ("mc", "monte-carlo"):
         return _mc_evaluate(patrol, attack, alpha, trials, seed, jobs)
     if method == "exact" and attack.is_atomic:
@@ -465,14 +467,20 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     `walks_examined` is the size of the whole family, skipped walks included.
     A family of more than `max_walks` walks, or a `max_steps` at or beyond
     the interpreter's recursion limit, raises `SizeGuardError` before any
-    walk is scored; a negative `max_steps` or a non-positive `offset_step`
-    raises `ValidationError`.
+    walk is scored; an attack on another network, a `max_steps` that is no
+    nonnegative integer, a `max_walks` that is no positive integer or a
+    non-positive `offset_step` raises `ValidationError`.
 
     A closed walk is held at its end point like an open one, not repeated;
     `walk_attack_probability` repeats a closed walk periodically, so on a
     closed walk the two can give different probabilities.
     """
     alpha = _duration(alpha)
+    _require_same_network(net, attack.network, "attack")
+    if not _is_int(max_steps):
+        raise ValidationError(f"max_steps must be an integer, got {max_steps!r}")
+    if not _is_int(max_walks) or max_walks <= 0:
+        raise ValidationError(f"max_walks must be a positive integer, got {max_walks!r}")
     if max_steps >= sys.getrecursionlimit():
         raise SizeGuardError(f"max_steps={max_steps} exceeds the recursion limit")
     if max_steps < 0:
@@ -681,5 +689,6 @@ def walk_attack_probability(walk: Walk, attack: AttackStrategy, alpha, *,
     every walk, closed ones included, so on a closed walk the two can give
     different probabilities."""
     alpha = _duration(alpha)
+    _require_same_network(walk.net, attack.network, "attack")
     disc = attack if attack.is_atomic else attack.discretized(grid_step)
     return _walk_probability(walk, disc.atoms, alpha, disc.temporal, dwell_at_end)

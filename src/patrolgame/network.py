@@ -5,7 +5,7 @@ values at the interface, and integers on a common scale inside (`_on_scale`
 puts a set of `Fraction`s on one).  A network keeps its arc lengths times
 D, the lcm of their denominators; a walk keeps its steps as arc ids with
 offsets and a clock, and a subnetwork its segment ends, on a multiple of D.
-A walk builds its `Step` objects on the first read of `steps`.  A
+A walk holds only these ints; `steps` builds `Step`s on first read.  A
 subnetwork's segment graph names each vertex by a node's name or by (arc
 id, scaled offset), so its tours and floods hash strings and small tuples,
 not `Point`s.  Floating point never enters this module.  Networks are
@@ -584,13 +584,17 @@ def components_after_removal(net: Network, x: Point) -> list[SubNetwork]:
 
 def _exact(x) -> bool:
     """Whether `frac` takes x as it is: an int other than a bool, or a Fraction."""
-    if type(x) is Fraction or type(x) is int:
-        return True
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_same_network(net: Network, other: Network, what: str) -> None:
+    """Raise unless `other` is `net`, or has its nodes and arcs (one text parsed twice)."""
+    if other is not net and (other.nodes != net.nodes or other.arcs != net.arcs):
+        raise ValidationError(f"{what} is on another network")
 
 
 def _position(node: str | None, arc: str | None, off: int | None, scale: int) -> Point:
@@ -599,10 +603,10 @@ def _position(node: str | None, arc: str | None, off: int | None, scale: int) ->
 
 
 def _reject_step(net: Network, s: Step, where: Point) -> None:
-    """Raise the error of a step that names an unknown arc or has an offset
-    that is no int or Fraction, after the same checks in the same order as
-    any other step: the arc, a zero length, the offsets' range, the start
-    offset's type, the join with `where`, and last the end offset's type."""
+    """Raise the error of a step with an offset that is no int or Fraction,
+    after the same checks in the same order as any other step: the arc, a
+    zero length, the offsets' range, the start offset's type, the join with
+    `where`, and last the end offset's type."""
     a = net.arc(s.arc)
     if s.start == s.end:
         raise ValidationError(f"zero-length step on arc {s.arc!r}")
@@ -615,7 +619,7 @@ def _reject_step(net: Network, s: Step, where: Point) -> None:
         raise ValidationError(f"step on {s.arc!r} starts at {net.point(s.arc, lo)!r}, "
                               f"walk is at {where!r}")
     frac(s.end)
-    raise AssertionError(f"{s!r} has an unknown arc or an inexact offset")
+    raise AssertionError(f"{s!r} has no inexact offset")
 
 
 @dataclass(frozen=True)
@@ -647,34 +651,23 @@ class Walk:
     node there (None at an interior point).  `duration` and `end_point` are
     the only exact values built up front: `position` bisects `_ticks`, and
     `visit_times` reads the walk's `_WalkIndex`, the clock the engine scores
-    walks on.  `steps` is built from the ints on first read, except that the
-    constructor keeps the tuple it was given, offset types and all.
+    walks on.  `steps` is a view built from the ints on first read, with
+    `Fraction` offsets whatever offset types the constructor was given.
 
     One integer kernel, `_walk`, checks and times every walk: the constructor
-    puts each distinct `Step` object on the scale and calls it, and
-    `double_traversal`, the Eulerian tours, `e_patrolling`, `patrol_search`,
-    `repeated` and `parse_patrol` (for the reverse of the walk before) pass
-    the arc ids and ints they hold.  A checked walk's reverse is valid:
-    `reversed` derives its ints.
+    puts its steps' offsets on one scale and calls it, and `parse_patrol`,
+    `double_traversal`, the Eulerian tours, `e_patrolling`, `patrol_search`
+    and `repeated` pass the arc ids and ints they hold.  A checked walk's
+    reverse is valid: `reversed` derives its ints.
     """
 
     def __init__(self, net: Network, start: Point, steps: Sequence[Step] = ()):
         steps = tuple(steps)
-        arcs, n = net._arc_by_id, len(steps)
-        distinct = []  # each distinct step object, up to the first with an unknown arc or an inexact offset
-        for s in {id(s): s for s in steps}.values():
-            if s.arc not in arcs or not (_exact(s.start) and _exact(s.end)):
-                n = next(i for i, q in enumerate(steps) if q is s)
-                break
-            distinct.append(s)
-        values = {id(x): x for s in distinct for x in (s.start, s.end)}
-        scale, ints = _on_scale(net._units[0], values.values())
-        scaled = dict(zip(values, ints))
-        pairs = {id(s): (scaled[id(s.start)], scaled[id(s.end)]) for s in distinct}
-        _walk(net, start, [s.arc for s in steps[:n]], [pairs[id(s)] for s in steps[:n]], scale, self)
+        n = next((i for i, s in enumerate(steps) if not (_exact(s.start) and _exact(s.end))), len(steps))
+        scale, ints = _on_scale(net._units[0], (x for s in steps[:n] for x in (s.start, s.end)))
+        _walk(net, start, [s.arc for s in steps[:n]], list(zip(ints[::2], ints[1::2])), scale, self)
         if n < len(steps):
             _reject_step(net, steps[n], self.end_point)
-        self.steps = steps
 
     @cached_property
     def steps(self) -> tuple[Step, ...]:
@@ -686,7 +679,7 @@ class Walk:
             s = made.get(key)
             if s is None:
                 aid, (lo, hi) = key
-                s = made[key] = _step(aid, value[lo], value[hi])
+                s = made[key] = Step(aid, value[lo], value[hi])
             steps.append(s)
         return tuple(steps)
 
@@ -721,12 +714,9 @@ class Walk:
 
     def reversed(self) -> "Walk":
         """The walk run backwards from its end point; every field equals what
-        the constructor would build from the reversed steps.  It holds
-        `steps` only when this walk does: flipped, offset types and all."""
+        the constructor would build from the reversed steps."""
         w = Walk.__new__(Walk)
         w.net, w.start, w.duration, w._scale = self.net, self.end_point, self.duration, self._scale
-        if "steps" in self.__dict__:
-            w.steps = tuple(_step(s.arc, s.end, s.start) for s in reversed(self.steps))
         w._arcs = self._arcs[::-1]
         w._ticks = tuple(self._ticks[-1] - t for t in reversed(self._ticks))
         w._offsets = tuple((hi, lo) for lo, hi in reversed(self._offsets))
@@ -743,22 +733,13 @@ class Walk:
         return _walk(self.net, self.start, self._arcs * k, self._offsets * k, self._scale)
 
 
-def _step(arc: str, start, end) -> Step:
-    """`Step(arc, start, end)` without the dataclass `__init__`, fields set as it sets them."""
-    s = object.__new__(Step)
-    object.__setattr__(s, "arc", arc)
-    object.__setattr__(s, "start", start)
-    object.__setattr__(s, "end", end)
-    return s
-
-
 def _walk(net: Network, start: Point, arcs: Sequence[str], pairs: Sequence[tuple[int, int]], scale: int,
           w: Walk | None = None) -> Walk:
     """The walk kernel: fill `w` (a new `Walk` when None) from its start, the
     arc ids of its steps and their (start, end) offsets times `scale`, a
     multiple of D.  It divides the scale by the gcd of scale / D and the
-    ints, as the constructor derives it, then runs the zero-length, range
-    and contiguity checks on the ints, with the constructor's messages."""
+    ints, as the constructor derives it, then runs the arc, zero-length,
+    range and contiguity checks on the ints, with the constructor's messages."""
     by_id, (D, lengths) = net._arc_by_id, net._units
     k = scale // D
     if k > 1 and pairs:
@@ -773,25 +754,29 @@ def _walk(net: Network, start: Point, arcs: Sequence[str], pairs: Sequence[tuple
     node, arc = start.node, start.arc
     off = start.offset * scale if _exact(start.offset) else None
     clock, ticks, stops = 0, [0], [node]
-    for aid, (lo, hi) in zip(arcs, pairs):
-        a, length = by_id[aid], lengths[aid] * k
-        if lo == hi:
-            raise ValidationError(f"zero-length step on arc {aid!r}")
-        if not (0 <= lo <= length and 0 <= hi <= length):
-            raise ValidationError(f"step offset {Fraction(hi if 0 <= lo <= length else lo, scale)} "
-                                  f"outside arc {aid!r}")
-        # the step leaves from the walk's position: the node at the arc end
-        # it starts from, or the same interior offset of the same arc
-        at = a.u if lo == 0 else a.v if lo == length else None
-        if (node != at) if at is not None else (arc != aid or off != lo):
-            where = start if len(ticks) == 1 else _position(node, arc, off, scale)
-            raise ValidationError(f"step on {aid!r} starts at {net.point(aid, Fraction(lo, scale))!r}, "
-                                  f"walk is at {where!r}")
-        node = a.u if hi == 0 else a.v if hi == length else None
-        arc, off = (None, None) if node is not None else (aid, hi)
-        clock += hi - lo if hi > lo else lo - hi
-        ticks.append(clock)
-        stops.append(node)
+    try:
+        for aid, (lo, hi) in zip(arcs, pairs):
+            a, length = by_id[aid], lengths[aid] * k
+            if lo == hi:
+                raise ValidationError(f"zero-length step on arc {aid!r}")
+            if not (0 <= lo <= length and 0 <= hi <= length):
+                raise ValidationError(f"step offset {Fraction(hi if 0 <= lo <= length else lo, scale)} "
+                                      f"outside arc {aid!r}")
+            # the step leaves from the walk's position: the node at the arc end
+            # it starts from, or the same interior offset of the same arc
+            at = a.u if lo == 0 else a.v if lo == length else None
+            if (node != at) if at is not None else (arc != aid or off != lo):
+                where = start if len(ticks) == 1 else _position(node, arc, off, scale)
+                raise ValidationError(f"step on {aid!r} starts at {net.point(aid, Fraction(lo, scale))!r}, "
+                                      f"walk is at {where!r}")
+            node = a.u if hi == 0 else a.v if hi == length else None
+            arc, off = (None, None) if node is not None else (aid, hi)
+            clock += hi - lo if hi > lo else lo - hi
+            ticks.append(clock)
+            stops.append(node)
+    except KeyError:
+        net.arc(aid)  # the step names an unknown arc: raise its error
+        raise
     w._scale, w._ticks, w._offsets, w._stops = scale, tuple(ticks), tuple(pairs), tuple(stops)
     w.duration, w.end_point = Fraction(clock, scale), _position(node, arc, off, scale) if pairs else start
     return w

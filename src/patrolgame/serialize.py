@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import FormatError, ValidationError
 from .factorization import Factorization, _checked
-from .network import Network, Point, Segment, Step, SubNetwork, Walk, _walk, frac, parse_rational
+from .network import Network, Point, Segment, SubNetwork, _on_scale, _walk, frac, parse_rational
 from .strategies import AttackStrategy, PatrolStrategy, TemporalLaw, UniformPart
 
 
@@ -142,30 +142,29 @@ def write_patrol(p: PatrolStrategy) -> str:
 
 def parse_patrol(net: Network, text: str) -> PatrolStrategy:
     """Records run `mix`, `walk`, then that walk's `step`s, per component.
-    Each distinct step record (a walk and its reverse repeat them all) and
-    offset text is parsed once.  `Walk` checks every step, except that a walk
-    that is exactly the reverse of the one before it (an E-patrol's second)
-    goes to the walk kernel on that walk's arc ids and offsets reversed, not
-    scaled again."""
+    Each distinct step record (a walk and its reverse repeat them all) is
+    read once into its arc id and offset texts, and each offset text parsed
+    once.  A walk's distinct offsets go on one scale, and the walk kernel
+    checks and times every walk from its arc ids and those ints."""
     lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
     if not lines or lines[0] != "patrol":
         raise FormatError("line 1: expected 'patrol' header")
     comps, prob, start, walk_ln = [], None, None, 0
-    steps: list[Step] = []
-    parsed: dict[str, Step] = {}  # step record text -> its Step
-    offsets: dict[str, Fraction] = {}  # offset text -> its value, shared by the Steps
+    steps: list[tuple[str, ...]] = []  # the walk's steps, each (arc id, start text, end text)
+    parsed: dict[str, tuple[str, ...]] = {}  # step record text -> its step
+    offsets: dict[str, Fraction] = {}  # offset text -> its value
 
     def flush(ln):
         if prob is None:
             return
         if start is None:
             raise FormatError(f"line {ln}: mix record without a walk")
-        prev = comps[-1][0] if comps else None
-        back = prev is not None and prev.end_point == start and len(prev.steps) == len(steps) and all(
-            (s.arc, s.start, s.end) == (q.arc, q.end, q.start) for s, q in zip(steps, reversed(prev.steps)))
+        texts = list({t for _, lo, hi in steps for t in (lo, hi)})
+        scale, ints = _on_scale(net._units[0], (offsets[t] for t in texts))
+        scaled = dict(zip(texts, ints))
         with _at_line(walk_ln):
-            comps.append((_walk(net, start, prev._arcs[::-1], [(hi, lo) for lo, hi in reversed(prev._offsets)],
-                                prev._scale) if back else Walk(net, start, steps.copy()), prob))
+            comps.append((_walk(net, start, [aid for aid, _, _ in steps],
+                                [(scaled[lo], scaled[hi]) for _, lo, hi in steps], scale), prob))
 
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
@@ -176,9 +175,10 @@ def parse_patrol(net: Network, text: str) -> PatrolStrategy:
             if start is None:
                 raise FormatError(f"line {ln}: step record before its walk")
             if step is None:
-                lo, hi = (offsets[t] if t in offsets else offsets.setdefault(t, parse_rational(t, "offset", ln))
-                          for t in tok[2:])
-                step = parsed[line] = Step(tok[1], lo, hi)
+                for t in tok[2:]:
+                    if t not in offsets:
+                        offsets[t] = parse_rational(t, "offset", ln)
+                step = parsed[line] = tuple(tok[1:])
             steps.append(step)
         elif tok[0] == "mix" and len(tok) == 2:
             flush(ln)

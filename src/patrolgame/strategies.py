@@ -17,7 +17,8 @@ from .ebd import RootedSubtree, ebd
 from .errors import FactorizationError, ValidationError
 from .factorization import (Factorization, _require_even_complete, round_robin_one_factorization,
                             validate_factorization)
-from .network import Network, Point, SubNetwork, Walk, _tour_from, _walk, frac, tree_tour, validate_alpha
+from .network import (Network, Point, SubNetwork, Walk, _require_same_network, _tour_from, _walk, frac, tree_tour,
+                      validate_alpha)
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,7 @@ class PatrolStrategy:
         if total != 1:
             raise ValidationError(f"selection probabilities sum to {total}, expected 1")
         for w, s in self.components:
+            _require_same_network(self.network, w.net, "patrol walk")
             if s < 0:
                 raise ValidationError("negative selection probability")
             if not w.is_closed:
@@ -144,6 +146,8 @@ def epsilon_horizon(alpha, epsilon) -> Fraction:
     """Randomizing the start time over [0, 3*alpha/epsilon] costs the
     Attacker at most epsilon of guarantee."""
     a, e = frac(alpha), frac(epsilon)
+    if a <= 0:
+        raise ValidationError("attack duration must be positive")
     if e <= 0:
         raise ValidationError("epsilon must be positive")
     return 3 * a / e

@@ -29,11 +29,14 @@ from patrolgame import (
     critical_alpha,
     double_traversal,
     e_patrolling,
+    eulerian_tour,
     evaluate,
+    format_network,
     game_value_tree,
     intercept,
     interception_probability,
     k4_tightness_attack,
+    parse_network,
     patrol_search,
     path_network,
     round_robin_one_factorization,
@@ -706,13 +709,47 @@ def test_patrol_search_depth_guard():
 
 def test_patrol_search_rejects_bad_steps(unit_k4):
     # a non-positive offset step would drop the interior starts or fail in
-    # `range`, and a negative step count would search as if it were 0
+    # `range`, and a negative step count would search as if it were 0; a
+    # step count or a walk budget that is no integer, or a walk budget that
+    # is not positive, is refused by name before any search
     att = k4_tightness_attack(unit_k4, alpha=5)
     for offset_step in (0, -1, F(-1, 4)):
         with pytest.raises(ValidationError, match="offset step must be positive"):
             patrol_search(unit_k4, att, 5, max_steps=2, offset_step=offset_step)
     with pytest.raises(ValidationError, match="max_steps must be nonnegative"):
         patrol_search(unit_k4, att, 5, max_steps=-1)
+    for max_steps in (2.5, "3", True, F(2), None):
+        with pytest.raises(ValidationError, match="^max_steps must be an integer, got "):
+            patrol_search(unit_k4, att, 5, max_steps=max_steps)
+    for max_walks in (0, -1, 2.5, "9", True, None):
+        with pytest.raises(ValidationError, match="^max_walks must be a positive integer, got "):
+            patrol_search(unit_k4, att, 5, max_steps=2, max_walks=max_walks)
+    assert patrol_search(unit_k4, att, 5, max_steps=np.int64(2), max_walks=np.int64(10 ** 6)).walks_examined > 0
+
+
+def test_strategies_on_another_network_are_refused(unit_k4):
+    # a walk or an attack on another network would be scored against points
+    # that are not there; a copy of the network parsed from its text is the
+    # same network
+    star = star_network([1, 2, 2])
+    patrol, k4_attack = complete_patrolling(unit_k4), k4_tightness_attack(unit_k4, 5)
+    star_attack = tree_attack_strategy(star, 2)
+    for method in ("exact", "grid", "mc"):
+        with pytest.raises(ValidationError, match="^attack is on another network$"):
+            evaluate(patrol, star_attack, 2, method=method, trials=100)
+    with pytest.raises(ValidationError, match="^patrol walk is on another network$"):
+        PatrolStrategy(unit_k4, ((eulerian_tour(complete_network(5)), F(1)),))
+    with pytest.raises(ValidationError, match="^attack is on another network$"):
+        patrol_search(star, k4_attack, 5, max_steps=2)
+    with pytest.raises(ValidationError, match="^attack is on another network$"):
+        walk_attack_probability(double_traversal(star, "s0"), k4_attack, 5)
+    copy = parse_network(format_network(unit_k4))
+    assert copy is not unit_k4
+    same = PatrolStrategy(copy, patrol.components)
+    attack = k4_tightness_attack(copy, 5)
+    assert evaluate(same, attack, 5).probability == evaluate(patrol, k4_attack, 5).probability
+    assert patrol_search(unit_k4, attack, 5, max_steps=2).probability > 0
+    assert walk_attack_probability(patrol.components[0][0], attack, 5) > 0
 
 
 def _search_cases():

@@ -460,9 +460,10 @@ def test_built_walks_match_constructor():
 
 
 def test_built_walks_hold_no_steps_until_read(sample_tree, unit_k4):
-    # an E-patrol's walks, its parsed copy's reverse walk and a search's
-    # walk answer every query from their ints; their `Step`s are built on
-    # the first read of `steps`, and only then
+    # an E-patrol's walks, both walks of its parsed copy, a search's walk
+    # and a walk built by the constructor answer every query from their
+    # ints; their `Step`s are built on the first read of `steps`, and only
+    # then, with `Fraction` offsets where the constructor was given ints
     patrol = e_patrolling(sample_tree, 4)
     walk, x = patrol.components[0][0], sample_tree.point("aAB", F(1, 2))
     parsed = parse_patrol(sample_tree, write_patrol(patrol))
@@ -471,22 +472,28 @@ def test_built_walks_hold_no_steps_until_read(sample_tree, unit_k4):
     assert walk.visit_times(x) == tuple(walk.duration - t for t in reversed(walk.reversed().visit_times(x)))
     assert evaluate(patrol, tree_attack_strategy(sample_tree, 4), 4, method="exact").probability > 0
     assert searched.visit_times(searched.end_point)
-    lazy = [walk, patrol.components[1][0], parsed.components[1][0], searched]
+    built = Walk(unit_k4, unit_k4.node_point("v1"), [Step("v1-v2", 0, 1), Step("v1-v2", 1, 0)])
+    lazy = [walk, patrol.components[1][0], parsed.components[0][0], parsed.components[1][0], searched, built]
     assert all("steps" not in w.__dict__ for w in lazy)
     for w in lazy:
         steps = w.steps
         assert "steps" in w.__dict__ and w.steps is steps
         assert walk_fields(w) == walk_fields(Walk(w.net, w.start, steps))
+    assert built.steps == (Step("v1-v2", 0, 1), Step("v1-v2", 1, 0))
+    assert all(type(o) is F for s in built.steps for o in (s.start, s.end))
 
 
 def test_walk_kernel_checks_its_ints():
     # the builders' ints go through the constructor's checks: hand-built
-    # rows that are zero-length, out of range or not contiguous, and that
-    # pass every other check, raise the constructor's message
+    # rows that name an unknown arc, are zero-length, out of range or not
+    # contiguous, and that pass every other check, raise the constructor's
+    # message
     net = Network(["u", "v", "w"], [("a", "u", "v", 2), ("b", "v", "w", 1)])
     u = net.node_point("u")
     a, back, b = Step("a", F(0), F(2)), Step("a", F(2), F(0)), Step("b", F(0), F(1))
-    rows = [((Step("a", F(0), F(0)),), [(0, 0)], 1, "zero-length step on arc 'a'"),
+    rows = [((Step("c", F(0), F(1)),), [(0, 1)], 1, "unknown arc 'c'"),
+            ((a, Step("c", F(0), F(1))), [(0, 2), (0, 1)], 1, "unknown arc 'c'"),
+            ((Step("a", F(0), F(0)),), [(0, 0)], 1, "zero-length step on arc 'a'"),
             ((Step("a", F(0), F(0)),), [(0, 0)], 4, "zero-length step on arc 'a'"),
             ((Step("a", F(0), F(3)),), [(0, 3)], 1, "step offset 3 outside arc 'a'"),
             ((a, Step("a", F(2), F(-1, 2))), [(0, 4), (4, -1)], 2, "step offset -1/2 outside arc 'a'"),

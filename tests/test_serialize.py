@@ -410,18 +410,31 @@ def test_write_patrol_matches_fmt_frac_reference():
 
 
 def _counting_walks(monkeypatch):
-    built = []
+    """The arguments of every `Walk.__init__` call made inside a
+    `ser.parse_patrol` call; calls anywhere else are not counted."""
+    built, parsing = [], []
+    init, parse = Walk.__init__, ser.parse_patrol
 
-    def walk(*args):
-        built.append(args)
-        return Walk(*args)
-    monkeypatch.setattr(ser, "Walk", walk)
+    def counting_init(self, *args):
+        if parsing:
+            built.append(args)
+        init(self, *args)
+
+    def counting_parse(*args):
+        parsing.append(True)
+        try:
+            return parse(*args)
+        finally:
+            parsing.pop()
+    monkeypatch.setattr(Walk, "__init__", counting_init)
+    monkeypatch.setattr(ser, "parse_patrol", counting_parse)
     return built
 
 
 def test_parse_patrol_reverse_is_constructor_walk(monkeypatch):
-    # the second walk of an E-patrol is the reverse of the first: it is
-    # taken as Walk.reversed(), whose fields equal the constructor's
+    # the second walk of an E-patrol is the reverse of the first: the walk
+    # kernel builds it, as every parsed walk, and its fields equal the
+    # constructor's
     rng = random.Random(53)
     built = _counting_walks(monkeypatch)
     for _ in range(12):
@@ -429,14 +442,15 @@ def test_parse_patrol_reverse_is_constructor_walk(monkeypatch):
         text = ser.write_patrol(e_patrolling(tree, random_alpha(rng, tree)))
         built.clear()
         (first, _), (second, _) = ser.parse_patrol(tree, text).components
-        assert len(built) == 1
+        assert built == []
         want = Walk(tree, first.end_point, [Step(s.arc, s.end, s.start) for s in reversed(first.steps)])
         assert walk_fields(second) == walk_fields(want)
 
 
 def test_parse_patrol_near_reverse_gets_constructor_error(monkeypatch):
-    # one offset changed in the second walk: the constructor checks that
-    # walk and its error names the walk's line, as for any other walk
+    # one offset changed in the second walk: the walk kernel rejects that
+    # walk with the constructor's error, which names the walk's line, as for
+    # any other walk
     rng = random.Random(59)
     built = _counting_walks(monkeypatch)
     for _ in range(12):
@@ -451,13 +465,13 @@ def test_parse_patrol_near_reverse_gets_constructor_error(monkeypatch):
         got = _parse_patrol_outcome(tree, text)
         assert got == _parse_record_by_record(tree, text)
         assert got[0] is FormatError and got[1].startswith(f"line {walk_ln}: step on ")
-        assert len(built) == 2
+        assert built == []
 
 
-def test_parse_patrol_reverse_prefix_extension_or_moved_start_use_constructor(monkeypatch):
+def test_parse_patrol_reverse_prefix_extension_or_moved_start_match_constructor(monkeypatch):
     # a second walk that is the reverse without its last step, the reverse
     # with one more step back and forth, or the reverse from another start
-    # point is not the reverse: the constructor builds or rejects it
+    # point: the walk kernel builds or rejects it as the constructor would
     rng = random.Random(71)
     built = _counting_walks(monkeypatch)
     for _ in range(8):
@@ -474,12 +488,12 @@ def test_parse_patrol_reverse_prefix_extension_or_moved_start_use_constructor(mo
             built.clear()
             got = _parse_patrol_outcome(tree, text)
             assert got == (error or _parse_record_by_record(tree, text))
-            assert len(built) == 2
+            assert built == []
 
 
-def test_parse_patrol_other_second_walks_use_constructor(monkeypatch, sample_tree):
+def test_parse_patrol_other_second_walks_match_constructor(monkeypatch, sample_tree):
     # the same walk twice, or two tours that are not reverses, each go
-    # through the constructor and parse as record by record
+    # through the walk kernel and parse as record by record
     built = _counting_walks(monkeypatch)
     walk = e_patrolling(sample_tree, 4).components[0][0]
     texts = [(sample_tree, ser.write_patrol(PatrolStrategy(sample_tree, ((walk, F(1, 2)), (walk, F(1, 2))))))]
@@ -489,7 +503,7 @@ def test_parse_patrol_other_second_walks_use_constructor(monkeypatch, sample_tre
         built.clear()
         got = _parse_patrol_outcome(net, text)
         assert got == _parse_record_by_record(net, text)
-        assert len(built) == len(got)
+        assert built == []
 
 
 def test_point_and_segment_bad_rationals(sample_tree):

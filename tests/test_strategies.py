@@ -55,6 +55,9 @@ def test_epsilon_horizon():
     assert epsilon_horizon(6, F(1, 10)) == 180
     with pytest.raises(ValidationError):
         epsilon_horizon(4, 0)
+    for alpha in (0, -1, F(-1, 2)):
+        with pytest.raises(ValidationError, match="^attack duration must be positive$"):
+            epsilon_horizon(alpha, 1)
 
 
 def expected_masses(alpha):
