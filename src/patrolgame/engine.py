@@ -6,8 +6,16 @@ offsets and point offsets are put on one integer scale by
 `_WalkIndex` (kept in `network.py`, beside `Walk`), and a point's covered
 phase measure is the sum of min(gap, alpha) over the cyclic gaps between
 its visits; the only Fraction a point gets is its probability.
-Deterministic walks (`walk_attack_probability`, `intercept`) are scored on
-the same integer clock, from the same walk index, by one coverage rule.
+Deterministic walks (`walk_attack_probability`, `intercept`, and the walks
+of `patrol_search`) are scored on the same integer clock by one coverage
+rule, for both start-time laws: the law is a cell [s0, s1) of start times
+(`_cell`), an atom's caught start times are the union of its visits'
+windows [v - alpha, v + tick) within the cell, and the probability is their
+measure over s1 - s0.  A uniform law on [0, H] is the cell [0, H) with a
+tick of 0; a fixed time t is the unit cell [t, t + 1) with a tick of 1.
+That is exact because t, alpha and every visit are integers on the common
+scale: v - alpha <= t <= v holds exactly when [t, t + 1) meets
+[v - alpha, v + 1).
 Continuous spatial attack parts are handled by midpoint-grid quadrature or
 Monte Carlo; an exact coverage integral for piecewise-uniform attacks is
 deliberately not provided.  Monte Carlo is the only place floating
@@ -38,8 +46,8 @@ from typing import Sequence
 # process that never runs Monte Carlo (most one-shot CLI commands) never loads it
 
 from .errors import SizeGuardError, ValidationError
-from .network import (Network, Point, SubNetwork, Walk, _is_int, _on_scale, _require_same_network, _walk, _WalkIndex,
-                      frac)
+from .network import (Network, Point, SubNetwork, Walk, _is_int, _on_scale, _require_on_network,
+                      _require_same_network, _walk, _WalkIndex, frac)
 from .strategies import AttackStrategy, PatrolStrategy, TemporalLaw
 
 
@@ -66,6 +74,13 @@ def _covered_measure(visits: Sequence[int], alpha: int, period: int) -> int:
     return total
 
 
+def _cell(law: TemporalLaw, t: int) -> tuple[int, int, int]:
+    """The start cell [s0, s1) of `law`, whose value is t on the integer
+    clock, and the tick by which its windows close late: (0, H, 0) for a
+    uniform law on [0, H], (t, t + 1, 1) for a fixed time t."""
+    return (0, t, 0) if law.kind == "uniform" else (t, t + 1, 1)
+
+
 def _walk_probability(walk: Walk, atoms, alpha: Fraction, law: TemporalLaw,
                       dwell_at_end: bool) -> Fraction:
     """Exact probability that one deterministic walk intercepts an attack on
@@ -75,50 +90,45 @@ def _walk_probability(walk: Walk, atoms, alpha: Fraction, law: TemporalLaw,
     instant of [t, t + alpha].  A closed walk that moves repeats forever.  A
     stationary walk holds its point, and so does an open walk with
     `dwell_at_end`, from its end time D on; an open walk without it must
-    cover a fixed-law window.  Under a uniform law on [0, H] an atom's
-    caught start times are the union of the windows [v - alpha, v] within
-    [0, H] over its visits v, plus [D - alpha, H] for a hold.  Alpha, the
-    law's time, the atom offsets and the walk's clock share one integer
-    scale.
+    cover a fixed-law window.  An atom's caught start times are the union of
+    the windows [v - alpha, v + tick) within the law's cell over its visits
+    v, plus [D - alpha, s1) for a hold.  Alpha, the law's time, the atom
+    offsets and the walk's clock share one integer scale.
     """
     repeat = walk.is_closed and not walk.is_stationary
     hold = walk.is_stationary or (dwell_at_end and not walk.is_closed)
     atoms = [(p, m) for p, m in atoms if m]
-    # t: the start time, or H under a uniform law
     scale, (a, t, *offsets) = _on_scale(
         walk._scale, [alpha, law.value, *(p.offset for p, _ in atoms if not p.is_node)])
     offsets = iter(offsets)
     index = _WalkIndex(walk, scale // walk._scale)
     end = index.period
-    fixed = law.kind == "fixed"
-    if fixed and not (repeat or hold) and t + a > end:
+    s0, s1, tick = _cell(law, t)
+    width, whole = s1 - s0, 0
+    if law.kind == "fixed" and not (repeat or hold) and t + a > end:
         raise ValidationError("attack window extends past the end of an open walk")
+    if repeat:  # the cell shifted into the first period, less its whole periods
+        a = min(a, end)  # a window of a whole period already covers every start
+        s0 %= end
+        whole, rest = divmod(width, end)
+        s1 = s0 + rest
     total = Fraction(0)
     for p, m in atoms:
         visits = index.visits(p, None if p.is_node else next(offsets))
-        held = hold and p == walk.end_point
-        if fixed:
-            if repeat:  # modular, so a late start unrolls nothing
-                caught = any((v - t) % end <= a for v in visits)
-            else:
-                caught = any(t <= v <= t + a for v in visits) or (held and t + a >= end)
-            total += m if caught else 0
-            continue
-        covered, reach, h = 0, 0, t
-        if repeat:  # periodic: whole periods at once, then the visits up to the rest + alpha
-            whole, h = divmod(t, end)
-            covered = whole * _covered_measure(visits, a, end) if visits else 0
-            visits = [v + k * end for k in range((h + a) // end + 1) for v in visits]
+        covered, reach = 0, s0
+        if repeat and visits:  # whole periods at once, then the visits up to the rest + alpha
+            covered = whole * _covered_measure(visits, a + tick, end)
+            visits = [v + k * end for k in range((s1 + a) // end + 1) for v in visits]
         # the windows come sorted by both ends, so each adds its part past `reach`
         for v in visits:
-            lo, hi = max(v - a, reach), min(v, h)
+            lo, hi = max(v - a, reach), min(v + tick, s1)
             if hi > lo:
                 covered += hi - lo
                 reach = hi
-        if held:
-            covered += max(t - max(end - a, reach), 0)
+        if hold and p == walk.end_point:
+            covered += max(s1 - max(end - a, reach), 0)
         total += m * covered
-    return total if fixed else total / t
+    return total / width
 
 
 def intercept(walk: Walk, x: Point, t, alpha, dwell_at_end: bool = False) -> bool:
@@ -129,6 +139,7 @@ def intercept(walk: Walk, x: Point, t, alpha, dwell_at_end: bool = False) -> boo
     `dwell_at_end` grants the patrol permission to wait at its final point.
     """
     t, alpha = frac(t), _duration(alpha)
+    _require_on_network(walk.net, x)
     return _walk_probability(walk, [(x, 1)], alpha, TemporalLaw.fixed(t), dwell_at_end) == 1
 
 
@@ -174,6 +185,7 @@ def interception_probability(patrol: PatrolStrategy, x: Point, t, alpha) -> Frac
     in t; the argument is kept for interface fidelity and must be
     nonnegative, as for any fixed start time."""
     TemporalLaw.fixed(t)
+    _require_on_network(patrol.network, x)
     return _interception_probabilities(patrol, [x], _duration(alpha))[0]
 
 
@@ -425,8 +437,7 @@ def attacker_best_response(patrol: PatrolStrategy, alpha, *, space_step,
     alpha = _duration(alpha)
     net = patrol.network
     for p in extra_points:
-        if not net.contains_point(p):
-            raise ValidationError(f"{p!r} not on network")
+        _require_on_network(net, p)
     grid = SubNetwork.whole(net).grid_points(space_step, extra=extra_points)
     probs = _interception_probabilities(patrol, grid, alpha)
     best = None
@@ -489,13 +500,10 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     if offset_step <= 0:
         raise ValidationError(f"offset step must be positive, got {offset_step}")
     disc = attack.discretized(grid_step)
-    fixed_t = disc.temporal.kind == "fixed"
-    horizon = disc.temporal.value if not fixed_t else Fraction(0)
-    t_fix = disc.temporal.value if fixed_t else Fraction(0)
-
     (D, lengths), atoms = net._units, disc.atoms
-    scale, (alpha_i, horizon_i, tfix_i, step_i, *offsets) = _on_scale(
-        D, [alpha, horizon, t_fix, offset_step, *(p.offset for p, _ in atoms if not p.is_node)])
+    scale, (alpha_i, law_i, step_i, *offsets) = _on_scale(
+        D, [alpha, disc.temporal.value, offset_step, *(p.offset for p, _ in atoms if not p.is_node)])
+    s0, s1, tick = _cell(disc.temporal, law_i)
     arc_len = {aid: ln * (scale // D) for aid, ln in lengths.items()}
     mass_scale, masses = _on_scale(1, (m for _, m in atoms))
 
@@ -552,61 +560,60 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     if family > max_walks:
         raise SizeGuardError(f"patrol family exceeded {max_walks} walks")
 
-    # A walk's score is the sum over atoms of mass times favourable measure,
-    # one integer `total` that each move adds its hits' gains to.  An atom's
-    # visits come in nondecreasing time (the clock only moves forward and a
-    # move visits an atom at most once).  Fixed law: hit[i] is 1 once a visit
-    # falls in [t, t + alpha], and that visit gains the atom's mass.  Uniform
-    # law: the measure is the length of the union of the windows
-    # [v - alpha, v] within [0, H] over the visits v, so a visit gains its
-    # window's part beyond reach[i] = min(H, latest visit), which starts at 0
-    # so that no window counts below 0.  A finished walk waits at its end
-    # node, whose atom its last move has just visited at `then`: the wait
-    # gains H - then if positive under the uniform law, and the mass under the
-    # fixed law if the atom is unhit and then < t.  Each law's rules are
-    # written once, in its loop below; `_walk_probability` reads the same
-    # rules for one walk.  A walk of max_steps steps is scored from its
-    # prefix's state without being entered, so it writes no state.
+    # A walk's score is the sum over atoms of mass times the measure of its
+    # caught start times in the law's cell [s0, s1) (`_cell`), one integer
+    # `total` that each move adds its hits' gains to.  An atom's visits come
+    # in nondecreasing time (the clock only moves forward and a move visits
+    # an atom at most once), and its caught start times are the union of the
+    # windows [v - alpha, v + tick) within the cell over its visits v: a
+    # visit gains its window's part beyond reach[i], which starts at s0 and
+    # only grows.  A finished walk waits at its end node, whose atom its last
+    # move has just visited at `then`: the wait gains s1 - max(then + tick,
+    # s0) if positive.  `_walk_probability` scores one walk by the same rule.
+    # A walk of max_steps steps is scored from its prefix's state without
+    # being entered, so it writes no state.
     #
-    # The bound on what the extensions of a walk can add.  A move that starts
-    # at or after `last` (H + alpha, or t + alpha) gains nothing, its wait
-    # included, and a full step takes at least `shortest`, so from `then` on
-    # at most ceil(span / shortest) moves gain anything, span = last - then.
-    # r moves enter at most r arcs, so they gain at most cap[r], the mass of
-    # the node atoms and of the r heaviest arcs, times the measure an atom
-    # can still gain: 1 under the fixed law, and at most min(H, span) under
-    # the uniform law, as every later window lies in [then - alpha, H].  The
-    # search skips the extensions when that cannot beat the best score; a tie
-    # never replaces the best walk, so the first best walk stays the same.
+    # The bound on what the extensions of a walk can add.  A full step visits
+    # each of its atoms at least `first` after it starts (its wait counts
+    # from its end node's visit), so one that starts at or after
+    # `last` = s1 + alpha - first opens its windows at or past s1 and gains
+    # nothing, its wait included.  A full step takes at least `shortest`, so
+    # from `then` on at most ceil(span / shortest) moves gain anything,
+    # span = last - then.  r moves enter at most r arcs, so they gain at most
+    # cap[r], the mass of the node atoms and of the r heaviest arcs, times
+    # the measure an atom can still gain: at most min(span, s1 - s0), as
+    # every later window lies in [then + first - alpha, s1).  The search
+    # skips the extensions when that cannot beat the best score; a tie never
+    # replaces the best walk, so the first best walk stays the same.
     arc_mass = sorted((sum(m for _, _, m in by_arc.get(a.id, ())) for a in net.arcs if a.u != a.v),
                       reverse=True)
     gains = list(itertools.accumulate(arc_mass, initial=sum(m for _, m in node_atoms.values())))
     cap = [gains[min(r, len(arc_mass))] for r in range(max_steps + 1)]
     shortest = min((arc_len[a.id] for a in net.arcs if a.u != a.v), default=1)
-    fix_lo, fix_hi = tfix_i, tfix_i + alpha_i
-    last = fix_hi if fixed_t else horizon_i + alpha_i
-    state = [0] * len(disc.atoms)  # hit or reach, by the law
+    first = min((dt for name in net.nodes for *_, hits, _ in moves[name] for _, dt, _ in hits), default=0)
+    width, last = s1 - s0, s1 + alpha_i - first
+    reach = [s0] * len(atoms)
     path: list[tuple] = []  # the records of the moves into the current node
     best_value, best_spec = -1, None
 
-    def uniform_law(node, now: int, steps: int, total: int) -> None:
+    def extend(node, now: int, steps: int, total: int) -> None:
         nonlocal best_value, best_spec
-        reach, h, earliest, left = state, horizon_i, now - alpha_i, max_steps - steps
+        earliest, late, left = now - alpha_i, now + tick, max_steps - steps
         for record, other, length, hits, end in moves[node]:
             gained = 0
             for idx, dt, m in hits:
                 lo = earliest + dt
                 if reach[idx] > lo:
                     lo = reach[idx]
-                hi = now + dt
-                if hi > h:
-                    hi = h
+                hi = late + dt
+                if hi > s1:
+                    hi = s1
                 if hi > lo:
                     gained += m * (hi - lo)
             then = now + length
             value = total + gained
-            if end is not None and then < h:
-                value += end[1] * (h - then)
+            if end is not None and then + tick < s1:
+                value += end[1] * (s1 - max(then + tick, s0))
             if value > best_value:
                 best_value, best_spec = value, (*path, record)
             if left > 0:
@@ -614,55 +621,26 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
                 if span <= 0:
                     continue
                 ahead = (span + shortest - 1) // shortest
-                bound = cap[ahead if ahead < left else left] * (span if span < h else h)
+                bound = cap[ahead if ahead < left else left] * (span if span < width else width)
                 if total + gained + bound <= best_value:
                     continue
                 undo = [reach[idx] for idx, _, _ in hits]
                 for idx, dt, _ in hits:
-                    reach[idx] = now + dt if now + dt < h else h
+                    hi = late + dt if late + dt < s1 else s1
+                    if hi > reach[idx]:
+                        reach[idx] = hi
                 path.append(record)
-                uniform_law(other, then, steps + 1, total + gained)
+                extend(other, then, steps + 1, total + gained)
                 path.pop()
                 for (idx, _, _), old in zip(hits, undo):
                     reach[idx] = old
 
-    def fixed_law(node, now: int, steps: int, total: int) -> None:
-        nonlocal best_value, best_spec
-        hit, left = state, max_steps - steps
-        for record, other, length, hits, end in moves[node]:
-            gained, newly = 0, []
-            for idx, dt, m in hits:
-                if not hit[idx] and fix_lo <= now + dt <= fix_hi:
-                    gained += m
-                    newly.append(idx)
-            then = now + length
-            value = total + gained
-            if end is not None and then < fix_lo and not hit[end[0]]:
-                value += end[1]
-            if value > best_value:
-                best_value, best_spec = value, (*path, record)
-            if left > 0:
-                span = last - then
-                if span <= 0:
-                    continue
-                ahead = (span + shortest - 1) // shortest
-                if total + gained + cap[ahead if ahead < left else left] <= best_value:
-                    continue
-                for idx in newly:
-                    hit[idx] = 1
-                path.append(record)
-                fixed_law(other, then, steps + 1, total + gained)
-                path.pop()
-                for idx in newly:
-                    hit[idx] = 0
-
     try:
-        (fixed_law if fixed_t else uniform_law)(None, 0, 0, 0)
+        extend(None, 0, 0, 0)
     except RecursionError:
         raise SizeGuardError(f"max_steps={max_steps} exceeds the recursion limit") from None
     walk = _walk_from_spec(net, best_spec, scale)
-    denominator = mass_scale if fixed_t else mass_scale * horizon_i
-    return SearchResult(walk, Fraction(best_value, denominator), family)
+    return SearchResult(walk, Fraction(best_value, mass_scale * width), family)
 
 
 def _walk_from_spec(net: Network, spec, scale: int) -> Walk:

@@ -147,7 +147,7 @@ class Network:
             incident[a.u].append(a)
             if a.v != a.u:
                 incident[a.v].append(a)
-        self._incident = {n: tuple(sorted(v, key=lambda a: a.id)) for n, v in incident.items()}
+        self._incident = {n: tuple(v) for n, v in incident.items()}  # in arc id order, as self.arcs
         self._total_length = sum((a.length for a in self.arcs), Fraction(0))
         self._node_distances: dict[str, dict[str, Fraction]] = {}
         # filled by the tree layer (decomposition.py) on first use: D and, per
@@ -456,8 +456,7 @@ class SubNetwork:
 
     @classmethod
     def single_point(cls, host: Network, p: Point) -> "SubNetwork":
-        if not host.contains_point(p):
-            raise ValidationError(f"{p!r} not on network")
+        _require_on_network(host, p)
         return cls(host, host._units[0], {}, frozenset([p]))
 
     # -- queries ---------------------------------------------------------
@@ -574,8 +573,7 @@ def components_after_removal(net: Network, x: Point) -> list[SubNetwork]:
     length.  A regular point yields two components, a degree-n node yields n."""
     if not net.is_tree():
         raise ValidationError("network is not a tree")
-    if not net.contains_point(x):
-        raise ValidationError(f"{x!r} not on network")
+    _require_on_network(net, x)
     return SubNetwork.whole(net).split_at(x)
 
 
@@ -589,6 +587,12 @@ def _exact(x) -> bool:
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_on_network(net: Network, p: Point) -> None:
+    """Raise unless `p` is a node or an interior point of an arc of `net`."""
+    if not net.contains_point(p):
+        raise ValidationError(f"{p!r} not on network")
 
 
 def _require_same_network(net: Network, other: Network, what: str) -> None:
@@ -704,6 +708,7 @@ class Walk:
 
     def visit_times(self, x: Point) -> tuple[Fraction, ...]:
         """Sorted exact times in [0, duration] at which the walk occupies x."""
+        _require_on_network(self.net, x)
         if self.is_stationary:
             return (Fraction(0),) if x == self.start else ()
         scale, off = self._scale, None

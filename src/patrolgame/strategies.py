@@ -23,26 +23,31 @@ from .network import (Network, Point, SubNetwork, Walk, _require_same_network, _
 
 @dataclass(frozen=True)
 class TemporalLaw:
-    """Start-time law: a fixed instant or uniform over [0, horizon]."""
+    """Start-time law: a fixed instant t >= 0, or uniform over [0, horizon]
+    with horizon > 0; checked however it is built."""
 
     kind: str
     value: Fraction
 
+    def __post_init__(self):
+        if self.kind not in ("fixed", "uniform"):
+            raise ValidationError(f"unknown start-time law {self.kind!r}")
+        if not isinstance(self.value, Fraction):
+            raise ValidationError(f"start-time law value must be a Fraction, got {self.value!r}")
+        if self.value < 0:
+            raise ValidationError("attack start time must be nonnegative" if self.kind == "fixed"
+                                  else "horizon must be nonnegative")
+        if self.value == 0 and self.kind == "uniform":
+            raise ValidationError("uniform horizon must be positive")
+
     @classmethod
     def fixed(cls, t) -> "TemporalLaw":
-        t = frac(t)
-        if t < 0:
-            raise ValidationError("attack start time must be nonnegative")
-        return cls("fixed", t)
+        return cls("fixed", frac(t))
 
     @classmethod
     def uniform(cls, horizon) -> "TemporalLaw":
         h = frac(horizon)
-        if h < 0:
-            raise ValidationError("horizon must be nonnegative")
-        if h == 0:
-            return cls.fixed(0)
-        return cls("uniform", h)
+        return cls.fixed(0) if h == 0 else cls("uniform", h)
 
 
 @dataclass(frozen=True)
@@ -165,6 +170,7 @@ def value_complete(net: Network, factorization: Factorization, alpha) -> Fractio
     a = frac(alpha)
     if a <= 0:
         raise ValidationError("attack duration must be positive")
+    _require_same_network(net, factorization.network, "factorization")
     mu = net.total_length
     bound = mu - factorization.delta
     if a > bound:

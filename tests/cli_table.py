@@ -276,6 +276,8 @@ def run(execute, workdir, rows=ROWS) -> list[str]:
 
 
 if __name__ == "__main__":
+    if shutil.which("patrolgame") is None:
+        sys.exit("error: no `patrolgame` command on PATH; install the package with `pip install -e .`")
     with tempfile.TemporaryDirectory() as tmp:
         failures = unpinned_demos() + run(entry_point, tmp)
     print(*(["FAILED:"] + failures if failures else ["all rows pass"]), sep="\n")

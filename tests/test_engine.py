@@ -672,6 +672,18 @@ def test_walk_scoring_at_a_far_horizon():
         assert walk_attack_probability(w, att, F(1, 2)) == want
 
 
+def test_walk_scoring_with_a_window_past_the_period():
+    # a repeating walk catches every start once the window spans its period,
+    # however long the window: the periods it spans are not unrolled
+    net, w = back_and_forth(1)
+    for x in (net.node_point("u"), net.point("a", F(1, 3))):
+        for law in (TemporalLaw.uniform(F(7, 2)), TemporalLaw.fixed(5), TemporalLaw.fixed(10 ** 12 + 1)):
+            att = AttackStrategy(net, ((x, F(1)),), (), law)
+            for alpha in (F(1, 3), F(3, 2), F(2), F(9, 2)):
+                assert walk_attack_probability(w, att, alpha) == walk_probability_reference(w, att, alpha, "repeat")
+            assert walk_attack_probability(w, att, 10 ** 12) == 1
+
+
 def test_patrol_search_reaches_fixed_atom():
     net = Network(["u", "v", "w"], [("a", "u", "v", 1), ("b", "v", "w", 1)])
     atom = AttackStrategy(net, ((net.node_point("w"), F(1)),), (), TemporalLaw.fixed(1))
@@ -771,6 +783,15 @@ def _search_cases():
             zone = ball(net, net.node_point(rng.choice(net.nodes)), F(1))
             att = AttackStrategy(net, atoms, (UniformPart(zone, F(1, 2)),), temporal)
             yield net, att, F(rng.randint(1, 6), 2), max_steps
+    # a fixed start time and alpha = 0: an atom is caught only by a visit at
+    # that very instant (the inputs draw nothing from rng)
+    for net, max_steps in ((path3, 4), (complete_network(4), 3)):
+        points = [net.node_point(n) for n in net.nodes] + [net.point(a.id, a.length / 2) for a in net.arcs]
+        weight = len(points) * (len(points) + 1)  # twice the sum of the weights 1, 2, ...
+        atoms = tuple((p, F(k + 1, weight)) for k, p in enumerate(points))
+        zone = ball(net, net.node_point(net.nodes[-1]), F(1))
+        for t in (F(0), F(3, 2), F(5, 2)):
+            yield net, AttackStrategy(net, atoms, (UniformPart(zone, F(1, 2)),), TemporalLaw.fixed(t)), F(0), max_steps
 
 
 def _assert_search_matches_bruteforce(net, att, alpha, max_steps):
@@ -791,6 +812,16 @@ def test_patrol_search_matches_bruteforce():
     for net, att, alpha, max_steps in _search_cases():
         for steps in (0, 1, 2, max_steps):
             _assert_search_matches_bruteforce(net, att, alpha, steps)
+
+
+def test_points_off_the_network_are_refused(unit_k4):
+    pat = complete_patrolling(unit_k4)
+    walk = pat.components[0][0]
+    for x in (Point(node="zz"), Point(arc="v1-v2", offset=F(5)), Point(arc="zz", offset=F(1, 2))):
+        for call in (lambda: intercept(walk, x, 0, 1), lambda: interception_probability(pat, x, 0, 1),
+                     lambda: walk.visit_times(x)):
+            with pytest.raises(ValidationError, match=f"^{re.escape(repr(x))} not on network$"):
+                call()
 
 
 def test_patrol_search_holds_after_a_last_revisit():
@@ -860,6 +891,11 @@ def test_patrol_search_k4_frozen(unit_k4):
                 ("v2-v4", 1, 0)]
     res = patrol_search(unit_k4, k4_tightness_attack(unit_k4, alpha=5), 5, max_steps=5)
     assert (res.probability, res.walks_examined) == (F(19, 24), 14560)
+    res = patrol_search(unit_k4, uniform_attack(unit_k4, TemporalLaw.fixed(F(3, 2))), 3, max_steps=5)
+    assert (res.probability, res.walks_examined) == (F(1, 2), 14560)
+    assert res.walk.start == unit_k4.node_point("v1")
+    assert [(s.arc, s.start, s.end) for s in res.walk.steps] == [
+        ("v1-v2", 0, 1), ("v1-v2", 1, 0), ("v1-v3", 0, 1), ("v2-v3", 1, 0), ("v1-v2", 1, 0)]
 
 
 def test_best_response_ignores_time_step(sample_tree, unit_k4):

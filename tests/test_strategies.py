@@ -241,6 +241,34 @@ def test_value_complete(unit_k4):
         value_complete(unit_k4, fact, 5)
 
 
+def test_value_complete_refuses_another_networks_factorization(unit_k4):
+    # the factors of a K4 with arcs of 1/2 are shorter than unit K4's, whose
+    # own factorization bounds alpha by 4
+    half = round_robin_one_factorization(complete_network(4, F(1, 2)))
+    with pytest.raises(ValidationError, match="^factorization is on another network$"):
+        value_complete(unit_k4, half, F(9, 2))
+    with pytest.raises(ValidationError, match="^value formula validated only for duration <= 4; got 9/2$"):
+        value_complete(unit_k4, round_robin_one_factorization(unit_k4), F(9, 2))
+
+
+def test_temporal_law_checked_when_built_directly():
+    for kind, value, message in (
+            ("uniform", F(0), "uniform horizon must be positive"),
+            ("uniform", F(-2), "horizon must be nonnegative"),
+            ("fixed", F(-1), "attack start time must be nonnegative"),
+            ("bogus", F(-3), "unknown start-time law 'bogus'"),
+            ("fixed", 3, "start-time law value must be a Fraction, got 3"),
+            ("uniform", "2", "start-time law value must be a Fraction, got '2'")):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            TemporalLaw(kind, value)
+    assert TemporalLaw.uniform(0) == TemporalLaw.fixed(0) == TemporalLaw("fixed", F(0))
+    assert TemporalLaw.uniform("5/2") == TemporalLaw("uniform", F(5, 2))
+    for make, message in ((TemporalLaw.fixed, "attack start time must be nonnegative"),
+                          (TemporalLaw.uniform, "horizon must be nonnegative")):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make(-1)
+
+
 def test_factor_patrolling_matches_complete(unit_k4):
     fact = round_robin_one_factorization(unit_k4)
     via_factor = factor_patrolling(unit_k4, fact)
