@@ -2,10 +2,14 @@
 
 Every run prints a manifest line (command, input digests, parameters, seed)
 so identical invocations are reproducible byte for byte; all randomness flows
-from --seed, which defaults to 0 and never falls back to the clock.
+from --seed, which defaults to 0 and never falls back to the clock. Each input
+is read once, and the manifest digests the bytes parsed, even where `-o`
+overwrites that file. Files are UTF-8 in and out, whatever the locale. Stdout
+is held until the command succeeds: a failing one prints only an `error:` line.
 
-Exit codes: 0 success, 1 validation failure or an unreadable file, 2 usage
-error, 3 size-guard refusal.
+Exit codes: 0 success, 1 validation failure or an unreadable or unwritable
+file, 2 usage error (among them `patrol --kind e` with `--factorization` or
+`--best`), 3 size-guard refusal.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import serialize
@@ -26,7 +29,7 @@ from .factorization import (
     enumerate_one_factorizations,
     round_robin_one_factorization,
 )
-from .network import Network, parse_network, parse_rational
+from .network import parse_network, parse_rational
 from .strategies import (
     complete_patrolling,
     e_patrolling,
@@ -36,88 +39,61 @@ from .strategies import (
 )
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    inputs: tuple[tuple[str, str], ...]
-    params: tuple[tuple[str, str], ...]
-    outputs: tuple[str, ...]
-
-    def line(self) -> str:
-        ins = " ".join(f"{name}=sha256:{digest[:16]}" for name, digest in self.inputs)
-        pars = " ".join(f"{k}={v}" for k, v in self.params)
-        outs = ",".join(self.outputs) if self.outputs else "-"
-        return f"manifest command={self.command} {ins} {pars} outputs={outs}"
-
-
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _read_text(path: str) -> str:
+def _read(path: str, name: str, inputs: list) -> str:
+    """The text of an input file, read once: the SHA-256 of its bytes goes
+    to `inputs` under `name`, for the manifest."""
+    data = Path(path).read_bytes()
+    inputs.append((name, hashlib.sha256(data).hexdigest()))
     try:
-        return Path(path).read_text()
+        return data.decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError(f"not UTF-8 text: {path}") from None
 
 
-def _load_network(path: str) -> Network:
-    return parse_network(_read_text(path))
-
-
 def _emit(text: str, out: str | None, printer) -> tuple[str, ...]:
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
         return (out,)
     printer(text.rstrip("\n"))
     return ()
 
 
-def cmd_decompose(args, printer) -> int:
-    net = _load_network(args.network)
-    if not net.is_tree():
-        raise ValidationError("network is not a tree")
+# A command reads its inputs through `_read`, hands its stdout lines to
+# `printer`, and returns its manifest parameters and the files it wrote.
+
+def cmd_decompose(args, printer, inputs):
+    net = parse_network(_read(args.network, "net", inputs))
     alpha = parse_rational(args.alpha, "--alpha")
     dec = subtree_decomposition(net, alpha)
     report = serialize.write_decomposition_report(
         net, dec, critical_alpha(net), local_root_of_tree(net), game_value_tree(net, alpha))
-    outputs = _emit(report, args.output, printer)
-    manifest = RunManifest("decompose", (("net", _digest(args.network)),),
-                           (("alpha", str(alpha)),), outputs)
-    printer(manifest.line())
-    return 0
+    return [("alpha", alpha)], _emit(report, args.output, printer)
 
 
-def cmd_attack(args, printer) -> int:
-    net = _load_network(args.network)
-    if not net.is_tree():
-        raise ValidationError("network is not a tree")
+def cmd_attack(args, printer, inputs):
+    net = parse_network(_read(args.network, "net", inputs))
     alpha = parse_rational(args.alpha, "--alpha")
     eps = parse_rational(args.epsilon, "--epsilon") if args.epsilon else None
     horizon = parse_rational(args.horizon, "--horizon") if args.horizon else None
     strat = tree_attack_strategy(net, alpha, horizon=horizon, epsilon=eps)
     printer(f"T={serialize.fmt_frac(strat.temporal.value)}")
     outputs = _emit(serialize.write_attack(strat), args.output, printer)
-    params = [("alpha", str(alpha)), ("T", str(strat.temporal.value))]
+    params = [("alpha", alpha), ("T", strat.temporal.value)]
     if eps is not None:
-        params.append(("epsilon", str(eps)))
-    manifest = RunManifest("attack", (("net", _digest(args.network)),), tuple(params), outputs)
-    printer(manifest.line())
-    return 0
+        params.append(("epsilon", eps))
+    return params, outputs
 
 
-def cmd_patrol(args, printer) -> int:
-    net = _load_network(args.network)
+def cmd_patrol(args, printer, inputs):
+    net = parse_network(_read(args.network, "net", inputs))
     alpha = _duration(parse_rational(args.alpha, "--alpha"))
-    inputs = [("net", _digest(args.network))]
     if args.kind == "e":
         strat = e_patrolling(net, alpha)
         printer(f"period={serialize.fmt_frac(strat.components[0][0].duration)}")
     else:
         fact: Factorization | None = None
         if args.factorization:
-            fact = serialize.parse_factorization(net, _read_text(args.factorization))
-            inputs.append(("factorization", _digest(args.factorization)))
+            fact = serialize.parse_factorization(net, _read(args.factorization, "factorization", inputs))
         if args.kind == "complete":
             if fact is None:
                 fact = best_one_factorization(net) if args.best else round_robin_one_factorization(net)
@@ -134,23 +110,19 @@ def cmd_patrol(args, printer) -> int:
                 raise ValidationError("kind 'factor' requires --factorization")
             strat = factor_patrolling(net, fact)
             printer(f"tours={len(strat.components)}")
-    outputs = _emit(serialize.write_patrol(strat), args.output, printer)
-    manifest = RunManifest("patrol", tuple(inputs),
-                           (("alpha", str(alpha)), ("kind", args.kind)), outputs)
-    printer(manifest.line())
-    return 0
+    return [("alpha", alpha), ("kind", args.kind)], _emit(serialize.write_patrol(strat), args.output, printer)
 
 
-def cmd_simulate(args, printer) -> int:
+def cmd_simulate(args, printer, inputs):
     if args.seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     if args.jobs <= 0:
         raise ValidationError(f"--jobs must be positive, got {args.jobs}")
     if args.trials <= 0:
         raise ValidationError(f"--trials must be positive, got {args.trials}")
-    net = _load_network(args.network)
-    patrol = serialize.parse_patrol(net, _read_text(args.patrol))
-    attack = serialize.parse_attack(net, _read_text(args.attack))
+    net = parse_network(_read(args.network, "net", inputs))
+    patrol = serialize.parse_patrol(net, _read(args.patrol, "patrol", inputs))
+    attack = serialize.parse_attack(net, _read(args.attack, "attack", inputs))
     alpha = parse_rational(args.alpha, "--alpha")
     grid_step = parse_rational(args.grid_step, "--grid-step")
     result = evaluate(patrol, attack, alpha, method=args.method, trials=args.trials,
@@ -158,20 +130,13 @@ def cmd_simulate(args, printer) -> int:
     if result.notes:
         printer(f"note: {result.notes}")
     rows = serialize.RESULT_HEADER + "\n" + serialize.result_csv_row(result) + "\n"
-    outputs = _emit(rows, args.output, printer)
-    manifest = RunManifest(
-        "simulate",
-        (("net", _digest(args.network)), ("patrol", _digest(args.patrol)),
-         ("attack", _digest(args.attack))),
-        (("alpha", str(alpha)), ("method", args.method), ("trials", str(args.trials)),
-         ("seed", str(args.seed)), ("jobs", str(args.jobs))),
-        outputs)
-    printer(manifest.line())
-    return 0
+    params = [("alpha", alpha), ("method", args.method), ("trials", args.trials),
+              ("seed", args.seed), ("jobs", args.jobs)]
+    return params, _emit(rows, args.output, printer)
 
 
-def cmd_factorize(args, printer) -> int:
-    net = _load_network(args.network)
+def cmd_factorize(args, printer, inputs):
+    net = parse_network(_read(args.network, "net", inputs))
     outputs: tuple[str, ...] = ()
     if args.best:
         fact = best_one_factorization(net, heuristic=args.heuristic)
@@ -187,13 +152,8 @@ def cmd_factorize(args, printer) -> int:
                 chunks.append(serialize.write_factorization(fact))
         printer(f"count={count}")
         if args.output:
-            Path(args.output).write_text("".join(chunks))
-            outputs = (args.output,)
-    mode = "best" if args.best else "enumerate"
-    manifest = RunManifest("factorize", (("net", _digest(args.network)),),
-                           (("mode", mode),), outputs)
-    printer(manifest.line())
-    return 0
+            outputs = _emit("".join(chunks), args.output, printer)
+    return [("mode", "best" if args.best else "enumerate")], outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,21 +216,34 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "factorize" and args.heuristic and not args.best:
         parser.error("factorize: argument --heuristic: needs --best")
-    printer = print
+    if args.command == "patrol" and args.kind == "e" and (args.factorization or args.best):
+        parser.error("patrol: argument --kind e: takes neither --factorization nor --best")
+    held: list[str] = []
+    inputs: list[tuple[str, str]] = []
     try:
-        return args.func(args, printer)
+        params, outputs = args.func(args, held.append, inputs)
+        ins = " ".join(f"{name}=sha256:{digest[:16]}" for name, digest in inputs)
+        pars = " ".join(f"{k}={v}" for k, v in params)
+        held.append(f"manifest command={args.command} {ins} {pars} outputs={','.join(outputs) or '-'}")
+        # one write: a stdout that cannot encode a line gets none of them
+        print("\n".join(held))
     except SizeGuardError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValidationError, FormatError, FactorizationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except UnicodeEncodeError as e:
+        print(f"error: stdout cannot encode {e.object[e.start:e.end]!r} as {e.encoding}", file=sys.stderr)
+        return 1
     except FileNotFoundError as e:
         print(f"error: no such file: {e.filename}", file=sys.stderr)
         return 1
     except OSError as e:
-        print(f"error: {(e.strerror or str(e)).lower()}: {e.filename}", file=sys.stderr)
+        where = "" if e.filename is None else f": {e.filename}"  # a closed stdout has no file name
+        print(f"error: {(e.strerror or str(e)).lower()}{where}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

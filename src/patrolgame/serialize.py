@@ -218,7 +218,9 @@ def parse_factorization(net: Network, text: str) -> Factorization:
         m = int(head[1].split("=", 1)[1])
     except (IndexError, ValueError):
         raise FormatError("line 1: bad regularity") from None
-    certified = "uncertified" not in head
+    if head[2:] not in ([], ["uncertified"]):
+        raise FormatError(f"line 1: expected 'uncertified' or nothing after m={m}, got {' '.join(head[2:])!r}")
+    certified = len(head) == 2
     factors = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line:

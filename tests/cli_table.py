@@ -21,7 +21,9 @@ runs the demos through `runpy`, one test per group of `GROUPS`;
     python tests/cli_table.py
 
 runs it through the installed `patrolgame` entry point and `python
-demos/<name>.py`, one process per row. Both print each row's output and
+demos/<name>.py`, one process per row; CI runs it a second time under
+`PYTHONUTF8=0 LC_ALL=C`, an ASCII locale, where the `utf8.net` row checks
+that files are read and written as UTF-8. Both print each row's output and
 list the checks that failed, and both fail on a demo that no row runs. To
 pin a new output, add its input to `INPUTS` if it needs one, and a row to a
 group of `GROUPS`; a deliberate
@@ -87,6 +89,8 @@ INPUTS = {
     "k12z.net": lambda: _zrational(12),
     "big.net": _big_tree,
     "negative.attack": lambda: "attack\ntemporal fixed -1\natom node:L3 1\n",
+    # a star whose centre is a non-ASCII node name, written as UTF-8
+    "utf8.net": lambda: format_network(Network(["é", "a", "b", "c"], [(f"e{x}", "é", x, 1) for x in "abc"])),
 }
 
 
@@ -157,6 +161,14 @@ GROUPS = {"complete": (
         stderr="error: attack duration must be nonnegative"),
     # the tree check comes before the duration's, whose check warns on K4
     Row("patrol unit_k4.net --alpha 1 --kind e", exit=1, stderr="error: network is not a tree"),
+    # the E-patrol reads no factorization: either flag is a usage error
+    Row("patrol sample_tree.net --alpha 4 --kind e --best", exit=2),
+    # an unwritable -o prints no stdout line, not even the result lines before it
+    Row("attack sample_tree.net --alpha 4 -o missing/x.attack", exit=1,
+        stderr="error: no such file: missing/x.attack"),
+    # files are UTF-8 in and out, whatever the locale
+    Row("decompose utf8.net --alpha 3 -o utf8.report",
+        sha={"utf8.report": "f0e6d82aa57245ae3f6df80ce867e8b88ea3d1b3c279db78b2de41af3efa1801"}),
     # the E-patrol against the attack: exact, grid, and Monte Carlo at
     # 200,003 trials (four chunks, the last partial) on one and two threads;
     # the manifest lines hold input digests, not paths
@@ -256,7 +268,7 @@ def run(execute, workdir, rows=ROWS) -> list[str]:
     failed."""
     workdir = Path(workdir)
     for name, make in INPUTS.items():
-        (workdir / name).write_text(make())
+        (workdir / name).write_text(make(), encoding="utf-8")
     for name in DEMO_DATA_FILES:
         shutil.copyfile(DEMOS / "data" / name, workdir / name)
     failed = []

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -377,3 +378,62 @@ def test_simulate_patrol_path_is_a_directory(tree_file, tmp_path, capsys):
     assert main(["simulate", tree_file, "--patrol", str(tmp_path), "--attack", str(tmp_path),
                  "--alpha", "4"]) == 1
     assert capsys.readouterr().err == f"error: is a directory: {tmp_path}\n"
+
+
+def test_manifest_digests_the_bytes_read(tree_file, capsys):
+    # -o may overwrite the network file itself: the manifest still holds the
+    # digest of the bytes that were parsed, not of the report written over them
+    read = hashlib.sha256(Path(tree_file).read_bytes()).hexdigest()
+    assert main(["decompose", tree_file, "--alpha", "4", "-o", tree_file]) == 0
+    assert Path(tree_file).read_text().startswith("alpha 4\n")
+    assert f" net=sha256:{read[:16]} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["attack", "--alpha", "4"], ["patrol", "--alpha", "4", "--kind", "e"]])
+def test_unwritable_output_prints_nothing(tree_file, tmp_path, capsys, argv):
+    # the result lines are held until the -o file is written
+    missing = tmp_path / "missing" / "x"
+    assert main([argv[0], tree_file, *argv[1:], "-o", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no such file: {missing}\n"
+
+
+@pytest.mark.parametrize("flag", [["--best"], ["--factorization", "k4.fact"]])
+def test_patrol_e_takes_no_factorization(tree_file, capsys, flag):
+    # the E-patrol reads no factorization, so either flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["patrol", tree_file, "--alpha", "4", "--kind", "e", *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_utf8_files_in_an_ascii_locale(tmp_path):
+    # files are UTF-8 in and out whatever the locale; a stdout that cannot
+    # encode the result ends in one error line, not a traceback
+    star = "node a\nnode b\nnode c\nnode é\narc ea é a 1\narc eb é b 1\narc ec é c 1\n"
+    (tmp_path / "star.net").write_bytes(star.encode("utf-8"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "patrolgame.cli", "decompose", "star.net", "--alpha", "3"]
+    done = subprocess.run([*argv, "-o", "out"], capture_output=True, cwd=tmp_path, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "local_root node:é\n" in (tmp_path / "out").read_bytes().decode("utf-8")
+    done = subprocess.run(argv, capture_output=True, cwd=tmp_path, env=env)
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
+    assert b"Traceback" not in done.stderr
+
+
+def test_closed_stdout_is_one_error_line(tree_file, monkeypatch, capsys):
+    # a reader that closed the pipe early gets an error line, not a traceback
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["decompose", tree_file, "--alpha", "4"]) == 1
+    assert capsys.readouterr().err == "error: broken pipe\n"

@@ -83,6 +83,16 @@ def test_factorization_round_trip(unit_k6):
     assert not ser.parse_factorization(unit_k6, loose).certified
 
 
+@pytest.mark.parametrize("head", ["factorization m=1 uncertifed", "factorization m=1 certified",
+                                  "factorization m=1 uncertified uncertified"])
+def test_factorization_header_is_strict(unit_k4, head):
+    # only `factorization m=<k>`, optionally followed by `uncertified`: a
+    # misspelt mark must not read as a certificate
+    text = "\n".join([head, "factor v1-v2 v3-v4", "factor v1-v3 v2-v4", "factor v1-v4 v2-v3"]) + "\n"
+    with pytest.raises(FormatError, match="^line 1: "):
+        ser.parse_factorization(unit_k4, text)
+
+
 def test_factorization_parse_validates(unit_k4):
     bad = "factorization m=1\nfactor v1-v2 v3-v4\nfactor v1-v2 v2-v4\nfactor v1-v4 v2-v3\n"
     with pytest.raises(FactorizationError):
