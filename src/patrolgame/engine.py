@@ -27,7 +27,13 @@ a time (numpy converts the words to uniforms in C), picks each trial's walk
 and spatial entry from a table over equal buckets of [0, 1) (binary search
 only in the buckets that hold a boundary), and sorts the chunk once by (walk,
 spatial entry).  Worker w takes chunks w, w + workers, ..., and there are
-never more workers than chunks or cores.
+never more workers than chunks or cores.  A trial on a walk of period P is
+reduced once, to its phase phi = shift mod P, and then scored by float
+comparisons with windows built once per (walk, entry) pair from the exact
+visit times: an atom visited at v catches phi in [v - alpha, v] modulo P,
+and a step on a segment catches off - phi (forward) or off + phi (backward)
+in windows a period apart, with the offset test kept only where the step
+covers part of the segment.
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ from typing import Sequence
 # process that never runs Monte Carlo (most one-shot CLI commands) never loads it
 
 from .errors import SizeGuardError, ValidationError
-from .network import (Network, Point, SubNetwork, Walk, _is_int, _on_scale, _require_on_network,
-                      _require_same_network, _walk, _WalkIndex, frac)
+from .network import (Network, Point, SubNetwork, Walk, _is_int, _merge_intervals, _on_scale,
+                      _require_on_network, _require_same_network, _walk, _WalkIndex, frac)
 from .strategies import AttackStrategy, PatrolStrategy, TemporalLaw
 
 
@@ -72,6 +78,14 @@ def _covered_measure(visits: Sequence[int], alpha: int, period: int) -> int:
         total += min(v - prev, alpha)
         prev = v
     return total
+
+
+def _require_attack(net: Network, attack: AttackStrategy) -> None:
+    """Raise unless the attack is on `net` and each of its atoms lies on it,
+    at a node or inside an arc."""
+    _require_same_network(net, attack.network, "attack")
+    for p, _ in attack.atoms:
+        _require_on_network(net, p)
 
 
 def _cell(law: TemporalLaw, t: int) -> tuple[int, int, int]:
@@ -219,7 +233,7 @@ def evaluate(patrol: PatrolStrategy, attack: AttackStrategy, alpha, *,
     runs seeded Monte Carlo and reports a 95% confidence half-width.
     """
     alpha = _duration(alpha)
-    _require_same_network(patrol.network, attack.network, "attack")
+    _require_attack(patrol.network, attack)
     if method in ("mc", "monte-carlo"):
         return _mc_evaluate(patrol, attack, alpha, trials, seed, jobs)
     if method == "exact" and attack.is_atomic:
@@ -287,6 +301,70 @@ def _draw_uniforms(seed: int, start: int, cols: np.ndarray, block: np.ndarray) -
         cols[:, lo:lo + n] = block[:n, :_USED_DRAWS].T
 
 
+def _windows(starts, alpha: int, period: int, scale: int, lo: float, hi: float):
+    """The closed windows [c + k * period, c + k * period + alpha] / scale,
+    over the starts c and all integers k, that meet [lo, hi], each end
+    rounded once from the integer scale: in increasing order and merged
+    (rounding is monotone, so it keeps the union's floats).  None when they
+    cover [lo, hi], as they cover every number once alpha reaches the
+    period.  A window that meets [lo, hi] only within rounding of an end may
+    be left out: callers widen [lo, hi] by a slack no draw reaches."""
+    if alpha >= period:
+        return None
+    span, windows = period / scale, []
+    for c in starts:  # float bounds on k can err only at an end of [lo, hi]
+        first = math.ceil((lo - (c + alpha) / scale) / span)
+        for k in range(first, math.floor((hi - c / scale) / span) + 1):
+            windows.append(((c + k * period) / scale, (c + k * period + alpha) / scale))
+    if len(starts) > 1:
+        windows = _merge_intervals(windows)
+    return None if any(x <= lo and hi <= y for x, y in windows) else tuple(windows)
+
+
+def _segment_task(steps, alpha: int, period: int, scale: int, lo: float, width: float,
+                  slack: float):
+    """The clauses that catch a trial at offset off = lo + u * width of a
+    segment, u in [0, 1), on a moving walk of `period` with `steps` (start
+    time, low, high and entry offset on `scale`) on the segment's arc, as
+    `_mc_evaluate` states them; True when every trial is caught, None when
+    none is.
+
+    A step visits off at t0 + |off - o1|, so against the phase phi it catches
+    off - phi (row 1) in the windows started at o1 - t0 when it runs forward,
+    and off + phi (row 2) in those started at t0 + o1 - alpha when it runs
+    back.  The offsets a draw reaches are known exactly, so a step that
+    misses them all is dropped, and off itself (row 3) is tested only
+    against a step that covers some of them."""
+    top = lo + (1 - 2 ** -53) * width  # the largest offset a draw reaches
+    span = period / scale
+    clauses = []
+    for t0, o_min, o_max, o1 in steps:
+        below, above = o_min / scale, o_max / scale
+        if top < below or above < lo:
+            continue
+        # off - phi ranges over [x_lo - span, x_hi], off + phi over [x_lo, x_hi + span]
+        row, start, back = (1, o1 - t0, span) if o1 == o_min else (2, t0 + o1 - alpha, 0)
+        found = _windows([start], alpha, period, scale, max(lo, below) - back - slack,
+                         min(top, above) + span - back + slack)
+        if found == ():
+            continue
+        tests = () if found is None else ((row, found),)
+        if lo < below or above < top:
+            tests += ((3, ((below, above),)),)
+        if not tests:
+            return True
+        clauses.append(tests)
+    return tuple(clauses) or None
+
+
+def _within(x: np.ndarray, windows) -> np.ndarray:
+    """Whether each value of x lies in one of the closed windows."""
+    got = (x >= windows[0][0]) & (x <= windows[0][1])
+    for lo, hi in windows[1:]:
+        got |= (x >= lo) & (x <= hi)
+    return got
+
+
 def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
     import numpy as np
     if not _is_int(trials) or trials <= 0:
@@ -296,7 +374,6 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
     if not _is_int(seed) or not 0 <= seed < 2 ** 128:
         raise ValidationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     trials, seed = int(trials), int(seed)
-    a_f = float(alpha)
     walks = [w for w, _ in patrol.components]
     cum_s = np.cumsum([float(s) for _, s in patrol.components])
 
@@ -313,7 +390,9 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
             masses.append(float(d * seg.measure))
     cum_m = np.cumsum(masses)
     cum_m[-1] = 1.0
-    n_entries = len(entries)
+    n_entries, n_atoms = len(entries), len(attack.atoms)
+    seg_lo = np.array([e[2] for e in entries[n_atoms:]])
+    seg_width = np.array([e[3] - e[2] for e in entries[n_atoms:]])
     # keys walk * n_entries + entry are computed in key_type, n_entries included
     key_type = np.int16 if len(walks) * n_entries < 2 ** 15 else np.int64
 
@@ -321,65 +400,88 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
     t_value = float(attack.temporal.value)
 
     # One task per (walk, entry) pair that can intercept, keyed by
-    # walk * n_entries + entry: True when a stationary walk sits on the atom,
-    # ("atom", period, visits), or ("seg", period, lo, hi - lo, steps) with a
-    # (start time, low offset, high offset, entry offset) tuple per step on the arc.
-    # Times and offsets come from the walks' integer clocks on one scale; an
-    # int/int division rounds as correctly as float() of the equal Fraction.
+    # walk * n_entries + entry: True when every trial is caught (a stationary
+    # walk on the atom, or windows that cover every phase), else a tuple of
+    # clauses, any of which catches a trial; a clause is a tuple of (row,
+    # windows) tests on the rows that `score` fills, which must all hold.
+    # Alpha, visits and steps are ints on one scale, so each window end is
+    # rounded once; windows no phase within `slack` of [0, P] reaches go.
     interior = [e[1] for e in entries if e[0] == "atom" and not e[1].is_node]
-    scale, offsets = _on_scale(math.lcm(*[w._scale for w in walks]), (p.offset for p in interior))
+    scale, (a, *offsets) = _on_scale(math.lcm(*[w._scale for w in walks]),
+                                     [alpha, *(p.offset for p in interior)])
     atom_offsets = dict(zip(interior, offsets))
+    reach = max((e[3] for e in entries[n_atoms:]), default=0.0)
+    moving = []  # (walk, period) of the walks that move
     tasks = {}
     for i, w in enumerate(walks):
         index = _WalkIndex(w, scale // w._scale)
-        period = index.period / scale
+        span = index.period / scale
+        if index.period:
+            moving.append((i, span))
+        # far above the rounding of phi and off; past a period, phi means nothing
+        slack = min(span, (2 * span + t_value + reach) * 2 ** -40)
         for j, e in enumerate(entries):
-            if e[0] == "atom" and not index.period:
-                task = True if e[1] == w.start else None
+            if not index.period:  # a stationary walk catches only an atom at its point
+                task = True if e[0] == "atom" and e[1] == w.start else None
             elif e[0] == "atom":
-                visits = sorted({v % index.period for v in index.visits(e[1], atom_offsets.get(e[1]))})
-                task = ("atom", period, [v / scale for v in visits]) if visits else None
-            else:  # a moving point mass never matches a stationary patrol
-                steps = [tuple(x / scale for x in st) for st in index.by_arc.get(e[1], ())]
-                task = ("seg", period, e[2], e[3] - e[2], steps) if steps else None
+                visits = {v % index.period for v in index.visits(e[1], atom_offsets.get(e[1]))}
+                found = _windows([v - a for v in visits], a, index.period, scale, -slack,
+                                 span + slack) if visits else ()
+                task = True if found is None else (((0, found),),) if found else None
+            else:
+                task = _segment_task(index.by_arc.get(e[1], ()), a, index.period, scale,
+                                     e[2], e[3] - e[2], slack)
             if task is not None:
                 tasks[i * n_entries + j] = task
+    # where each walk's atom and segment keys start in a sorted chunk
+    walk_keys = [i * n_entries + j for i in range(len(walks)) for j in (0, n_atoms)]
+    walk_keys.append(len(walks) * n_entries)
 
     pick_walk = _bucket_pick(cum_s, key_type)
     pick_entry = _bucket_pick(cum_m, key_type)
 
     def score(u: np.ndarray) -> int:
-        """Hits among the trials whose uniforms are the columns of u."""
+        """Hits among the trials whose uniforms are the columns of u.
+
+        The trials are sorted by (walk, entry).  Row 0 of `rows` holds each
+        trial's phase, reduced once: shift - floor(shift / P) * P, within a
+        few ulps of [0, P].  A segment trial also gets its offset off (row
+        3), off - phase (row 1) and off + phase (row 2).  Each group then
+        compares those rows with its task's windows."""
         count = u.shape[1]
         key = pick_walk(u[0]) * n_entries
         key += pick_entry(u[2])
         order = np.argsort(key, kind="stable")
         key = key[order]
-        cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
-        u1 = u[1][order]
-        u3 = u[3][order] if attack.uniform_parts else None
-        t = t_value if fixed_t else u[4][order] * t_value
+        bounds = np.searchsorted(key, walk_keys).tolist()
+        rows = np.empty((4 if attack.uniform_parts else 1, count))
+        for i, span in moving:
+            lo_i, mid, hi_i = bounds[2 * i:2 * i + 3]
+            pick = order[lo_i:hi_i]
+            shift = u[1][pick] * span + (t_value if fixed_t else u[4][pick] * t_value)
+            phase = rows[0, lo_i:hi_i]
+            np.subtract(shift, np.floor(shift / span) * span, out=phase)
+            if mid < hi_i:
+                ent = key[mid:hi_i] - (i * n_entries + n_atoms)
+                off = rows[3, mid:hi_i]
+                np.add(seg_lo[ent], u[3][order[mid:hi_i]] * seg_width[ent], out=off)
+                np.subtract(off, phase[mid - lo_i:], out=rows[1, mid:hi_i])
+                np.add(off, phase[mid - lo_i:], out=rows[2, mid:hi_i])
+        cuts = [0] + (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
         hits = 0
-        for lo_i, hi_i in zip([0] + cuts, cuts + [count]):
-            task = tasks.get(int(key[lo_i]))
+        for k, lo_i, hi_i in zip(key[cuts].tolist(), cuts, cuts[1:] + [count]):
+            task = tasks.get(k)
             if task is None:
                 continue
             if task is True:
                 hits += hi_i - lo_i
                 continue
-            period = task[1]
-            shift = u1[lo_i:hi_i] * period + (t if fixed_t else t[lo_i:hi_i])
-            got = np.zeros(hi_i - lo_i, dtype=bool)
-            if task[0] == "atom":
-                for v in task[2]:
-                    got |= np.mod(v - shift, period) <= a_f
-            else:
-                _, _, lo, width, steps = task
-                off = lo + u3[lo_i:hi_i] * width
-                for t0, o_min, o_max, o1 in steps:
-                    inside = (off >= o_min) & (off <= o_max)
-                    rel = np.mod(t0 + np.abs(off - o1) - shift, period)
-                    got |= inside & (rel <= a_f)
+            got = None
+            for (row, windows), *more in task:
+                hit = _within(rows[row, lo_i:hi_i], windows)
+                for row, windows in more:
+                    hit &= _within(rows[row, lo_i:hi_i], windows)
+                got = hit if got is None else got | hit
             hits += int(np.count_nonzero(got))
         return hits
 
@@ -487,7 +589,7 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     closed walk the two can give different probabilities.
     """
     alpha = _duration(alpha)
-    _require_same_network(net, attack.network, "attack")
+    _require_attack(net, attack)
     if not _is_int(max_steps):
         raise ValidationError(f"max_steps must be an integer, got {max_steps!r}")
     if not _is_int(max_walks) or max_walks <= 0:
@@ -667,6 +769,6 @@ def walk_attack_probability(walk: Walk, attack: AttackStrategy, alpha, *,
     every walk, closed ones included, so on a closed walk the two can give
     different probabilities."""
     alpha = _duration(alpha)
-    _require_same_network(walk.net, attack.network, "attack")
+    _require_attack(walk.net, attack)
     disc = attack if attack.is_atomic else attack.discretized(grid_step)
     return _walk_probability(walk, disc.atoms, alpha, disc.temporal, dwell_at_end)

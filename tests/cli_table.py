@@ -197,6 +197,15 @@ GROUPS = {"complete": (
         sha={"big939.attack": "9df0af33f624a9a45c9a7af80b35a1a8e3ccfbd958f75e632b5da88e8f040f9c"}),
     Row("patrol big.net --alpha 939 --kind e -o big939.patrol",
         sha={"big939.patrol": "4e1dd517aff196237c7a040cc1fc41cff7d95c385162416f7f8327c615554557"}),
+    # Monte Carlo against both attacks on two threads: at 7/3 the 1,006
+    # atoms and 1,564 segments make many small (walk, entry) groups per
+    # chunk, and many arc steps cover a segment only in part
+    Row("simulate big.net --patrol big939.patrol --attack big939.attack --alpha 939 --method mc "
+        "--trials 200003 --seed 7 --jobs 2",
+        sha={"stdout": "0f88923572a58446441ae5c656598b3ebfa15bac0b629857d3968205ebe34ed0"}),
+    Row("simulate big.net --patrol big73.patrol --attack big73.attack --alpha 7/3 --method mc "
+        "--trials 200003 --seed 7 --jobs 2",
+        sha={"stdout": "7c943ea73a650485b7a1a4e0a2de21057c6583ad937ab62ebb0f92bec2b8ce63"}),
 ), "demo": (
     # the demos, Monte Carlo included, are deterministic; demo 05's branch
     # and bound over the 8-step K4 walks keeps its best and its walk count

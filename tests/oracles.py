@@ -626,9 +626,11 @@ def mc_hits_reference(patrol, attack, alpha, trials: int, seed: int) -> int:
     the spatial entry (atoms, then the segments of each uniform part), the
     offset along a segment, and the start time under a uniform law.  The
     attack is caught when a visit of the periodic walk to the attacked point
-    falls in the window: (visit - phase - start) mod period <= alpha, with
-    the same float operations as the engine.  A stationary walk catches only
-    an atom at its own position."""
+    falls in the window: (visit - phase - start) mod period <= alpha.  The
+    engine decides the same event through phase windows (each trial's shift
+    reduced once, then compared with exact window ends), so the two can
+    differ only for a draw within a few ulps of a window edge.  A stationary
+    walk catches only an atom at its own position."""
     a_f = float(alpha)
     cum_s = list(itertools.accumulate(float(s) for _, s in patrol.components))
     entries, masses = [], []
@@ -670,6 +672,60 @@ def mc_hits_reference(patrol, attack, alpha, trials: int, seed: int) -> int:
                 caught = caught or (v - shift) % period <= a_f
             elapsed += step.length
         hits += caught
+    return hits
+
+
+def mc_hits_mod_reference(patrol, attack, alpha, trials: int, seed: int) -> int:
+    """Monte Carlo hit count by the per-visit `np.mod` scorer, vectorized
+    over the trials of each (walk, entry) pair.
+
+    It reads the first `trials` trials of `Philox(key=seed).random_raw`
+    itself, as `mc_hits_reference` does, picks walks and entries with
+    `np.searchsorted`, and catches a trial when (visit - shift) mod period
+    <= alpha for a visit of the attacked point, shift being phase * period
+    plus the start time: one full-width `np.mod` per atom visit or arc step,
+    with every visit and step bound the float of its exact value."""
+    a_f = float(alpha)
+    raw = np.random.Philox(key=seed).random_raw(8 * trials).reshape(trials, 8)[:, :5]
+    u = ((raw >> np.uint64(11)) * 2.0 ** -53).T
+    entries, masses = [], []
+    for point, mass in attack.atoms:
+        entries.append((point, None))
+        masses.append(float(mass))
+    for part in attack.uniform_parts:
+        for seg in part.region.segment_list():
+            entries.append((seg.arc, (float(seg.lo), float(seg.hi))))
+            masses.append(float(part.density * seg.measure))
+    cum_s = np.cumsum([float(s) for _, s in patrol.components])
+    cum_m = np.cumsum(masses)
+    cum_m[-1] = 1.0
+    comp = np.minimum(np.searchsorted(cum_s, u[0], side="right"), len(cum_s) - 1)
+    spot = np.minimum(np.searchsorted(cum_m, u[2], side="right"), len(cum_m) - 1)
+    start = float(attack.temporal.value) * (u[4] if attack.temporal.kind == "uniform" else np.ones(trials))
+    hits = 0
+    for i, (walk, _) in enumerate(patrol.components):
+        period = float(walk.duration)
+        for j, (where, seg) in enumerate(entries):
+            sel = (comp == i) & (spot == j)
+            if walk.is_stationary:
+                hits += int(np.count_nonzero(sel)) * (seg is None and where == walk.start)
+                continue
+            shift = u[1][sel] * period + start[sel]
+            got = np.zeros(len(shift), dtype=bool)
+            if seg is None:
+                for v in sorted({v % walk.duration for v in walk.visit_times(where)}):
+                    got |= np.mod(float(v) - shift, period) <= a_f
+            else:
+                lo, hi = seg
+                off = lo + u[3][sel] * (hi - lo)
+                elapsed = Fraction(0)
+                for step in walk.steps:
+                    if step.arc == where:
+                        o1, o2 = float(step.start), float(step.end)
+                        inside = (off >= min(o1, o2)) & (off <= max(o1, o2))
+                        got |= inside & (np.mod(float(elapsed) + np.abs(off - o1) - shift, period) <= a_f)
+                    elapsed += step.length
+            hits += int(np.count_nonzero(got))
     return hits
 
 

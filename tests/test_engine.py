@@ -49,8 +49,8 @@ from patrolgame import (
 )
 from patrolgame import engine
 from conftest import LENGTH_POOL, make_sample_tree, random_tree
-from oracles import (ball, bruteforce_search, greedy_coverage_walk, interception_reference, mc_hits_reference,
-                     node_path, random_closed_walk, walk_probability_reference)
+from oracles import (ball, bruteforce_search, greedy_coverage_walk, interception_reference, mc_hits_mod_reference,
+                     mc_hits_reference, node_path, random_closed_walk, walk_probability_reference)
 
 F = Fraction
 
@@ -369,6 +369,75 @@ def test_mc_matches_per_trial_reference():
         r = evaluate(pat, att, alpha, method="mc", trials=2_000, seed=seed, jobs=2)
         assert r.probability == mc_hits_reference(pat, att, alpha, 2_000, seed) / 2_000
     assert unvisited_atoms >= 3 and uncrossed_segments >= 3
+
+
+def _mod_reference_cases():
+    """Seeded mixtures on small trees and on K4: random closed walks, a walk
+    that turns inside an arc (so its steps cover a segment on that arc only
+    in part), and in every third case a stationary walk on an atom.  One
+    atom sits at the first walk's start node, which it visits at 0 and at
+    its period.  Alpha cycles through 0, a random value, the first walk's
+    period and past the longest period; every fifth case is E-patrolling
+    against the horizon attack on its tree.  Both start laws appear with
+    each alpha."""
+    rng = random.Random(421)
+    for k in range(40):
+        uniform = (k // 4) % 2 == 0
+        if k % 5 == 2:
+            tree = random_tree(rng, max_nodes=8, min_nodes=3)
+            alpha = F(int(critical_alpha(tree) * 3), 4) or F(1, 4)
+            att = tree_attack_strategy(tree, alpha)
+            if not uniform:
+                att = AttackStrategy(tree, att.atoms, att.uniform_parts, TemporalLaw.fixed(F(rng.randint(0, 9), 2)))
+            yield e_patrolling(tree, alpha), att, alpha, 900 + k
+            continue
+        net = complete_network(4) if k % 5 == 4 else random_tree(rng, max_nodes=7, min_nodes=2)
+        walks = [random_closed_walk(net, rng, max_steps=rng.randint(2, 5))
+                 for _ in range(rng.randint(1, 2))]
+        arc = rng.choice(net.arcs)
+        turn = arc.length * F(rng.randint(1, 7), 8)
+        walks.append(Walk(net, net.node_point(arc.u), [Step(arc.id, F(0), turn), Step(arc.id, turn, F(0))]))
+        points = [net.node_point(n) for n in net.nodes]
+        points += [net.point(a.id, a.length * F(rng.randint(1, 7), 8)) for a in net.arcs]
+        chosen = list(dict.fromkeys([walks[0].start, *rng.sample(points, min(len(points), rng.randint(1, 3)))]))
+        if k % 3 == 0:
+            walks.append(Walk(net, rng.choice(chosen)))
+        weights = [rng.randint(1, 4) for _ in walks]
+        pat = PatrolStrategy(net, tuple((w, F(x, sum(weights))) for w, x in zip(walks, weights)))
+        region = (SubNetwork.whole(net) if k % 2 else
+                  ball(net, net.node_point(rng.choice(net.nodes)), F(rng.randint(1, 6), 2)))
+        atoms = tuple((p, F(1, 2 * len(chosen))) for p in chosen)
+        temporal = TemporalLaw.uniform(F(rng.randint(1, 40), 2)) if uniform else \
+            TemporalLaw.fixed(F(rng.randint(0, 12), 4))
+        att = AttackStrategy(net, atoms, (UniformPart(region, F(1, 2)),), temporal)
+        longest = max(w.duration for w in walks)
+        alpha = (F(0), F(rng.randint(1, 12), 4), walks[0].duration, longest + F(1, 3))[k % 4]
+        yield pat, att, alpha, 900 + k
+
+
+def test_mc_matches_mod_reference():
+    # the per-visit np.mod scorer that phase windows replaced gives the same
+    # hit counts, on cases that reach each kind of window the engine builds
+    kinds = set()
+    for pat, att, alpha, seed in _mod_reference_cases():
+        r = evaluate(pat, att, alpha, method="mc", trials=100_000, seed=seed, jobs=2)
+        assert r.probability == mc_hits_mod_reference(pat, att, alpha, 100_000, seed) / 100_000
+        moving = [w for w, _ in pat.components if not w.is_stationary]
+        segments = [s for u in att.uniform_parts for s in u.region.segment_list()]
+        seen = {
+            att.temporal.kind: True,
+            "alpha 0": alpha == 0,
+            "alpha past a period": any(alpha >= w.duration for w in moving),
+            "stationary": len(moving) < len(pat.components),
+            "K4": len(pat.network.nodes) == 4 and len(pat.network.arcs) == 6,
+            "part of a segment": any(
+                s.arc == g.arc and not min(s.start, s.end) <= g.lo < g.hi <= max(s.start, s.end)
+                and min(s.start, s.end) < g.hi and g.lo < max(s.start, s.end)
+                for w in moving for s in w.steps for g in segments),
+        }
+        kinds |= {kind for kind, found in seen.items() if found}
+    assert kinds == {"uniform", "fixed", "alpha 0", "alpha past a period", "stationary", "K4",
+                     "part of a segment"}
 
 
 def test_mc_memory_bounded(sample_tree):
@@ -820,6 +889,20 @@ def test_points_off_the_network_are_refused(unit_k4):
     for x in (Point(node="zz"), Point(arc="v1-v2", offset=F(5)), Point(arc="zz", offset=F(1, 2))):
         for call in (lambda: intercept(walk, x, 0, 1), lambda: interception_probability(pat, x, 0, 1),
                      lambda: walk.visit_times(x)):
+            with pytest.raises(ValidationError, match=f"^{re.escape(repr(x))} not on network$"):
+                call()
+
+
+def test_attack_atoms_off_the_network_are_refused(unit_k4):
+    # an atom at an unknown node, past its arc's end or at an arc's end
+    # (a node written as an arc offset) fails in each scorer of attacks
+    walk = complete_patrolling(unit_k4).components[0][0]
+    pat = PatrolStrategy.single(walk)
+    for x in (Point(node="zz"), Point(arc="v1-v2", offset=F(5)), Point(arc="v1-v2", offset=F(0))):
+        att = AttackStrategy(unit_k4, ((x, F(1)),), (), TemporalLaw.uniform(F(2)))
+        for call in (lambda: evaluate(pat, att, 1), lambda: evaluate(pat, att, 1, method="mc", trials=10),
+                     lambda: walk_attack_probability(walk, att, 1),
+                     lambda: patrol_search(unit_k4, att, 1, max_steps=1)):
             with pytest.raises(ValidationError, match=f"^{re.escape(repr(x))} not on network$"):
                 call()
 
