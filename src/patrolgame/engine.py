@@ -19,21 +19,24 @@ scale: v - alpha <= t <= v holds exactly when [t, t + 1) meets
 Continuous spatial attack parts are handled by midpoint-grid quadrature or
 Monte Carlo; an exact coverage integral for piecewise-uniform attacks is
 deliberately not provided.  Monte Carlo is the only place floating
-point appears: trial i consumes a fixed block of a counter-based stream keyed
-by the seed, so results are reproducible under any sharding of the trials.
-Trials are drawn and scored in fixed-size chunks, so memory does not grow
-with the trial count.  A worker thread draws a chunk a small reused block at
-a time (numpy converts the words to uniforms in C), picks each trial's walk
-and spatial entry from a table over equal buckets of [0, 1) (binary search
-only in the buckets that hold a boundary), and sorts the chunk once by (walk,
-spatial entry).  Worker w takes chunks w, w + workers, ..., and there are
-never more workers than chunks or cores.  A trial on a walk of period P is
-reduced once, to its phase phi = shift mod P, and then scored by float
-comparisons with windows built once per (walk, entry) pair from the exact
-visit times: an atom visited at v catches phi in [v - alpha, v] modulo P,
-and a step on a segment catches off - phi (forward) or off + phi (backward)
-in windows a period apart, with the offset test kept only where the step
-covers part of the segment.
+point appears: trial i consumes one counter block of a counter-based stream
+keyed by the seed, so results are reproducible under any sharding of the
+trials.  Trials are drawn and scored in fixed-size chunks, so memory does not
+grow with the trial count.  A worker thread draws a chunk a small reused
+block at a time (numpy converts the words to uniforms in C), picks each
+trial's walk and spatial entry from a table over equal buckets of [0, 1)
+(binary search only in the buckets that hold a boundary) of exact prefix
+sums, and sorts the chunk once by (walk, spatial entry).  Worker w takes
+chunks w, w + workers, ..., and there are never more workers than chunks or
+cores.  A trial draws no start time: every walk has a uniform phase, so
+(phase + t) mod P is uniform on [0, P) for any start time t, fixed or drawn,
+and the phase alone, phi = u * P, places the trial on its walk of period P
+(as the exact kernel reads no start-time law either).  It is then scored by
+float comparisons with windows built once per (walk, entry) pair from the
+exact visit times: an atom visited at v catches phi in [v - alpha, v] modulo
+P, and a step on a segment catches off - phi (forward) or off + phi
+(backward) in windows a period apart, with the offset test kept only where
+the step covers part of the segment.
 """
 
 from __future__ import annotations
@@ -247,16 +250,15 @@ def evaluate(patrol: PatrolStrategy, attack: AttackStrategy, alpha, *,
 
 # -- Monte Carlo ----------------------------------------------------------------
 
-# Trial i reads the raw words [8i, 8i+8) of the Philox stream keyed by the
-# seed, two full counter blocks, and uses the first five as uniforms
-# (word >> 11) * 2**-53: component, phase, spatial pick, offset, start time.
-# A worker fills a reused block of _BLOCK_TRIALS trials with Generator.random,
-# which makes that conversion in C, and copies the five used words of each
-# trial into contiguous columns; trials are scored _CHUNK_TRIALS at a time, so
-# memory does not grow with the trial count, and neither the chunking nor the
-# thread that scores a chunk shows in the result.
-_DRAWS_PER_TRIAL = 8
-_USED_DRAWS = 5
+# Trial i reads the raw words [4i, 4i+4) of the Philox stream keyed by the
+# seed, one counter block, as uniforms (word >> 11) * 2**-53: component,
+# phase, spatial pick, offset.  No word is drawn for the start time, which
+# cannot move a uniform phase.  A worker fills a reused block of
+# _BLOCK_TRIALS trials with Generator.random, which makes that conversion in
+# C, and copies each trial's words into contiguous columns; trials are scored
+# _CHUNK_TRIALS at a time, so memory does not grow with the trial count, and
+# neither the chunking nor the thread that scores a chunk shows in the result.
+_DRAWS_PER_TRIAL = 4
 _CHUNK_TRIALS = 2 ** 16
 _BLOCK_TRIALS = 2 ** 12
 _PICK_BUCKETS = 2 ** 12
@@ -288,17 +290,27 @@ def _bucket_pick(cum: np.ndarray, dtype):
     return pick
 
 
+def _cumulative(masses) -> np.ndarray:
+    """The prefix sums of exact masses that sum to 1, each the correctly
+    rounded float of its exact value (Python's int division rounds
+    correctly), so a zero mass repeats the boundary before it and the last
+    boundary is 1.0: no draw in [0, 1) picks a zero-mass entry."""
+    import numpy as np
+    scale, ints = _on_scale(1, masses)
+    return np.array([c / scale for c in itertools.accumulate(ints)])
+
+
 def _draw_uniforms(seed: int, start: int, cols: np.ndarray, block: np.ndarray) -> None:
-    """Fill row k of `cols` with use k of trials start, start + 1, ..., one
+    """Fill row k of `cols` with word k of trials start, start + 1, ..., one
     column per trial, drawing `len(block)` trials at a time into `block`."""
     import numpy as np
     gen = np.random.Generator(np.random.Philox(key=seed))
-    gen.bit_generator.advance(start * _DRAWS_PER_TRIAL // 4)  # four words per counter block
+    gen.bit_generator.advance(start)  # one counter block per trial
     count, rows = cols.shape[1], len(block)
     for lo in range(0, count, rows):
         n = min(rows, count - lo)
         gen.random(out=block[:n])
-        cols[:, lo:lo + n] = block[:n, :_USED_DRAWS].T
+        cols[:, lo:lo + n] = block[:n].T
 
 
 def _windows(starts, alpha: int, period: int, scale: int, lo: float, hi: float):
@@ -375,29 +387,25 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
         raise ValidationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     trials, seed = int(trials), int(seed)
     walks = [w for w, _ in patrol.components]
-    cum_s = np.cumsum([float(s) for _, s in patrol.components])
+    cum_s = _cumulative(s for _, s in patrol.components)
 
     # flatten the spatial measure: atoms, then per-segment slices of each part
     entries = []  # ("atom", point) | ("seg", arc, lo, hi)
     masses = []
     for point, mass in attack.atoms:
         entries.append(("atom", point))
-        masses.append(float(mass))
+        masses.append(mass)
     for part in attack.uniform_parts:
         d = part.density
         for seg in part.region.segment_list():
             entries.append(("seg", seg.arc, float(seg.lo), float(seg.hi)))
-            masses.append(float(d * seg.measure))
-    cum_m = np.cumsum(masses)
-    cum_m[-1] = 1.0
+            masses.append(d * seg.measure)
+    cum_m = _cumulative(masses)
     n_entries, n_atoms = len(entries), len(attack.atoms)
     seg_lo = np.array([e[2] for e in entries[n_atoms:]])
     seg_width = np.array([e[3] - e[2] for e in entries[n_atoms:]])
     # keys walk * n_entries + entry are computed in key_type, n_entries included
     key_type = np.int16 if len(walks) * n_entries < 2 ** 15 else np.int64
-
-    fixed_t = attack.temporal.kind == "fixed"
-    t_value = float(attack.temporal.value)
 
     # One task per (walk, entry) pair that can intercept, keyed by
     # walk * n_entries + entry: True when every trial is caught (a stationary
@@ -419,7 +427,7 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
         if index.period:
             moving.append((i, span))
         # far above the rounding of phi and off; past a period, phi means nothing
-        slack = min(span, (2 * span + t_value + reach) * 2 ** -40)
+        slack = min(span, (2 * span + reach) * 2 ** -40)
         for j, e in enumerate(entries):
             if not index.period:  # a stationary walk catches only an atom at its point
                 task = True if e[0] == "atom" and e[1] == w.start else None
@@ -444,10 +452,9 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
         """Hits among the trials whose uniforms are the columns of u.
 
         The trials are sorted by (walk, entry).  Row 0 of `rows` holds each
-        trial's phase, reduced once: shift - floor(shift / P) * P, within a
-        few ulps of [0, P].  A segment trial also gets its offset off (row
-        3), off - phase (row 1) and off + phase (row 2).  Each group then
-        compares those rows with its task's windows."""
+        trial's phase u * P, in [0, P].  A segment trial also gets its
+        offset off (row 3), off - phase (row 1) and off + phase (row 2).
+        Each group then compares those rows with its task's windows."""
         count = u.shape[1]
         key = pick_walk(u[0]) * n_entries
         key += pick_entry(u[2])
@@ -457,10 +464,8 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
         rows = np.empty((4 if attack.uniform_parts else 1, count))
         for i, span in moving:
             lo_i, mid, hi_i = bounds[2 * i:2 * i + 3]
-            pick = order[lo_i:hi_i]
-            shift = u[1][pick] * span + (t_value if fixed_t else u[4][pick] * t_value)
             phase = rows[0, lo_i:hi_i]
-            np.subtract(shift, np.floor(shift / span) * span, out=phase)
+            np.multiply(u[1][order[lo_i:hi_i]], span, out=phase)
             if mid < hi_i:
                 ent = key[mid:hi_i] - (i * n_entries + n_atoms)
                 off = rows[3, mid:hi_i]
@@ -492,7 +497,7 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
         """Hits in chunks w, w + workers, ...; one block and one set of
         columns serve all of them."""
         block = np.empty((_BLOCK_TRIALS, _DRAWS_PER_TRIAL))
-        cols = np.empty((_USED_DRAWS, min(_CHUNK_TRIALS, trials)))
+        cols = np.empty((_DRAWS_PER_TRIAL, min(_CHUNK_TRIALS, trials)))
         hits = 0
         for start in starts[w::workers]:
             u = cols[:, :min(_CHUNK_TRIALS, trials - start)]

@@ -177,9 +177,9 @@ GROUPS = {"complete": (
     Row(f"{SIMULATE} --method grid",
         sha={"stdout": "0dc525c69fa9d11e0a8b38393c0c3cd69811b5e8d30091b463efba52d5067dad"}),
     Row(f"{SIMULATE} --method mc --trials 200003 --seed 7 --jobs 1",
-        sha={"stdout": "fead29762305ca04cc5cbd729df3ace5f456fbba0aa14b056cd17d6fdf2a30a2"}),
+        sha={"stdout": "c9cd3723ce33e80ca94aa140095458c00d257019e42b3a31fc80f4fc27453722"}),
     Row(f"{SIMULATE} --method mc --trials 200003 --seed 7 --jobs 2",
-        sha={"stdout": "7f8c597a319e459ecca4fc053c075c41f0c0b3a6b346cb38fe5d4217349ea0ce"}),
+        sha={"stdout": "83e094222fc630c6e6eca70e489e337f23320a70a29c3a70a35ab690579e7f4a"}),
     Row("simulate sample_tree.net --patrol tree.patrol --attack negative.attack --alpha 4 --method exact", exit=1,
         stderr="error: line 2: attack start time must be nonnegative"),
 ), "large_tree": (
@@ -202,10 +202,10 @@ GROUPS = {"complete": (
     # chunk, and many arc steps cover a segment only in part
     Row("simulate big.net --patrol big939.patrol --attack big939.attack --alpha 939 --method mc "
         "--trials 200003 --seed 7 --jobs 2",
-        sha={"stdout": "0f88923572a58446441ae5c656598b3ebfa15bac0b629857d3968205ebe34ed0"}),
+        sha={"stdout": "cfd53f891a1da480f7cfa16925b9f2802d901355a6d9709b7db60c6f4608ec7b"}),
     Row("simulate big.net --patrol big73.patrol --attack big73.attack --alpha 7/3 --method mc "
         "--trials 200003 --seed 7 --jobs 2",
-        sha={"stdout": "7c943ea73a650485b7a1a4e0a2de21057c6583ad937ab62ebb0f92bec2b8ce63"}),
+        sha={"stdout": "7887b356d0ecc52fefdd3eb75a3430d3c5509246339b5fc051ec7ec9330b543d"}),
 ), "demo": (
     # the demos, Monte Carlo included, are deterministic; demo 05's branch
     # and bound over the 8-step K4 walks keeps its best and its walk count
@@ -221,7 +221,7 @@ GROUPS = {"complete": (
         line="best interception found: 19/24 < alpha/mu = 5/6 (margin 1/24, 393640 walks)",
         sha={"stdout": "73ae316e55976ddcdd3c521353a2953cac5d138d053d7a9e35df2620169b0e19"}),
     Row("06_monte_carlo.py",
-        sha={"stdout": "ade0bbafecf798f5683daa8541a9e26dcbc2387e951ef14514aaea02c025f9cf"}),
+        sha={"stdout": "7ce1cc9a809296e066ce6ff3d2bd459a31c050748a86691ec324fe89672f6a6a"}),
 )}
 ROWS = tuple(row for rows in GROUPS.values() for row in rows)
 

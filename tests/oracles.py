@@ -618,42 +618,54 @@ def bruteforce_search(net: Network, attack, alpha, *, max_steps: int, offset_ste
     return best, count, best_walk
 
 
-def mc_hits_reference(patrol, attack, alpha, trials: int, seed: int) -> int:
-    """Monte Carlo hit count from the definition, one trial at a time.
+def exact_cumulative(masses) -> list[float]:
+    """The float of each exact prefix sum of `masses` (Fraction's float is
+    correctly rounded): a zero mass repeats the boundary before it, and
+    masses that sum to 1 end at 1.0."""
+    return [float(c) for c in itertools.accumulate(masses)]
 
-    Trial i reads words 8i..8i+7 of the Philox stream keyed by the seed and
-    turns the first five into uniforms in [0, 1): the component, its phase,
-    the spatial entry (atoms, then the segments of each uniform part), the
-    offset along a segment, and the start time under a uniform law.  The
-    attack is caught when a visit of the periodic walk to the attacked point
-    falls in the window: (visit - phase - start) mod period <= alpha.  The
-    engine decides the same event through phase windows (each trial's shift
-    reduced once, then compared with exact window ends), so the two can
-    differ only for a draw within a few ulps of a window edge.  A stationary
-    walk catches only an atom at its own position."""
-    a_f = float(alpha)
-    cum_s = list(itertools.accumulate(float(s) for _, s in patrol.components))
+
+def _mc_tables(patrol, attack):
+    """The spatial entries of a Monte Carlo trial (atoms as (point, None),
+    then each uniform part's segments as (arc, (lo, hi))) and the
+    `exact_cumulative` tables of the walk weights and the entry masses."""
     entries, masses = [], []
     for point, mass in attack.atoms:
         entries.append((point, None))
-        masses.append(float(mass))
+        masses.append(mass)
     for part in attack.uniform_parts:
         for seg in part.region.segment_list():
             entries.append((seg.arc, (float(seg.lo), float(seg.hi))))
-            masses.append(float(part.density * seg.measure))
-    cum_m = list(itertools.accumulate(masses))
-    cum_m[-1] = 1.0
-    fixed_t = attack.temporal.kind == "fixed"
-    t_value = float(attack.temporal.value)
+            masses.append(part.density * seg.measure)
+    return entries, exact_cumulative([s for _, s in patrol.components]), exact_cumulative(masses)
 
+
+def mc_hits_reference(patrol, attack, alpha, trials: int, seed: int) -> int:
+    """Monte Carlo hit count from the definition, one trial at a time.
+
+    Trial i reads words 4i..4i+3 of the Philox stream keyed by the seed, one
+    counter block, and turns them into uniforms in [0, 1): the component,
+    its phase, the spatial entry (atoms, then the segments of each uniform
+    part) and the offset along a segment.  Walks and entries are picked from
+    `exact_cumulative` tables.  No start time is drawn: the walk's phase is
+    uniform on [0, period), so (phase + t) mod period has the same law for
+    every start time t, fixed or drawn, and the shift is the phase alone.
+    The attack is caught when a visit of the periodic walk to the attacked
+    point falls in the window: (visit - shift) mod period <= alpha.  The
+    engine decides the same event through phase windows compared with exact
+    window ends, so the two can differ only for a draw within a few ulps of
+    a window edge.  A stationary walk catches only an atom at its own
+    position."""
+    a_f = float(alpha)
+    entries, cum_s, cum_m = _mc_tables(patrol, attack)
     bg = np.random.Philox(key=seed)
     hits = 0
     for _ in range(trials):
-        u = [(word >> 11) * 2.0 ** -53 for word in bg.random_raw(8).tolist()]
-        walk = patrol.components[min(bisect.bisect_right(cum_s, u[0]), len(cum_s) - 1)][0]
-        where, seg = entries[min(bisect.bisect_right(cum_m, u[2]), len(cum_m) - 1)]
+        u = [(word >> 11) * 2.0 ** -53 for word in bg.random_raw(4).tolist()]
+        walk = patrol.components[bisect.bisect_right(cum_s, u[0])][0]
+        where, seg = entries[bisect.bisect_right(cum_m, u[2])]
         period = float(walk.duration)
-        shift = u[1] * period + (t_value if fixed_t else u[4] * t_value)
+        shift = u[1] * period
         if walk.is_stationary:
             hits += seg is None and where == walk.start
             continue
@@ -680,28 +692,19 @@ def mc_hits_mod_reference(patrol, attack, alpha, trials: int, seed: int) -> int:
     over the trials of each (walk, entry) pair.
 
     It reads the first `trials` trials of `Philox(key=seed).random_raw`
-    itself, as `mc_hits_reference` does, picks walks and entries with
-    `np.searchsorted`, and catches a trial when (visit - shift) mod period
-    <= alpha for a visit of the attacked point, shift being phase * period
-    plus the start time: one full-width `np.mod` per atom visit or arc step,
-    with every visit and step bound the float of its exact value."""
+    itself, four words each, as `mc_hits_reference` does, picks walks and
+    entries with `np.searchsorted` on the same tables, and catches a trial
+    when (visit - shift) mod period <= alpha for a visit of the attacked
+    point, shift being phase * period (no start time is drawn, for the
+    reason `mc_hits_reference` gives): one full-width `np.mod` per atom
+    visit or arc step, with every visit and step bound the float of its
+    exact value."""
     a_f = float(alpha)
-    raw = np.random.Philox(key=seed).random_raw(8 * trials).reshape(trials, 8)[:, :5]
+    raw = np.random.Philox(key=seed).random_raw(4 * trials).reshape(trials, 4)
     u = ((raw >> np.uint64(11)) * 2.0 ** -53).T
-    entries, masses = [], []
-    for point, mass in attack.atoms:
-        entries.append((point, None))
-        masses.append(float(mass))
-    for part in attack.uniform_parts:
-        for seg in part.region.segment_list():
-            entries.append((seg.arc, (float(seg.lo), float(seg.hi))))
-            masses.append(float(part.density * seg.measure))
-    cum_s = np.cumsum([float(s) for _, s in patrol.components])
-    cum_m = np.cumsum(masses)
-    cum_m[-1] = 1.0
-    comp = np.minimum(np.searchsorted(cum_s, u[0], side="right"), len(cum_s) - 1)
-    spot = np.minimum(np.searchsorted(cum_m, u[2], side="right"), len(cum_m) - 1)
-    start = float(attack.temporal.value) * (u[4] if attack.temporal.kind == "uniform" else np.ones(trials))
+    entries, cum_s, cum_m = _mc_tables(patrol, attack)
+    comp = np.searchsorted(cum_s, u[0], side="right")
+    spot = np.searchsorted(cum_m, u[2], side="right")
     hits = 0
     for i, (walk, _) in enumerate(patrol.components):
         period = float(walk.duration)
@@ -710,7 +713,7 @@ def mc_hits_mod_reference(patrol, attack, alpha, trials: int, seed: int) -> int:
             if walk.is_stationary:
                 hits += int(np.count_nonzero(sel)) * (seg is None and where == walk.start)
                 continue
-            shift = u[1][sel] * period + start[sel]
+            shift = u[1][sel] * period
             got = np.zeros(len(shift), dtype=bool)
             if seg is None:
                 for v in sorted({v % walk.duration for v in walk.visit_times(where)}):

@@ -49,8 +49,8 @@ from patrolgame import (
 )
 from patrolgame import engine
 from conftest import LENGTH_POOL, make_sample_tree, random_tree
-from oracles import (ball, bruteforce_search, greedy_coverage_walk, interception_reference, mc_hits_mod_reference,
-                     mc_hits_reference, node_path, random_closed_walk, walk_probability_reference)
+from oracles import (ball, bruteforce_search, exact_cumulative, greedy_coverage_walk, interception_reference,
+                     mc_hits_mod_reference, mc_hits_reference, node_path, random_closed_walk, walk_probability_reference)
 
 F = Fraction
 
@@ -200,6 +200,38 @@ def test_kernel_matches_interception_reference():
     assert interior_ends > 0
 
 
+def test_phase_randomization_is_a_uniform_start_over_a_period():
+    # a closed walk W of period P that moves, with a uniform phase, catches
+    # an attack at x exactly as W repeated from time 0 does under a start
+    # uniform on [0, kP], for k = 1 and k > 1: the mixture kernel and the
+    # deterministic-walk kernel state one coverage rule, with alpha from 0
+    # to past the period
+    rng = random.Random(18)
+    nets = [random_tree(rng, max_nodes=12) for _ in range(8)]
+    nets += [star_network([rng.choice(LENGTH_POOL) for _ in range(rng.randint(2, 5))]) for _ in range(3)]
+    for n in (4, 5, 6):  # one rational arc length each
+        nets.append(Network([f"v{i}" for i in range(n)],
+                            [(f"v{i}-v{j}", f"v{i}", f"v{j}", rng.choice(LENGTH_POOL) if i + j == 1 else 1)
+                             for i in range(n) for j in range(i + 1, n)]))
+    below = above = 0
+    for net in nets:
+        for _ in range(3):
+            walk = random_closed_walk(net, rng, max_steps=8)
+            period = walk.duration
+            points = [net.node_point(v) for v in rng.sample(net.nodes, min(3, len(net.nodes)))]
+            points += [net.point(a.id, a.length * F(rng.randint(1, 9), 10))
+                       for a in (rng.choice(net.arcs) for _ in range(4))]
+            for alpha in (F(0), period * F(rng.randint(1, 9), 10), period,
+                          period + F(rng.randint(1, 12), 4)):
+                below, above = below + (alpha < period), above + (alpha > period)
+                want = engine._interception_probabilities(PatrolStrategy.single(walk), points, alpha)
+                for k in (1, rng.randint(2, 4)):
+                    law = TemporalLaw.uniform(k * period)
+                    assert [engine._walk_probability(walk, [(p, 1)], alpha, law, True)
+                            for p in points] == want, (net.nodes, walk, alpha, k)
+    assert below and above
+
+
 def test_subadditivity_bound():
     rng = random.Random(61)
     for _ in range(20):
@@ -288,6 +320,28 @@ def test_mc_within_ci_of_exact(unit_k4):
     assert hits >= 93
 
 
+def test_mc_start_law_moves_nothing(unit_k4, sample_tree):
+    # every walk has a uniform phase, so no start time moves a trial: attacks
+    # that differ only in their start law give equal results for one seed,
+    # on one thread or two, each covering the exact value within its CI
+    atoms = tuple((unit_k4.point(a.id, F(1, 3)), F(1, 6)) for a in unit_k4.arcs)
+    horizon = tree_attack_strategy(sample_tree, 4)
+    cases = [(complete_patrolling(unit_k4), unit_k4, atoms, F(3), F(17, 2)),
+             (e_patrolling(sample_tree, 4), sample_tree, horizon.discretized(F(1, 4)).atoms, F(4),
+              horizon.temporal.value)]
+    for pat, net, atoms, alpha, h in cases:
+        results, exact = set(), set()
+        for law in (TemporalLaw.fixed(0), TemporalLaw.fixed(F(7, 3)), TemporalLaw.uniform(h)):
+            att = AttackStrategy(net, atoms, (), law)
+            p = evaluate(pat, att, alpha).probability
+            exact.add(p)
+            for jobs in (1, 2):
+                r = evaluate(pat, att, alpha, method="mc", trials=200_003, seed=5, jobs=jobs)
+                assert abs(r.probability - float(p)) <= r.ci_halfwidth
+                results.add(r)
+        assert len(results) == len(exact) == 1
+
+
 def _frozen_mc_cases():
     """The demo tree at alpha = 4: E-patrolling against the horizon attack,
     against the same attack at a fixed start time, and with a stationary walk
@@ -310,13 +364,15 @@ def _frozen_mc_cases():
     yield "tree20", e_patrolling(big, alpha), tree_attack_strategy(big, alpha), alpha
 
 
-# Hit counts at seed 17, frozen from the implementation that drew every
-# trial of a shard at once; 200,003 trials span several draw chunks.
+# Hit counts at seed 17, one counter block per trial, each equal to the
+# counts of both `mc_hits_reference` and `mc_hits_mod_reference`; 200,003
+# trials span several draw chunks.  The start time draws nothing, so "demo"
+# and "demo-fixed" agree.
 FROZEN_MC_HITS = {
-    "demo": {1: 0, 1_000: 244, 200_003: 46853},
-    "demo-fixed": {1: 1, 1_000: 219, 200_003: 46784},
-    "demo-stationary": {1: 0, 1_000: 381, 200_003: 80165},
-    "tree20": {1: 1, 1_000: 178, 200_003: 37141},
+    "demo": {1: 0, 1_000: 238, 200_003: 47028},
+    "demo-fixed": {1: 0, 1_000: 238, 200_003: 47028},
+    "demo-stationary": {1: 0, 1_000: 372, 200_003: 79962},
+    "tree20": {1: 0, 1_000: 181, 200_003: 37049},
 }
 
 
@@ -442,8 +498,8 @@ def test_mc_matches_mod_reference():
 
 def test_mc_memory_bounded(sample_tree):
     # trials are drawn and scored in fixed-size chunks: two million trials
-    # (8 words, 64 bytes, of raw stream per trial) stay far below 32 MiB,
-    # a quarter of their 128 MiB of draws
+    # (4 words, 32 bytes, of raw stream per trial) stay far below 32 MiB,
+    # half of their 64 MiB of draws
     att = tree_attack_strategy(sample_tree, 4)
     pat = e_patrolling(sample_tree, 4)
     tracemalloc.start()
@@ -520,10 +576,10 @@ class _SerialPool:
 
 
 # Hit counts at seed 17 and 2**16 + 4,097 trials (one full chunk, then one
-# full block and one trial), frozen from the implementation that read each
-# chunk's stream with random_raw and picked with np.searchsorted.
-FROZEN_SPLIT_HITS = {"demo": 16364, "demo-fixed": 16274, "demo-stationary": 27829,
-                     "tree20": 12967}
+# full block and one trial), each equal to the counts of both
+# `mc_hits_reference` and `mc_hits_mod_reference`.
+FROZEN_SPLIT_HITS = {"demo": 16464, "demo-fixed": 16464, "demo-stationary": 27863,
+                     "tree20": 12880}
 
 
 def test_mc_static_worker_split(monkeypatch):
@@ -546,20 +602,21 @@ def test_mc_static_worker_split(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 17, 2 ** 128 - 1])
 def test_mc_stream_contract(seed):
-    # trial i scores words [8i, 8i + 5) of the Philox stream keyed by the seed
-    # as (word >> 11) * 2**-53, which Generator.random computes in C: checked
-    # on the last trials of chunk 0 and on chunk 1 of 2**16 + 4,098 trials,
-    # one full block and a partial one
+    # trial i scores words [4i, 4i + 4) of the Philox stream keyed by the
+    # seed, one counter block, as (word >> 11) * 2**-53, which
+    # Generator.random computes in C: checked on the last trials of chunk 0
+    # and on chunk 1 of 2**16 + 4,098 trials, one full block and a partial one
     chunk, rows = engine._CHUNK_TRIALS, engine._BLOCK_TRIALS
-    block = np.empty((rows, engine._DRAWS_PER_TRIAL))
-    first = np.empty((5, chunk))
+    assert engine._DRAWS_PER_TRIAL == 4
+    block = np.empty((rows, 4))
+    first = np.empty((4, chunk))
     engine._draw_uniforms(seed, 0, first, block)
-    second = np.empty((5, rows + 2))
+    second = np.empty((4, rows + 2))
     engine._draw_uniforms(seed, chunk, second, block)
     got = np.concatenate([first[:, -3:], second], axis=1).T
     bg = np.random.Philox(key=seed)
-    bg.advance(2 * (chunk - 3))  # four words per counter block, two blocks per trial
-    raw = bg.random_raw(8 * len(got)).reshape(len(got), 8)[:, :5]
+    bg.advance(chunk - 3)  # four words per counter block, one block per trial
+    raw = bg.random_raw(4 * len(got)).reshape(len(got), 4)
     assert np.array_equal(got, (raw >> np.uint64(11)) * 2.0 ** -53)
 
 
@@ -604,6 +661,38 @@ def test_bucket_pick_matches_searchsorted(masses, normalize, words):
         cum = np.cumsum(np.array(masses) / cum[-1])
     u = np.concatenate([_pick_probes(cum), np.array(words, dtype=np.float64) * 2.0 ** -53])
     _check_pick(cum, u)
+
+
+@pytest.mark.parametrize("masses", [
+    [F(1, 10)] * 10 + [F(0)],  # a float cumsum ends the tenths at 1 - 2**-53
+    [F(0)] + [F(1, 3)] * 3 + [F(0)] * 2,
+    [F(1, 7), F(0)] * 7,
+    [F(1, 2 ** 60), F(1) - F(1, 2 ** 60), F(0)],
+], ids=["tenths", "thirds", "sevenths", "tiny"])
+def test_exact_tables_pick_no_zero_mass(masses):
+    # the pick tables are correctly rounded exact prefix sums: a zero mass
+    # repeats the boundary before it and the last boundary is 1.0, so no
+    # uniform in [0, 1), the largest included, picks a zero-mass entry
+    cum = engine._cumulative(masses)
+    assert cum.tolist() == exact_cumulative(masses) and cum[-1] == 1.0
+    u = _pick_probes(cum)
+    for dtype in (np.int16, np.intp):
+        got = engine._bucket_pick(cum, dtype)(u).tolist()
+        assert all(masses[k] for k in got)
+        assert got[1] == max(k for k, m in enumerate(masses) if m)  # u = 1 - 2**-53
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 12)), min_size=1, max_size=30)
+       .filter(lambda xs: any(n for n, _ in xs)))
+def test_exact_tables_match_fractions(parts):
+    masses = [F(n, d) for n, d in parts]
+    total = sum(masses)
+    masses = [m / total for m in masses]
+    cum = engine._cumulative(masses)
+    assert cum.tolist() == exact_cumulative(masses) and cum[-1] == 1.0
+    got = engine._bucket_pick(cum, np.intp)(_pick_probes(cum)).tolist()
+    assert all(masses[k] for k in got)
 
 
 def test_attacker_best_response_stationary(sample_tree):
