@@ -19,24 +19,29 @@ scale: v - alpha <= t <= v holds exactly when [t, t + 1) meets
 Continuous spatial attack parts are handled by midpoint-grid quadrature or
 Monte Carlo; an exact coverage integral for piecewise-uniform attacks is
 deliberately not provided.  Monte Carlo is the only place floating
-point appears: trial i consumes one counter block of a counter-based stream
-keyed by the seed, so results are reproducible under any sharding of the
-trials.  Trials are drawn and scored in fixed-size chunks, so memory does not
-grow with the trial count.  A worker thread draws a chunk a small reused
-block at a time (numpy converts the words to uniforms in C), picks each
-trial's walk and spatial entry from a table over equal buckets of [0, 1)
-(binary search only in the buckets that hold a boundary) of exact prefix
-sums, and sorts the chunk once by (walk, spatial entry).  Worker w takes
-chunks w, w + workers, ..., and there are never more workers than chunks or
-cores.  A trial draws no start time: every walk has a uniform phase, so
-(phase + t) mod P is uniform on [0, P) for any start time t, fixed or drawn,
-and the phase alone, phi = u * P, places the trial on its walk of period P
-(as the exact kernel reads no start-time law either).  It is then scored by
-float comparisons with windows built once per (walk, entry) pair from the
-exact visit times: an atom visited at v catches phi in [v - alpha, v] modulo
-P, and a step on a segment catches off - phi (forward) or off + phi
-(backward) in windows a period apart, with the offset test kept only where
-the step covers part of the segment.
+point appears.  Its trials come in chunks of a fixed size, each chunk
+reading its own stretch of a counter-based stream keyed by the seed, so a
+result does not depend on how the chunks are shared among worker threads,
+and memory does not grow with the trial count; the chunk size is part of the
+stream, so changing it changes every hit count.  A chunk first draws one
+word per trial that picks its (walk, spatial entry) key from one table over
+equal buckets of [0, 1) (binary search only in the buckets that hold a
+boundary) of exact prefix sums of the products of walk weight and entry
+mass, and counts the trials of each key.  Its trials are exchangeable, so it
+then takes them in key order: each key's trials are one run, and it draws
+one phase word per trial on a moving walk, then one offset word per such
+trial on a segment, each walk's phases with one multiply and its offsets
+with one repeat of its segments' ends.  Worker w takes chunks w, w +
+workers, ..., and there are never more workers than chunks or cores.  A
+trial draws no start time: every walk has a uniform phase, so (phase + t)
+mod P is uniform on [0, P) for any start time t, fixed or drawn, and the
+phase alone, phi = u * P, places the trial on its walk of period P (as the
+exact kernel reads no start-time law either).  It is then scored by float
+comparisons with windows built once per (walk, entry) pair from the exact
+visit times: an atom visited at v catches phi in [v - alpha, v] modulo P,
+and a step on a segment catches off - phi (forward) or off + phi (backward)
+in windows a period apart, with the offset test kept only where the step
+covers part of the segment.
 """
 
 from __future__ import annotations
@@ -250,17 +255,20 @@ def evaluate(patrol: PatrolStrategy, attack: AttackStrategy, alpha, *,
 
 # -- Monte Carlo ----------------------------------------------------------------
 
-# Trial i reads the raw words [4i, 4i+4) of the Philox stream keyed by the
-# seed, one counter block, as uniforms (word >> 11) * 2**-53: component,
-# phase, spatial pick, offset.  No word is drawn for the start time, which
-# cannot move a uniform phase.  A worker fills a reused block of
-# _BLOCK_TRIALS trials with Generator.random, which makes that conversion in
-# C, and copies each trial's words into contiguous columns; trials are scored
-# _CHUNK_TRIALS at a time, so memory does not grow with the trial count, and
-# neither the chunking nor the thread that scores a chunk shows in the result.
-_DRAWS_PER_TRIAL = 4
+# The stream: chunk c holds trials [c * _CHUNK_TRIALS, (c + 1) * _CHUNK_TRIALS)
+# and reads the Philox stream keyed by the seed from counter block
+# c * _CHUNK_TRIALS on (four words a block), each word as the uniform
+# (word >> 11) * 2**-53, which Generator.random computes in C.  It reads one
+# word per trial that picks the trial's (walk, entry) key; then, the trials
+# taken in key order, one phase word per trial on a moving walk; then, in
+# the same order, one offset word per such trial on a segment.  A trial on
+# a stationary walk draws nothing after its pick, and no trial draws a start
+# time, which cannot move a uniform phase.  A chunk reads at most three words
+# per trial, so chunks never overlap.  The chunk size is part of the stream:
+# another size gives other, equally valid, hit counts.  Memory does not grow
+# with the trial count, and neither the number of workers nor the one that
+# scores a chunk shows in the result.
 _CHUNK_TRIALS = 2 ** 16
-_BLOCK_TRIALS = 2 ** 12
 _PICK_BUCKETS = 2 ** 12
 
 
@@ -298,19 +306,6 @@ def _cumulative(masses) -> np.ndarray:
     import numpy as np
     scale, ints = _on_scale(1, masses)
     return np.array([c / scale for c in itertools.accumulate(ints)])
-
-
-def _draw_uniforms(seed: int, start: int, cols: np.ndarray, block: np.ndarray) -> None:
-    """Fill row k of `cols` with word k of trials start, start + 1, ..., one
-    column per trial, drawing `len(block)` trials at a time into `block`."""
-    import numpy as np
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    gen.bit_generator.advance(start)  # one counter block per trial
-    count, rows = cols.shape[1], len(block)
-    for lo in range(0, count, rows):
-        n = min(rows, count - lo)
-        gen.random(out=block[:n])
-        cols[:, lo:lo + n] = block[:n].T
 
 
 def _windows(starts, alpha: int, period: int, scale: int, lo: float, hi: float):
@@ -387,7 +382,6 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
         raise ValidationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     trials, seed = int(trials), int(seed)
     walks = [w for w, _ in patrol.components]
-    cum_s = _cumulative(s for _, s in patrol.components)
 
     # flatten the spatial measure: atoms, then per-segment slices of each part
     entries = []  # ("atom", point) | ("seg", arc, lo, hi)
@@ -400,12 +394,12 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
         for seg in part.region.segment_list():
             entries.append(("seg", seg.arc, float(seg.lo), float(seg.hi)))
             masses.append(d * seg.measure)
-    cum_m = _cumulative(masses)
     n_entries, n_atoms = len(entries), len(attack.atoms)
+    n_keys = len(walks) * n_entries
     seg_lo = np.array([e[2] for e in entries[n_atoms:]])
     seg_width = np.array([e[3] - e[2] for e in entries[n_atoms:]])
-    # keys walk * n_entries + entry are computed in key_type, n_entries included
-    key_type = np.int16 if len(walks) * n_entries < 2 ** 15 else np.int64
+    # key walk * n_entries + entry is picked with the walk's weight times the entry's mass
+    pick = _bucket_pick(_cumulative(s * m for _, s in patrol.components for m in masses), np.intp)
 
     # One task per (walk, entry) pair that can intercept, keyed by
     # walk * n_entries + entry: True when every trial is caught (a stationary
@@ -441,43 +435,43 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
                                      e[2], e[3] - e[2], slack)
             if task is not None:
                 tasks[i * n_entries + j] = task
-    # where each walk's atom and segment keys start in a sorted chunk
-    walk_keys = [i * n_entries + j for i in range(len(walks)) for j in (0, n_atoms)]
-    walk_keys.append(len(walks) * n_entries)
 
-    pick_walk = _bucket_pick(cum_s, key_type)
-    pick_entry = _bucket_pick(cum_m, key_type)
+    def score(start: int, rows: np.ndarray) -> int:
+        """Hits among the trials of the chunk that starts at trial `start`,
+        one per column of `rows`, read from the stream as laid out above.
 
-    def score(u: np.ndarray) -> int:
-        """Hits among the trials whose uniforms are the columns of u.
-
-        The trials are sorted by (walk, entry).  Row 0 of `rows` holds each
-        trial's phase u * P, in [0, P].  A segment trial also gets its
-        offset off (row 3), off - phase (row 1) and off + phase (row 2).
-        Each group then compares those rows with its task's windows."""
-        count = u.shape[1]
-        key = pick_walk(u[0]) * n_entries
-        key += pick_entry(u[2])
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        bounds = np.searchsorted(key, walk_keys).tolist()
-        rows = np.empty((4 if attack.uniform_parts else 1, count))
-        for i, span in moving:
-            lo_i, mid, hi_i = bounds[2 * i:2 * i + 3]
+        The pick words, drawn into row 0, count the trials of each key.
+        The trials are then taken in key order, so each key's trials are one
+        run of columns and each walk's keys are adjacent runs.  Row 0 then
+        holds a moving walk's phases u * P, in [0, P]; a segment trial also
+        gets its offset off (row 3), off - phase (row 1) and off + phase
+        (row 2).  Each key then compares its run of those rows with its
+        task's windows."""
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        gen.bit_generator.advance(start)  # four words per counter block
+        gen.random(out=rows[0])
+        counts = np.bincount(pick(rows[0]), minlength=n_keys)
+        edges = [0, *np.cumsum(counts).tolist()]  # key k's trials: [edges[k], edges[k + 1])
+        runs = [(edges[i * n_entries], edges[i * n_entries + n_atoms], edges[(i + 1) * n_entries],
+                 counts[i * n_entries + n_atoms:(i + 1) * n_entries], span) for i, span in moving]
+        for lo_i, _, hi_i, _, span in runs:
             phase = rows[0, lo_i:hi_i]
-            np.multiply(u[1][order[lo_i:hi_i]], span, out=phase)
+            gen.random(out=phase)
+            phase *= span
+        for _, mid, hi_i, per_seg, _ in runs:
             if mid < hi_i:
-                ent = key[mid:hi_i] - (i * n_entries + n_atoms)
                 off = rows[3, mid:hi_i]
-                np.add(seg_lo[ent], u[3][order[mid:hi_i]] * seg_width[ent], out=off)
-                np.subtract(off, phase[mid - lo_i:], out=rows[1, mid:hi_i])
-                np.add(off, phase[mid - lo_i:], out=rows[2, mid:hi_i])
-        cuts = [0] + (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+                gen.random(out=off)
+                off *= np.repeat(seg_width, per_seg)
+                off += np.repeat(seg_lo, per_seg)
+                np.subtract(off, rows[0, mid:hi_i], out=rows[1, mid:hi_i])
+                np.add(off, rows[0, mid:hi_i], out=rows[2, mid:hi_i])
         hits = 0
-        for k, lo_i, hi_i in zip(key[cuts].tolist(), cuts, cuts[1:] + [count]):
+        for k in np.flatnonzero(counts).tolist():
             task = tasks.get(k)
             if task is None:
                 continue
+            lo_i, hi_i = edges[k], edges[k + 1]
             if task is True:
                 hits += hi_i - lo_i
                 continue
@@ -494,16 +488,11 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
     workers = min(jobs, len(starts), os.cpu_count() or 1)
 
     def run_worker(w: int) -> int:
-        """Hits in chunks w, w + workers, ...; one block and one set of
-        columns serve all of them."""
-        block = np.empty((_BLOCK_TRIALS, _DRAWS_PER_TRIAL))
-        cols = np.empty((_DRAWS_PER_TRIAL, min(_CHUNK_TRIALS, trials)))
-        hits = 0
-        for start in starts[w::workers]:
-            u = cols[:, :min(_CHUNK_TRIALS, trials - start)]
-            _draw_uniforms(seed, start, u, block)
-            hits += score(u)
-        return hits
+        """Hits in chunks w, w + workers, ...; one set of rows serves all
+        of them."""
+        rows = np.empty((4 if attack.uniform_parts else 1, min(_CHUNK_TRIALS, trials)))
+        return sum(score(start, rows[:, :min(_CHUNK_TRIALS, trials - start)])
+                   for start in starts[w::workers])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -177,9 +177,9 @@ GROUPS = {"complete": (
     Row(f"{SIMULATE} --method grid",
         sha={"stdout": "0dc525c69fa9d11e0a8b38393c0c3cd69811b5e8d30091b463efba52d5067dad"}),
     Row(f"{SIMULATE} --method mc --trials 200003 --seed 7 --jobs 1",
-        sha={"stdout": "c9cd3723ce33e80ca94aa140095458c00d257019e42b3a31fc80f4fc27453722"}),
+        sha={"stdout": "f322105b1d63faac2554c59a1924a4743b0d525ff57c2ea62973ba7fde4daffa"}),
     Row(f"{SIMULATE} --method mc --trials 200003 --seed 7 --jobs 2",
-        sha={"stdout": "83e094222fc630c6e6eca70e489e337f23320a70a29c3a70a35ab690579e7f4a"}),
+        sha={"stdout": "f0f8ff7beee82639790342823d92ab0bf75a65e3cc32fea9e596336baadf16e0"}),
     Row("simulate sample_tree.net --patrol tree.patrol --attack negative.attack --alpha 4 --method exact", exit=1,
         stderr="error: line 2: attack start time must be nonnegative"),
 ), "large_tree": (
@@ -202,10 +202,10 @@ GROUPS = {"complete": (
     # chunk, and many arc steps cover a segment only in part
     Row("simulate big.net --patrol big939.patrol --attack big939.attack --alpha 939 --method mc "
         "--trials 200003 --seed 7 --jobs 2",
-        sha={"stdout": "cfd53f891a1da480f7cfa16925b9f2802d901355a6d9709b7db60c6f4608ec7b"}),
+        sha={"stdout": "bcfdc401b68993e64ae02278f3a9e8c68df4560e30ff052de4d92d7a723f920a"}),
     Row("simulate big.net --patrol big73.patrol --attack big73.attack --alpha 7/3 --method mc "
         "--trials 200003 --seed 7 --jobs 2",
-        sha={"stdout": "7887b356d0ecc52fefdd3eb75a3430d3c5509246339b5fc051ec7ec9330b543d"}),
+        sha={"stdout": "b61ade0837deec0cc5f9a24a345c1e165b0bad4ccfd1ff733743e953da76c3e4"}),
 ), "demo": (
     # the demos, Monte Carlo included, are deterministic; demo 05's branch
     # and bound over the 8-step K4 walks keeps its best and its walk count
@@ -221,7 +221,7 @@ GROUPS = {"complete": (
         line="best interception found: 19/24 < alpha/mu = 5/6 (margin 1/24, 393640 walks)",
         sha={"stdout": "73ae316e55976ddcdd3c521353a2953cac5d138d053d7a9e35df2620169b0e19"}),
     Row("06_monte_carlo.py",
-        sha={"stdout": "7ce1cc9a809296e066ce6ff3d2bd459a31c050748a86691ec324fe89672f6a6a"}),
+        sha={"stdout": "706ad5bdfeecb74c70288879724f1739324aedd7e18dc88283468cf202a172c5"}),
 )}
 ROWS = tuple(row for rows in GROUPS.values() for row in rows)
 

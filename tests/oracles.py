@@ -625,10 +625,16 @@ def exact_cumulative(masses) -> list[float]:
     return [float(c) for c in itertools.accumulate(masses)]
 
 
+# The chunk size of the Monte Carlo stream: trial chunk c reads the Philox
+# stream from counter block c * MC_CHUNK_TRIALS on.
+MC_CHUNK_TRIALS = 2 ** 16
+
+
 def _mc_tables(patrol, attack):
     """The spatial entries of a Monte Carlo trial (atoms as (point, None),
     then each uniform part's segments as (arc, (lo, hi))) and the
-    `exact_cumulative` tables of the walk weights and the entry masses."""
+    `exact_cumulative` table of the (walk, entry) keys, walk by walk, each
+    of mass walk weight times entry mass."""
     entries, masses = [], []
     for point, mass in attack.atoms:
         entries.append((point, None))
@@ -637,53 +643,101 @@ def _mc_tables(patrol, attack):
         for seg in part.region.segment_list():
             entries.append((seg.arc, (float(seg.lo), float(seg.hi))))
             masses.append(part.density * seg.measure)
-    return entries, exact_cumulative([s for _, s in patrol.components]), exact_cumulative(masses)
+    return entries, exact_cumulative([s * m for _, s in patrol.components for m in masses])
+
+
+def _mc_uniforms(bg, count: int) -> list[float]:
+    """The next `count` words of the bit generator as uniforms in [0, 1)."""
+    return [(word >> 11) * 2.0 ** -53 for word in bg.random_raw(count).tolist()]
+
+
+def _mc_chunks(trials: int, seed: int):
+    """For each chunk of the first `trials` trials: its trial count and a
+    Philox bit generator keyed by the seed, at the chunk's first counter
+    block (four words each)."""
+    for start in range(0, trials, MC_CHUNK_TRIALS):
+        bg = np.random.Philox(key=seed)
+        bg.advance(start)
+        yield min(MC_CHUNK_TRIALS, trials - start), bg
+
+
+class _McWalk:
+    """One scan of a walk's steps in `Fraction`s, for the Monte Carlo
+    oracles: its steps by arc as (start time, start offset, end offset), the
+    float of each, and the times at which it stands at each node."""
+
+    def __init__(self, walk: Walk):
+        self.walk, self.period = walk, float(walk.duration)
+        self.steps, self.at_node, elapsed = {}, {}, Fraction(0)
+        if walk.start.is_node:
+            self.at_node[walk.start.node] = [elapsed]
+        for step in walk.steps:
+            self.steps.setdefault(step.arc, []).append((elapsed, step.start, step.end))
+            elapsed += step.length
+            node = walk.net.arc(step.arc).endpoint_at(step.end)
+            if node is not None:
+                self.at_node.setdefault(node, []).append(elapsed)
+        self.float_steps = {arc: [tuple(map(float, step)) for step in steps]
+                            for arc, steps in self.steps.items()}
+        self._visits = {}
+
+    def visits(self, x: Point) -> list[float]:
+        """The float of each distinct visit time of x modulo the period, in
+        increasing order."""
+        if x not in self._visits:
+            if x.is_node:
+                times = self.at_node.get(x.node, [])
+            else:
+                times = [t + abs(x.offset - o1) for t, o1, o2 in self.steps.get(x.arc, ())
+                         if min(o1, o2) <= x.offset <= max(o1, o2)]
+            self._visits[x] = [float(v) for v in sorted({v % self.walk.duration for v in times})]
+        return self._visits[x]
 
 
 def mc_hits_reference(patrol, attack, alpha, trials: int, seed: int) -> int:
     """Monte Carlo hit count from the definition, one trial at a time.
 
-    Trial i reads words 4i..4i+3 of the Philox stream keyed by the seed, one
-    counter block, and turns them into uniforms in [0, 1): the component,
-    its phase, the spatial entry (atoms, then the segments of each uniform
-    part) and the offset along a segment.  Walks and entries are picked from
-    `exact_cumulative` tables.  No start time is drawn: the walk's phase is
-    uniform on [0, period), so (phase + t) mod period has the same law for
-    every start time t, fixed or drawn, and the shift is the phase alone.
-    The attack is caught when a visit of the periodic walk to the attacked
+    The trials come in chunks of MC_CHUNK_TRIALS, and chunk c reads the
+    Philox stream keyed by the seed from counter block c * MC_CHUNK_TRIALS,
+    each word a uniform (word >> 11) * 2**-53 in [0, 1): one word per trial
+    that picks its (walk, spatial entry) key from the `exact_cumulative`
+    table, entries being the atoms, then the segments of each uniform part;
+    then, the trials sorted by key, one phase word for each trial on a
+    moving walk; then, in the same order, one offset word for each such
+    trial on a segment.  No start time is drawn: the walk's phase is uniform
+    on [0, period), so (phase + t) mod period has the same law for every
+    start time t, fixed or drawn, and the shift is the phase alone.  The
+    attack is caught when a visit of the periodic walk to the attacked
     point falls in the window: (visit - shift) mod period <= alpha.  The
     engine decides the same event through phase windows compared with exact
     window ends, so the two can differ only for a draw within a few ulps of
     a window edge.  A stationary walk catches only an atom at its own
     position."""
     a_f = float(alpha)
-    entries, cum_s, cum_m = _mc_tables(patrol, attack)
-    bg = np.random.Philox(key=seed)
+    entries, cum = _mc_tables(patrol, attack)
+    walks = [_McWalk(w) for w, _ in patrol.components]
     hits = 0
-    for _ in range(trials):
-        u = [(word >> 11) * 2.0 ** -53 for word in bg.random_raw(4).tolist()]
-        walk = patrol.components[bisect.bisect_right(cum_s, u[0])][0]
-        where, seg = entries[bisect.bisect_right(cum_m, u[2])]
-        period = float(walk.duration)
-        shift = u[1] * period
-        if walk.is_stationary:
-            hits += seg is None and where == walk.start
-            continue
-        if seg is None:
-            visits = {v % walk.duration for v in walk.visit_times(where)}
-            hits += any((float(v) - shift) % period <= a_f for v in visits)
-            continue
-        lo, hi = seg
-        off = lo + u[3] * (hi - lo)
-        elapsed = Fraction(0)
-        caught = False
-        for step in walk.steps:
-            o1, o2 = float(step.start), float(step.end)
-            if step.arc == where and min(o1, o2) <= off <= max(o1, o2):
-                v = float(elapsed) + abs(off - o1)
-                caught = caught or (v - shift) % period <= a_f
-            elapsed += step.length
-        hits += caught
+    for n, bg in _mc_chunks(trials, seed):
+        keys = sorted(bisect.bisect_right(cum, u) for u in _mc_uniforms(bg, n))
+        trial_of = [(walks[k // len(entries)], *entries[k % len(entries)]) for k in keys]
+        moving = [t for t in trial_of if not t[0].walk.is_stationary]
+        hits += sum(seg is None and where == w.walk.start
+                    for w, where, seg in trial_of if w.walk.is_stationary)
+        phases = _mc_uniforms(bg, len(moving))
+        offsets = iter(_mc_uniforms(bg, sum(seg is not None for *_, seg in moving)))
+        for (w, where, seg), u in zip(moving, phases):
+            shift = u * w.period
+            if seg is None:
+                hits += any((v - shift) % w.period <= a_f for v in w.visits(where))
+                continue
+            lo, hi = seg
+            off = lo + next(offsets) * (hi - lo)
+            caught = False
+            for elapsed, o1, o2 in w.float_steps.get(where, ()):
+                if min(o1, o2) <= off <= max(o1, o2):
+                    v = elapsed + abs(off - o1)
+                    caught = caught or (v - shift) % w.period <= a_f
+            hits += caught
     return hits
 
 
@@ -691,44 +745,51 @@ def mc_hits_mod_reference(patrol, attack, alpha, trials: int, seed: int) -> int:
     """Monte Carlo hit count by the per-visit `np.mod` scorer, vectorized
     over the trials of each (walk, entry) pair.
 
-    It reads the first `trials` trials of `Philox(key=seed).random_raw`
-    itself, four words each, as `mc_hits_reference` does, picks walks and
-    entries with `np.searchsorted` on the same tables, and catches a trial
-    when (visit - shift) mod period <= alpha for a visit of the attacked
-    point, shift being phase * period (no start time is drawn, for the
-    reason `mc_hits_reference` gives): one full-width `np.mod` per atom
-    visit or arc step, with every visit and step bound the float of its
-    exact value."""
+    It reads the stream of each chunk itself with `random_raw`, in the
+    layout `mc_hits_reference` gives: the pick words, counted per key with
+    `np.searchsorted` on the same table; then the phase words and the offset
+    words, each a run per key in key order.  It catches a trial when
+    (visit - shift) mod period <= alpha for a visit of the attacked point,
+    shift being phase * period (no start time is drawn, for the reason
+    `mc_hits_reference` gives): one full-width `np.mod` per atom visit or
+    arc step, with every visit and step bound the float of its exact
+    value."""
     a_f = float(alpha)
-    raw = np.random.Philox(key=seed).random_raw(4 * trials).reshape(trials, 4)
-    u = ((raw >> np.uint64(11)) * 2.0 ** -53).T
-    entries, cum_s, cum_m = _mc_tables(patrol, attack)
-    comp = np.searchsorted(cum_s, u[0], side="right")
-    spot = np.searchsorted(cum_m, u[2], side="right")
+    entries, cum = _mc_tables(patrol, attack)
+    walks = [_McWalk(w) for w, _ in patrol.components]
+    moving = np.array([not w.walk.is_stationary for w in walks])
+    segs = np.array([seg is not None for _, seg in entries])
+
+    def uniforms(bg, count):
+        return (bg.random_raw(count) >> np.uint64(11)) * 2.0 ** -53
+
     hits = 0
-    for i, (walk, _) in enumerate(patrol.components):
-        period = float(walk.duration)
-        for j, (where, seg) in enumerate(entries):
-            sel = (comp == i) & (spot == j)
-            if walk.is_stationary:
-                hits += int(np.count_nonzero(sel)) * (seg is None and where == walk.start)
-                continue
-            shift = u[1][sel] * period
-            got = np.zeros(len(shift), dtype=bool)
-            if seg is None:
-                for v in sorted({v % walk.duration for v in walk.visit_times(where)}):
-                    got |= np.mod(float(v) - shift, period) <= a_f
-            else:
-                lo, hi = seg
-                off = lo + u[3][sel] * (hi - lo)
-                elapsed = Fraction(0)
-                for step in walk.steps:
-                    if step.arc == where:
-                        o1, o2 = float(step.start), float(step.end)
+    for n, bg in _mc_chunks(trials, seed):
+        counts = np.bincount(np.searchsorted(cum, uniforms(bg, n), side="right"),
+                             minlength=len(cum)).reshape(len(walks), len(entries))
+        phases = uniforms(bg, int(counts[moving].sum()))
+        offsets = uniforms(bg, int(counts[moving][:, segs].sum()))
+        p = q = 0
+        for i, w in enumerate(walks):
+            for j, (where, seg) in enumerate(entries):
+                count = int(counts[i, j])
+                if w.walk.is_stationary:
+                    hits += count * (seg is None and where == w.walk.start)
+                    continue
+                shift = phases[p:p + count] * w.period
+                p += count
+                got = np.zeros(count, dtype=bool)
+                if seg is None:
+                    for v in w.visits(where):
+                        got |= np.mod(v - shift, w.period) <= a_f
+                else:
+                    lo, hi = seg
+                    off = lo + offsets[q:q + count] * (hi - lo)
+                    q += count
+                    for elapsed, o1, o2 in w.float_steps.get(where, ()):
                         inside = (off >= min(o1, o2)) & (off <= max(o1, o2))
-                        got |= inside & (np.mod(float(elapsed) + np.abs(off - o1) - shift, period) <= a_f)
-                    elapsed += step.length
-            hits += int(np.count_nonzero(got))
+                        got |= inside & (np.mod(elapsed + np.abs(off - o1) - shift, w.period) <= a_f)
+                hits += int(np.count_nonzero(got))
     return hits
 
 

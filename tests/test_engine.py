@@ -323,7 +323,8 @@ def test_mc_within_ci_of_exact(unit_k4):
 def test_mc_start_law_moves_nothing(unit_k4, sample_tree):
     # every walk has a uniform phase, so no start time moves a trial: attacks
     # that differ only in their start law give equal results for one seed,
-    # on one thread or two, each covering the exact value within its CI
+    # on one thread or two; over a frozen set of 100 seeds the estimate
+    # covers the exact value within its own 95% interval at least 93 times
     atoms = tuple((unit_k4.point(a.id, F(1, 3)), F(1, 6)) for a in unit_k4.arcs)
     horizon = tree_attack_strategy(sample_tree, 4)
     cases = [(complete_patrolling(unit_k4), unit_k4, atoms, F(3), F(17, 2)),
@@ -333,13 +334,25 @@ def test_mc_start_law_moves_nothing(unit_k4, sample_tree):
         results, exact = set(), set()
         for law in (TemporalLaw.fixed(0), TemporalLaw.fixed(F(7, 3)), TemporalLaw.uniform(h)):
             att = AttackStrategy(net, atoms, (), law)
-            p = evaluate(pat, att, alpha).probability
-            exact.add(p)
+            exact.add(evaluate(pat, att, alpha).probability)
             for jobs in (1, 2):
-                r = evaluate(pat, att, alpha, method="mc", trials=200_003, seed=5, jobs=jobs)
-                assert abs(r.probability - float(p)) <= r.ci_halfwidth
-                results.add(r)
+                results.add(evaluate(pat, att, alpha, method="mc", trials=200_003, seed=5, jobs=jobs))
         assert len(results) == len(exact) == 1
+        p = float(exact.pop())
+        runs = (evaluate(pat, att, alpha, method="mc", trials=200_003, seed=seed) for seed in range(100))
+        assert sum(abs(r.probability - p) <= r.ci_halfwidth for r in runs) >= 93
+
+
+def test_mc_horizon_attack_within_ci_of_grid(sample_tree):
+    # the horizon attack's atoms and uniform segments: over a frozen set of
+    # 300 seeds the estimate covers the 1/256-grid value (4/17, the game
+    # value) within its own 95% interval at least 279 times (93%)
+    att = tree_attack_strategy(sample_tree, 4)
+    pat = e_patrolling(sample_tree, 4)
+    grid = evaluate(pat, att, 4, method="grid", grid_step=F(1, 256)).probability
+    assert grid == game_value_tree(sample_tree, 4) == F(4, 17)
+    runs = (evaluate(pat, att, 4, method="mc", trials=20_000, seed=seed) for seed in range(300))
+    assert sum(abs(r.probability - float(grid)) <= r.ci_halfwidth for r in runs) >= 279
 
 
 def _frozen_mc_cases():
@@ -364,15 +377,15 @@ def _frozen_mc_cases():
     yield "tree20", e_patrolling(big, alpha), tree_attack_strategy(big, alpha), alpha
 
 
-# Hit counts at seed 17, one counter block per trial, each equal to the
-# counts of both `mc_hits_reference` and `mc_hits_mod_reference`; 200,003
-# trials span several draw chunks.  The start time draws nothing, so "demo"
-# and "demo-fixed" agree.
+# Hit counts at seed 17, each equal to the counts of both
+# `mc_hits_reference` and `mc_hits_mod_reference`; 200,003 trials span four
+# chunks, the last partial.  The start time draws nothing, so "demo" and
+# "demo-fixed" agree.
 FROZEN_MC_HITS = {
-    "demo": {1: 0, 1_000: 238, 200_003: 47028},
-    "demo-fixed": {1: 0, 1_000: 238, 200_003: 47028},
-    "demo-stationary": {1: 0, 1_000: 372, 200_003: 79962},
-    "tree20": {1: 0, 1_000: 181, 200_003: 37049},
+    "demo": {1: 0, 1_000: 225, 200_003: 47267},
+    "demo-fixed": {1: 0, 1_000: 225, 200_003: 47267},
+    "demo-stationary": {1: 0, 1_000: 400, 200_003: 80870},
+    "tree20": {1: 0, 1_000: 170, 200_003: 37218},
 }
 
 
@@ -498,8 +511,9 @@ def test_mc_matches_mod_reference():
 
 def test_mc_memory_bounded(sample_tree):
     # trials are drawn and scored in fixed-size chunks: two million trials
-    # (4 words, 32 bytes, of raw stream per trial) stay far below 32 MiB,
-    # half of their 64 MiB of draws
+    # (at least one word, 8 bytes, of raw stream per trial, and four rows of
+    # floats, 32 bytes, to score a segment trial) stay far below 32 MiB,
+    # half of what their rows would take
     att = tree_attack_strategy(sample_tree, 4)
     pat = e_patrolling(sample_tree, 4)
     tracemalloc.start()
@@ -575,16 +589,16 @@ class _SerialPool:
         return map(fn, items)
 
 
-# Hit counts at seed 17 and 2**16 + 4,097 trials (one full chunk, then one
-# full block and one trial), each equal to the counts of both
-# `mc_hits_reference` and `mc_hits_mod_reference`.
-FROZEN_SPLIT_HITS = {"demo": 16464, "demo-fixed": 16464, "demo-stationary": 27863,
-                     "tree20": 12880}
+# Hit counts at seed 17 and 2**16 + 4,097 trials (one full chunk and a
+# partial one), each equal to the counts of both `mc_hits_reference` and
+# `mc_hits_mod_reference`.
+FROZEN_SPLIT_HITS = {"demo": 16493, "demo-fixed": 16493, "demo-stationary": 28028,
+                     "tree20": 12969}
 
 
 def test_mc_static_worker_split(monkeypatch):
     # worker w scores chunks w, w + workers, ...: for 1-5 workers over whole
-    # and partial chunks and blocks the result is the one-worker result
+    # and partial chunks the result is the one-worker result
     monkeypatch.setattr(engine, "ThreadPoolExecutor", _SerialPool)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
     split = 2 ** 16 + 4_097
@@ -601,23 +615,52 @@ def test_mc_static_worker_split(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 17, 2 ** 128 - 1])
-def test_mc_stream_contract(seed):
-    # trial i scores words [4i, 4i + 4) of the Philox stream keyed by the
-    # seed, one counter block, as (word >> 11) * 2**-53, which
-    # Generator.random computes in C: checked on the last trials of chunk 0
-    # and on chunk 1 of 2**16 + 4,098 trials, one full block and a partial one
-    chunk, rows = engine._CHUNK_TRIALS, engine._BLOCK_TRIALS
-    assert engine._DRAWS_PER_TRIAL == 4
-    block = np.empty((rows, 4))
-    first = np.empty((4, chunk))
-    engine._draw_uniforms(seed, 0, first, block)
-    second = np.empty((4, rows + 2))
-    engine._draw_uniforms(seed, chunk, second, block)
-    got = np.concatenate([first[:, -3:], second], axis=1).T
-    bg = np.random.Philox(key=seed)
-    bg.advance(chunk - 3)  # four words per counter block, one block per trial
-    raw = bg.random_raw(4 * len(got)).reshape(len(got), 4)
-    assert np.array_equal(got, (raw >> np.uint64(11)) * 2.0 ** -53)
+def test_mc_stream_contract(seed, monkeypatch):
+    # chunk c of 2**16 trials reads the Philox stream keyed by the seed from
+    # counter block c * 2**16 on, each word as (word >> 11) * 2**-53, which
+    # Generator.random computes in C: first one pick word per trial, then
+    # one phase word per trial on a moving walk, then one offset word per
+    # such trial on a segment.  Checked on both chunks of 2**16 + 4,097
+    # trials of the mixture with a stationary walk, whose trials draw no
+    # phase: the generator stops where the words counted here end.
+    assert engine._CHUNK_TRIALS == 2 ** 16
+    chunks = []  # the generators, in the order they are made
+
+    class Recording(np.random.Generator):
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            self.calls = []  # (words drawn, their values)
+            chunks.append(self)
+
+        def random(self, *, out):
+            got = super().random(out=out)
+            self.calls.append((len(out), out.copy()))
+            return got
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    _, pat, att, alpha = next(case for case in _frozen_mc_cases() if case[0] == "demo-stationary")
+    evaluate(pat, att, alpha, method="mc", trials=2 ** 16 + 4_097, seed=seed, jobs=1)
+    masses = [m for _, m in att.atoms] + [u.density * g.measure for u in att.uniform_parts
+                                          for g in u.region.segment_list()]
+    cum = exact_cumulative([s * m for _, s in pat.components for m in masses])
+    moving = np.array([not w.is_stationary for w, _ in pat.components])
+    assert len(chunks) == 2 and not moving.all()
+    for c, gen in enumerate(chunks):
+        n = (2 ** 16, 4_097)[c]
+        ref = np.random.Philox(key=seed)
+        ref.advance(c * 2 ** 16)  # four words per counter block
+        picks = (ref.random_raw(n) >> np.uint64(11)) * 2.0 ** -53
+        counts = np.bincount(np.searchsorted(cum, picks, side="right"), minlength=len(cum))
+        counts = counts.reshape(len(moving), len(masses))[moving]
+        phases, offsets = int(counts.sum()), int(counts[:, len(att.atoms):].sum())
+        assert 0 < phases < n and 0 < offsets < phases
+        sizes = np.cumsum([size for size, _ in gen.calls]).tolist()
+        assert {n, n + phases, n + phases + offsets} <= set(sizes) and sizes[-1] == n + phases + offsets
+        rest = (ref.random_raw(phases + offsets) >> np.uint64(11)) * 2.0 ** -53
+        drawn = np.concatenate([values for _, values in gen.calls])
+        assert np.array_equal(drawn, np.concatenate([picks, rest]))
+        at = [(g.state["state"]["counter"].tolist(), g.state["buffer_pos"]) for g in (gen.bit_generator, ref)]
+        assert at[0] == at[1]
 
 
 def _pick_probes(cum):
