@@ -1,21 +1,22 @@
 """Interception evaluation and best-response searches.
 
-Exact evaluation runs on one integer kernel: the attack duration, step
-offsets and point offsets are put on one integer scale by
-`network._on_scale`, each walk's visits are read once per call from its
-`_WalkIndex` (kept in `network.py`, beside `Walk`), and a point's covered
-phase measure is the sum of min(gap, alpha) over the cyclic gaps between
-its visits; the only Fraction a point gets is its probability.
-Deterministic walks (`walk_attack_probability`, `intercept`, and the walks
-of `patrol_search`) are scored on the same integer clock by one coverage
-rule, for both start-time laws: the law is a cell [s0, s1) of start times
-(`_cell`), an atom's caught start times are the union of its visits'
-windows [v - alpha, v + tick) within the cell, and the probability is their
-measure over s1 - s0.  A uniform law on [0, H] is the cell [0, H) with a
-tick of 0; a fixed time t is the unit cell [t, t + 1) with a tick of 1.
-That is exact because t, alpha and every visit are integers on the common
-scale: v - alpha <= t <= v holds exactly when [t, t + 1) meets
-[v - alpha, v + 1).
+Exact evaluation runs on one integer kernel, `_walk_measures`: one walk, a
+start-time law and a list of points, with the attack duration, the law's
+time and every offset on one integer scale (`network._on_scale`) and the
+walk's visits read from a `_WalkIndex` (kept in `network.py`, beside
+`Walk`).  The law is a cell [s0, s1) of start times (`_cell`), and a point's
+caught start times are the union of its visits' windows [v - alpha, v +
+tick) within it.  A uniform law on [0, H] is the cell [0, H) with a tick of
+0; a fixed time t is the unit cell [t, t + 1) with a tick of 1.  That is
+exact because t, alpha and every visit are integers on the common scale:
+v - alpha <= t <= v holds exactly when [t, t + 1) meets [v - alpha, v + 1).
+`walk_attack_probability` and `intercept` are fronts over the kernel for one
+deterministic walk, and `patrol_search` scores its walks by the same rule.
+A walk with a uniform phase catches an attack as it does from a start
+uniform over one period, so `evaluate`, `attacker_best_response` and
+`interception_probability` add each walk's weight times its measures under
+that law over the period, on one common denominator; the only Fraction a
+point gets is its probability.
 Continuous spatial attack parts are handled by midpoint-grid quadrature or
 Monte Carlo; an exact coverage integral for piecewise-uniform attacks is
 deliberately not provided.  Monte Carlo is the only place floating
@@ -83,7 +84,7 @@ def _covered_measure(visits: Sequence[int], alpha: int, period: int) -> int:
     total = 0
     prev = visits[-1] - period
     for v in visits:
-        total += min(v - prev, alpha)
+        total += v - prev if v - prev < alpha else alpha
         prev = v
     return total
 
@@ -103,25 +104,27 @@ def _cell(law: TemporalLaw, t: int) -> tuple[int, int, int]:
     return (0, t, 0) if law.kind == "uniform" else (t, t + 1, 1)
 
 
-def _walk_probability(walk: Walk, atoms, alpha: Fraction, law: TemporalLaw,
-                      dwell_at_end: bool) -> Fraction:
-    """Exact probability that one deterministic walk intercepts an attack on
-    the (point, mass) atoms with start-time law `law`.
+def _walk_measures(walk: Walk, points: Sequence[Point], alpha: Fraction, law: TemporalLaw,
+                   dwell_at_end: bool) -> tuple[int, list[int]]:
+    """The one coverage rule: the width of the cell of start times of `law`
+    and, for an attack at each point, the measure of the start times in it
+    at which one deterministic walk catches it; integers on one scale.
 
     An attack at x starting at t is caught when the patrol is at x at some
     instant of [t, t + alpha].  A closed walk that moves repeats forever.  A
     stationary walk holds its point, and so does an open walk with
     `dwell_at_end`, from its end time D on; an open walk without it must
-    cover a fixed-law window.  An atom's caught start times are the union of
+    cover a fixed-law window.  A point's caught start times are the union of
     the windows [v - alpha, v + tick) within the law's cell over its visits
-    v, plus [D - alpha, s1) for a hold.  Alpha, the law's time, the atom
-    offsets and the walk's clock share one integer scale.
+    v, plus [D - alpha, s1) for a hold.  A repeating walk adds its whole
+    periods by `_covered_measure` and unrolls its visits only over the part
+    of a period left.  Alpha, the law's time, the point offsets and the
+    walk's clock share one integer scale.
     """
     repeat = walk.is_closed and not walk.is_stationary
     hold = walk.is_stationary or (dwell_at_end and not walk.is_closed)
-    atoms = [(p, m) for p, m in atoms if m]
     scale, (a, t, *offsets) = _on_scale(
-        walk._scale, [alpha, law.value, *(p.offset for p, _ in atoms if not p.is_node)])
+        walk._scale, [alpha, law.value, *(p.offset for p in points if not p.is_node)])
     offsets = iter(offsets)
     index = _WalkIndex(walk, scale // walk._scale)
     end = index.period
@@ -134,13 +137,13 @@ def _walk_probability(walk: Walk, atoms, alpha: Fraction, law: TemporalLaw,
         s0 %= end
         whole, rest = divmod(width, end)
         s1 = s0 + rest
-    total = Fraction(0)
-    for p, m in atoms:
+    measures = []
+    for p in points:
         visits = index.visits(p, None if p.is_node else next(offsets))
         covered, reach = 0, s0
         if repeat and visits:  # whole periods at once, then the visits up to the rest + alpha
             covered = whole * _covered_measure(visits, a + tick, end)
-            visits = [v + k * end for k in range((s1 + a) // end + 1) for v in visits]
+            visits = [v + k * end for k in range((s1 + a) // end + 1) for v in visits] if s1 > s0 else ()
         # the windows come sorted by both ends, so each adds its part past `reach`
         for v in visits:
             lo, hi = max(v - a, reach), min(v + tick, s1)
@@ -149,8 +152,8 @@ def _walk_probability(walk: Walk, atoms, alpha: Fraction, law: TemporalLaw,
                 reach = hi
         if hold and p == walk.end_point:
             covered += max(s1 - max(end - a, reach), 0)
-        total += m * covered
-    return total / width
+        measures.append(covered)
+    return width, measures
 
 
 def intercept(walk: Walk, x: Point, t, alpha, dwell_at_end: bool = False) -> bool:
@@ -162,7 +165,8 @@ def intercept(walk: Walk, x: Point, t, alpha, dwell_at_end: bool = False) -> boo
     """
     t, alpha = frac(t), _duration(alpha)
     _require_on_network(walk.net, x)
-    return _walk_probability(walk, [(x, 1)], alpha, TemporalLaw.fixed(t), dwell_at_end) == 1
+    width, (caught,) = _walk_measures(walk, [x], alpha, TemporalLaw.fixed(t), dwell_at_end)
+    return caught == width
 
 
 def _interception_probabilities(patrol: PatrolStrategy, points: Sequence[Point],
@@ -170,34 +174,20 @@ def _interception_probabilities(patrol: PatrolStrategy, points: Sequence[Point],
     """Exact interception probability of an attack of duration alpha at each
     point, with uniform phases.
 
-    Alpha, point offsets and every walk's clock go on one integer scale, the
-    lcm of alpha's and the offsets' denominators and of the walks' own
-    scales; each walk's integer offsets and times are multiplied by one
-    factor to reach it.  Each walk with nonzero weight is indexed once.  A
-    walk of weight s and period P adds s * measure / P; the weights are put
-    over one common denominator, so each point's sum is an integer until its
-    one Fraction.
+    A walk with a uniform phase catches an attack as the walk does from a
+    start uniform over one period P, so each walk of weight s > 0 adds s
+    times its `_walk_measures` under `TemporalLaw.uniform(P)`, over the
+    cell's width; a stationary walk's law is the fixed time 0, and it holds
+    its point.  The weights over the widths go over one common denominator,
+    so each point's sum is an integer until its one Fraction.
     """
-    walks = [(w, s) for w, s in patrol.components if s]
-    scale, (a, *interior) = _on_scale(math.lcm(*(w._scale for w, _ in walks)),
-                                      [alpha, *(p.offset for p in points if not p.is_node)])
-    interior = iter(interior)
-    offsets = [None if p.is_node else next(interior) for p in points]
-    # a stationary walk covers its start point at every phase: weight s, measure 1
-    weights = [s / (w.duration * scale) if w._offsets else s for w, s in walks]
-    denominator, coefs = _on_scale(1, weights)
+    walks = [(s, *_walk_measures(w, points, alpha, TemporalLaw.uniform(w.duration), True))
+             for w, s in patrol.components if s]
+    denominator = math.lcm(*(s.denominator * width for s, width, _ in walks))
     totals = [0] * len(points)
-    for (walk, _), coef in zip(walks, coefs):
-        if not walk._offsets:
-            for k, x in enumerate(points):
-                if x == walk.start:
-                    totals[k] += coef
-            continue
-        index = _WalkIndex(walk, scale // walk._scale)
-        for k, x in enumerate(points):
-            visits = index.visits(x, offsets[k])  # a time listed twice adds a gap of 0
-            if visits:
-                totals[k] += coef * _covered_measure(visits, a, index.period)
+    for s, width, measures in walks:
+        coef = s.numerator * (denominator // (s.denominator * width))
+        totals = [t + coef * m for t, m in zip(totals, measures)]
     return [Fraction(t, denominator) for t in totals]
 
 
@@ -272,10 +262,10 @@ _CHUNK_TRIALS = 2 ** 16
 _PICK_BUCKETS = 2 ** 12
 
 
-def _bucket_pick(cum: np.ndarray, dtype):
+def _bucket_pick(cum: np.ndarray):
     """A function of uniforms u in [0, 1) equal to
     ``np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)``,
-    as an array of `dtype`.
+    an intp array.
 
     [0, 1) is cut into _PICK_BUCKETS equal buckets; u * _PICK_BUCKETS is exact,
     so its integer part is u's bucket.  A bucket with no value of `cum`
@@ -286,7 +276,7 @@ def _bucket_pick(cum: np.ndarray, dtype):
     edges = np.arange(_PICK_BUCKETS + 1) / _PICK_BUCKETS
     at_low = np.searchsorted(cum, edges[:-1], side="right")
     below_high = np.searchsorted(cum, edges[1:], side="left")
-    table = np.where(below_high > at_low, -1, np.minimum(at_low, last)).astype(dtype)
+    table = np.where(below_high > at_low, -1, np.minimum(at_low, last))
 
     def pick(u: np.ndarray) -> np.ndarray:
         idx = table[(u * _PICK_BUCKETS).astype(np.intp)]
@@ -399,7 +389,7 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
     seg_lo = np.array([e[2] for e in entries[n_atoms:]])
     seg_width = np.array([e[3] - e[2] for e in entries[n_atoms:]])
     # key walk * n_entries + entry is picked with the walk's weight times the entry's mass
-    pick = _bucket_pick(_cumulative(s * m for _, s in patrol.components for m in masses), np.intp)
+    pick = _bucket_pick(_cumulative(s * m for _, s in patrol.components for m in masses))
 
     # One task per (walk, entry) pair that can intercept, keyed by
     # walk * n_entries + entry: True when every trial is caught (a stationary
@@ -665,7 +655,7 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     # visit gains its window's part beyond reach[i], which starts at s0 and
     # only grows.  A finished walk waits at its end node, whose atom its last
     # move has just visited at `then`: the wait gains s1 - max(then + tick,
-    # s0) if positive.  `_walk_probability` scores one walk by the same rule.
+    # s0) if positive.  `_walk_measures` scores one walk by the same rule.
     # A walk of max_steps steps is scored from its prefix's state without
     # being entered, so it writes no state.
     #
@@ -765,4 +755,5 @@ def walk_attack_probability(walk: Walk, attack: AttackStrategy, alpha, *,
     alpha = _duration(alpha)
     _require_attack(walk.net, attack)
     disc = attack if attack.is_atomic else attack.discretized(grid_step)
-    return _walk_probability(walk, disc.atoms, alpha, disc.temporal, dwell_at_end)
+    width, measures = _walk_measures(walk, [p for p, _ in disc.atoms], alpha, disc.temporal, dwell_at_end)
+    return sum((m * c for (_, m), c in zip(disc.atoms, measures)), Fraction(0)) / width

@@ -12,8 +12,9 @@ not `Point`s.  Floating point never enters this module.  Networks are
 immutable after construction and every operation here is pure, so
 concurrent reads need no synchronization: a network memoizes what it
 derives (integer arc lengths and single-source distances here, side weights
-and the last subtree decomposition in the tree layer), a walk its `steps`,
-and two threads that fill a memo at once store equal values.
+and the last subtree decomposition in the tree layer), a walk its `steps`
+and its visit index, and two threads that fill a memo at once store equal
+values.
 """
 
 from __future__ import annotations
@@ -654,9 +655,10 @@ class Walk:
     that scale, `_ticks` the clock at each step boundary and `_stops` the
     node there (None at an interior point).  `duration` and `end_point` are
     the only exact values built up front: `position` bisects `_ticks`, and
-    `visit_times` reads the walk's `_WalkIndex`, the clock the engine scores
-    walks on.  `steps` is a view built from the ints on first read, with
-    `Fraction` offsets whatever offset types the constructor was given.
+    `visit_times` reads `_index`, the walk's `_WalkIndex` (the clock the
+    engine scores walks on), built on first read.  `steps` is a view built
+    from the ints on first read, with `Fraction` offsets whatever offset
+    types the constructor was given.
 
     One integer kernel, `_walk`, checks and times every walk: the constructor
     puts its steps' offsets on one scale and calls it, and `parse_patrol`,
@@ -706,16 +708,19 @@ class Walk:
         (lo, hi), dt = self._offsets[i], t * self._scale - self._ticks[i]
         return self.net.point(self._arcs[i], (lo + dt if hi > lo else lo - dt) / self._scale)
 
+    @cached_property
+    def _index(self) -> "_WalkIndex":
+        """The walk's `_WalkIndex` at its own scale, built on first read."""
+        return _WalkIndex(self, 1)
+
     def visit_times(self, x: Point) -> tuple[Fraction, ...]:
         """Sorted exact times in [0, duration] at which the walk occupies x."""
         _require_on_network(self.net, x)
         if self.is_stationary:
             return (Fraction(0),) if x == self.start else ()
-        scale, off = self._scale, None
-        if not x.is_node:
-            scale, (off,) = _on_scale(scale, (x.offset,))
-        index = _WalkIndex(self, scale // self._scale)
-        return tuple(Fraction(t, scale) for t in sorted(set(index.visits(x, off))))
+        # an interior offset off the walk's scale is queried as a Fraction on it
+        off = None if x.is_node else x.offset * self._scale
+        return tuple(Fraction(t, self._scale) for t in sorted(set(self._index.visits(x, off))))
 
     def reversed(self) -> "Walk":
         """The walk run backwards from its end point; every field equals what
@@ -808,10 +813,10 @@ class _WalkIndex:
         self.period = ticks[-1]
 
     def visits(self, x: Point, off: int | None) -> list[int]:
-        """Visit times of x (at scaled offset `off` when interior) within
-        [0, period], nondecreasing.  A time can be listed twice: at a step
+        """Visit times of x (at scaled offset `off` when interior, None at
+        a node) within [0, period], nondecreasing.  A time can be listed twice: at a step
         boundary, or at both 0 and the period of a closed walk."""
-        if x.is_node:
+        if off is None:
             return self.by_node.get(x.node, [])
         return [t0 + abs(off - o1) for t0, lo, hi, o1 in self.by_arc.get(x.arc, ())
                 if lo <= off <= hi]

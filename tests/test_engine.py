@@ -68,6 +68,12 @@ def test_intercept_stationary():
     assert intercept(w, net.point("a", 1), 0, 5)
     assert intercept(w, net.point("a", 1), 100, F(1, 10))
     assert not intercept(w, net.node_point("u"), 0, 5)
+    # with a uniform phase a stationary walk is scored by the same hold rule:
+    # its start law uniform(0) is the fixed time 0
+    patrol = PatrolStrategy.single(w)
+    for alpha in (0, 5):
+        assert interception_probability(patrol, net.point("a", 1), 0, alpha) == 1
+        assert interception_probability(patrol, net.node_point("u"), 0, alpha) == 0
 
 
 def test_intercept_boundary_semantics():
@@ -203,9 +209,9 @@ def test_kernel_matches_interception_reference():
 def test_phase_randomization_is_a_uniform_start_over_a_period():
     # a closed walk W of period P that moves, with a uniform phase, catches
     # an attack at x exactly as W repeated from time 0 does under a start
-    # uniform on [0, kP], for k = 1 and k > 1: the mixture kernel and the
-    # deterministic-walk kernel state one coverage rule, with alpha from 0
-    # to past the period
+    # uniform on [0, kP], with alpha from 0 to past the period: k = 1 is the
+    # code path itself, as the mixture scores each walk by the one kernel
+    # under a start uniform over its period, and k > 1 is the check
     rng = random.Random(18)
     nets = [random_tree(rng, max_nodes=12) for _ in range(8)]
     nets += [star_network([rng.choice(LENGTH_POOL) for _ in range(rng.randint(2, 5))]) for _ in range(3)]
@@ -227,8 +233,8 @@ def test_phase_randomization_is_a_uniform_start_over_a_period():
                 want = engine._interception_probabilities(PatrolStrategy.single(walk), points, alpha)
                 for k in (1, rng.randint(2, 4)):
                     law = TemporalLaw.uniform(k * period)
-                    assert [engine._walk_probability(walk, [(p, 1)], alpha, law, True)
-                            for p in points] == want, (net.nodes, walk, alpha, k)
+                    width, measures = engine._walk_measures(walk, points, alpha, law, True)
+                    assert [F(m, width) for m in measures] == want, (net.nodes, walk, alpha, k)
     assert below and above
 
 
@@ -674,9 +680,8 @@ def _pick_probes(cum):
 
 def _check_pick(cum, u):
     want = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    for dtype in (np.int16, np.intp):
-        got = engine._bucket_pick(cum, dtype)(u)
-        assert np.array_equal(got, want) and got.dtype == dtype
+    got = engine._bucket_pick(cum)(u)
+    assert np.array_equal(got, want) and got.dtype == np.intp
 
 
 @pytest.mark.parametrize("masses", [
@@ -719,10 +724,9 @@ def test_exact_tables_pick_no_zero_mass(masses):
     cum = engine._cumulative(masses)
     assert cum.tolist() == exact_cumulative(masses) and cum[-1] == 1.0
     u = _pick_probes(cum)
-    for dtype in (np.int16, np.intp):
-        got = engine._bucket_pick(cum, dtype)(u).tolist()
-        assert all(masses[k] for k in got)
-        assert got[1] == max(k for k, m in enumerate(masses) if m)  # u = 1 - 2**-53
+    got = engine._bucket_pick(cum)(u).tolist()
+    assert all(masses[k] for k in got)
+    assert got[1] == max(k for k, m in enumerate(masses) if m)  # u = 1 - 2**-53
 
 
 @settings(max_examples=100, deadline=None)
@@ -734,7 +738,7 @@ def test_exact_tables_match_fractions(parts):
     masses = [m / total for m in masses]
     cum = engine._cumulative(masses)
     assert cum.tolist() == exact_cumulative(masses) and cum[-1] == 1.0
-    got = engine._bucket_pick(cum, np.intp)(_pick_probes(cum)).tolist()
+    got = engine._bucket_pick(cum)(_pick_probes(cum)).tolist()
     assert all(masses[k] for k in got)
 
 

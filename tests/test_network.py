@@ -37,6 +37,7 @@ from patrolgame import (
     tree_attack_strategy,
     walk_through_nodes,
 )
+from patrolgame import network
 from patrolgame.network import _walk, parse_rational
 from patrolgame.serialize import parse_patrol, write_patrol
 from conftest import make_sample_tree, random_tree, walk_fields
@@ -393,6 +394,25 @@ def test_walk_clock_matches_fraction_walk():
         for x in points:
             assert w.visit_times(x) == ref.visit_times(x), (w.steps, x)
             assert all(type(t) is Fraction for t in w.visit_times(x))
+
+
+def test_visit_times_indexes_the_walk_once(monkeypatch):
+    # two queries, one at an interior offset off the walk's scale (thirds on
+    # a walk of integer offsets), build one `_WalkIndex` at the walk's scale
+    factors = []
+
+    class Counting(network._WalkIndex):
+        def __init__(self, walk, factor):
+            factors.append(factor)
+            super().__init__(walk, factor)
+
+    monkeypatch.setattr(network, "_WalkIndex", Counting)
+    net = Network(["u", "v"], [("a", "u", "v", 2)])
+    w = Walk(net, net.node_point("u"), [Step("a", F(0), F(2)), Step("a", F(2), F(0))])
+    ref = FractionWalk(net, w.start, w.steps)
+    for x in (net.point("a", F(1, 3)), net.node_point("v")):
+        assert w.visit_times(x) == ref.visit_times(x)
+    assert factors == [1]
 
 
 def test_walk_reversed_matches_constructor():
