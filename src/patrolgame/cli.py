@@ -9,12 +9,15 @@ is held until the command succeeds: a failing one prints only an `error:` line.
 
 Exit codes: 0 success, 1 validation failure or an unreadable or unwritable
 file, 2 usage error (among them `patrol --kind e` with `--factorization` or
-`--best`), 3 size-guard refusal.
+`--best`), 3 size-guard refusal (among them a `simulate --method grid` or
+`exact` grid of more than 2,097,152 cells, counted as ceil(measure / step)
+per segment at `--grid-step` before any cell is built).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -211,8 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: building one costs
+    about a millisecond (argparse looks up its message catalogs), and a
+    parser holds nothing of the arguments it parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "factorize" and args.heuristic and not args.best:
         parser.error("factorize: argument --heuristic: needs --best")

@@ -1,26 +1,40 @@
 """Interception evaluation and best-response searches.
 
 Exact evaluation runs on one integer kernel, `_walk_measures`: one walk, a
-start-time law and a list of points, with the attack duration, the law's
-time and every offset on one integer scale (`network._on_scale`) and the
-walk's visits read from a `_WalkIndex` (kept in `network.py`, beside
-`Walk`).  The law is a cell [s0, s1) of start times (`_cell`), and a point's
-caught start times are the union of its visits' windows [v - alpha, v +
-tick) within it.  A uniform law on [0, H] is the cell [0, H) with a tick of
-0; a fixed time t is the unit cell [t, t + 1) with a tick of 1.  That is
-exact because t, alpha and every visit are integers on the common scale:
-v - alpha <= t <= v holds exactly when [t, t + 1) meets [v - alpha, v + 1).
-`walk_attack_probability` and `intercept` are fronts over the kernel for one
-deterministic walk, and `patrol_search` scores its walks by the same rule.
-A walk with a uniform phase catches an attack as it does from a start
-uniform over one period, so `evaluate`, `attacker_best_response` and
-`interception_probability` add each walk's weight times its measures under
-that law over the period, on one common denominator; the only Fraction a
-point gets is its probability.
-Continuous spatial attack parts are handled by midpoint-grid quadrature or
-Monte Carlo; an exact coverage integral for piecewise-uniform attacks is
-deliberately not provided.  Monte Carlo is the only place floating
-point appears.  Its trials come in chunks of a fixed size, each chunk
+start-time law and a list of point keys, (node, None) or (arc id, offset),
+with the attack duration, the law's time and every offset on one integer
+scale that the caller gives, and the walk's visits read from a `_WalkIndex`
+(kept in `network.py`, beside `Walk`).  The law is a cell [s0, s1) of start
+times (`_cell`), and a point's caught start times are the union of its
+visits' windows [v - alpha, v + tick) within it.  A uniform law on [0, H] is
+the cell [0, H) with a tick of 0; a fixed time t is the unit cell [t, t + 1)
+with a tick of 1.  That is exact because t, alpha and every visit are
+integers on the common scale: v - alpha <= t <= v holds exactly when [t, t
++ 1) meets [v - alpha, v + 1).  `walk_attack_probability` and `intercept`
+score one deterministic walk by the kernel, and `patrol_search` scores its
+walks by the same rule.  A walk with a uniform phase catches an attack as it
+does from a start uniform over one period, so `_coverage` adds each walk's
+weight times its measures under that law over the period, on one common
+denominator, for `evaluate`, `attacker_best_response` and
+`interception_probability`.
+
+The callers that hold `Point`s (`intercept`, `interception_probability`,
+`walk_attack_probability` and `evaluate` on an atomic attack) put them on a
+scale with `_point_keys`.  Grids are built on the integer scale by
+`network._grid`: a segment is one arithmetic run of offsets, so its
+subdivisions (the best response's points) or its cell midpoints with their
+integer masses (the grid method, the exact method's fallback, and the
+discretized attack of `walk_attack_probability` and `patrol_search`) are
+counted before any is built, then merged with the extra points or the atoms
+into keys in `Point.sort_key` order.  The grid method sums weight times
+measure times mass as integers and makes one `Fraction`, and the best
+response builds one `Point`, its first least key's; `SubNetwork.grid_points`
+and `AttackStrategy.discretized` are `Point` views of the same grids.  An
+exact coverage integral for piecewise-uniform attacks is not provided: a
+continuous part is scored on the midpoint grid or by Monte Carlo.
+
+Monte Carlo is the only place floating point appears.
+Its trials come in chunks of a fixed size, each chunk
 reading its own stretch of a counter-based stream keyed by the seed, so a
 result does not depend on how the chunks are shared among worker threads,
 and memory does not grow with the trial count; the chunk size is part of the
@@ -61,7 +75,7 @@ from typing import Sequence
 # process that never runs Monte Carlo (most one-shot CLI commands) never loads it
 
 from .errors import SizeGuardError, ValidationError
-from .network import (Network, Point, SubNetwork, Walk, _is_int, _merge_intervals, _on_scale,
+from .network import (Network, Point, SubNetwork, Walk, _grid, _is_int, _key_point, _merge_intervals, _on_scale,
                       _require_on_network, _require_same_network, _walk, _WalkIndex, frac)
 from .strategies import AttackStrategy, PatrolStrategy, TemporalLaw
 
@@ -104,42 +118,47 @@ def _cell(law: TemporalLaw, t: int) -> tuple[int, int, int]:
     return (0, t, 0) if law.kind == "uniform" else (t, t + 1, 1)
 
 
-def _walk_measures(walk: Walk, points: Sequence[Point], alpha: Fraction, law: TemporalLaw,
+def _walk_measures(walk: Walk, keys: Sequence[tuple], scale: int, a: int, cell: tuple[int, int, int],
                    dwell_at_end: bool) -> tuple[int, list[int]]:
-    """The one coverage rule: the width of the cell of start times of `law`
-    and, for an attack at each point, the measure of the start times in it
-    at which one deterministic walk catches it; integers on one scale.
+    """The one coverage rule: the width of the start cell [s0, s1) of
+    `cell` = (s0, s1, tick) (`_cell`) and, for an attack at each key, the
+    measure of the start times in it at which one deterministic walk
+    catches it; integers on `scale`, a multiple of the walk's, which the
+    caller gives: the attack duration `a`, the cell and the keys' offsets
+    are on it.  A key is (node, None) or (arc id, offset).
 
     An attack at x starting at t is caught when the patrol is at x at some
     instant of [t, t + alpha].  A closed walk that moves repeats forever.  A
     stationary walk holds its point, and so does an open walk with
     `dwell_at_end`, from its end time D on; an open walk without it must
     cover a fixed-law window.  A point's caught start times are the union of
-    the windows [v - alpha, v + tick) within the law's cell over its visits
-    v, plus [D - alpha, s1) for a hold.  A repeating walk adds its whole
+    the windows [v - alpha, v + tick) within the cell over its visits v,
+    plus [D - alpha, s1) for a hold.  A repeating walk adds its whole
     periods by `_covered_measure` and unrolls its visits only over the part
-    of a period left.  Alpha, the law's time, the point offsets and the
-    walk's clock share one integer scale.
+    of a period left.
     """
     repeat = walk.is_closed and not walk.is_stationary
     hold = walk.is_stationary or (dwell_at_end and not walk.is_closed)
-    scale, (a, t, *offsets) = _on_scale(
-        walk._scale, [alpha, law.value, *(p.offset for p in points if not p.is_node)])
-    offsets = iter(offsets)
     index = _WalkIndex(walk, scale // walk._scale)
     end = index.period
-    s0, s1, tick = _cell(law, t)
+    s0, s1, tick = cell
     width, whole = s1 - s0, 0
-    if law.kind == "fixed" and not (repeat or hold) and t + a > end:
+    if tick and not (repeat or hold) and s0 + a > end:
         raise ValidationError("attack window extends past the end of an open walk")
     if repeat:  # the cell shifted into the first period, less its whole periods
         a = min(a, end)  # a window of a whole period already covers every start
         s0 %= end
         whole, rest = divmod(width, end)
         s1 = s0 + rest
+    held = None  # the key of the point held, if one on `scale` (a stationary walk's need not be)
+    if hold:
+        p = walk.end_point
+        off = None if p.is_node else p.offset * scale
+        if off is None or off.denominator == 1:
+            held = (p.node, None) if p.is_node else (p.arc, off.numerator)
     measures = []
-    for p in points:
-        visits = index.visits(p, None if p.is_node else next(offsets))
+    for key in keys:
+        visits = index.visits(*key)
         covered, reach = 0, s0
         if repeat and visits:  # whole periods at once, then the visits up to the rest + alpha
             covered = whole * _covered_measure(visits, a + tick, end)
@@ -150,10 +169,19 @@ def _walk_measures(walk: Walk, points: Sequence[Point], alpha: Fraction, law: Te
             if hi > lo:
                 covered += hi - lo
                 reach = hi
-        if hold and p == walk.end_point:
+        if key == held:
             covered += max(s1 - max(end - a, reach), 0)
         measures.append(covered)
     return width, measures
+
+
+def _point_keys(base: int, points: Sequence[Point], *values: Fraction) -> tuple[int, list[int], list[tuple]]:
+    """The front from `Point`s to the kernel: the lcm of `base` and of the
+    denominators of `values` and of the points' offsets, the values on it,
+    and each point's key on it."""
+    scale, ints = _on_scale(base, [*values, *(p.offset for p in points if not p.is_node)])
+    offsets = iter(ints[len(values):])
+    return scale, ints[:len(values)], [(p.node, None) if p.is_node else (p.arc, next(offsets)) for p in points]
 
 
 def intercept(walk: Walk, x: Point, t, alpha, dwell_at_end: bool = False) -> bool:
@@ -165,29 +193,45 @@ def intercept(walk: Walk, x: Point, t, alpha, dwell_at_end: bool = False) -> boo
     """
     t, alpha = frac(t), _duration(alpha)
     _require_on_network(walk.net, x)
-    width, (caught,) = _walk_measures(walk, [x], alpha, TemporalLaw.fixed(t), dwell_at_end)
+    law = TemporalLaw.fixed(t)
+    scale, (a, t), keys = _point_keys(walk._scale, [x], alpha, law.value)
+    width, (caught,) = _walk_measures(walk, keys, scale, a, _cell(law, t), dwell_at_end)
     return caught == width
+
+
+def _patrol_scale(patrol: PatrolStrategy) -> int:
+    """The lcm of the scales of the patrol's walks, on which its keys go."""
+    return math.lcm(*(w._scale for w, _ in patrol.components))
+
+
+def _coverage(patrol: PatrolStrategy, keys: Sequence[tuple], scale: int, a: int) -> tuple[int, list[int]]:
+    """The exact interception probability of an attack of duration `a` at
+    each key, with uniform phases, as one common denominator and an integer
+    numerator per key; `scale` is a multiple of `_patrol_scale`.
+
+    A walk with a uniform phase catches an attack as the walk does from a
+    start uniform over one period P, so each walk of weight s > 0 adds s
+    times its `_walk_measures` on the cell [0, P), over P; a stationary
+    walk's law is the fixed time 0, the unit cell, and it holds its point.
+    The weights over the widths go over one common denominator."""
+    walks = []
+    for w, s in patrol.components:
+        if s:
+            period = w._ticks[-1] * (scale // w._scale)
+            walks.append((s, *_walk_measures(w, keys, scale, a, (0, period, 0) if period else (0, 1, 1), True)))
+    denominator = math.lcm(*(s.denominator * width for s, width, _ in walks))
+    totals = [0] * len(keys)
+    for s, width, measures in walks:
+        coef = s.numerator * (denominator // (s.denominator * width))
+        totals = [t + coef * m for t, m in zip(totals, measures)]
+    return denominator, totals
 
 
 def _interception_probabilities(patrol: PatrolStrategy, points: Sequence[Point],
                                 alpha: Fraction) -> list[Fraction]:
-    """Exact interception probability of an attack of duration alpha at each
-    point, with uniform phases.
-
-    A walk with a uniform phase catches an attack as the walk does from a
-    start uniform over one period P, so each walk of weight s > 0 adds s
-    times its `_walk_measures` under `TemporalLaw.uniform(P)`, over the
-    cell's width; a stationary walk's law is the fixed time 0, and it holds
-    its point.  The weights over the widths go over one common denominator,
-    so each point's sum is an integer until its one Fraction.
-    """
-    walks = [(s, *_walk_measures(w, points, alpha, TemporalLaw.uniform(w.duration), True))
-             for w, s in patrol.components if s]
-    denominator = math.lcm(*(s.denominator * width for s, width, _ in walks))
-    totals = [0] * len(points)
-    for s, width, measures in walks:
-        coef = s.numerator * (denominator // (s.denominator * width))
-        totals = [t + coef * m for t, m in zip(totals, measures)]
+    """`_coverage` at points: one Fraction per point."""
+    scale, (a,), keys = _point_keys(_patrol_scale(patrol), points, alpha)
+    denominator, totals = _coverage(patrol, keys, scale, a)
     return [Fraction(t, denominator) for t in totals]
 
 
@@ -199,6 +243,13 @@ def interception_probability(patrol: PatrolStrategy, x: Point, t, alpha) -> Frac
     TemporalLaw.fixed(t)
     _require_on_network(patrol.network, x)
     return _interception_probabilities(patrol, [x], _duration(alpha))[0]
+
+
+def _expected(measures: tuple[int, list[int]], masses: Sequence[int], mass_scale: int) -> Fraction:
+    """The mass-weighted sum of a denominator and its numerators, over the
+    mass scale: one Fraction."""
+    denominator, totals = measures
+    return Fraction(sum(m * t for m, t in zip(masses, totals)), mass_scale * denominator)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -216,8 +267,9 @@ class EvaluationResult:
 
 def _exact_atomic(patrol: PatrolStrategy, attack: AttackStrategy, alpha) -> Fraction:
     atoms = [(p, m) for p, m in attack.atoms if m]
-    probs = _interception_probabilities(patrol, [p for p, _ in atoms], alpha)
-    return sum((m * q for (_, m), q in zip(atoms, probs)), Fraction(0))
+    mass_scale, masses = _on_scale(1, (m for _, m in atoms))
+    scale, (a,), keys = _point_keys(_patrol_scale(patrol), [p for p, _ in atoms], alpha)
+    return _expected(_coverage(patrol, keys, scale, a), masses, mass_scale)
 
 
 def evaluate(patrol: PatrolStrategy, attack: AttackStrategy, alpha, *,
@@ -227,8 +279,9 @@ def evaluate(patrol: PatrolStrategy, attack: AttackStrategy, alpha, *,
 
     ``exact`` requires a purely atomic spatial part and falls back to the
     grid quadrature (with a note) otherwise; ``grid`` replaces uniform parts
-    by midpoint atoms at the given step and is exact from there on; ``mc``
-    runs seeded Monte Carlo and reports a 95% confidence half-width.
+    by midpoint atoms at the given step and is exact from there on (more
+    than `network._GRID_LIMIT` cells raise `SizeGuardError`); ``mc`` runs
+    seeded Monte Carlo and reports a 95% confidence half-width.
     """
     alpha = _duration(alpha)
     _require_attack(patrol.network, attack)
@@ -238,8 +291,8 @@ def evaluate(patrol: PatrolStrategy, attack: AttackStrategy, alpha, *,
         return EvaluationResult(_exact_atomic(patrol, attack, alpha), "exact")
     if method in ("exact", "grid"):
         note = "continuous spatial part: exact mode fell back to grid quadrature" if method == "exact" else ""
-        disc = attack.discretized(grid_step)
-        return EvaluationResult(_exact_atomic(patrol, disc, alpha), "grid", notes=note)
+        scale, (a,), keys, mass_scale, masses = attack._grid(grid_step, _patrol_scale(patrol), [alpha])
+        return EvaluationResult(_expected(_coverage(patrol, keys, scale, a), masses, mass_scale), "grid", notes=note)
     raise ValidationError(f"unknown evaluation method {method!r}")
 
 
@@ -416,7 +469,9 @@ def _mc_evaluate(patrol, attack, alpha, trials, seed, jobs) -> EvaluationResult:
             if not index.period:  # a stationary walk catches only an atom at its point
                 task = True if e[0] == "atom" and e[1] == w.start else None
             elif e[0] == "atom":
-                visits = {v % index.period for v in index.visits(e[1], atom_offsets.get(e[1]))}
+                p = e[1]
+                visits = {v % index.period for v in index.visits(p.node if p.is_node else p.arc,
+                                                                 atom_offsets.get(p))}
                 found = _windows([v - a for v in visits], a, index.period, scale, -slack,
                                  span + slack) if visits else ()
                 task = True if found is None else (((0, found),),) if found else None
@@ -512,10 +567,12 @@ def attacker_best_response(patrol: PatrolStrategy, alpha, *, space_step,
     nodes, supplied structural points, and uniform subdivisions).
 
     Uniform phases make the probability independent of the attack's start
-    time, so every point is scored once at time 0.  Each extra point must
-    lie on the patrol's network.  `time_step` does not change the result
-    and is deprecated: passing it emits a `DeprecationWarning`; it is still
-    echoed in `BestResponse.time_step`.
+    time, so every point is scored once at time 0, and the first least in
+    `Point.sort_key` order wins.  Each extra point must lie on the patrol's
+    network.  A grid of more than `network._GRID_LIMIT` cells, counted as
+    ceil(measure / step) per arc, raises `SizeGuardError`.  `time_step`
+    does not change the result and is deprecated: passing it emits a
+    `DeprecationWarning`; it is still echoed in `BestResponse.time_step`.
     """
     if time_step is not None:
         warnings.warn("time_step does not change the best response and is deprecated",
@@ -524,15 +581,12 @@ def attacker_best_response(patrol: PatrolStrategy, alpha, *, space_step,
     net = patrol.network
     for p in extra_points:
         _require_on_network(net, p)
-    grid = SubNetwork.whole(net).grid_points(space_step, extra=extra_points)
-    probs = _interception_probabilities(patrol, grid, alpha)
-    best = None
-    for x, prob in zip(grid, probs):
-        if best is None or prob < best[0]:
-            best = (prob, x)
-    prob, x = best
-    return BestResponse(x, Fraction(0), prob, frac(space_step),
-                        None if time_step is None else frac(time_step))
+    scale, (a,), keys, _, _ = _grid(net, space_step, [(SubNetwork.whole(net), None)],
+                                    [(p, None) for p in extra_points], _patrol_scale(patrol), [alpha])
+    denominator, totals = _coverage(patrol, keys, scale, a)
+    best = min(range(len(keys)), key=totals.__getitem__)  # the first of the least
+    return BestResponse(_key_point(keys[best], scale), Fraction(0), Fraction(totals[best], denominator),
+                        frac(space_step), None if time_step is None else frac(time_step))
 
 
 # -- patrol families and search ---------------------------------------------------
@@ -585,22 +639,19 @@ def patrol_search(net: Network, attack: AttackStrategy, alpha, *, max_steps: int
     offset_step = frac(offset_step)
     if offset_step <= 0:
         raise ValidationError(f"offset step must be positive, got {offset_step}")
-    disc = attack.discretized(grid_step)
-    (D, lengths), atoms = net._units, disc.atoms
-    scale, (alpha_i, law_i, step_i, *offsets) = _on_scale(
-        D, [alpha, disc.temporal.value, offset_step, *(p.offset for p, _ in atoms if not p.is_node)])
-    s0, s1, tick = _cell(disc.temporal, law_i)
+    (D, lengths), law = net._units, attack.temporal
+    scale, (alpha_i, law_i, step_i), atoms, mass_scale, masses = attack._grid(
+        grid_step, D, [alpha, law.value, offset_step])
+    s0, s1, tick = _cell(law, law_i)
     arc_len = {aid: ln * (scale // D) for aid, ln in lengths.items()}
-    mass_scale, masses = _on_scale(1, (m for _, m in atoms))
 
     by_arc: dict[str, list[tuple[int, int, int]]] = {}  # arc -> (atom, scaled offset, mass)
     node_atoms: dict[str, tuple[int, int]] = {}  # node -> (atom, mass)
-    offsets = iter(offsets)
-    for idx, ((p, _), m) in enumerate(zip(atoms, masses)):
-        if p.is_node:
-            node_atoms[p.node] = (idx, m)
+    for idx, ((where, off), m) in enumerate(zip(atoms, masses)):
+        if off is None:
+            node_atoms[where] = (idx, m)
         else:
-            by_arc.setdefault(p.arc, []).append((idx, next(offsets), m))
+            by_arc.setdefault(where, []).append((idx, off, m))
 
     def move(record, arc_id, entry: int, exit_: int, node: str) -> tuple:
         """A move along an arc from offset entry to exit_, ending at `node`:
@@ -754,6 +805,11 @@ def walk_attack_probability(walk: Walk, attack: AttackStrategy, alpha, *,
     different probabilities."""
     alpha = _duration(alpha)
     _require_attack(walk.net, attack)
-    disc = attack if attack.is_atomic else attack.discretized(grid_step)
-    width, measures = _walk_measures(walk, [p for p, _ in disc.atoms], alpha, disc.temporal, dwell_at_end)
-    return sum((m * c for (_, m), c in zip(disc.atoms, measures)), Fraction(0)) / width
+    law = attack.temporal
+    if attack.is_atomic:
+        mass_scale, masses = _on_scale(1, (m for _, m in attack.atoms))
+        scale, (a, t), keys = _point_keys(walk._scale, [p for p, _ in attack.atoms], alpha, law.value)
+    else:
+        scale, (a, t), keys, mass_scale, masses = attack._grid(grid_step, walk._scale, [alpha, law.value])
+    width, measures = _walk_measures(walk, keys, scale, a, _cell(law, t), dwell_at_end)
+    return Fraction(sum(m * c for m, c in zip(masses, measures)), mass_scale * width)

@@ -30,7 +30,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Container, Iterable, Iterator, Sequence
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, SizeGuardError, ValidationError
 
 
 def frac(x) -> Fraction:
@@ -247,7 +247,7 @@ class Network:
     def contains_point(self, p: Point) -> bool:
         if p.is_node:
             return p.node in self._incident
-        return p.arc in self._arc_by_id and 0 < p.offset < self.arc(p.arc).length
+        return p.arc in self._arc_by_id and _exact(p.offset) and 0 < p.offset < self.arc(p.arc).length
 
     # -- metric ------------------------------------------------------------
 
@@ -526,22 +526,11 @@ class SubNetwork:
         return SubNetwork(self.host, self._scale, gaps)
 
     def grid_points(self, step, extra: Iterable[Point] = ()) -> list[Point]:
-        """Nodes, segment endpoints and uniform subdivisions at the given step."""
-        h = frac(step)
-        if h <= 0:
-            raise ValidationError("grid step must be positive")
-        scale, (h,) = _on_scale(self._scale, (h,))
-        k, (D, length), arcs = scale // self._scale, self.host._units, self.host._arc_by_id
-        pts = {Point(node=n) for n in self.covered_nodes()}
-        pts.update(self.points)
-        for aid, ivs in self._ivs.items():
-            a, ln = arcs[aid], length[aid] * (scale // D)
-            for lo, hi in ivs:
-                for off in (*range(lo * k, hi * k, h), hi * k):
-                    pts.add(Point(node=a.u) if off == 0 else Point(node=a.v) if off == ln
-                            else Point(arc=aid, offset=Fraction(off, scale)))
-        pts.update(extra)
-        return sorted(pts, key=Point.sort_key)
+        """Nodes, segment endpoints and uniform subdivisions at the given
+        step, with the isolated points and `extra`, in `Point.sort_key`
+        order: a view of `_grid`."""
+        scale, _, keys, _, _ = _grid(self.host, step, [(self, None)], [(p, None) for p in (*self.points, *extra)])
+        return [_key_point(key, scale) for key in keys]
 
     # -- connectivity ------------------------------------------------------
 
@@ -567,6 +556,118 @@ class SubNetwork:
             graph = _SegmentGraph.build(self.host, scale, cut)
         v = graph.vertex(p)
         return [sub for sub, _ in graph.parts(graph.incident(v), (v,))]
+
+
+# The most entries `_grid` builds: ceil(measure / step) per segment, counted
+# from the ints before any is built; a larger grid raises `SizeGuardError`
+# (exit 3 in the CLI).  It admits the 1.32M cells of a 10^5-node tree's
+# attack at step 1/8.
+_GRID_LIMIT = 2 ** 21
+
+
+def _key_point(key: tuple, scale: int) -> Point:
+    """The point of a grid key: (node, None), or (arc id, offset on `scale`)."""
+    where, off = key
+    return Point(node=where) if off is None else Point(arc=where, offset=Fraction(off, scale))
+
+
+def _grid(host: Network, step, regions, points, base: int = 1, values: Sequence = (), cells: bool = False):
+    """The grid of `regions` on `host` at `step`, with `points` added, on one
+    integer scale: (scale, `values` on it, keys, mass scale, masses).
+
+    A key is (node, None) or (arc id, offset on the scale), the scale is a
+    multiple of `base` and of the values' denominators, and the keys come
+    in `Point.sort_key` order with coincident entries merged, their masses
+    added.  `regions` holds (SubNetwork, mass) pairs and `points` (Point,
+    mass) pairs.
+
+    Without `cells` (`SubNetwork.grid_points`) masses are ignored and read 0:
+    per segment [lo, hi] of a region, the offsets lo, lo + step, ... below
+    hi, and hi, an arc end as its node.  With `cells`
+    (`AttackStrategy.discretized`) a segment that lies on an arc of `host`
+    is cut into ceil(measure / step) equal cells, and each cell adds its
+    midpoint, an interior point, with the region's mass times the cell's
+    share of the region's measure; masses are ints on the mass scale.
+
+    Every segment is one arithmetic run of offsets, (first + i * stride) /
+    q for i < n, with one mass, so the grid is counted, ceil(measure /
+    step) per segment, before any entry is built: more than `_GRID_LIMIT`
+    raise `SizeGuardError`.  One region's runs on an arc come sorted and
+    apart, and are taken as they are; an arc with more sources is merged.
+    An interior point whose offset is no int or Fraction is not on `host`.
+    """
+    h = frac(step)
+    if h <= 0:
+        raise ValidationError("grid step must be positive")
+    hn, hd = h.numerator, h.denominator
+    (D, length), nodes, runs, count = host._units, {}, [], 0  # runs: (arc id, first, stride, n, q, mass)
+    for sub, mass in regions:
+        R = sub._scale
+        for aid, pairs in sub._ivs.items():
+            a = host.arc(aid)
+            for lo, hi in pairs:
+                d = hi - lo
+                n = -(-d * hd // (R * hn))  # ceil(measure / step), at least 1
+                count += n
+                if cells:
+                    if hi * D > length[aid] * R:
+                        raise ValidationError(f"segment {Fraction(lo, R)}..{Fraction(hi, R)} outside arc "
+                                              f"{aid!r} of length {a.length}")
+                    # the midpoints (2n lo + (2i + 1) d) / 2nR, over their common gcd
+                    first, q = 2 * n * lo + d, 2 * n * R
+                    g = math.gcd(first, q, 2 * d)
+                    runs.append((aid, first // g, 2 * d // g, n, q // g,
+                                 Fraction(mass.numerator * d, mass.denominator * sub._total * n)))
+                    continue
+                q = math.lcm(R, hd)
+                first, stride = lo * (q // R), hn * (q // hd)
+                if lo == 0:
+                    nodes[a.u] = 0
+                    first, n = first + stride, n - 1
+                if n:
+                    runs.append((aid, first, stride, n, q, 0))
+                if hi * D == length[aid] * R:
+                    nodes[a.v] = 0
+                else:
+                    runs.append((aid, hi, 1, 1, R, 0))
+    if count > _GRID_LIMIT:
+        raise SizeGuardError(f"grid of {count} cells at step {h} exceeds the limit of {_GRID_LIMIT}")
+    for p, _ in points:
+        if not (p.is_node or _exact(p.offset)):
+            raise ValidationError(f"{p!r} not on network")
+    scale, offsets = _on_scale(math.lcm(base, *{run[4] for run in runs}),
+                               [*values, *(p.offset for p, _ in points if not p.is_node)])
+    values, offsets = offsets[:len(values)], offsets[len(values):]
+    if cells:
+        mass_scale, ints = _on_scale(1, [*(run[5] for run in runs), *(m for _, m in points)])
+    else:
+        mass_scale, ints = 1, [0] * (len(runs) + len(points))
+    ints, offsets = iter(ints), iter(offsets)
+    by_arc: dict[str, list] = {}  # arc id -> [(offsets, mass)]
+    for aid, first, stride, n, q, _ in runs:
+        f = scale // q
+        by_arc.setdefault(aid, []).append((range(first * f, (first + n * stride) * f, stride * f), next(ints)))
+    for p, _ in points:
+        if p.is_node:
+            nodes[p.node] = nodes.get(p.node, 0) + next(ints)
+        else:
+            by_arc.setdefault(p.arc, []).append(((next(offsets),), next(ints)))
+    keys, masses = [(v, None) for v in sorted(nodes)], [nodes[v] for v in sorted(nodes)]
+    for aid in sorted(by_arc):
+        entries = by_arc[aid]
+        if all(x[-1] < y[0] for (x, _), (y, _) in zip(entries, entries[1:])):
+            for offs, m in entries:
+                keys += [(aid, off) for off in offs]
+                masses += [m] * len(offs)
+            continue
+        merged: dict[int, int] = {}
+        for offs, m in entries:
+            for off in offs:
+                merged[off] = merged.get(off, 0) + m
+        for off in sorted(merged):
+            keys.append((aid, off))
+            masses.append(merged[off])
+    return scale, values, keys, mass_scale, masses
 
 
 def components_after_removal(net: Network, x: Point) -> list[SubNetwork]:
@@ -719,8 +820,8 @@ class Walk:
         if self.is_stationary:
             return (Fraction(0),) if x == self.start else ()
         # an interior offset off the walk's scale is queried as a Fraction on it
-        off = None if x.is_node else x.offset * self._scale
-        return tuple(Fraction(t, self._scale) for t in sorted(set(self._index.visits(x, off))))
+        where, off = (x.node, None) if x.is_node else (x.arc, x.offset * self._scale)
+        return tuple(Fraction(t, self._scale) for t in sorted(set(self._index.visits(where, off))))
 
     def reversed(self) -> "Walk":
         """The walk run backwards from its end point; every field equals what
@@ -812,13 +913,14 @@ class _WalkIndex:
                 self.by_node.setdefault(node, []).append(t)
         self.period = ticks[-1]
 
-    def visits(self, x: Point, off: int | None) -> list[int]:
-        """Visit times of x (at scaled offset `off` when interior, None at
-        a node) within [0, period], nondecreasing.  A time can be listed twice: at a step
+    def visits(self, where: str, off: int | None) -> list[int]:
+        """Visit times, within [0, period] and nondecreasing, of the node
+        `where` when `off` is None, else of the point at scaled offset `off`
+        of the arc `where`.  A time can be listed twice: at a step
         boundary, or at both 0 and the period of a closed walk."""
         if off is None:
-            return self.by_node.get(x.node, [])
-        return [t0 + abs(off - o1) for t0, lo, hi, o1 in self.by_arc.get(x.arc, ())
+            return self.by_node.get(where, [])
+        return [t0 + abs(off - o1) for t0, lo, hi, o1 in self.by_arc.get(where, ())
                 if lo <= off <= hi]
 
 

@@ -17,8 +17,8 @@ from .ebd import RootedSubtree, ebd
 from .errors import FactorizationError, ValidationError
 from .factorization import (Factorization, _require_even_complete, round_robin_one_factorization,
                             validate_factorization)
-from .network import (Network, Point, SubNetwork, Walk, _require_same_network, _tour_from, _walk, frac, tree_tour,
-                      validate_alpha)
+from .network import (Network, Point, SubNetwork, Walk, _grid, _key_point, _require_same_network, _tour_from, _walk,
+                      frac, tree_tour, validate_alpha)
 
 
 @dataclass(frozen=True)
@@ -97,26 +97,29 @@ class AttackStrategy:
         cells no wider than `step`.  Exact masses, approximate positions.
         A segment must lie on one of this network's arcs; its cell
         midpoints are then interior points, and its cells share one mass.
-        Atoms that coincide merge."""
-        h = frac(step)
-        if h <= 0:
-            raise ValidationError("grid step must be positive")
-        atoms: dict[Point, Fraction] = {}
-        for p, m in self.atoms:
-            atoms[p] = atoms.get(p, Fraction(0)) + m
-        for part in self.uniform_parts:
-            for seg in part.region.segment_list():
-                if seg.hi > (length := self.network.arc(seg.arc).length):
-                    raise ValidationError(f"segment {seg.lo}..{seg.hi} outside arc {seg.arc!r} of length {length}")
-                cells = max(1, -(seg.measure // -h))  # ceil division
-                width = seg.measure / cells
-                mass, mid = part.density * width, seg.lo + width / 2
-                for _ in range(cells):
-                    p = Point(arc=seg.arc, offset=mid)
-                    atoms[p] = atoms[p] + mass if p in atoms else mass
-                    mid += width
-        ordered = tuple(sorted(atoms.items(), key=lambda kv: kv[0].sort_key()))
-        return AttackStrategy(self.network, ordered, (), self.temporal)
+        Atoms that coincide merge.  A view of `_grid`, whose keys the
+        exact scorers read without building these atoms."""
+        scale, _, keys, mass_scale, masses = self._grid(step)
+        value = {m: Fraction(m, mass_scale) for m in set(masses)}
+        # `_grid` has checked that the masses, nonnegative, sum to 1: the
+        # constructor's checks would add them again, one Fraction at a time
+        disc = object.__new__(AttackStrategy)
+        for name, field in (("network", self.network), ("uniform_parts", ()), ("temporal", self.temporal),
+                            ("atoms", tuple((_key_point(key, scale), value[m]) for key, m in zip(keys, masses)))):
+            object.__setattr__(disc, name, field)
+        return disc
+
+    def _grid(self, step, base: int = 1, values=()):
+        """`network._grid` of the atoms and the uniform parts' cells at
+        `step`: (scale, `values` on it, keys, mass scale, masses), the scale
+        a multiple of `base`; masses that do not sum to 1 (a part with mass
+        and no segment) are refused as the constructor refuses them."""
+        grid = _grid(self.network, step, [(p.region, p.mass) for p in self.uniform_parts], self.atoms,
+                     base, values, cells=True)
+        total, mass_scale = sum(grid[4]), grid[3]
+        if total != mass_scale:
+            raise ValidationError(f"attack masses sum to {Fraction(total, mass_scale)}, expected 1")
+        return grid
 
 
 @dataclass(frozen=True)

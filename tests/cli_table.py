@@ -182,6 +182,11 @@ GROUPS = {"complete": (
         sha={"stdout": "f0f8ff7beee82639790342823d92ab0bf75a65e3cc32fea9e596336baadf16e0"}),
     Row("simulate sample_tree.net --patrol tree.patrol --attack negative.attack --alpha 4 --method exact", exit=1,
         stderr="error: line 2: attack start time must be nonnegative"),
+    # a grid of more cells than the size guard admits is refused before any
+    # cell is built, by the grid method and by the exact method's fallback
+    *(Row(f"{SIMULATE} --method {method} --grid-step 1/{10 ** 30}", exit=3,
+          stderr=f"error: grid of {3 * 10 ** 30} cells at step 1/{10 ** 30} exceeds the limit of 2097152")
+      for method in ("grid", "exact")),
 ), "large_tree": (
     # the 2,000-node tree at alpha 7/3 (thirds widen its scale of quarters)
     # and near half its critical duration 1878

@@ -27,8 +27,9 @@ per-arc distance intervals, the subtree above a point from the parts of a
 split that miss the root, patrol text from `fmt_frac` on each
 step's `Fraction` offsets, the branch statistics and cut-subtree
 enumerations that check the density lemma from a tour of that `Fraction`
-segment graph, and a discretized attack from each cell's
-`Fraction` midpoint placed through `Network.point`.  Two views only tests
+segment graph, a discretized attack from each cell's
+`Fraction` midpoint placed through `Network.point`, and an attacker best
+response from that subnetwork's `Fraction` grid, one point at a time.  Two views only tests
 read live here too: an extremity set as a subnetwork, and a factorization's
 factors as an order-free key.
 """
@@ -44,7 +45,7 @@ import networkx as nx
 import numpy as np
 
 from patrolgame import (Factorization, FactorizationError, Network, Point, Segment, Step, SubNetwork,
-                        ValidationError, Walk, round_robin_one_factorization)
+                        ValidationError, Walk, interception_probability, round_robin_one_factorization)
 from patrolgame import factorization
 from patrolgame.decomposition import ExtremitySet, _require_tree
 from patrolgame.ebd import LeafDistribution, RootedSubtree
@@ -1290,3 +1291,16 @@ def discretized_reference(attack, step):
                 atoms[p] = atoms.get(p, Fraction(0)) + part.density * width
     ordered = tuple(sorted(atoms.items(), key=lambda kv: kv[0].sort_key()))
     return type(attack)(attack.network, ordered, (), attack.temporal)
+
+
+def best_response_reference(patrol, alpha, step, extra=()) -> tuple[Point, Fraction]:
+    """`attacker_best_response`'s point and probability, one point at a
+    time: the `Fraction` grid of `FractionSubNetwork.grid_points` over the
+    whole network, each point scored by `interception_probability`, and the
+    first least probability in `Point.sort_key` order."""
+    best = None
+    for x in FractionSubNetwork.whole(patrol.network).grid_points(step, extra):
+        prob = interception_probability(patrol, x, 0, alpha)
+        if best is None or prob < best[1]:
+            best = (x, prob)
+    return best

@@ -16,6 +16,7 @@ from patrolgame import (
     PatrolStrategy,
     Network,
     Point,
+    Segment,
     SizeGuardError,
     Step,
     SubNetwork,
@@ -47,10 +48,11 @@ from patrolgame import (
     walk_attack_probability,
     walk_through_nodes,
 )
-from patrolgame import engine
+from patrolgame import engine, network
 from conftest import LENGTH_POOL, make_sample_tree, random_tree
-from oracles import (ball, bruteforce_search, exact_cumulative, greedy_coverage_walk, interception_reference,
-                     mc_hits_mod_reference, mc_hits_reference, node_path, random_closed_walk, walk_probability_reference)
+from oracles import (ball, best_response_reference, bruteforce_search, discretized_reference, exact_cumulative,
+                     greedy_coverage_walk, interception_reference, mc_hits_mod_reference, mc_hits_reference, node_path,
+                     random_closed_walk, walk_probability_reference)
 
 F = Fraction
 
@@ -233,7 +235,8 @@ def test_phase_randomization_is_a_uniform_start_over_a_period():
                 want = engine._interception_probabilities(PatrolStrategy.single(walk), points, alpha)
                 for k in (1, rng.randint(2, 4)):
                     law = TemporalLaw.uniform(k * period)
-                    width, measures = engine._walk_measures(walk, points, alpha, law, True)
+                    scale, (a, t), keys = engine._point_keys(walk._scale, points, alpha, law.value)
+                    width, measures = engine._walk_measures(walk, keys, scale, a, engine._cell(law, t), True)
                     assert [F(m, width) for m in measures] == want, (net.nodes, walk, alpha, k)
     assert below and above
 
@@ -773,6 +776,123 @@ def test_attacker_best_response_rejects_points_off_network(unit_k4):
     for p in (unit_k4.point("v1-v2", F(1, 2)), Point(arc="sa1", offset=F(7)), Point(node="zz")):
         with pytest.raises(ValidationError, match=f"^{re.escape(repr(p))} not on network$"):
             attacker_best_response(pat, 2, space_step=F(1, 2), extra_points=[p])
+
+
+def _share_of_critical(rng, tree):
+    return max(F(1, 4), F(int(critical_alpha(tree) * F(rng.randint(35, 65), 100) * 4), 4))
+
+
+def test_best_response_matches_reference():
+    # the argmin point and its probability against the Fraction grid scored
+    # point by point: seeded E-patrols with the decomposition's roots, an
+    # extra point off the grid (sevenths of an arc) and one on it; a mixture
+    # with a stationary walk held at such an extra point; tour mixtures of
+    # K4 and K6, one K4 with rational lengths
+    rng = random.Random(46)
+    cases = []
+    for _ in range(10):
+        tree = random_tree(rng, min_nodes=3, max_nodes=12)
+        alpha = _share_of_critical(rng, tree)
+        off = rng.choice(tree.arcs)
+        on = rng.choice([a for a in tree.arcs if a.length > F(1, 4)] or [None])
+        extra = [*subtree_decomposition(tree, alpha).roots, tree.point(off.id, off.length * F(rng.randint(1, 6), 7))]
+        if on is not None:
+            extra.append(tree.point(on.id, F(rng.randint(1, int(on.length * 4) - 1), 4)))
+        pat = e_patrolling(tree, alpha)
+        cases.append((pat, alpha, F(1, 4), extra))
+        held = Walk(tree, extra[-1])
+        cases.append((PatrolStrategy(tree, ((pat.components[0][0], F(2, 3)), (held, F(1, 3)))), alpha, F(1, 4), extra))
+    k4z = Network([f"v{i}" for i in range(4)], [(f"e{i}{j}", f"v{i}", f"v{j}", rng.choice(LENGTH_POOL))
+                                                for i in range(4) for j in range(i + 1, 4)])
+    for net, step in ((complete_network(4), F(1, 8)), (complete_network(6), F(1, 4)), (k4z, F(1, 4))):
+        mu = net.total_length
+        for alpha in (mu - round_robin_one_factorization(net).delta, mu * F(1, 3)):
+            cases.append((complete_patrolling(net), alpha, step, ()))
+    for pat, alpha, step, extra in cases:
+        br = attacker_best_response(pat, alpha, space_step=step, extra_points=extra)
+        assert (br.point, br.probability) == best_response_reference(pat, alpha, step, extra)
+
+
+def test_best_response_ties_resolve_to_the_first_in_sort_order(sample_tree):
+    # a stationary walk at B catches nothing elsewhere: every other point
+    # scores 0, and node A comes first in sort order
+    pat = PatrolStrategy.single(Walk(sample_tree, sample_tree.node_point("B")))
+    br = attacker_best_response(pat, 2, space_step=F(1, 2))
+    assert (br.point, br.probability) == (sample_tree.node_point("A"), 0)
+    assert (br.point, br.probability) == best_response_reference(pat, 2, F(1, 2))
+    # on unit K4 every arc's midpoint ties; the first arc's comes first
+    pat = complete_patrolling(complete_network(4))
+    br = attacker_best_response(pat, 3, space_step=F(1, 2))
+    assert br.point == Point(arc="v1-v2", offset=F(1, 2))
+    assert (br.point, br.probability) == best_response_reference(pat, 3, F(1, 2))
+
+
+def test_grid_evaluation_matches_discretized_reference():
+    # the grid value scored from the integer cells equals the exact value of
+    # the Fraction discretization: tree attacks, uniform attacks, overlapping
+    # regions with an atom on a cell midpoint and a node atom, the K4
+    # tightness attack; the exact method's fallback gives the same value
+    rng = random.Random(47)
+    cases = []
+    for _ in range(10):
+        tree = random_tree(rng, min_nodes=2, max_nodes=12)
+        alpha = _share_of_critical(rng, tree)
+        pat = e_patrolling(tree, alpha)
+        law = TemporalLaw.uniform(rng.choice([1, F(7, 3)]))
+        cases += [(pat, tree_attack_strategy(tree, alpha, horizon=60), alpha), (pat, uniform_attack(tree, law), alpha)]
+        regions = [SubNetwork.from_segments(tree, [Segment(a.id, a.length * lo / 12, a.length * hi / 12)
+                                                   for a in rng.sample(tree.arcs, rng.randint(1, len(tree.arcs)))
+                                                   for lo, hi in [sorted(rng.sample(range(13), 2))]])
+                   for _ in range(2)]
+        seg = regions[0].segment_list()[0]
+        on_mid = tree.point(seg.arc, seg.lo + seg.measure / -(seg.measure // -F(1, 4)) / 2)
+        atoms = ((on_mid, F(1, 6)), (tree.node_point(rng.choice(tree.nodes)), F(1, 12)))
+        parts = (UniformPart(regions[0], F(1, 2)), UniformPart(regions[1], F(1, 4)))
+        cases.append((pat, AttackStrategy(tree, atoms, parts, law), alpha))
+    k4 = complete_network(4)
+    cases += [(complete_patrolling(k4), k4_tightness_attack(k4, alpha=a), a) for a in (F(9, 2), F(6))]
+    for pat, attack, alpha in cases:
+        for step in (F(1, 4), F(1, 3), F(2, 7)):
+            want = engine._exact_atomic(pat, discretized_reference(attack, step), alpha)
+            assert evaluate(pat, attack, alpha, method="grid", grid_step=step).probability == want
+        assert evaluate(pat, attack, alpha, method="exact", grid_step=F(1, 4)).probability == \
+            engine._exact_atomic(pat, discretized_reference(attack, F(1, 4)), alpha)
+
+
+def test_inexact_offsets_are_not_on_network():
+    # a Point whose offset is no int or Fraction lies on no network
+    net, w = back_and_forth()
+    p = Point(arc="a", offset=0.5)
+    attack = AttackStrategy(net, ((p, F(1)),), (), TemporalLaw.fixed(0))
+    calls = [lambda: evaluate(PatrolStrategy.single(w), attack, 1), lambda: walk_attack_probability(w, attack, 1),
+             lambda: intercept(w, p, 0, 1), lambda: w.visit_times(p),
+             lambda: attacker_best_response(PatrolStrategy.single(w), 1, space_step=F(1, 2), extra_points=[p]),
+             lambda: SubNetwork.whole(net).grid_points(F(1, 2), extra=[p])]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"^arc:a:0\.5 not on network$"):
+            call()
+    assert not net.contains_point(p)
+
+
+def test_grids_refuse_more_entries_than_the_guard(monkeypatch):
+    # ceil(measure / step) per segment, counted from the ints before any
+    # entry is built: at most the limit is admitted
+    monkeypatch.setattr(network, "_GRID_LIMIT", 12)
+    net = path_network(3, pieces=3)
+    attack = uniform_attack(net, TemporalLaw.fixed(0))
+    walk = walk_through_nodes(net, ["p0", "p1", "p2", "p3", "p2", "p1", "p0"])
+    patrol = PatrolStrategy.single(walk)
+    assert len(attack.discretized(F(1, 4)).atoms) == 12
+    assert len(SubNetwork.whole(net).grid_points(F(1, 4))) == 13
+    for call in (lambda step: SubNetwork.whole(net).grid_points(step), lambda step: attack.discretized(step),
+                 lambda step: evaluate(patrol, attack, 1, method="grid", grid_step=step),
+                 lambda step: evaluate(patrol, attack, 1, method="exact", grid_step=step),
+                 lambda step: attacker_best_response(patrol, 1, space_step=step),
+                 lambda step: walk_attack_probability(walk, attack, 1, grid_step=step),
+                 lambda step: patrol_search(net, attack, 1, max_steps=1, grid_step=step)):
+        call(F(1, 4))
+        with pytest.raises(SizeGuardError, match="^grid of 15 cells at step 1/5 exceeds the limit of 12$"):
+            call(F(1, 5))
 
 
 def test_walk_attack_probability_fixed_reachable():
